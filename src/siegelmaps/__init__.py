@@ -3,9 +3,11 @@
 The package constructs the classical holomorphic embeddings of the unit
 ball into the bounded model of the Siegel upper half space (standard,
 connecting, and exterior-power factors and their diagonal direct sums),
-builds the matching holomorphic retractions, and verifies the structural
-claims behind them (left-inverse identity, membership closure, Kobayashi
-isometry, signature bookkeeping, linearity) by seeded property testing.
+compiles each factor into a fixed matrix and its pseudoinverse, which
+embed and retract, and verifies the structural claims behind them
+(left-inverse identity, membership closure, Kobayashi isometry, signature
+bookkeeping, linearity against the factor constructions) by seeded
+property testing.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from .embeddings import (
     FactorKind,
     FactorSpec,
     connecting_embed,
-    corner_embed_iii,
     direct_sum_embed,
     embed_in_type_i,
     enumerate_specs,
     exterior_power_embed,
     factor_catalog,
+    factor_form,
     linearize,
 )
 from .exterior import (
@@ -72,17 +74,10 @@ from .linalg import (
 )
 from .report import HarnessConfig, Report, SuiteResult
 from .retractions import (
-    Retraction,
     SandwichRecord,
-    corner_average,
-    factor_retraction,
     isometry_sandwich,
     retract_axis_averaging,
-    retract_corner,
     retract_direct_sum,
-    retract_exterior_power,
-    retract_first_row,
-    retract_offdiagonal,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +96,6 @@ __all__ = [
     "MembershipResult",
     "MembershipStatus",
     "Report",
-    "Retraction",
     "SandwichRecord",
     "SuiteResult",
     "Tolerance",
@@ -119,15 +113,13 @@ __all__ = [
     "conjugation_twice_unit",
     "conjugation_unit",
     "connecting_embed",
-    "corner_average",
-    "corner_embed_iii",
     "direct_sum_embed",
     "embed_in_type_i",
     "enumerate_specs",
     "errors",
     "exterior_power_embed",
     "factor_catalog",
-    "factor_retraction",
+    "factor_form",
     "hermitian_eigenvalues",
     "induced_form",
     "induced_form_decomposable",
@@ -139,11 +131,7 @@ __all__ = [
     "orthonormal_column_basis",
     "perm_sign",
     "retract_axis_averaging",
-    "retract_corner",
     "retract_direct_sum",
-    "retract_exterior_power",
-    "retract_first_row",
-    "retract_offdiagonal",
     "run_suite",
     "run_verification",
     "siegel_shape",

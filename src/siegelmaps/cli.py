@@ -29,7 +29,7 @@ from .errors import (
     SiegelmapsError,
 )
 from .harness import run_verification
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOLERANCE, Tolerance
 from .report import SUITE_NAMES, HarnessConfig
 from .serialize import (
     SchemaError,
@@ -59,6 +59,9 @@ def _tolerance(tol_arg: float | None) -> Tolerance:
                 raise ValueError(f"BSDE_TOL must be a number, got {env!r}") from None
     if eq_tol is None:
         return Tolerance()
+    margin = DEFAULT_TOLERANCE.psd_margin
+    if eq_tol <= margin:
+        raise ValueError(f"--tol/BSDE_TOL must exceed the fixed psd_margin of {margin!r}, got {eq_tol!r}")
     return Tolerance(eq_tol=eq_tol)
 
 

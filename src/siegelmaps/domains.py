@@ -137,20 +137,6 @@ class DomainPoint:
         )
 
 
-def _point_unchecked(shape: DomainShape, z: np.ndarray) -> DomainPoint:
-    """Construct a point from entries of an already validated matrix.
-
-    Internal fast path for coordinate selections; skips the finiteness
-    re-check that :class:`DomainPoint` performs on foreign data.
-    """
-    pt = object.__new__(DomainPoint)
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    z.setflags(write=False)
-    object.__setattr__(pt, "shape", shape)
-    object.__setattr__(pt, "z", z)
-    return pt
-
-
 @dataclass(frozen=True)
 class BallPoint:
     """Point of the unit ball in C^n, Euclidean norm strictly below one."""

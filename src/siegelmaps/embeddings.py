@@ -13,8 +13,16 @@ block suitable for a diagonal direct sum:
 
 A factor is one such composite block; an embedding is a diagonal direct
 sum of factors under a genus budget, with unused diagonal slack padded by
-zeros.  All embeddings fix the origin, are verified linear in the source
+zeros.  All embeddings fix the origin, are linear in the source
 coordinates, and carry each interior point to an interior point.
+
+Because every block is linear, each factor is compiled once into a fixed
+matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
+(:func:`factor_form`); :func:`direct_sum_embed` and the retractions apply
+only these matrices.  The constructions below (:func:`factor_block` and
+:func:`exterior_power_embed`) are kept as the oracle: :func:`linearize`
+and the linearity suite evaluate them at sampled points and compare them
+with the compiled map.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -30,7 +38,7 @@ normalized matrix symmetric.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,6 +62,7 @@ from .errors import (
     SpecMismatch,
 )
 from .exterior import (
+    _row_selector,
     balanced_symmetric,
     complement,
     conjugation_unit,
@@ -62,6 +71,7 @@ from .exterior import (
     wedge_basis,
 )
 from .linalg import DEFAULT_TOLERANCE, Tolerance, max_abs, solve_right
+from .sampling import generator
 
 __all__ = [
     "BuiltEmbedding",
@@ -71,13 +81,13 @@ __all__ = [
     "LINEARIZATION_PROBE",
     "block_layout",
     "connecting_embed",
-    "corner_embed_iii",
     "direct_sum_embed",
     "embed_in_type_i",
     "enumerate_specs",
     "exterior_power_embed",
     "factor_block",
     "factor_catalog",
+    "factor_form",
     "linearize",
     "unvec_sym",
     "vec_sym",
@@ -137,11 +147,6 @@ class FactorSpec:
             return self.p + 1
         return 1
 
-    @property
-    def cost(self) -> int:
-        """Diagonal entries of the target the factor occupies."""
-        return self.block_size
-
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
@@ -175,7 +180,7 @@ class EmbeddingSpec:
 
     @property
     def cost(self) -> int:
-        return sum(f.cost for f in self.factors)
+        return sum(f.block_size for f in self.factors)
 
 
 @lru_cache(maxsize=None)
@@ -210,20 +215,6 @@ def _connecting_matrix(z: np.ndarray) -> np.ndarray:
     out[:q, q:] = z.T
     out[q:, :q] = z
     return out
-
-
-def corner_embed_iii(z: DomainPoint, l: int, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
-    """Standard embedding of a type III point into the upper-left corner."""
-    if z.shape.kind is not DomainKind.TYPE_III:
-        raise DimensionMismatch(f"corner embedding expects a type III point, got {z.shape.kind.value}")
-    k = z.shape.p
-    if not k < l:
-        raise DimensionMismatch(f"corner embedding needs k < l, got k={k}, l={l}")
-    if not membership(z, tol):
-        raise MembershipViolation("corner embedding input must be interior")
-    out = np.zeros((l, l), dtype=np.complex128)
-    out[:k, :k] = z.z
-    return DomainPoint(type_iii_shape(l), out)
 
 
 def connecting_embed(z: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -265,9 +256,7 @@ def _wedge_plan(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     sub_idx = np.array([[i - 1 for i in sub] for sub in subsets], dtype=np.intp).reshape(
         len(subsets), m - 1
     )
-    basis = wedge_basis(p, m)
-    rows = np.array([[i - 1 for i in M] for M in basis.ordered], dtype=np.intp)
-    return sub_idx, rows
+    return sub_idx, _row_selector(p, m)
 
 
 def exterior_power_embed(
@@ -336,16 +325,47 @@ def factor_block(factor: FactorSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLE
     return np.asarray(z.coords, dtype=np.complex128).reshape(1, 1)
 
 
+@lru_cache(maxsize=None)
+def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A factor's block as a fixed linear map ``A`` and its left inverse ``P``.
+
+    Column k of ``A`` is the block of the probe ``LINEARIZATION_PROBE * e_k``
+    divided by the probe radius, flattened row major, so ``A @ z`` is the
+    flattened block of z.  ``P`` is the pseudoinverse of ``A``; the columns
+    of ``A`` are orthogonal of equal norm, so ``P`` is well conditioned and
+    ``P @ A`` is the identity.  Both arrays are read-only.
+    """
+    probes = LINEARIZATION_PROBE * np.eye(factor.p)
+    matrix = np.column_stack([factor_block(factor, BallPoint(t)).reshape(-1) for t in probes])
+    matrix /= LINEARIZATION_PROBE
+    pseudo = np.linalg.pinv(matrix)
+    matrix.setflags(write=False)
+    pseudo.setflags(write=False)
+    return matrix, pseudo
+
+
 def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
-    """Evaluate the embedding: factor blocks on the diagonal, zero padding."""
+    """Evaluate the embedding: each factor's compiled block ``A_f z`` on the
+    diagonal, zero padding."""
     if z.n != spec.source_dim:
         raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
     _require_interior_ball(z, tol, "embedding input")
     g = spec.target_g
     out = np.zeros((g, g), dtype=np.complex128)
     for factor, start, stop in block_layout(spec):
-        out[start:stop, start:stop] = factor_block(factor, z, tol)
+        matrix, _ = factor_form(factor)
+        out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
     return DomainPoint(type_iii_shape(g), out)
+
+
+def _reference_direct_sum(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """The embedding evaluated through the factor constructions instead of
+    the compiled forms: the oracle the forms are checked against."""
+    g = spec.target_g
+    out = np.zeros((g, g), dtype=np.complex128)
+    for factor, start, stop in block_layout(spec):
+        out[start:stop, start:stop] = factor_block(factor, z, tol)
+    return out
 
 
 def vec_sym(matrix: np.ndarray) -> np.ndarray:
@@ -374,12 +394,11 @@ class BuiltEmbedding:
     """Executable linear form of an embedding.
 
     ``matrix`` maps source coordinates to the flattened symmetric target
-    coordinates; ``blocks`` records each factor's diagonal range.
+    coordinates (see :func:`vec_sym`).
     """
 
     spec: EmbeddingSpec
     matrix: np.ndarray
-    blocks: tuple[tuple[FactorSpec, int, int], ...] = field(repr=False)
 
     def apply(self, z: BallPoint) -> DomainPoint:
         image = unvec_sym(self.matrix @ z.coords, self.spec.target_g)
@@ -393,7 +412,7 @@ def _check_linearity(
     check_points: int,
     seed: int,
 ) -> None:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x11E4], dtype=np.uint64)))
+    rng = generator(seed, 0x11E4)
     n = spec.source_dim
     worst = 0.0
     worst_z = None
@@ -401,7 +420,7 @@ def _check_linearity(
         direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         point = BallPoint(direction * (0.95 * rng.random()))
-        expected = direct_sum_embed(spec, point, tol).z
+        expected = _reference_direct_sum(spec, point, tol)
         residual = max_abs(expected - unvec_sym(matrix @ point.coords, spec.target_g))
         if residual > worst:
             worst, worst_z = residual, point
@@ -418,24 +437,21 @@ def linearize(
     check_points: int = 50,
     seed: int = 0,
 ) -> BuiltEmbedding:
-    """Assemble the coordinate matrix of an embedding and verify linearity.
+    """Assemble the coordinate matrix of the compiled embedding and check it
+    against the factor constructions.
 
-    Columns are probed at radius ``LINEARIZATION_PROBE`` along each source
-    axis; the result is then compared against the direct evaluation on
-    ``check_points`` seeded interior points, raising
-    :class:`NonlinearityDetected` on disagreement beyond ``eq_tol``.
+    Columns are the compiled images of the probes at radius
+    ``LINEARIZATION_PROBE`` along each source axis.  The constructions are
+    then evaluated on ``check_points`` seeded interior points and compared
+    with the matrix, raising :class:`NonlinearityDetected` on disagreement
+    beyond ``eq_tol``.
     """
-    n = spec.source_dim
-    columns = []
-    for k in range(n):
-        probe = np.zeros(n, dtype=np.complex128)
-        probe[k] = LINEARIZATION_PROBE
-        image = direct_sum_embed(spec, BallPoint(probe), tol)
-        columns.append(vec_sym(image.z) / LINEARIZATION_PROBE)
-    matrix = np.column_stack(columns)
+    probes = LINEARIZATION_PROBE * np.eye(spec.source_dim)
+    matrix = np.column_stack([vec_sym(direct_sum_embed(spec, BallPoint(t), tol).z) for t in probes])
+    matrix /= LINEARIZATION_PROBE
     _check_linearity(spec, matrix, tol, check_points, seed)
     matrix.setflags(write=False)
-    return BuiltEmbedding(spec, matrix, block_layout(spec))
+    return BuiltEmbedding(spec, matrix)
 
 
 def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:
@@ -462,17 +478,17 @@ def enumerate_specs(source_dim: int, g_max: int) -> tuple[tuple[EmbeddingSpec, .
     if source_dim < 1 or g_max < 1:
         raise DimensionMismatch("source dimension and budget must be positive")
     catalog = factor_catalog(source_dim)
-    minimal_g = min(f.cost for f in catalog)
+    minimal_g = min(f.block_size for f in catalog)
     specs: list[EmbeddingSpec] = []
 
     def extend(start: int, chosen: list[FactorSpec], budget: int) -> None:
         for i in range(start, len(catalog)):
             f = catalog[i]
-            if f.cost > budget:
+            if f.block_size > budget:
                 continue
             chosen.append(f)
-            specs.append(EmbeddingSpec(source_dim, tuple(chosen), sum(c.cost for c in chosen)))
-            extend(i, chosen, budget - f.cost)
+            specs.append(EmbeddingSpec(source_dim, tuple(chosen), sum(c.block_size for c in chosen)))
+            extend(i, chosen, budget - f.block_size)
             chosen.pop()
 
     extend(0, [], g_max)

@@ -1,28 +1,22 @@
 """Holomorphic left inverses of the embeddings.
 
-Every embedding factor has a matched retraction built from coordinate
-selection, a fixed linear map, or averaging, so each evaluator is
-holomorphic by construction:
+Every factor of an embedding is the fixed linear map ``A_f`` of
+:func:`~siegelmaps.embeddings.factor_form`, so its retraction is the fixed
+matrix ``P_f = A_f^+``: applied to the factor's flattened diagonal block,
+it projects orthogonally onto the factor's image and recovers the source
+coordinates.  A direct sum is retracted blockwise and the per-factor ball
+points are averaged with equal weights, which stays inside the ball by
+convexity.  Every step is linear, so the retraction is holomorphic.
 
-* first-row and corner selection invert the standard embeddings,
-* the lower-left block selection inverts the connecting embedding,
-* least squares against the (verified linear) wedge embedding inverts the
-  exterior-power factors; because the embedding matrix has orthogonal
-  columns of equal norm, this coincides with orthogonal projection onto
-  the image subspace followed by coordinate recovery,
-* a direct sum is inverted blockwise and the per-factor ball points are
-  averaged with equal weights, which stays inside the ball by convexity.
-
-An entry-averaging evaluator for the wedge factors is kept alongside the
-least-squares one as an independent cross-check; the two must agree on
-the distinguished axis direction.
+An entry-averaging retraction onto the first-axis disk is kept as an
+independent cross-check: it reads the axis image from the wedge
+construction, not from ``A_f``, and must agree with ``P_f`` on axis points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -30,174 +24,37 @@ from .domains import (
     BallPoint,
     DomainKind,
     DomainPoint,
-    DomainShape,
-    _point_unchecked,
+    _require_interior,
     kobayashi_distance,
-    membership,
-    type_i_shape,
-    type_iii_shape,
 )
 from .embeddings import (
     LINEARIZATION_PROBE,
     EmbeddingSpec,
-    FactorKind,
-    FactorSpec,
     block_layout,
     direct_sum_embed,
     exterior_power_embed,
+    factor_form,
 )
-from .errors import (
-    DimensionMismatch,
-    IllConditioned,
-    MembershipViolation,
-    SpecMismatch,
-)
+from .errors import DimensionMismatch, IllConditioned, SpecMismatch
 from .exterior import signature
 from .linalg import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
-    "Retraction",
     "SandwichRecord",
-    "corner_average",
-    "factor_retraction",
     "isometry_sandwich",
     "retract_axis_averaging",
-    "retract_corner",
     "retract_direct_sum",
-    "retract_exterior_power",
-    "retract_first_row",
-    "retract_offdiagonal",
 ]
-
-
-
-def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> None:
-    result = membership(pt, tol)
-    if not result:
-        detail = result.reason or f"margin {result.margin:.3e}"
-        raise MembershipViolation(f"{what} must be an interior point: {detail}")
-
-
-def retract_first_row(
-    y: DomainPoint, n: int, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
-) -> BallPoint:
-    """First n entries of the first row; inverts the standard embedding.
-
-    Row norms of an interior point are below one, so the output is a ball
-    point.
-    """
-    if y.shape.kind is not DomainKind.TYPE_I:
-        raise DimensionMismatch(f"expected a type I point, got {y.shape.kind.value}")
-    if n > y.shape.cols:
-        raise DimensionMismatch(f"cannot take {n} entries from {y.shape.cols} columns")
-    if verify:
-        _require_interior(y, tol, "first-row retraction input")
-    return BallPoint(y.z[0, :n])
-
-
-def retract_corner(
-    y: DomainPoint, k: int, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
-) -> DomainPoint:
-    """Upper-left k x k corner; inverts the type III corner embedding.
-
-    Principal submatrices of a strict contraction are strict contractions,
-    so the corner of an interior point is interior.
-    """
-    if y.shape.kind is not DomainKind.TYPE_III:
-        raise DimensionMismatch(f"expected a type III point, got {y.shape.kind.value}")
-    if not k < y.shape.p:
-        raise DimensionMismatch(f"corner size {k} must be below {y.shape.p}")
-    if verify:
-        _require_interior(y, tol, "corner retraction input")
-    return _point_unchecked(type_iii_shape(k), y.z[:k, :k])
-
-
-def retract_offdiagonal(
-    y: DomainPoint, p: int, q: int, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
-) -> DomainPoint:
-    """Lower-left p x q block; inverts the connecting embedding."""
-    if y.shape.kind is not DomainKind.TYPE_III:
-        raise DimensionMismatch(f"expected a type III point, got {y.shape.kind.value}")
-    if y.shape.p != p + q:
-        raise DimensionMismatch(f"expected a symmetric matrix of size {p + q}, got {y.shape.p}")
-    if verify:
-        _require_interior(y, tol, "off-diagonal retraction input")
-    return _point_unchecked(type_i_shape(p, q), y.z[q:, :q])
-
-
-@lru_cache(maxsize=None)
-def _wedge_linear_data(p: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Linear coordinate matrix of the wedge embedding and its pseudoinverse.
-
-    Columns are probed along the source axes; linearity of the embedding
-    is established separately.  The matrix has orthogonal columns of equal
-    squared norm C(p-1, m-1), so the pseudoinverse is well conditioned.
-    """
-    columns = []
-    for k in range(p):
-        probe = np.zeros(p, dtype=np.complex128)
-        probe[k] = LINEARIZATION_PROBE
-        image = exterior_power_embed(BallPoint(probe), m, symmetric=symmetric)
-        columns.append(image.z.reshape(-1) / LINEARIZATION_PROBE)
-    matrix = np.column_stack(columns)
-    pseudo = np.linalg.pinv(matrix)
-    matrix.setflags(write=False)
-    pseudo.setflags(write=False)
-    return matrix, pseudo
-
-
-def retract_exterior_power(
-    y: DomainPoint, p: int, m: int, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
-) -> BallPoint:
-    """Least-squares retraction inverting the degree-m wedge embedding.
-
-    Orthogonally projects onto the image subspace of the embedding and
-    recovers source coordinates, i.e. applies the pseudoinverse of the
-    embedding matrix.  Interior points retract to interior ball points.
-    """
-    r, s = signature(p, m)
-    if y.shape.kind is DomainKind.TYPE_III:
-        if (y.shape.p, y.shape.q) != (r, r) or r != s:
-            raise DimensionMismatch(
-                f"type III input of size {y.shape.p} does not match the balanced wedge target {r}"
-            )
-        symmetric = True
-    elif y.shape.kind is DomainKind.TYPE_I:
-        if (y.shape.rows, y.shape.cols) != (r, s):
-            raise DimensionMismatch(
-                f"type I input {y.shape.rows}x{y.shape.cols} does not match wedge target {r}x{s}"
-            )
-        symmetric = False
-    else:
-        raise DimensionMismatch(f"unsupported input kind {y.shape.kind.value}")
-    if verify:
-        _require_interior(y, tol, "wedge retraction input")
-    _, pseudo = _wedge_linear_data(p, m, symmetric)
-    coords = pseudo @ y.z.reshape(-1)
-    norm = float(np.linalg.norm(coords))
-    if norm >= 1.0:
-        raise IllConditioned(f"retracted coordinates have norm {norm:.6f} >= 1")
-    return BallPoint(coords)
-
-
-def corner_average(w: np.ndarray) -> np.ndarray:
-    """Average all entries of a square block and spread over the identity."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionMismatch(f"expected a square block, got {w.shape}")
-    return complex(np.mean(w)) * np.eye(w.shape[0], dtype=np.complex128)
 
 
 @lru_cache(maxsize=None)
 def _axis_pattern(p: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero positions and unit values of the first-axis wedge image."""
-    matrix, _ = _wedge_linear_data(p, m, symmetric)
-    r, s = signature(p, m)
-    cols = r if symmetric else s
-    axis = matrix[:, 0].reshape(r, cols)
+    probe = np.zeros(p, dtype=np.complex128)
+    probe[0] = LINEARIZATION_PROBE
+    axis = exterior_power_embed(BallPoint(probe), m, symmetric=symmetric).z / LINEARIZATION_PROBE
     rows, columns = np.nonzero(np.abs(axis) > 0.5)
-    phases = axis[rows, columns]
-    return rows, columns, phases
+    return rows, columns, axis[rows, columns]
 
 
 def retract_axis_averaging(
@@ -209,8 +66,8 @@ def retract_axis_averaging(
     the phase-corrected mean of the pattern entries.  The mean is
     normalized by the pattern multiplicity u = C(p-1, m-1) (not u^2) so
     the map fixes the embedded axis disk; this equals the orthogonal
-    projection onto the axis image line.  Independent cross-check for
-    :func:`retract_exterior_power`; the two agree on axis points.
+    projection onto the axis image line.  Independent cross-check for the
+    compiled left inverse ``P_f``; the two agree on axis points.
     """
     r, s = signature(p, m)
     symmetric = y.shape.kind is DomainKind.TYPE_III
@@ -228,67 +85,15 @@ def retract_axis_averaging(
     return BallPoint(coords)
 
 
-@dataclass(frozen=True)
-class Retraction:
-    """A holomorphic retraction evaluator with its trace data.
-
-    ``apply`` maps interior points of ``source`` to interior ball points;
-    ``tag`` names which construction the evaluator instantiates.
-    """
-
-    source: DomainShape
-    target_dim: int
-    apply: Callable[[DomainPoint], BallPoint]
-    tag: str
-
-
-@lru_cache(maxsize=None)
-def factor_retraction(factor: FactorSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> Retraction:
-    """Matched retraction from a factor's symmetric block back to the ball."""
-    p, m = factor.p, factor.m
-    r, s = factor.signature
-    source = type_iii_shape(factor.block_size)
-
-    if factor.kind is FactorKind.LAMBDA_III:
-
-        def apply(y: DomainPoint, _tol: Tolerance = tol) -> BallPoint:
-            return retract_exterior_power(y, p, m, _tol, verify=False)
-
-        tag = "least-squares wedge"
-    elif factor.kind is FactorKind.CONNECTING_LAMBDA:
-
-        def apply(y: DomainPoint, _tol: Tolerance = tol) -> BallPoint:
-            inner = retract_offdiagonal(y, r, s, _tol, verify=False)
-            return retract_exterior_power(inner, p, m, _tol, verify=False)
-
-        tag = "off-diagonal then least-squares wedge"
-    elif factor.kind is FactorKind.STANDARD_I:
-
-        def apply(y: DomainPoint, _tol: Tolerance = tol) -> BallPoint:
-            inner = retract_offdiagonal(y, 1, p, _tol, verify=False)
-            return retract_first_row(inner, p, _tol, verify=False)
-
-        tag = "off-diagonal then first-row"
-    else:
-
-        def apply(y: DomainPoint, _tol: Tolerance = tol) -> BallPoint:
-            return BallPoint(y.z.reshape(-1))
-
-        tag = "scalar corner"
-
-    return Retraction(source, p, apply, tag)
-
-
 def retract_direct_sum(
     y: DomainPoint, spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
 ) -> BallPoint:
     """Left inverse of the direct-sum embedding.
 
-    Extracts each factor's diagonal block, retracts it with the factor's
-    matched evaluator, and averages the resulting ball points with equal
-    weights; convexity of the ball keeps the average interior.  Interior
-    membership of the extracted blocks follows from the input being
-    interior, so per-factor checks are skipped once the input is verified.
+    Applies each factor's ``P_f`` to its flattened diagonal block and
+    averages the resulting ball points with equal weights; convexity of
+    the ball keeps the average interior.  Raises :class:`IllConditioned`
+    when a block retracts outside the ball, which no interior input does.
     """
     if y.shape.kind is not DomainKind.TYPE_III or y.shape.p != spec.target_g:
         raise SpecMismatch(
@@ -299,8 +104,12 @@ def retract_direct_sum(
     total = np.zeros(spec.source_dim, dtype=np.complex128)
     layout = block_layout(spec)
     for factor, start, stop in layout:
-        block = _point_unchecked(type_iii_shape(factor.block_size), y.z[start:stop, start:stop])
-        total += factor_retraction(factor, tol).apply(block).coords
+        _, pseudo = factor_form(factor)
+        coords = pseudo @ y.z[start:stop, start:stop].reshape(-1)
+        norm = float(np.linalg.norm(coords))
+        if norm >= 1.0:
+            raise IllConditioned(f"{factor.kind.value} block retracts to norm {norm:.6f} >= 1")
+        total += coords
     return BallPoint(total / len(layout))
 
 

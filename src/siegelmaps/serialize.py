@@ -49,12 +49,14 @@ class SchemaError(SiegelmapsError):
 def load_json(path: str | Path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to parse") from None
 
 
 def dump_json(path: str | Path, payload: object) -> None:

@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
+    EmbeddingSpec,
+    FactorKind,
+    FactorSpec,
     ball_distance,
     ball_point,
     cayley_to_bounded,
@@ -214,6 +217,23 @@ def test_criterion_5_linearity(sweep):
     )
     assert failures == 0
     assert rank_defects == 0
+
+
+def test_compiled_form_matches_oracle_at_g60():
+    # The paper's N = 5 case, beyond the N <= 4 sweep: lambda_III(m=3) plus
+    # the connecting wedge blocks m = 2, 3, 4 at g = 60.
+    factors = [FactorSpec(FactorKind.LAMBDA_III, 5, 3)]
+    factors += [FactorSpec(FactorKind.CONNECTING_LAMBDA, 5, m) for m in (2, 3, 4)]
+    spec = EmbeddingSpec(5, tuple(factors), 60)
+    linearize(spec, seed=SEED)  # raises NonlinearityDetected on disagreement
+    rng = generator(SEED, 5000)
+    worst = -1.0
+    for _ in range(SAMPLES_PER_SPEC):
+        z = sample_ball_point(rng, 5)
+        back = retract_direct_sum(direct_sum_embed(spec, z), spec, verify=False)
+        worst = max(worst, max_abs(back.coords - z.coords))
+    _report(f"compiled form at N=5, g=60: {'PASS' if worst <= RETRACTION_TOL else 'FAIL'} retraction residual {worst:.3e}")
+    assert worst <= RETRACTION_TOL
 
 
 def test_criterion_6_type_iii_symmetry():

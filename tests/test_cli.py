@@ -244,3 +244,34 @@ def test_worst_case_input_replays_through_embed(tmp_path):
     worst = {s["name"]: s["worst_input"] for s in payload["suites"]}["retraction"]
     point = _write(tmp_path / "worst.json", worst)
     assert main(["embed", "--spec", spec, "--point", point, "--out", str(tmp_path / "img.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"source_dim": 2, "\xff\xfe": 1}', b"[" * 200000 + b"]" * 200000],
+    ids=["non_utf8", "deep_nesting"],
+)
+def test_unreadable_json_exits_two(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    point = _write(tmp_path / "pt.json", _ball_json([0.1, 0.2]))
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["embed", "--spec", str(bad), "--point", point, "--out", out],
+        ["embed", "--spec", spec, "--point", str(bad), "--out", out],
+        ["verify", "--spec", str(bad), "--report", out],
+        ["cayley", "--point", str(bad), "--direction", "to-siegel", "--out", out],
+    ):
+        assert main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+def test_tolerance_below_psd_margin_names_the_margin(tmp_path, monkeypatch, capsys):
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    report = str(tmp_path / "r.json")
+    assert main(["verify", "--spec", spec, "--tol", "1e-10", "--report", report]) == 2
+    assert "must exceed the fixed psd_margin of 1e-10" in capsys.readouterr().err
+    monkeypatch.setenv("BSDE_TOL", "1e-12")
+    assert main(["verify", "--spec", spec, "--report", report]) == 2
+    assert "must exceed the fixed psd_margin of 1e-10" in capsys.readouterr().err

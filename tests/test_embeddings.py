@@ -17,7 +17,6 @@ from siegelmaps import (
     FactorSpec,
     ball_point,
     connecting_embed,
-    corner_embed_iii,
     direct_sum_embed,
     embed_in_type_i,
     enumerate_specs,
@@ -30,6 +29,7 @@ from siegelmaps import (
     type_i_shape,
     type_iii_shape,
 )
+from siegelmaps import embeddings
 from siegelmaps.embeddings import _check_linearity, vec_sym, unvec_sym
 from siegelmaps.errors import (
     BudgetExceeded,
@@ -39,7 +39,9 @@ from siegelmaps.errors import (
     SpecMismatch,
 )
 from siegelmaps.exterior import conjugation_unit, wedge_basis
+from siegelmaps.harness import run_suite
 from siegelmaps.linalg import max_abs
+from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_point, sample_phases
 
 
@@ -70,24 +72,6 @@ def test_standard_embed_preserves_distance_to_origin():
 def test_standard_embed_rejects_narrow_target():
     with pytest.raises(DimensionMismatch):
         embed_in_type_i(ball_point([0.1, 0.2, 0.3]), 4, 2)
-
-
-def test_corner_embed_zero_and_placement():
-    zero = DomainPoint(type_iii_shape(1), np.zeros((1, 1)))
-    assert max_abs(corner_embed_iii(zero, 2).z) == 0.0
-    pt = DomainPoint(type_iii_shape(1), np.array([[0.7]], dtype=complex))
-    image = corner_embed_iii(pt, 2)
-    assert np.array_equal(image.z, np.array([[0.7, 0.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_corner_embed_preserves_margin():
-    rng = generator(31, 0)
-    from siegelmaps.sampling import sample_type_iii
-
-    for _ in range(15):
-        pt = sample_type_iii(rng, 2)
-        image = corner_embed_iii(pt, 4)
-        assert membership(image).margin == pytest.approx(membership(pt).margin, abs=1e-12)
 
 
 def test_connecting_embed_zero():
@@ -226,9 +210,9 @@ def test_factor_spec_validation():
         FactorSpec(FactorKind.STANDARD_I, 3, 2)
     with pytest.raises(DegreeOutOfRange):
         FactorSpec(FactorKind.STANDARD_III, 2, 1)
-    assert FactorSpec(FactorKind.LAMBDA_III, 5, 3).cost == 10
-    assert FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1).cost == 3
-    assert FactorSpec(FactorKind.STANDARD_I, 4, 1).cost == 5
+    assert FactorSpec(FactorKind.LAMBDA_III, 5, 3).block_size == 10
+    assert FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1).block_size == 3
+    assert FactorSpec(FactorKind.STANDARD_I, 4, 1).block_size == 5
 
 
 def test_embedding_spec_canonical_order_and_budget():
@@ -331,6 +315,23 @@ def test_nonlinearity_detector_fires_on_corrupted_matrix():
     corrupted[1, 0] += 0.05
     with pytest.raises(NonlinearityDetected):
         _check_linearity(spec, corrupted, DEFAULT_TOLERANCE, 10, 0)
+
+
+def test_linearity_suite_catches_a_bad_compiled_map(monkeypatch):
+    # The suite must compare the compiled map with the factor constructions,
+    # not with itself: a compiled form off by a relative 1e-6 has to fail.
+    spec = EmbeddingSpec(3, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2),), 6)
+    config = HarnessConfig(seed=0, samples=5, suites=("linearity",))
+    assert run_suite("linearity", spec, config).passed
+    exact = embeddings.factor_form
+
+    def perturbed(factor):
+        matrix = exact(factor)[0].copy()
+        matrix[:, 0] *= 1.0 + 1e-6
+        return matrix, np.linalg.pinv(matrix)
+
+    monkeypatch.setattr(embeddings, "factor_form", perturbed)
+    assert not run_suite("linearity", spec, config).passed
 
 
 def test_vec_sym_round_trip():

@@ -13,133 +13,122 @@ from siegelmaps import (
     ball_distance,
     ball_point,
     connecting_embed,
-    corner_average,
-    corner_embed_iii,
     direct_sum_embed,
     embed_in_type_i,
     enumerate_specs,
     exterior_power_embed,
-    factor_retraction,
+    factor_catalog,
+    factor_form,
     isometry_sandwich,
     kobayashi_distance,
     membership,
     retract_axis_averaging,
-    retract_corner,
     retract_direct_sum,
-    retract_exterior_power,
-    retract_first_row,
-    retract_offdiagonal,
+    singular_values,
     type_i_shape,
     type_iii_shape,
 )
-from siegelmaps.embeddings import block_layout
-from siegelmaps.errors import DimensionMismatch, MembershipViolation, SpecMismatch
-from siegelmaps.linalg import max_abs
+from siegelmaps.embeddings import block_layout, factor_block
+from siegelmaps.errors import MembershipViolation, SpecMismatch
+from siegelmaps.linalg import DEFAULT_TOLERANCE, max_abs
 from siegelmaps.sampling import (
     generator,
     sample_ball_point,
-    sample_type_i,
     sample_type_iii,
 )
 
 
+def _single(factor: FactorSpec) -> EmbeddingSpec:
+    return EmbeddingSpec(factor.p, (factor,), factor.block_size)
+
+
+def _retract_block(block: np.ndarray, factor: FactorSpec):
+    """Retract one factor's symmetric block through its compiled left inverse."""
+    return retract_direct_sum(DomainPoint(type_iii_shape(factor.block_size), block), _single(factor))
+
+
 def test_first_row_inverts_standard_embedding():
     rng = generator(41, 0)
+    factor = FactorSpec(FactorKind.STANDARD_I, 2, 1)
     for _ in range(20):
         z = sample_ball_point(rng, 2)
-        image = embed_in_type_i(z, 3, 4)
-        assert max_abs(retract_first_row(image, 2).coords - z.coords) == 0.0
+        image = direct_sum_embed(_single(factor), z)
+        assert max_abs(image.z - connecting_embed(embed_in_type_i(z, 1, 2)).z) <= 1e-15
+        assert max_abs(_retract_block(image.z, factor).coords - z.coords) <= 1e-15
 
 
 def test_first_row_zero_and_norm_bound():
-    zero = DomainPoint(type_i_shape(2, 3), np.zeros((2, 3)))
-    assert retract_first_row(zero, 2).norm == 0.0
+    factor = FactorSpec(FactorKind.STANDARD_I, 2, 1)
+    assert _retract_block(np.zeros((3, 3)), factor).norm == 0.0
     rng = generator(42, 0)
     for _ in range(25):
-        y = sample_type_i(rng, 3, 3)
-        out = retract_first_row(y, 2)
+        y = sample_type_iii(rng, 3)
         # row norm bound: rows of an interior point are shorter than 1
-        assert out.norm < 1.0
-
-
-def test_corner_inverts_corner_embedding():
-    rng = generator(43, 0)
-    for _ in range(15):
-        z = sample_type_iii(rng, 2)
-        image = corner_embed_iii(z, 5)
-        assert max_abs(retract_corner(image, 2).z - z.z) == 0.0
-
-
-def test_corner_margin_never_decreases():
-    rng = generator(44, 0)
-    for _ in range(25):
-        y = sample_type_iii(rng, 5)
-        out = retract_corner(y, 2)
-        assert membership(out).margin >= membership(y).margin - 1e-12
+        assert _retract_block(y.z, factor).norm < 1.0
 
 
 def test_offdiagonal_inverts_connecting_embedding():
     rng = generator(45, 0)
     for _ in range(25):
-        p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        z = sample_type_i(rng, p, q)
-        image = connecting_embed(z)
-        assert max_abs(retract_offdiagonal(image, p, q).z - z.z) == 0.0
+        p = int(rng.integers(1, 4))
+        m = int(rng.integers(1, p + 1))
+        z = sample_ball_point(rng, p)
+        image = connecting_embed(exterior_power_embed(z, m))
+        back = _retract_block(image.z, FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m))
+        assert max_abs(back.coords - z.coords) <= 1e-12
 
 
 def test_offdiagonal_zero_and_margin():
-    zero = DomainPoint(type_iii_shape(3), np.zeros((3, 3)))
-    assert max_abs(retract_offdiagonal(zero, 2, 1).z) == 0.0
+    factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 1)
+    assert _retract_block(np.zeros((4, 4)), factor).norm == 0.0
     rng = generator(46, 0)
     for _ in range(50):
         y = sample_type_iii(rng, 4)
-        out = retract_offdiagonal(y, 2, 2)
-        assert membership(out).margin >= membership(y).margin - 1e-12
+        # the retracted point is no closer to the sphere than y to the boundary
+        assert _retract_block(y.z, factor).norm <= singular_values(y.z)[0] + 1e-12
 
 
 def test_wedge_retraction_inverts_embedding():
     rng = generator(47, 0)
     for p in range(1, 5):
         for m in range(1, p + 1):
+            factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m)
+            _, pseudo = factor_form(factor)
             for _ in range(10):
                 z = sample_ball_point(rng, p)
-                image = exterior_power_embed(z, m)
-                back = retract_exterior_power(image, p, m)
-                assert max_abs(back.coords - z.coords) <= 1e-12
+                back = pseudo @ factor_block(factor, z).reshape(-1)
+                assert max_abs(back - z.coords) <= 1e-12
 
 
 def test_wedge_retraction_symmetric_case():
     rng = generator(48, 0)
+    factor = FactorSpec(FactorKind.LAMBDA_III, 5, 3)
     for _ in range(10):
         z = sample_ball_point(rng, 5)
         image = exterior_power_embed(z, 3, symmetric=True)
-        back = retract_exterior_power(image, 5, 3)
+        back = _retract_block(image.z, factor)
         assert max_abs(back.coords - z.coords) <= 1e-12
 
 
 def test_wedge_retraction_zero_and_membership():
-    zero = DomainPoint(type_i_shape(3, 3), np.zeros((3, 3)))
-    assert retract_exterior_power(zero, 3, 2).norm == 0.0
+    factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2)
+    assert _retract_block(np.zeros((6, 6)), factor).norm == 0.0
     rng = generator(49, 0)
     for _ in range(30):
-        y = sample_type_i(rng, 3, 3, radius_cap=0.95)
-        out = retract_exterior_power(y, 3, 2)
-        assert out.norm < 1.0
-
-
-def test_corner_average_literal_example():
-    w = np.array([[0.5, 0.1], [0.3, -0.1]], dtype=complex)
-    averaged = corner_average(w)
-    assert np.allclose(averaged, 0.2 * np.eye(2), atol=1e-15)
+        y = sample_type_iii(rng, 6, radius_cap=0.95)
+        assert _retract_block(y.z, factor).norm < 1.0
 
 
 def test_averaging_evaluator_agrees_with_least_squares_on_axis():
     for p, m, symmetric in [(2, 1, False), (3, 2, False), (4, 3, False), (5, 3, True)]:
+        kind = FactorKind.LAMBDA_III if symmetric else FactorKind.CONNECTING_LAMBDA
+        factor = FactorSpec(kind, p, m)
         for t in (-0.95, -0.4, 0.2, 0.7, 0.95):
             coords = np.zeros(p, dtype=complex)
             coords[0] = t
             image = exterior_power_embed(ball_point(coords), m, symmetric=symmetric)
-            primary = retract_exterior_power(image, p, m)
+            block = image.z if symmetric else connecting_embed(image).z
+            primary = _retract_block(block, factor)
             secondary = retract_axis_averaging(image, p, m)
             assert max_abs(primary.coords - secondary.coords) <= 1e-12
             assert max_abs(primary.coords - coords) <= 1e-12
@@ -182,29 +171,31 @@ def test_direct_sum_retraction_rejects_wrong_shape():
 
 
 def test_retractions_reject_non_interior_input():
-    boundary = DomainPoint(type_i_shape(2, 1), np.array([[1.0], [0.0]]))
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    boundary = DomainPoint(type_iii_shape(3), np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(MembershipViolation):
-        retract_first_row(boundary, 1)
-    with pytest.raises(DimensionMismatch):
-        retract_corner(boundary, 1)
+        retract_direct_sum(boundary, spec)
+    with pytest.raises(MembershipViolation):
+        retract_axis_averaging(DomainPoint(type_i_shape(2, 1), np.array([[1.0], [0.0]])), 2, 1)
+    with pytest.raises(SpecMismatch):
+        retract_direct_sum(DomainPoint(type_i_shape(3, 3), np.zeros((3, 3))), spec)
 
 
-def test_factor_retractions_are_tagged_left_inverses():
+def test_factor_forms_are_left_inverses():
+    # P_f A_f = I for every factor up to N = 6: beyond the acceptance sweep
+    # (N <= 4), this reaches the N = 5 lambda_III factor and the N = 6
+    # wedge blocks.
     rng = generator(51, 0)
-    for factor in (
-        FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2),
-        FactorSpec(FactorKind.STANDARD_I, 3, 1),
-        FactorSpec(FactorKind.LAMBDA_III, 5, 3),
-        FactorSpec(FactorKind.STANDARD_III, 1, 1),
-    ):
-        spec = EmbeddingSpec(factor.p, (factor,), factor.cost)
-        retraction = factor_retraction(factor)
-        assert retraction.source == type_iii_shape(factor.block_size)
-        assert retraction.tag
-        for _ in range(5):
-            z = sample_ball_point(rng, factor.p)
-            image = direct_sum_embed(spec, z)
-            assert max_abs(retraction.apply(image).coords - z.coords) <= 1e-12
+    for n in range(1, 7):
+        for factor in factor_catalog(n):
+            matrix, pseudo = factor_form(factor)
+            assert matrix.shape == (factor.block_size**2, n)
+            assert not matrix.flags.writeable and not pseudo.flags.writeable
+            assert max_abs(pseudo @ matrix - np.eye(n)) <= DEFAULT_TOLERANCE.eq_tol
+            for _ in range(3):
+                z = sample_ball_point(rng, n)
+                image = direct_sum_embed(_single(factor), z)
+                assert max_abs(retract_direct_sum(image, _single(factor)).coords - z.coords) <= 1e-12
 
 
 def test_membership_closure_near_boundary():
@@ -233,15 +224,13 @@ def test_retraction_is_distance_decreasing_off_image():
 
 def test_every_component_retraction_is_distance_decreasing():
     rng = generator(54, 0)
-    for _ in range(15):
-        a = sample_type_iii(rng, 4)
-        b = sample_type_iii(rng, 4)
-        d_ambient = kobayashi_distance(a, b)
-        assert kobayashi_distance(retract_corner(a, 2), retract_corner(b, 2)) <= d_ambient + 1e-8
-        assert (
-            kobayashi_distance(retract_offdiagonal(a, 2, 2), retract_offdiagonal(b, 2, 2))
-            <= d_ambient + 1e-8
-        )
+    for factor in factor_catalog(1) + factor_catalog(2):
+        for _ in range(8):
+            a = sample_type_iii(rng, factor.block_size)
+            b = sample_type_iii(rng, factor.block_size)
+            d_ambient = kobayashi_distance(a, b)
+            d_back = ball_distance(_retract_block(a.z, factor), _retract_block(b.z, factor))
+            assert d_back <= d_ambient + 1e-8
 
 
 def test_embed_retract_idempotent_on_image():
