@@ -36,9 +36,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _inverse_sqrt_from,
     as_complex_matrix,
+    hermitian_eigensystem,
     hermitian_eigenvalues,
-    inverse_sqrt_hpd,
     max_abs,
     singular_values,
     solve_right,
@@ -197,6 +198,16 @@ def _contraction_margin(z: np.ndarray, tol: Tolerance) -> float:
     return float(hermitian_eigenvalues(eye - gram, tol)[0])
 
 
+def _asymmetry(pt: DomainPoint, tol: Tolerance) -> str | None:
+    """Why a point of a square kind fails the symmetry test, or None."""
+    if pt.shape.kind is DomainKind.TYPE_I:
+        return None
+    defect = max_abs(pt.z - pt.z.T)
+    if defect > tol.eq_tol:
+        return f"matrix is not symmetric: max|Z - Z^t| = {defect:.3e}"
+    return None
+
+
 def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> MembershipResult:
     """Classify a point as Interior / Boundary / Outside with its margin.
 
@@ -206,11 +217,7 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     asymmetric point is Outside with the defect named in ``reason``.
     """
     z = pt.z
-    reason = None
-    if pt.shape.kind is not DomainKind.TYPE_I:
-        defect = max_abs(z - z.T)
-        if defect > tol.eq_tol:
-            reason = f"matrix is not symmetric: max|Z - Z^t| = {defect:.3e}"
+    reason = _asymmetry(pt, tol)
     if pt.shape.kind is DomainKind.SIEGEL:
         imag = (z - z.conj().T) / 2j
         margin = float(hermitian_eigenvalues(imag, tol)[0])
@@ -231,6 +238,12 @@ def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> MembershipR
         detail = result.reason or f"margin {result.margin:.3e}"
         raise MembershipViolation(f"{what} must be an interior point: {detail}")
     return result
+
+
+def _require_margin(margin: float, tol: Tolerance, what: str) -> None:
+    """The interior test of :func:`membership` on a margin already measured."""
+    if not margin > tol.psd_margin:
+        raise MembershipViolation(f"{what} must be an interior point: margin {margin:.3e}")
 
 
 def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -305,16 +318,25 @@ def transvection_to_origin(a: DomainPoint | BallPoint, tol: Tolerance = DEFAULT_
     pt = a.as_type_i() if isinstance(a, BallPoint) else a
     if pt.shape.kind is not DomainKind.TYPE_I:
         raise ShapeMismatch(f"transvections act on type I points, got {pt.shape.kind.value}")
-    _require_interior(pt, tol, "transvection base")
     z = pt.z
     p, q = pt.shape.rows, pt.shape.cols
+    # One eigensystem each of I - ZZ* and I - Z*Z.  The smaller side, the
+    # one membership() measures, comes first and gives the interior check.
+    left_gram = np.eye(p, dtype=np.complex128) - z @ z.conj().T
+    right_gram = np.eye(q, dtype=np.complex128) - z.conj().T @ z
+    if p >= q:
+        right_values, right_vectors = hermitian_eigensystem(right_gram, tol)
+        _require_margin(float(right_values[0]), tol, "transvection base")
+        left_system = hermitian_eigensystem(left_gram, tol)
+    else:
+        left_system = hermitian_eigensystem(left_gram, tol)
+        _require_margin(float(left_system[0][0]), tol, "transvection base")
+        right_values, right_vectors = hermitian_eigensystem(right_gram, tol)
     try:
-        left = inverse_sqrt_hpd(np.eye(p, dtype=np.complex128) - z @ z.conj().T, tol)
+        left = _inverse_sqrt_from(*left_system, tol)
     except RankDeficient as exc:
         raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
-    gram = np.eye(q, dtype=np.complex128) - z.conj().T @ z
-    values, vectors = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    right = (vectors * np.sqrt(values)[np.newaxis, :]) @ vectors.conj().T
+    right = (right_vectors * np.sqrt(right_values)[np.newaxis, :]) @ right_vectors.conj().T
     return Transvection(pt.shape, z, left, right, tol)
 
 
@@ -336,7 +358,9 @@ def kobayashi_distance(
 
     Computed as arctanh of the largest singular value of y transvected by
     the automorphism moving x to the origin.  On the ball this is the
-    Poincare distance.
+    Poincare distance.  x is checked for interiority by the transvection
+    (and by the Cayley transform for Siegel points), so only its symmetry
+    is checked here.
     """
     if isinstance(x, BallPoint) != isinstance(y, BallPoint):
         raise ShapeMismatch("cannot mix ball points and matrix points")
@@ -344,7 +368,9 @@ def kobayashi_distance(
         x, y = x.as_type_i(), y.as_type_i()
     if x.shape != y.shape:
         raise ShapeMismatch(f"points live on different shapes: {x.shape} vs {y.shape}")
-    _require_interior(x, tol, "distance argument")
+    reason = _asymmetry(x, tol)
+    if reason is not None:
+        raise MembershipViolation(f"distance argument must be an interior point: {reason}")
     _require_interior(y, tol, "distance argument")
     x, y = _as_matrix_ball(x, tol), _as_matrix_ball(y, tol)
     moved = transvection_to_origin(x, tol).apply(y)

@@ -19,10 +19,13 @@ coordinates, and carry each interior point to an interior point.
 Because every block is linear, each factor is compiled once into a fixed
 matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
 (:func:`factor_form`); :func:`direct_sum_embed` and the retractions apply
-only these matrices.  The constructions below (:func:`factor_block` and
-:func:`exterior_power_embed`) are kept as the oracle: :func:`linearize`
-and the linearity suite evaluate them at sampled points and compare them
-with the compiled map.
+only these matrices.  The constructions below are kept as the oracle:
+:func:`linearize` and the linearity suite evaluate them at sampled points
+and compare them with the compiled map.  The oracle evaluates a stack of
+points at once: batched determinants for the wedge minors of each degree
+and one stacked solve per factor.  :func:`exterior_power_embed` and
+:func:`factor_block` are its one-point wrappers, and a stacked block has
+the bits of the same point evaluated alone.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -95,6 +98,13 @@ __all__ = [
 
 # Probe radius for linearization columns: well inside every domain.
 LINEARIZATION_PROBE = 0.25
+
+# Entries (256 KiB of complex128) of the largest arrays the oracle builds
+# for a stack of points: the m x m minors of the wedge kernel, and the
+# factor blocks compared with the compiled map.  Longer stacks are taken a
+# slice of points at a time, so these arrays do not grow with the number
+# of points while the per-call cost is still shared by many of them.
+_STACK_ENTRIES = 1 << 14
 
 
 class FactorKind(str, enum.Enum):
@@ -210,10 +220,11 @@ def embed_in_type_i(z: BallPoint, p: int, q: int, tol: Tolerance = DEFAULT_TOLER
 
 
 def _connecting_matrix(z: np.ndarray) -> np.ndarray:
-    p, q = z.shape
-    out = np.zeros((p + q, p + q), dtype=np.complex128)
-    out[:q, q:] = z.T
-    out[q:, :q] = z
+    """[[0, Z^t], [Z, 0]] for a p x q matrix Z, or for each of a stack."""
+    p, q = z.shape[-2:]
+    out = np.zeros(z.shape[:-2] + (p + q, p + q), dtype=np.complex128)
+    out[..., :q, q:] = z.swapaxes(-1, -2)
+    out[..., q:, :q] = z
     return out
 
 
@@ -259,6 +270,69 @@ def _wedge_plan(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return sub_idx, _row_selector(p, m)
 
 
+def _point_slices(count: int, entries_per_point: int) -> list[slice]:
+    """Consecutive slices of a stack of ``count`` points, each holding at
+    most ``_STACK_ENTRIES`` entries at ``entries_per_point``, and at least
+    one point."""
+    step = max(1, _STACK_ENTRIES // entries_per_point)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _block_entries(spec: EmbeddingSpec) -> int:
+    """Entries of a spec's factor blocks at one point."""
+    return sum(f.block_size**2 for f in spec.factors)
+
+
+def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
+    """Wedge coordinates of the negative-subspace basis at every row of a
+    (B, p) coordinate stack, shape (B, C(p+1, m), s): batched determinants
+    of all the m x m minors."""
+    count, p = coords.shape
+    _, s = signature(p, m)
+    v = np.concatenate([coords, np.ones((count, 1), dtype=np.complex128)], axis=1)
+    plus = np.zeros((count, p + 1, p), dtype=np.complex128)
+    plus[:, :p, :p] = np.eye(p)
+    plus[:, p, :] = np.conj(coords)
+
+    # One column stack per point and degree-(m-1) subset of the positive
+    # basis, wedged with v; coefficients are the m x m minors over basis rows.
+    sub_idx, rows = _wedge_plan(p, m)
+    coeffs = np.empty((count, len(rows), s), dtype=np.complex128)
+    for part in _point_slices(count, s * len(rows) * m * m):
+        stacks = np.empty((len(coords[part]), s, p + 1, m), dtype=np.complex128)
+        if m > 1:
+            stacks[..., : m - 1] = plus[part][:, :, sub_idx].transpose(0, 2, 1, 3)
+        stacks[..., m - 1] = v[part, np.newaxis, :]
+        coeffs[part] = np.linalg.det(stacks[:, :, rows, :]).swapaxes(1, 2)
+    return coeffs
+
+
+def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray]:
+    """Normalized wedge blocks X Y^{-1} at every row of a (B, p) coordinate
+    stack, one (B, r, s) array per ``(m, symmetric)`` model: one stacked
+    solve per model, and the minors of a degree computed once for both of
+    its models.  Each block has the bits of the same point evaluated alone;
+    the caller validates the degrees and the points."""
+    p = coords.shape[1]
+    coefficients: dict[int, np.ndarray] = {}
+    blocks = []
+    for m, symmetric in models:
+        if m not in coefficients:
+            coefficients[m] = _wedge_coefficients(coords, m)
+        r, _ = signature(p, m)
+        x_block = coefficients[m][:, :r, :]
+        y_block = coefficients[m][:, r:, :]
+        if symmetric:
+            perm, units = _symmetric_reindex(p, m)
+            x_block = x_block[:, perm, :] / units[:, np.newaxis]
+        try:
+            normalized = solve_right(x_block, y_block, tol)
+        except SingularSystem as exc:
+            raise NormalizationSingular(f"negative block not invertible: {exc}") from exc
+        blocks.append(np.ascontiguousarray(normalized))
+    return blocks
+
+
 def exterior_power_embed(
     z: BallPoint, m: int, symmetric: bool = False, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> DomainPoint:
@@ -276,53 +350,52 @@ def exterior_power_embed(
             f"symmetric model needs p = 1 mod 4 and m = (p+1)/2, got p={p}, m={m}"
         )
     _require_interior_ball(z, tol, "wedge embedding input")
-    r, s = signature(p, m)
-
-    v = np.concatenate([z.coords, [1.0 + 0.0j]])
-    plus = np.zeros((p + 1, p), dtype=np.complex128)
-    plus[:p, :p] = np.eye(p)
-    plus[p, :] = np.conj(z.coords)
-
-    # One column stack per degree-(m-1) subset of the positive basis,
-    # wedged with v; coefficients are the m x m minors over basis rows.
-    sub_idx, rows = _wedge_plan(p, m)
-    stacks = np.empty((s, p + 1, m), dtype=np.complex128)
-    if m > 1:
-        stacks[:, :, : m - 1] = plus[:, sub_idx].transpose(1, 0, 2)
-    stacks[:, :, m - 1] = v
-    coeffs = np.linalg.det(stacks[:, rows, :]).T
-
-    x_block = coeffs[:r, :]
-    y_block = coeffs[r:, :]
+    block = _wedge_blocks(z.coords[np.newaxis, :], [(m, symmetric)], tol)[0][0]
     if symmetric:
-        perm, units = _symmetric_reindex(p, m)
-        x_block = x_block[perm, :] / units[:, np.newaxis]
-    try:
-        normalized = solve_right(x_block, y_block, tol)
-    except SingularSystem as exc:
-        raise NormalizationSingular(f"negative block not invertible: {exc}") from exc
-    if symmetric:
-        return DomainPoint(type_iii_shape(r), normalized)
-    return DomainPoint(type_i_shape(r, s), normalized)
+        return DomainPoint(type_iii_shape(block.shape[0]), block)
+    return DomainPoint(type_i_shape(*block.shape), block)
+
+
+def _stack_points(points, n: int, tol: Tolerance) -> np.ndarray:
+    """(B, n) coordinates of interior n-dimensional ball points."""
+    for z in points:
+        if z.n != n:
+            raise SpecMismatch(f"factor expects a {n}-dimensional ball point, got {z.n}")
+        _require_interior_ball(z, tol, "factor input")
+    return np.stack([z.coords for z in points])
+
+
+def _factor_blocks(factors, coords: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """The constructions of factors of one source dimension at every row of
+    a (B, p) coordinate stack: one (B, b, b) array of symmetric blocks per
+    factor, with one wedge kernel call for all of them."""
+    wedge_kinds = (FactorKind.LAMBDA_III, FactorKind.CONNECTING_LAMBDA)
+    models = [(f.m, f.kind is FactorKind.LAMBDA_III) for f in factors if f.kind in wedge_kinds]
+    wedges = iter(_wedge_blocks(coords, models, tol))
+    blocks = []
+    for factor in factors:
+        if factor.kind is FactorKind.LAMBDA_III:
+            blocks.append(next(wedges))
+        elif factor.kind is FactorKind.CONNECTING_LAMBDA:
+            blocks.append(_connecting_matrix(next(wedges)))
+        elif factor.kind is FactorKind.STANDARD_I:
+            # The first row of a 1 x p type I matrix, connected.
+            blocks.append(_connecting_matrix(coords[:, np.newaxis, :]))
+        else:
+            # One-dimensional source placed directly as a symmetric 1x1 corner.
+            blocks.append(coords.reshape(-1, 1, 1).copy())
+    return blocks
 
 
 def factor_block(factor: FactorSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Symmetric matrix block a factor contributes to the diagonal sum.
+    """Symmetric matrix block a factor contributes to the diagonal sum,
+    evaluated through the factor's construction.
 
-    The inner compositions skip redundant membership re-checks: wedge and
-    first-row images of interior ball points are interior by construction
-    and the image membership is verified by the harness separately.
+    Wedge and first-row images of interior ball points are interior by
+    construction, so the block's membership is not re-checked here; the
+    harness verifies image membership separately.
     """
-    if z.n != factor.p:
-        raise SpecMismatch(f"factor expects a {factor.p}-dimensional ball point, got {z.n}")
-    if factor.kind is FactorKind.LAMBDA_III:
-        return exterior_power_embed(z, factor.m, symmetric=True, tol=tol).z
-    if factor.kind is FactorKind.CONNECTING_LAMBDA:
-        return _connecting_matrix(exterior_power_embed(z, factor.m, tol=tol).z)
-    if factor.kind is FactorKind.STANDARD_I:
-        return _connecting_matrix(embed_in_type_i(z, 1, factor.p, tol).z)
-    # One-dimensional source placed directly as a symmetric 1x1 corner.
-    return np.asarray(z.coords, dtype=np.complex128).reshape(1, 1)
+    return _factor_blocks((factor,), _stack_points((z,), factor.p, tol), tol)[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -335,8 +408,9 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
     of ``A`` are orthogonal of equal norm, so ``P`` is well conditioned and
     ``P @ A`` is the identity.  Both arrays are read-only.
     """
-    probes = LINEARIZATION_PROBE * np.eye(factor.p)
-    matrix = np.column_stack([factor_block(factor, BallPoint(t)).reshape(-1) for t in probes])
+    probes = LINEARIZATION_PROBE * np.eye(factor.p, dtype=np.complex128)
+    (blocks,) = _factor_blocks((factor,), probes, DEFAULT_TOLERANCE)
+    matrix = np.ascontiguousarray(blocks.reshape(factor.p, -1).T)
     matrix /= LINEARIZATION_PROBE
     pseudo = np.linalg.pinv(matrix)
     matrix.setflags(write=False)
@@ -358,22 +432,62 @@ def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT
     return DomainPoint(type_iii_shape(g), out)
 
 
-def _reference_direct_sum(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """The embedding evaluated through the factor constructions instead of
-    the compiled forms: the oracle the forms are checked against."""
+@lru_cache(maxsize=None)
+def _upper_triangle(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the upper triangle, row major."""
+    rows, cols = np.triu_indices(g)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
+def _vec_positions(spec: EmbeddingSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Where the factor blocks sit among the :func:`vec_sym` coordinates of
+    the target: per factor a (b, b) array of coordinate indices covering
+    both triangles, and the indices of the coordinates outside every block."""
     g = spec.target_g
-    out = np.zeros((g, g), dtype=np.complex128)
-    for factor, start, stop in block_layout(spec):
-        out[start:stop, start:stop] = factor_block(factor, z, tol)
-    return out
+    rows, cols = _upper_triangle(g)
+    index = np.empty((g, g), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    outside = np.ones(len(rows), dtype=bool)
+    blocks = []
+    for _, start, stop in block_layout(spec):
+        block = index[start:stop, start:stop].copy()
+        outside[block] = False
+        block.setflags(write=False)
+        blocks.append(block)
+    off = np.flatnonzero(outside)
+    off.setflags(write=False)
+    return tuple(blocks), off
+
+
+def _oracle_residuals(spec: EmbeddingSpec, matrix: np.ndarray, points, tol: Tolerance) -> list[float]:
+    """Per point, ``max|reference - unvec_sym(matrix @ z)|`` over the g x g
+    target, where the reference is the embedding evaluated through the
+    factor constructions instead of the compiled forms: the oracle the
+    forms are checked against.  The reference is zero off its diagonal
+    blocks, so it is compared block by block without building g x g
+    matrices; the differences are those of the full matrices."""
+    positions, outside = _vec_positions(spec)
+    residuals = []
+    for part in _point_slices(len(points), _block_entries(spec)):
+        blocks = _factor_blocks(spec.factors, _stack_points(points[part], spec.source_dim, tol), tol)
+        for i, z in enumerate(points[part]):
+            # The matrix-vector product BuiltEmbedding.apply makes.
+            linear = matrix @ z.coords
+            residual = max_abs(linear[outside])
+            for block, where in zip(blocks, positions):
+                residual = max(residual, max_abs(block[i] - linear[where]))
+            residuals.append(residual)
+    return residuals
 
 
 def vec_sym(matrix: np.ndarray) -> np.ndarray:
     """Flatten a symmetric g x g matrix to its g(g+1)/2 upper-triangle
     coordinates, row major."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    g = matrix.shape[0]
-    rows, cols = np.triu_indices(g)
+    rows, cols = _upper_triangle(matrix.shape[0])
     return matrix[rows, cols]
 
 
@@ -383,7 +497,7 @@ def unvec_sym(vector: np.ndarray, g: int) -> np.ndarray:
     if vector.size != g * (g + 1) // 2:
         raise DimensionMismatch(f"expected {g * (g + 1) // 2} coordinates, got {vector.size}")
     out = np.zeros((g, g), dtype=np.complex128)
-    rows, cols = np.triu_indices(g)
+    rows, cols = _upper_triangle(g)
     out[rows, cols] = vector
     out[cols, rows] = vector
     return out
@@ -414,17 +528,17 @@ def _check_linearity(
 ) -> None:
     rng = generator(seed, 0x11E4)
     n = spec.source_dim
-    worst = 0.0
-    worst_z = None
+    points = []
     for _ in range(check_points):
         direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
-        point = BallPoint(direction * (0.95 * rng.random()))
-        expected = _reference_direct_sum(spec, point, tol)
-        residual = max_abs(expected - unvec_sym(matrix @ point.coords, spec.target_g))
-        if residual > worst:
-            worst, worst_z = residual, point
+        points.append(BallPoint(direction * (0.95 * rng.random())))
+    if not points:
+        return
+    residuals = _oracle_residuals(spec, matrix, points, tol)
+    worst = max(residuals)
     if worst > tol.eq_tol:
+        worst_z = points[residuals.index(worst)]
         raise NonlinearityDetected(
             f"embedding deviates from its linearization by {worst:.3e} > {tol.eq_tol:.3e} "
             f"at z={np.array2string(worst_z.coords, precision=6)}"

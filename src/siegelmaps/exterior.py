@@ -210,16 +210,25 @@ def hermitian_pairing(x, y, p: int) -> complex:
     return complex(np.vdot(x[:p], y[:p]) - np.conj(x[p]) * y[p])
 
 
-def induced_form(p: int, m: int, x, y) -> complex:
+def induced_form(p: int, m: int, x, y) -> complex | np.ndarray:
     """Induced pairing of two degree-m coefficient vectors in basis order.
 
     Sesquilinear extension of the diagonal +1/-1 values; equals the
     determinant of base pairings on decomposable arguments (see
     :func:`induced_form_decomposable`, kept as an independent route).
+    Two ``(k, size)`` stacks of vectors pair row by row and give a length-k
+    array.
     """
     basis = wedge_basis(p, m)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    if x.ndim == 2 or y.ndim == 2:
+        if x.shape != y.shape or x.ndim != 2 or x.shape[1] != basis.size:
+            raise DimensionMismatch(
+                f"coefficient stacks must both have shape (k, {basis.size}), got {x.shape} and {y.shape}"
+            )
+        return np.sum(np.conj(x) * basis.diagonal() * y, axis=1)
+    x, y = x.reshape(-1), y.reshape(-1)
     if x.size != basis.size or y.size != basis.size:
         raise DimensionMismatch(f"coefficient vectors must have length {basis.size}")
     return complex(np.sum(np.conj(x) * basis.diagonal() * y))

@@ -5,7 +5,11 @@ derived from the configured seed, evaluates one family of claims about an
 embedding spec, and reports the worst residual together with the sample
 that produced it (serialized so it can be replayed through the CLI).
 Suites run in canonical order and reduce deterministically: ties on the
-maximum residual keep the earliest sample.
+maximum residual keep the earliest sample (``max`` and ``list.index``
+both keep the first).  The suites that evaluate the
+wedge construction draw all their samples first and evaluate it on stacks
+of samples, one kernel call per stack for all factors.  A suite that
+raises a package error becomes a failed result that names the error.
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ from .domains import BallPoint, membership
 from .embeddings import (
     EmbeddingSpec,
     FactorKind,
-    _reference_direct_sum,
+    _block_entries,
+    _oracle_residuals,
+    _point_slices,
+    _stack_points,
+    _wedge_blocks,
     direct_sum_embed,
-    exterior_power_embed,
     linearize,
-    unvec_sym,
 )
-from .errors import NonlinearityDetected
+from .errors import NonlinearityDetected, SiegelmapsError
 from .exterior import (
     conjugation_twice_unit,
     conjugation_unit,
@@ -124,16 +130,9 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     mismatches = []
     for p in range(1, _SIGNATURE_TABLE_MAX_P + 1):
         for m in range(1, p + 1):
-            basis = wedge_basis(p, m)
-            plus = minus = 0
-            for index in range(basis.size):
-                unit = np.zeros(basis.size)
-                unit[index] = 1.0
-                value = induced_form(p, m, unit, unit).real
-                if value > 0:
-                    plus += 1
-                else:
-                    minus += 1
+            units = np.eye(wedge_basis(p, m).size)
+            plus = int(np.count_nonzero(induced_form(p, m, units, units).real > 0))
+            minus = len(units) - plus
             checked += 1
             if (plus, minus) != signature(p, m):
                 mismatches.append((p, m, plus, minus))
@@ -149,20 +148,22 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
 def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["symmetry"])
     tol = config.tol
-    worst, worst_input = -1.0, None
-    symmetric_factors = sorted(
-        {(f.p, f.m) for f in spec.factors if f.kind is FactorKind.LAMBDA_III}
-    )
-    for _ in range(config.samples):
-        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
+    symmetric_degrees = sorted({f.m for f in spec.factors if f.kind is FactorKind.LAMBDA_III})
+    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    residuals = []
+    for z in points:
         image = direct_sum_embed(spec, z, tol)
-        residual = max_abs(image.z - image.z.T)
-        for p, m in symmetric_factors:
-            block = exterior_power_embed(z, m, symmetric=True, tol=tol)
-            residual = max(residual, max_abs(block.z - block.z.T))
-        if residual > worst:
-            worst, worst_input = residual, z
-    return SuiteResult("symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(worst_input))
+        residuals.append(max_abs(image.z - image.z.T))
+    coords = _stack_points(points, spec.source_dim, tol)
+    models = [(m, True) for m in symmetric_degrees]
+    for part in _point_slices(len(points), _block_entries(spec)):
+        for blocks in _wedge_blocks(coords[part], models, tol):
+            for i, block in enumerate(blocks, part.start):
+                residuals[i] = max(residuals[i], max_abs(block - block.T))
+    worst = max(residuals)
+    return SuiteResult(
+        "symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(points[residuals.index(worst)])
+    )
 
 
 def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
@@ -174,23 +175,18 @@ def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
         return SuiteResult("linearity", False, 0, None, detail=str(exc))
     sv = singular_values(built.matrix)
     rank = int(np.sum(sv > tol.eq_tol * max(1.0, float(sv[0]))))
-    worst, worst_input = -1.0, None
-    for _ in range(config.samples):
-        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
-        # The factor constructions, not the compiled map: comparing the
-        # compiled map with its own matrix would check nothing.
-        reference = _reference_direct_sum(spec, z, tol)
-        linear = unvec_sym(built.matrix @ z.coords, spec.target_g)
-        residual = max_abs(reference - linear)
-        if residual > worst:
-            worst, worst_input = residual, z
+    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    # The factor constructions, not the compiled map: comparing the
+    # compiled map with its own matrix would check nothing.
+    residuals = _oracle_residuals(spec, built.matrix, points, tol)
+    worst = max(residuals)
     passed = worst <= tol.eq_tol and rank == spec.source_dim
     return SuiteResult(
         "linearity",
         passed,
         config.samples,
         worst,
-        _ball_json(worst_input),
+        _ball_json(points[residuals.index(worst)]),
         detail=f"rank={rank}, expected={spec.source_dim}",
     )
 
@@ -227,22 +223,31 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
     )
     if not wedge_factors:
         return SuiteResult("equivariance", True, 0, 0.0, detail="no wedge factors in spec")
-    worst, worst_input = -1.0, None
+    points, phases = [], []
     for _ in range(config.samples):
-        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
-        theta = sample_phases(rng, spec.source_dim)
-        rotated = BallPoint(theta * z.coords)
-        residual = 0.0
-        for p, m, symmetric in wedge_factors:
-            base = exterior_power_embed(z, m, symmetric=symmetric, tol=tol).z
-            moved = exterior_power_embed(rotated, m, symmetric=symmetric, tol=tol).z
-            row_phases, col_phases = _induced_phases(p, m, symmetric, theta)
-            expected = row_phases[:, np.newaxis] * base * np.conj(col_phases)[np.newaxis, :]
-            residual = max(residual, max_abs(moved - expected))
-        if residual > worst:
-            worst, worst_input = residual, z
+        points.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
+        phases.append(sample_phases(rng, spec.source_dim))
+    base_coords = _stack_points(points, spec.source_dim, tol)
+    moved_coords = _stack_points([BallPoint(t * z.coords) for z, t in zip(points, phases)], spec.source_dim, tol)
+    residuals = [0.0] * config.samples
+    models = [(m, symmetric) for _, m, symmetric in wedge_factors]
+    for part in _point_slices(config.samples, 2 * _block_entries(spec)):
+        # Base and rotated points of the slice in one stack.
+        stack = np.concatenate([base_coords[part], moved_coords[part]])
+        count = len(stack) // 2
+        for (p, m, symmetric), blocks in zip(wedge_factors, _wedge_blocks(stack, models, tol)):
+            for j, theta in enumerate(phases[part]):
+                row_phases, col_phases = _induced_phases(p, m, symmetric, theta)
+                expected = row_phases[:, np.newaxis] * blocks[j] * np.conj(col_phases)[np.newaxis, :]
+                i = part.start + j
+                residuals[i] = max(residuals[i], max_abs(blocks[count + j] - expected))
+    worst = max(residuals)
     return SuiteResult(
-        "equivariance", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(worst_input)
+        "equivariance",
+        worst <= 10.0 * tol.eq_tol,
+        config.samples,
+        worst,
+        _ball_json(points[residuals.index(worst)]),
     )
 
 
@@ -258,7 +263,12 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(name: str, spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
-    return _SUITE_RUNNERS[name](spec, config)
+    """Run one suite; a package error it raises becomes a failed result
+    with no residual, naming the error."""
+    try:
+        return _SUITE_RUNNERS[name](spec, config)
+    except SiegelmapsError as exc:
+        return SuiteResult(name, False, 0, None, detail=f"raised {type(exc).__name__}: {exc}")
 
 
 def _conjugation_notes(spec: EmbeddingSpec) -> dict:

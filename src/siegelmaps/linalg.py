@@ -129,6 +129,14 @@ def singular_values(m: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"SVD failed: {exc}") from exc
 
 
+def _stack_label(flat: int, batch: tuple[int, ...]) -> str:
+    """Prefix naming a member of a stack, empty for a single matrix."""
+    if not batch:
+        return ""
+    index = np.unravel_index(flat, batch)
+    return f"matrix {int(index[0]) if len(batch) == 1 else tuple(int(i) for i in index)}: "
+
+
 def solve_right(
     a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> np.ndarray:
@@ -136,23 +144,37 @@ def solve_right(
 
     Rejects systems whose condition number exceeds 1/psd_margin and
     verifies the residual ``max|X b - a| <= eq_tol * max|a|`` before
-    returning.
+    returning.  ``a`` and ``b`` may be stacks ``(..., n, k)`` and
+    ``(..., k, k)`` with equal leading shapes; each member is checked on
+    its own, and an error names the first failing member.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    _require_square(b, "right-hand factor")
-    if a.ndim != 2 or a.shape[1] != b.shape[0]:
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise DimensionMismatch(f"right-hand factor must be square, got shape {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.ndim != b.ndim or a.shape[-1] != b.shape[-2]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    sv = singular_values(b)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > 1.0 / tol.psd_margin:
-        raise SingularSystem(f"condition number exceeds {1.0 / tol.psd_margin:.3e}")
+    batch = b.shape[:-2]
     try:
-        x = np.linalg.solve(b.T, a.T).T
+        sv = np.linalg.svd(b, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(f"SVD failed: {exc}") from exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (sv[..., -1] <= 0.0) | (sv[..., 0] / sv[..., -1] > 1.0 / tol.psd_margin)
+    if bad.any():
+        label = _stack_label(int(np.argmax(bad.reshape(-1))), batch)
+        raise SingularSystem(f"{label}condition number exceeds {1.0 / tol.psd_margin:.3e}")
+    try:
+        x = np.linalg.solve(b.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"solve failed: {exc}") from exc
-    residual = max_abs(x @ b - a)
-    if residual > tol.eq_tol * max(max_abs(a), 1.0):
-        raise SingularSystem(f"solution residual {residual:.3e} exceeds tolerance")
+    residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
+    bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    over = residual > bound
+    if over.any():
+        flat = int(np.argmax(over.reshape(-1)))
+        label = _stack_label(flat, batch)
+        raise SingularSystem(f"{label}solution residual {residual.reshape(-1)[flat]:.3e} exceeds tolerance")
     return x
 
 
@@ -180,7 +202,12 @@ def orthonormal_column_basis(
 
 def inverse_sqrt_hpd(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix."""
-    values, vectors = hermitian_eigensystem(m, tol)
+    return _inverse_sqrt_from(*hermitian_eigensystem(m, tol), tol)
+
+
+def _inverse_sqrt_from(values: np.ndarray, vectors: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Inverse square root from an ascending eigensystem, for callers that
+    already hold one."""
     if values[0] <= tol.psd_margin:
         raise RankDeficient(f"matrix not positive definite within margin: {values[0]:.3e}")
     return (vectors * (values ** -0.5)[np.newaxis, :]) @ vectors.conj().T

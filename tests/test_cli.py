@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from siegelmaps import harness
 from siegelmaps.cli import main
+from siegelmaps.errors import IllConditioned
 from siegelmaps.serialize import (
     SchemaError,
     ball_point_from_json,
@@ -124,6 +126,29 @@ def test_verify_suite_subset_and_seed_echo(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["config"]["seed"] == 123
     assert [s["name"] for s in payload["suites"]] == ["retraction", "signature"]
+
+
+def test_verify_records_a_raising_suite_and_exits_one(tmp_path, monkeypatch, capsys):
+    def raising(spec, config):
+        raise IllConditioned("transvected point has norm 1.000000 >= 1")
+
+    monkeypatch.setitem(harness._SUITE_RUNNERS, "isometry", raising)
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--spec", spec, "--samples", "5", "--report", str(report)]) == 1
+    payload = json.loads(report.read_text())
+    assert payload["passed"] is False
+    suites = {s["name"]: s for s in payload["suites"]}
+    assert suites["isometry"] == {
+        "name": "isometry",
+        "passed": False,
+        "samples": 0,
+        "max_residual": None,
+        "worst_input": None,
+        "detail": "raised IllConditioned: transvected point has norm 1.000000 >= 1",
+    }
+    assert all(s["passed"] for name, s in suites.items() if name != "isometry")
+    assert "isometry: FAIL (max residual n/a)" in capsys.readouterr().out
 
 
 def test_verify_over_budget_spec_exits_two(tmp_path, capsys):

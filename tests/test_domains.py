@@ -223,6 +223,36 @@ def test_distance_decreases_under_column_deletion():
         assert kobayashi_distance(kept, kept_y) <= kobayashi_distance(x, y) + 1e-8
 
 
+def test_kobayashi_distance_makes_three_eigendecompositions(monkeypatch):
+    # One for the interior check of y, one each for I - X*X and I - XX* in
+    # the transvection, which also checks x.
+    rng = generator(20, 0)
+    x, y = sample_type_iii(rng, 12), sample_type_iii(rng, 12)
+    expected = kobayashi_distance(x, y)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert kobayashi_distance(x, y) == expected
+    assert calls == [(12, 12)] * 3
+
+
+def test_distance_rejects_non_interior_or_asymmetric_first_argument():
+    inside = DomainPoint(type_iii_shape(2), np.diag([0.5, 0.2]).astype(complex))
+    outside = DomainPoint(type_iii_shape(2), np.diag([1.5, 0.2]).astype(complex))
+    asymmetric = DomainPoint(type_iii_shape(2), np.array([[0.1, 0.3], [0.0, 0.1]], dtype=complex))
+    with pytest.raises(MembershipViolation, match="margin"):
+        kobayashi_distance(outside, inside)
+    with pytest.raises(MembershipViolation, match="not symmetric"):
+        kobayashi_distance(asymmetric, inside)
+    with pytest.raises(MembershipViolation, match="margin"):
+        kobayashi_distance(ball_point([0.999999999999]), ball_point([0.0]))
+
+
 def test_distance_rejects_shape_mismatch():
     x = DomainPoint(type_i_shape(2, 2), np.zeros((2, 2)))
     y = DomainPoint(type_i_shape(2, 1), np.zeros((2, 1)))

@@ -30,7 +30,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps import embeddings
-from siegelmaps.embeddings import _check_linearity, vec_sym, unvec_sym
+from siegelmaps.embeddings import _check_linearity, _factor_blocks, factor_block, vec_sym, unvec_sym
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -317,6 +317,22 @@ def test_nonlinearity_detector_fires_on_corrupted_matrix():
         _check_linearity(spec, corrupted, DEFAULT_TOLERANCE, 10, 0)
 
 
+def test_nonlinearity_detector_fires_off_the_blocks():
+    # The oracle is zero outside its diagonal blocks; a compiled map that
+    # writes into the padding or between blocks must be caught there too.
+    spec = EmbeddingSpec(
+        2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), FactorSpec(FactorKind.STANDARD_I, 2, 1)), 7
+    )
+    built = linearize(spec)
+    _check_linearity(spec, built.matrix, DEFAULT_TOLERANCE, 10, 0)
+    rows, cols = np.triu_indices(7)
+    for row, col in ((0, 3), (2, 6), (6, 6)):
+        corrupted = built.matrix.copy()
+        corrupted[np.flatnonzero((rows == row) & (cols == col))[0], 1] += 0.05
+        with pytest.raises(NonlinearityDetected):
+            _check_linearity(spec, corrupted, DEFAULT_TOLERANCE, 10, 0)
+
+
 def test_linearity_suite_catches_a_bad_compiled_map(monkeypatch):
     # The suite must compare the compiled map with the factor constructions,
     # not with itself: a compiled form off by a relative 1e-6 has to fail.
@@ -339,6 +355,18 @@ def test_vec_sym_round_trip():
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     sym = 0.5 * (raw + raw.T)
     assert max_abs(unvec_sym(vec_sym(sym), 4) - sym) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_oracle_equals_per_point_factor_block(n):
+    # One wedge kernel call over the whole stack gives every block with the
+    # bits of the same point evaluated on its own.
+    rng = generator(40, n)
+    points = [sample_ball_point(rng, n) for _ in range(20)]
+    coords = np.stack([z.coords for z in points])
+    catalog = factor_catalog(n)
+    for factor, stacked in zip(catalog, _factor_blocks(catalog, coords, DEFAULT_TOLERANCE)):
+        assert np.array_equal(stacked, np.stack([factor_block(factor, z) for z in points]))
 
 
 def test_enumerate_specs_empty_below_minimum():

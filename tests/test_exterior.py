@@ -20,7 +20,7 @@ from siegelmaps import (
     wedge_basis,
     wedge_coefficients,
 )
-from siegelmaps.errors import DegreeOutOfRange, NotAPermutation
+from siegelmaps.errors import DegreeOutOfRange, DimensionMismatch, NotAPermutation
 
 
 def _brute_force_sign(seq) -> int:
@@ -185,6 +185,22 @@ def test_induced_form_conjugate_linear_in_first_argument():
     alpha = 0.3 - 1.7j
     assert induced_form(3, 2, alpha * x, y) == pytest.approx(np.conj(alpha) * induced_form(3, 2, x, y))
     assert induced_form(3, 2, x, alpha * y) == pytest.approx(alpha * induced_form(3, 2, x, y))
+
+
+def test_induced_form_pairs_stacks_row_by_row():
+    basis = wedge_basis(4, 2)
+    rng = np.random.default_rng(205)
+    xs = rng.standard_normal((3, basis.size)) + 1j * rng.standard_normal((3, basis.size))
+    ys = rng.standard_normal((3, basis.size)) + 1j * rng.standard_normal((3, basis.size))
+    values = induced_form(4, 2, xs, ys)
+    assert values.shape == (3,)
+    assert list(values) == [induced_form(4, 2, x, y) for x, y in zip(xs, ys)]
+    units = np.eye(basis.size)
+    assert list(induced_form(4, 2, units, units).real) == list(basis.diagonal())
+    with pytest.raises(DimensionMismatch):
+        induced_form(4, 2, xs, ys[:2])
+    with pytest.raises(DimensionMismatch):
+        induced_form(4, 2, xs[:, :-1], ys[:, :-1])
 
 
 def test_signature_balanced_case():

@@ -148,6 +148,29 @@ def test_solve_right_rejects_singular():
         solve_right(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
 
 
+def test_solve_right_stack_equals_members():
+    rng = np.random.default_rng(110)
+    b = _random_complex(rng, (5, 3, 3)) + 6.0 * np.eye(3)
+    a = _random_complex(rng, (5, 2, 3))
+    x = solve_right(a, b)
+    assert x.shape == (5, 2, 3)
+    for i in range(5):
+        assert np.array_equal(x[i], solve_right(a[i], b[i]))
+    # A stack of one has the bits of the 2-d call.
+    assert np.array_equal(solve_right(a[:1], b[:1])[0], solve_right(a[0], b[0]))
+
+
+def test_solve_right_stack_names_its_singular_member():
+    b = np.stack([np.eye(2, dtype=complex)] * 4)
+    b[2] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(SingularSystem, match="matrix 2: condition number"):
+        solve_right(np.ones((4, 1, 2), dtype=complex), b)
+    with pytest.raises(SingularSystem, match=r"matrix \(1, 0\): condition number"):
+        solve_right(np.ones((2, 2, 1, 2), dtype=complex), b.reshape(2, 2, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        solve_right(np.ones((3, 1, 2), dtype=complex), b)
+
+
 def test_orthonormal_basis_fixes_unit_column():
     v = np.array([[0.6], [0.8j]])
     assert np.allclose(orthonormal_column_basis(v), v, atol=EQ)
