@@ -3,11 +3,11 @@
 The package constructs the classical holomorphic embeddings of the unit
 ball into the bounded model of the Siegel upper half space (standard,
 connecting, and exterior-power factors and their diagonal direct sums),
-compiles each factor into a fixed matrix and its pseudoinverse, which
-embed and retract, and verifies the structural claims behind them
-(left-inverse identity, membership closure, Kobayashi isometry, signature
-bookkeeping, linearity against the factor constructions) by seeded
-property testing.
+compiles each factor into a fixed matrix and its pseudoinverse, the one
+compiled form that embeds and retracts, and verifies the structural claims
+behind them (left-inverse identity, membership closure, Kobayashi isometry,
+signature bookkeeping, linearity against the factor constructions) by
+seeded property testing.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .domains import (
     type_iii_shape,
 )
 from .embeddings import (
-    BuiltEmbedding,
     EmbeddingSpec,
     FactorKind,
     FactorSpec,
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallPoint",
-    "BuiltEmbedding",
     "DEFAULT_TOLERANCE",
     "DomainKind",
     "DomainPoint",

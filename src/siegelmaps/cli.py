@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 on success (``verify``: all suites pass), 1 on a
 mathematical or domain failure (point not interior, suite failure,
-over-budget spec passed to ``embed``), 2 on usage or schema errors.
+over-budget spec passed to ``embed``), 2 on usage or schema errors and
+on output files that cannot be written.
 The environment variable ``BSDE_TOL`` overrides the default equality
 tolerance; an explicit ``--tol`` takes precedence.
 """
@@ -65,6 +66,16 @@ def _tolerance(tol_arg: float | None) -> Tolerance:
     return Tolerance(eq_tol=eq_tol)
 
 
+def _write(path: str, payload: object) -> int:
+    """Write an output file: 0, or the usage exit code after an error line."""
+    try:
+        dump_json(path, payload)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
+    return 0
+
+
 def _cmd_embed(args: argparse.Namespace) -> int:
     try:
         spec = spec_from_json(load_json(args.spec))
@@ -91,8 +102,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     except SiegelmapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DOMAIN_EXIT
-    dump_json(args.out, point_to_json(image))
-    return 0
+    return _write(args.out, point_to_json(image))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -113,7 +123,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: BudgetExceeded: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     report = run_verification(spec, config)
-    dump_json(args.report, report.to_dict())
+    if _write(args.report, report.to_dict()):
+        return _USAGE_EXIT
     for suite in report.suites:
         residual = "n/a" if suite.max_residual is None else f"{suite.max_residual:.3e}"
         print(f"{suite.name}: {'pass' if suite.passed else 'FAIL'} (max residual {residual})")
@@ -134,7 +145,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "minimal_g": minimal_g,
         "specs": [spec_to_json(s) for s in specs],
     }
-    dump_json(args.out, payload)
+    if _write(args.out, payload):
+        return _USAGE_EXIT
     print(f"{len(specs)} specs within budget {args.max_g}; minimal genus {minimal_g}")
     return 0
 
@@ -156,8 +168,7 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     except SiegelmapsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DOMAIN_EXIT
-    dump_json(args.out, point_to_json(image))
-    return 0
+    return _write(args.out, point_to_json(image))
 
 
 def _build_parser() -> argparse.ArgumentParser:

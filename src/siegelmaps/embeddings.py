@@ -18,14 +18,15 @@ coordinates, and carry each interior point to an interior point.
 
 Because every block is linear, each factor is compiled once into a fixed
 matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
-(:func:`factor_form`); :func:`direct_sum_embed` and the retractions apply
-only these matrices.  The constructions below are kept as the oracle:
-:func:`linearize` and the linearity suite evaluate them at sampled points
-and compare them with the compiled map.  The oracle evaluates a stack of
-points at once: batched determinants for the wedge minors of each degree
-and one stacked solve per factor.  :func:`exterior_power_embed` and
-:func:`factor_block` are its one-point wrappers, and a stacked block has
-the bits of the same point evaluated alone.
+(:func:`factor_form`); these are the only compiled form of an embedding,
+and :func:`direct_sum_embed` and the retractions apply only them.  The
+constructions below are kept as the oracle: :func:`linearize` and the
+linearity suite evaluate them at sampled points and compare them with the
+whole g x g image of :func:`direct_sum_embed`.  The oracle evaluates a
+stack of points at once: batched determinants for the wedge minors of
+each degree and one stacked solve per factor.  :func:`exterior_power_embed`
+and :func:`factor_block` are its one-point wrappers, and a stacked block
+has the bits of the same point evaluated alone.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -77,7 +78,6 @@ from .linalg import DEFAULT_TOLERANCE, Tolerance, max_abs, solve_right
 from .sampling import generator
 
 __all__ = [
-    "BuiltEmbedding",
     "EmbeddingSpec",
     "FactorKind",
     "FactorSpec",
@@ -92,12 +92,13 @@ __all__ = [
     "factor_catalog",
     "factor_form",
     "linearize",
-    "unvec_sym",
-    "vec_sym",
 ]
 
 # Probe radius for linearization columns: well inside every domain.
 LINEARIZATION_PROBE = 0.25
+
+# Seeded interior points at which linearize evaluates the oracle.
+_CHECK_POINTS = 50
 
 # Entries (256 KiB of complex128) of the largest arrays the oracle builds
 # for a stack of points: the m x m minors of the wedge kernel, and the
@@ -145,6 +146,16 @@ class FactorSpec:
     @property
     def signature(self) -> tuple[int, int]:
         return signature(self.p, self.m)
+
+    @property
+    def wedge_model(self) -> tuple[int, bool] | None:
+        """``(m, symmetric)`` of the wedge block the factor is built from, or
+        None for the standard factors, which are not wedge blocks."""
+        if self.kind is FactorKind.LAMBDA_III:
+            return self.m, True
+        if self.kind is FactorKind.CONNECTING_LAMBDA:
+            return self.m, False
+        return None
 
     @property
     def block_size(self) -> int:
@@ -369,15 +380,14 @@ def _factor_blocks(factors, coords: np.ndarray, tol: Tolerance) -> list[np.ndarr
     """The constructions of factors of one source dimension at every row of
     a (B, p) coordinate stack: one (B, b, b) array of symmetric blocks per
     factor, with one wedge kernel call for all of them."""
-    wedge_kinds = (FactorKind.LAMBDA_III, FactorKind.CONNECTING_LAMBDA)
-    models = [(f.m, f.kind is FactorKind.LAMBDA_III) for f in factors if f.kind in wedge_kinds]
+    models = [f.wedge_model for f in factors if f.wedge_model is not None]
     wedges = iter(_wedge_blocks(coords, models, tol))
     blocks = []
     for factor in factors:
-        if factor.kind is FactorKind.LAMBDA_III:
-            blocks.append(next(wedges))
-        elif factor.kind is FactorKind.CONNECTING_LAMBDA:
-            blocks.append(_connecting_matrix(next(wedges)))
+        if factor.wedge_model is not None:
+            _, symmetric = factor.wedge_model
+            wedge = next(wedges)
+            blocks.append(wedge if symmetric else _connecting_matrix(wedge))
         elif factor.kind is FactorKind.STANDARD_I:
             # The first row of a 1 x p type I matrix, connected.
             blocks.append(_connecting_matrix(coords[:, np.newaxis, :]))
@@ -432,110 +442,42 @@ def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT
     return DomainPoint(type_iii_shape(g), out)
 
 
-@lru_cache(maxsize=None)
-def _upper_triangle(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the upper triangle, row major."""
-    rows, cols = np.triu_indices(g)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-@lru_cache(maxsize=None)
-def _vec_positions(spec: EmbeddingSpec) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Where the factor blocks sit among the :func:`vec_sym` coordinates of
-    the target: per factor a (b, b) array of coordinate indices covering
-    both triangles, and the indices of the coordinates outside every block."""
+def _oracle_residuals(spec: EmbeddingSpec, points, tol: Tolerance) -> list[float]:
+    """Per point, ``max|reference - direct_sum_embed(spec, z).z|`` over the
+    g x g target, where the reference holds the factor constructions on
+    its diagonal blocks and zeros elsewhere: the oracle the compiled map is
+    checked against, padding and entries between the blocks included."""
     g = spec.target_g
-    rows, cols = _upper_triangle(g)
-    index = np.empty((g, g), dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
-    outside = np.ones(len(rows), dtype=bool)
-    blocks = []
-    for _, start, stop in block_layout(spec):
-        block = index[start:stop, start:stop].copy()
-        outside[block] = False
-        block.setflags(write=False)
-        blocks.append(block)
-    off = np.flatnonzero(outside)
-    off.setflags(write=False)
-    return tuple(blocks), off
-
-
-def _oracle_residuals(spec: EmbeddingSpec, matrix: np.ndarray, points, tol: Tolerance) -> list[float]:
-    """Per point, ``max|reference - unvec_sym(matrix @ z)|`` over the g x g
-    target, where the reference is the embedding evaluated through the
-    factor constructions instead of the compiled forms: the oracle the
-    forms are checked against.  The reference is zero off its diagonal
-    blocks, so it is compared block by block without building g x g
-    matrices; the differences are those of the full matrices."""
-    positions, outside = _vec_positions(spec)
+    layout = block_layout(spec)
+    reference = np.zeros((g, g), dtype=np.complex128)
     residuals = []
     for part in _point_slices(len(points), _block_entries(spec)):
         blocks = _factor_blocks(spec.factors, _stack_points(points[part], spec.source_dim, tol), tol)
         for i, z in enumerate(points[part]):
-            # The matrix-vector product BuiltEmbedding.apply makes.
-            linear = matrix @ z.coords
-            residual = max_abs(linear[outside])
-            for block, where in zip(blocks, positions):
-                residual = max(residual, max_abs(block[i] - linear[where]))
-            residuals.append(residual)
+            for (_, start, stop), block in zip(layout, blocks):
+                reference[start:stop, start:stop] = block[i]
+            residuals.append(max_abs(reference - direct_sum_embed(spec, z, tol).z))
     return residuals
 
 
-def vec_sym(matrix: np.ndarray) -> np.ndarray:
-    """Flatten a symmetric g x g matrix to its g(g+1)/2 upper-triangle
-    coordinates, row major."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    rows, cols = _upper_triangle(matrix.shape[0])
-    return matrix[rows, cols]
+def linearize(spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, seed: int = 0) -> np.ndarray:
+    """The compiled embedding, checked against the factor constructions.
 
-
-def unvec_sym(vector: np.ndarray, g: int) -> np.ndarray:
-    """Inverse of :func:`vec_sym`."""
-    vector = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    if vector.size != g * (g + 1) // 2:
-        raise DimensionMismatch(f"expected {g * (g + 1) // 2} coordinates, got {vector.size}")
-    out = np.zeros((g, g), dtype=np.complex128)
-    rows, cols = _upper_triangle(g)
-    out[rows, cols] = vector
-    out[cols, rows] = vector
-    return out
-
-
-@dataclass(frozen=True)
-class BuiltEmbedding:
-    """Executable linear form of an embedding.
-
-    ``matrix`` maps source coordinates to the flattened symmetric target
-    coordinates (see :func:`vec_sym`).
+    Returns the factors' matrices ``A_f`` stacked in :func:`block_layout`
+    order, shape ``(sum b_f**2, N)``: its rows are the flattened diagonal
+    blocks of the image.  The constructions are first evaluated on
+    ``_CHECK_POINTS`` seeded interior points and compared with
+    :func:`direct_sum_embed`, raising :class:`NonlinearityDetected` on
+    disagreement beyond ``eq_tol``.
     """
-
-    spec: EmbeddingSpec
-    matrix: np.ndarray
-
-    def apply(self, z: BallPoint) -> DomainPoint:
-        image = unvec_sym(self.matrix @ z.coords, self.spec.target_g)
-        return DomainPoint(type_iii_shape(self.spec.target_g), image)
-
-
-def _check_linearity(
-    spec: EmbeddingSpec,
-    matrix: np.ndarray,
-    tol: Tolerance,
-    check_points: int,
-    seed: int,
-) -> None:
     rng = generator(seed, 0x11E4)
     n = spec.source_dim
     points = []
-    for _ in range(check_points):
+    for _ in range(_CHECK_POINTS):
         direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         points.append(BallPoint(direction * (0.95 * rng.random())))
-    if not points:
-        return
-    residuals = _oracle_residuals(spec, matrix, points, tol)
+    residuals = _oracle_residuals(spec, points, tol)
     worst = max(residuals)
     if worst > tol.eq_tol:
         worst_z = points[residuals.index(worst)]
@@ -543,29 +485,9 @@ def _check_linearity(
             f"embedding deviates from its linearization by {worst:.3e} > {tol.eq_tol:.3e} "
             f"at z={np.array2string(worst_z.coords, precision=6)}"
         )
-
-
-def linearize(
-    spec: EmbeddingSpec,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    check_points: int = 50,
-    seed: int = 0,
-) -> BuiltEmbedding:
-    """Assemble the coordinate matrix of the compiled embedding and check it
-    against the factor constructions.
-
-    Columns are the compiled images of the probes at radius
-    ``LINEARIZATION_PROBE`` along each source axis.  The constructions are
-    then evaluated on ``check_points`` seeded interior points and compared
-    with the matrix, raising :class:`NonlinearityDetected` on disagreement
-    beyond ``eq_tol``.
-    """
-    probes = LINEARIZATION_PROBE * np.eye(spec.source_dim)
-    matrix = np.column_stack([vec_sym(direct_sum_embed(spec, BallPoint(t), tol).z) for t in probes])
-    matrix /= LINEARIZATION_PROBE
-    _check_linearity(spec, matrix, tol, check_points, seed)
+    matrix = np.concatenate([factor_form(factor)[0] for factor, _, _ in block_layout(spec)])
     matrix.setflags(write=False)
-    return BuiltEmbedding(spec, matrix)
+    return matrix
 
 
 def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:

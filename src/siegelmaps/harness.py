@@ -148,14 +148,13 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
 def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["symmetry"])
     tol = config.tol
-    symmetric_degrees = sorted({f.m for f in spec.factors if f.kind is FactorKind.LAMBDA_III})
+    models = sorted({f.wedge_model for f in spec.factors if f.wedge_model and f.wedge_model[1]})
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
     residuals = []
     for z in points:
         image = direct_sum_embed(spec, z, tol)
         residuals.append(max_abs(image.z - image.z.T))
     coords = _stack_points(points, spec.source_dim, tol)
-    models = [(m, True) for m in symmetric_degrees]
     for part in _point_slices(len(points), _block_entries(spec)):
         for blocks in _wedge_blocks(coords[part], models, tol):
             for i, block in enumerate(blocks, part.start):
@@ -170,15 +169,15 @@ def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["linearity"])
     tol = config.tol
     try:
-        built = linearize(spec, tol, seed=config.seed)
+        matrix = linearize(spec, tol, seed=config.seed)
     except NonlinearityDetected as exc:
         return SuiteResult("linearity", False, 0, None, detail=str(exc))
-    sv = singular_values(built.matrix)
+    sv = singular_values(matrix)
     rank = int(np.sum(sv > tol.eq_tol * max(1.0, float(sv[0]))))
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
-    # The factor constructions, not the compiled map: comparing the
-    # compiled map with its own matrix would check nothing.
-    residuals = _oracle_residuals(spec, built.matrix, points, tol)
+    # The images of the compiled map against the factor constructions:
+    # checking the compiled map against its own matrices would check nothing.
+    residuals = _oracle_residuals(spec, points, tol)
     worst = max(residuals)
     passed = worst <= tol.eq_tol and rank == spec.source_dim
     return SuiteResult(
@@ -214,14 +213,8 @@ def _induced_phases(p: int, m: int, symmetric: bool, theta: np.ndarray) -> tuple
 def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["equivariance"])
     tol = config.tol
-    wedge_factors = sorted(
-        {
-            (f.p, f.m, f.kind is FactorKind.LAMBDA_III)
-            for f in spec.factors
-            if f.kind in (FactorKind.CONNECTING_LAMBDA, FactorKind.LAMBDA_III)
-        }
-    )
-    if not wedge_factors:
+    models = sorted({f.wedge_model for f in spec.factors if f.wedge_model is not None})
+    if not models:
         return SuiteResult("equivariance", True, 0, 0.0, detail="no wedge factors in spec")
     points, phases = [], []
     for _ in range(config.samples):
@@ -230,14 +223,13 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
     base_coords = _stack_points(points, spec.source_dim, tol)
     moved_coords = _stack_points([BallPoint(t * z.coords) for z, t in zip(points, phases)], spec.source_dim, tol)
     residuals = [0.0] * config.samples
-    models = [(m, symmetric) for _, m, symmetric in wedge_factors]
     for part in _point_slices(config.samples, 2 * _block_entries(spec)):
         # Base and rotated points of the slice in one stack.
         stack = np.concatenate([base_coords[part], moved_coords[part]])
         count = len(stack) // 2
-        for (p, m, symmetric), blocks in zip(wedge_factors, _wedge_blocks(stack, models, tol)):
+        for (m, symmetric), blocks in zip(models, _wedge_blocks(stack, models, tol)):
             for j, theta in enumerate(phases[part]):
-                row_phases, col_phases = _induced_phases(p, m, symmetric, theta)
+                row_phases, col_phases = _induced_phases(spec.source_dim, m, symmetric, theta)
                 expected = row_phases[:, np.newaxis] * blocks[j] * np.conj(col_phases)[np.newaxis, :]
                 i = part.start + j
                 residuals[i] = max(residuals[i], max_abs(blocks[count + j] - expected))

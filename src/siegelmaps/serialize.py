@@ -91,6 +91,9 @@ def _matrix_component(obj: dict, name: str, rows: int, cols: int, where: str) ->
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise SchemaError(f"field {where}.{name}[{i}][{j}] must be a number, got {entry!r}")
             out[i, j] = float(entry)
+            if not np.isfinite(out[i, j]):
+                # json accepts NaN, Infinity and -Infinity.
+                raise SchemaError(f"field {where}.{name}[{i}][{j}] must be finite, got {entry!r}")
     return out
 
 

@@ -202,11 +202,11 @@ def test_criterion_5_linearity(sweep):
         for spec in data["specs"]:
             count += 1
             try:
-                built = linearize(spec, seed=SEED)
+                matrix = linearize(spec, seed=SEED)
             except NonlinearityDetected:
                 failures += 1
                 continue
-            sv = singular_values(built.matrix)
+            sv = singular_values(matrix)
             rank = int(np.sum(sv > 1e-9 * max(1.0, float(sv[0]))))
             if rank != n:
                 rank_defects += 1

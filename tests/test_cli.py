@@ -259,6 +259,47 @@ def test_point_schema_errors_name_fields(tmp_path):
         spec_from_json({"source_dim": 2, "target_g": 3, "factors": [{"kind": "bogus", "m": 1}]})
     with pytest.raises(SchemaError):
         load_json(tmp_path / "missing.json")
+    # json parses NaN, Infinity and -Infinity as floats.
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SchemaError, match=r"point\.re\[1\]\[0\] must be finite"):
+            ball_point_from_json({"kind": "I", "p": 2, "q": 1, "re": [[0.0], [value]], "im": [[0.0], [0.0]]})
+        with pytest.raises(SchemaError, match=r"point\.im\[0\]\[1\] must be finite"):
+            point_from_json({"kind": "III", "p": 2, "q": 2, "re": [[0.0, 0.0]] * 2, "im": [[0.0, value], [0.0, 0.0]]})
+
+
+def test_non_finite_point_file_exits_two(tmp_path, capsys):
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    ball = _write(tmp_path / "ball.json", _ball_json([0.1, float("nan")]))
+    square = _write(
+        tmp_path / "square.json",
+        {"kind": "III", "p": 1, "q": 1, "re": [[float("inf")]], "im": [[0.0]]},
+    )
+    out = str(tmp_path / "out.json")
+    for argv, field in (
+        (["embed", "--spec", spec, "--point", ball, "--out", out], "point.re[1][0]"),
+        (["cayley", "--point", square, "--direction", "to-siegel", "--out", out], "point.re[0][0]"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["embed", "verify", "enumerate", "cayley"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    point = _write(tmp_path / "pt.json", _ball_json([0.1, 0.2]))
+    square = _write(tmp_path / "square.json", {"kind": "III", "p": 1, "q": 1, "re": [[0.1]], "im": [[0.0]]})
+    out = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "embed": ["embed", "--spec", spec, "--point", point, "--out", out],
+        "verify": ["verify", "--spec", spec, "--samples", "2", "--report", out],
+        "enumerate": ["enumerate", "--source-dim", "2", "--max-g", "3", "--out", out],
+        "cayley": ["cayley", "--point", square, "--direction", "to-siegel", "--out", out],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
 
 
 def test_worst_case_input_replays_through_embed(tmp_path):

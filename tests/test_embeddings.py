@@ -30,7 +30,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps import embeddings
-from siegelmaps.embeddings import _check_linearity, _factor_blocks, factor_block, vec_sym, unvec_sym
+from siegelmaps.embeddings import _factor_blocks, block_layout, factor_block
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -279,23 +279,28 @@ def test_direct_sum_membership_closure_small_sweep():
 
 def test_linearize_connecting_factor_pattern_columns():
     spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
-    built = linearize(spec)
-    assert built.matrix.shape == (6, 2)
-    assert max_abs(built.matrix @ np.zeros(2)) == 0.0
-    # flattened upper triangle of the block display: one unit per column
-    expected = np.zeros((6, 2), dtype=complex)
-    expected[1, 0] = 1.0
-    expected[2, 1] = 1.0
-    assert max_abs(built.matrix - expected) <= 1e-12
+    matrix = linearize(spec)
+    assert matrix.shape == (9, 2)
+    assert max_abs(matrix @ np.zeros(2)) == 0.0
+    # the 3 x 3 block [[0, z^t], [z, 0]] flattened row major: z_k at (0, k+1) and (k+1, 0)
+    expected = np.zeros((9, 2), dtype=complex)
+    expected[[1, 3], 0] = 1.0
+    expected[[2, 6], 1] = 1.0
+    assert max_abs(matrix - expected) <= 1e-12
 
 
 def test_linearize_applies_like_direct_evaluation():
     rng = generator(36, 0)
-    spec = EmbeddingSpec(3, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2),), 6)
-    built = linearize(spec)
+    spec = EmbeddingSpec(
+        3, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2), FactorSpec(FactorKind.STANDARD_I, 3, 1)), 11
+    )
+    matrix = linearize(spec)
+    assert matrix.shape == (6 * 6 + 4 * 4, 3)
     for _ in range(10):
         z = sample_ball_point(rng, 3)
-        assert max_abs(built.apply(z).z - direct_sum_embed(spec, z).z) <= 1e-12
+        image = direct_sum_embed(spec, z).z
+        blocks = np.concatenate([image[start:stop, start:stop].reshape(-1) for _, start, stop in block_layout(spec)])
+        assert max_abs(matrix @ z.coords - blocks) <= 1e-12
 
 
 def test_linearize_rank_equals_source_dimension():
@@ -303,34 +308,44 @@ def test_linearize_rank_equals_source_dimension():
     for n in (1, 2, 3, 4):
         specs, _ = enumerate_specs(n, 7)
         for spec in specs:
-            built = linearize(spec)
-            sv = singular_values(built.matrix)
+            sv = singular_values(linearize(spec))
             assert int(np.sum(sv > 1e-9 * max(1.0, sv[0]))) == n
 
 
-def test_nonlinearity_detector_fires_on_corrupted_matrix():
+def test_nonlinearity_detector_fires_on_corrupted_matrix(monkeypatch):
     spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
-    built = linearize(spec)
-    corrupted = built.matrix.copy()
-    corrupted[1, 0] += 0.05
+    exact = embeddings.factor_form
+
+    def corrupted(factor):
+        matrix = exact(factor)[0].copy()
+        matrix[1, 0] += 0.05
+        return matrix, np.linalg.pinv(matrix)
+
+    monkeypatch.setattr(embeddings, "factor_form", corrupted)
     with pytest.raises(NonlinearityDetected):
-        _check_linearity(spec, corrupted, DEFAULT_TOLERANCE, 10, 0)
+        linearize(spec)
 
 
-def test_nonlinearity_detector_fires_off_the_blocks():
-    # The oracle is zero outside its diagonal blocks; a compiled map that
+def test_nonlinearity_detector_fires_off_the_blocks(monkeypatch):
+    # The oracle is zero outside its diagonal blocks; an embedding that
     # writes into the padding or between blocks must be caught there too.
     spec = EmbeddingSpec(
         2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), FactorSpec(FactorKind.STANDARD_I, 2, 1)), 7
     )
-    built = linearize(spec)
-    _check_linearity(spec, built.matrix, DEFAULT_TOLERANCE, 10, 0)
-    rows, cols = np.triu_indices(7)
+    linearize(spec)
+    exact = embeddings.direct_sum_embed
     for row, col in ((0, 3), (2, 6), (6, 6)):
-        corrupted = built.matrix.copy()
-        corrupted[np.flatnonzero((rows == row) & (cols == col))[0], 1] += 0.05
+
+        def corrupted(spec, z, tol=DEFAULT_TOLERANCE, row=row, col=col):
+            image = exact(spec, z, tol)
+            z_out = image.z.copy()
+            z_out[row, col] += 0.05 * z.coords[1]
+            z_out[col, row] = z_out[row, col]
+            return DomainPoint(image.shape, z_out)
+
+        monkeypatch.setattr(embeddings, "direct_sum_embed", corrupted)
         with pytest.raises(NonlinearityDetected):
-            _check_linearity(spec, corrupted, DEFAULT_TOLERANCE, 10, 0)
+            linearize(spec)
 
 
 def test_linearity_suite_catches_a_bad_compiled_map(monkeypatch):
@@ -348,13 +363,6 @@ def test_linearity_suite_catches_a_bad_compiled_map(monkeypatch):
 
     monkeypatch.setattr(embeddings, "factor_form", perturbed)
     assert not run_suite("linearity", spec, config).passed
-
-
-def test_vec_sym_round_trip():
-    rng = generator(38, 0)
-    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    sym = 0.5 * (raw + raw.T)
-    assert max_abs(unvec_sym(vec_sym(sym), 4) - sym) == 0.0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
