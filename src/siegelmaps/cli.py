@@ -66,14 +66,25 @@ def _tolerance(tol_arg: float | None) -> Tolerance:
     return Tolerance(eq_tol=eq_tol)
 
 
-def _write(path: str, payload: object) -> int:
-    """Write an output file: 0, or the usage exit code after an error line."""
+def _output(path: str, action) -> int:
+    """Run ``action`` on an output file: 0, or the usage exit code after an
+    error line when the file cannot be written."""
     try:
-        dump_json(path, payload)
+        action()
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     return 0
+
+
+def _write(path: str, payload: object) -> int:
+    return _output(path, lambda: dump_json(path, payload))
+
+
+def _check_writable(path: str) -> int:
+    """Open an output file for appending, which creates a missing file and
+    keeps an existing one's contents: a check before long work."""
+    return _output(path, lambda: open(path, "a").close())
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
@@ -121,6 +132,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _USAGE_EXIT
     except BudgetExceeded as exc:
         print(f"error: BudgetExceeded: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
+    if _check_writable(args.report):
         return _USAGE_EXIT
     report = run_verification(spec, config)
     if _write(args.report, report.to_dict()):

@@ -10,16 +10,22 @@ coordinates:
 
 The module provides membership classification with explicit margins, the
 Cayley transform between the Siegel and bounded models, origin-moving
-Moebius automorphisms, and Kobayashi distances.  Distances on the matrix
-ball are computed in closed form: transvect the first argument to the
-origin and take arctanh of the largest singular value.  Type III points
-are measured as points of the ambient type I ball; Siegel points are
-measured through the Cayley transform.
+Moebius automorphisms, and Kobayashi distances.  A distance is arctanh
+of the largest singular value of y moved by the automorphism taking x to
+the origin, computed without moving anything: in closed form on the ball,
+and from Cholesky factors of I - XX* and I - X*X on the matrix ball, over
+the exact diagonal blocks of square points.  Type III points are measured
+as points of the ambient type I ball; Siegel points are measured through
+the Cayley transform.  The distance kernels run on stacks of pairs, one
+LAPACK call per step for all of them; the transvection is kept as the
+public automorphism and as the oracle the distance is tested against.
+Interior margins come from values-only eigensolves.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +42,13 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _ill_conditioned,
     _inverse_sqrt_from,
+    _residuals,
+    _solve_unchecked,
     as_complex_matrix,
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    max_abs,
     singular_values,
     solve_right,
 )
@@ -188,23 +196,33 @@ class MembershipResult:
         return self.status is MembershipStatus.INTERIOR
 
 
-def _contraction_margin(z: np.ndarray, tol: Tolerance) -> float:
-    """Smallest eigenvalue of I - Z*Z, computed on the smaller square side."""
-    if z.shape[0] >= z.shape[1]:
-        gram = z.conj().T @ z
+def _contraction_margins(z: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Smallest eigenvalue of I - Z*Z for a matrix or for each member of a
+    ``(..., p, q)`` stack, computed on the smaller square side."""
+    if z.shape[-2] >= z.shape[-1]:
+        gram = z.conj().swapaxes(-1, -2) @ z
     else:
-        gram = z @ z.conj().T
-    eye = np.eye(gram.shape[0], dtype=np.complex128)
-    return float(hermitian_eigenvalues(eye - gram, tol)[0])
+        gram = z @ z.conj().swapaxes(-1, -2)
+    np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
+    return hermitian_eigenvalues(gram, tol)[..., 0]
+
+
+def _asymmetries(z: np.ndarray) -> np.ndarray:
+    """max|Z - Z^t| of a square matrix or of each member of a stack."""
+    return np.abs(z - z.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
+def _asymmetry_detail(defect: float) -> str:
+    return f"matrix is not symmetric: max|Z - Z^t| = {defect:.3e}"
 
 
 def _asymmetry(pt: DomainPoint, tol: Tolerance) -> str | None:
     """Why a point of a square kind fails the symmetry test, or None."""
     if pt.shape.kind is DomainKind.TYPE_I:
         return None
-    defect = max_abs(pt.z - pt.z.T)
+    defect = float(_asymmetries(pt.z))
     if defect > tol.eq_tol:
-        return f"matrix is not symmetric: max|Z - Z^t| = {defect:.3e}"
+        return _asymmetry_detail(defect)
     return None
 
 
@@ -222,7 +240,7 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
         imag = (z - z.conj().T) / 2j
         margin = float(hermitian_eigenvalues(imag, tol)[0])
     else:
-        margin = _contraction_margin(z, tol)
+        margin = float(_contraction_margins(z, tol))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
     if margin > tol.psd_margin:
@@ -243,7 +261,11 @@ def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> MembershipR
 def _require_margin(margin: float, tol: Tolerance, what: str) -> None:
     """The interior test of :func:`membership` on a margin already measured."""
     if not margin > tol.psd_margin:
-        raise MembershipViolation(f"{what} must be an interior point: margin {margin:.3e}")
+        raise MembershipViolation(f"{what} {_interior_detail(margin)}")
+
+
+def _interior_detail(margin: float) -> str:
+    return f"must be an interior point: margin {margin:.3e}"
 
 
 def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -340,44 +362,227 @@ def transvection_to_origin(a: DomainPoint | BallPoint, tol: Tolerance = DEFAULT_
     return Transvection(pt.shape, z, left, right, tol)
 
 
-def _as_matrix_ball(pt: DomainPoint, tol: Tolerance) -> DomainPoint:
-    """View a point inside its ambient type I ball, Cayley-transforming Siegel input."""
-    if pt.shape.kind is DomainKind.SIEGEL:
-        pt = cayley_to_bounded(pt, tol)
-    if pt.shape.kind is DomainKind.TYPE_III:
-        return DomainPoint(type_i_shape(pt.shape.p, pt.shape.p), pt.z)
-    return pt
+def _raise_first(bad: np.ndarray, error: type[Exception], message) -> None:
+    """Raise ``error(message(i))`` for the first pair i where ``bad`` holds;
+    in a stack of several pairs the message names the pair."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(("" if len(bad) == 1 else f"pair {i}: ") + message(i))
+
+
+def _diagonal_blocks(*stacks) -> tuple[np.ndarray, ...]:
+    """Equal-length sequences of square k x k matrices split into
+    ``(B, n, s, s)`` stacks of diagonal blocks.
+
+    The blocks are the finest consecutive diagonal ranges outside which
+    every entry of every matrix is exactly zero; all-zero ranges are left
+    out, and each block is padded with zeros to the largest size s.  A
+    nonzero corner entry [0, k - 1] makes one block without a scan.  Every
+    nonzero entry and its transpose fall in one block, so the blocks hold
+    every entry of Z - Z^t too.  The matrices are read one by one, so no
+    stack of whole matrices is built unless they form one block.
+    """
+    if any(m[0, -1] != 0 for z in stacks for m in z):
+        return tuple(np.stack(z)[:, np.newaxis] for z in stacks)
+    k = stacks[0][0].shape[-1]
+    nonzero = np.zeros((k, k), dtype=bool)
+    for z in stacks:
+        for m in z:
+            nonzero |= m != 0
+    nonzero |= nonzero.T
+    index = np.arange(k)
+    # The furthest index reached by any row up to i: a range ends at i
+    # where that is i itself.
+    reach = np.maximum.accumulate(np.maximum(np.where(nonzero, index, 0).max(axis=1), index))
+    stops = np.flatnonzero(reach == index) + 1
+    used = nonzero.any(axis=1)
+    ranges = [(start, stop) for start, stop in zip((0, *stops[:-1]), stops) if used[start:stop].any()]
+    size = max((stop - start for start, stop in ranges), default=0)
+    split = []
+    for z in stacks:
+        blocks = np.zeros((len(z), len(ranges), size, size), dtype=np.complex128)
+        for i, m in enumerate(z):
+            for j, (start, stop) in enumerate(ranges):
+                blocks[i, j, : stop - start, : stop - start] = m[start:stop, start:stop]
+        split.append(blocks)
+    return tuple(split)
+
+
+def _block_margins(blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Smallest contraction margin over the blocks of each member of a
+    ``(..., n, s, s)`` block stack; 1, the margin of zero, with no blocks."""
+    if blocks.shape[-3] == 0:
+        return np.ones(blocks.shape[:-3])
+    return _contraction_margins(blocks, tol).min(axis=-1)
+
+
+def _matrix_distances(x, y, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
+    """Kobayashi distances between the p x q matrices of two equal-length
+    sequences of matrix-ball points, pair by pair.
+
+    tanh d(X, Y) = s_max(C^-1 (Y - X)(I - X*Y)^-1 D) with the Cholesky
+    factors C C* = I - X X* and D D* = I - X*X.  They differ from the
+    transvection's (I - X X*)^{-1/2} and (I - X*X)^{1/2} by unitary factors
+    only, so the singular values are those of the transvected point.
+    Square matrices are split into their exact diagonal blocks (see
+    :func:`_diagonal_blocks`): the distance is the largest over the
+    blocks, the margins the smallest, and an all-zero range adds distance 0
+    and margin 1.  Each step is one LAPACK call over all blocks of all
+    pairs (the two Cholesky factors of rectangular points take two).
+
+    With ``check_inputs``, x is checked for symmetry (when ``symmetric``)
+    and y for interiority, as :func:`membership` does; x is always checked
+    against ``psd_margin``, and I - X*Y like :func:`solve_right` does.  A
+    failing check names the first failing pair.
+    """
+    square = x[0].shape[-1] == x[0].shape[-2]
+    xb, yb = _diagonal_blocks(x, y) if square else (np.stack(x)[:, np.newaxis], np.stack(y)[:, np.newaxis])
+    if check_inputs and symmetric:
+        for blocks in (xb, yb):
+            defect = _asymmetries(blocks).max(axis=1, initial=0.0)
+            _raise_first(
+                defect > tol.eq_tol,
+                MembershipViolation,
+                lambda i: f"distance argument must be an interior point: {_asymmetry_detail(defect[i])}",
+            )
+    if xb.shape[1] == 0:
+        # Every member of both stacks is zero.
+        return np.zeros(len(x))
+    x_margin, y_margin = _block_margins(np.stack([xb, yb]), tol)
+    if check_inputs:
+        _raise_first(
+            ~(y_margin > tol.psd_margin),
+            MembershipViolation,
+            lambda i: "distance argument " + _interior_detail(y_margin[i]),
+        )
+    _raise_first(
+        ~(x_margin > tol.psd_margin),
+        MembershipViolation,
+        lambda i: "transvection base " + _interior_detail(x_margin[i]),
+    )
+    p, q = xb.shape[-2:]
+    adjoint = xb.conj().swapaxes(-1, -2)
+    grams = (np.eye(p) - xb @ adjoint, np.eye(q) - adjoint @ xb)
+    try:
+        if square:
+            left, right = np.linalg.cholesky(np.stack(grams))
+        else:
+            left, right = (np.linalg.cholesky(gram) for gram in grams)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
+    difference = yb - xb
+    denominator = np.eye(q) - adjoint @ yb
+    sv = np.linalg.svd(denominator, compute_uv=False)
+    near_singular = "transvection denominator near singular: "
+    _raise_first(
+        _ill_conditioned(sv[..., 0].max(axis=1), sv[..., -1].min(axis=1), tol),
+        IllConditioned,
+        lambda i: f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}",
+    )
+    try:
+        middle = _solve_unchecked(difference, denominator)
+    except SingularSystem as exc:
+        raise IllConditioned(f"{near_singular}{exc}") from exc
+    residual, bound = (r.max(axis=1) for r in _residuals(middle, difference, denominator, tol))
+    _raise_first(
+        residual > bound,
+        IllConditioned,
+        lambda i: f"{near_singular}solution residual {residual[i]:.3e} exceeds tolerance",
+    )
+    moved = np.linalg.solve(left, middle @ right)
+    top = np.linalg.svd(moved, compute_uv=False)[..., 0].max(axis=1)
+    _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1")
+    return np.arctanh(top)
+
+
+def _ball_distances(x: np.ndarray, y: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Poincare distances between the rows of two ``(B, n)`` stacks of ball
+    points, pair by pair, in closed form (Rudin, *Function Theory in the
+    Unit Ball*, 2.2): tanh d(x, y) = |phi_x(y)| with
+
+        phi_x(y) = (x - P_x y - s_x Q_x y) / (1 - <y, x>),  s_x = sqrt(1 - |x|^2),
+
+    P_x the orthogonal projection onto C x and Q_x = I - P_x.  It is
+    evaluated as P_x y + s_x Q_x y = s_x y + <y, x> x / (1 + s_x), which
+    divides by no |x|^2 and holds at x = 0.  The guards are those of the
+    matrix kernel on n x 1 columns, where I - X*Y is a nonzero scalar.
+    """
+    y_margin = 1.0 - (y.real**2 + y.imag**2).sum(axis=-1)
+    _raise_first(
+        ~(y_margin > tol.psd_margin),
+        MembershipViolation,
+        lambda i: "distance argument " + _interior_detail(y_margin[i]),
+    )
+    x_margin = 1.0 - (x.real**2 + x.imag**2).sum(axis=-1)
+    _raise_first(
+        ~(x_margin > tol.psd_margin),
+        MembershipViolation,
+        lambda i: "transvection base " + _interior_detail(x_margin[i]),
+    )
+    s = np.sqrt(x_margin)[:, np.newaxis]
+    pairing = (y * x.conj()).sum(axis=-1, keepdims=True)
+    moved = (x - s * y - pairing / (1.0 + s) * x) / (1.0 - pairing)
+    top = np.sqrt((moved.real**2 + moved.imag**2).sum(axis=-1))
+    _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1")
+    return np.arctanh(top)
+
+
+def _point_shape(pt: DomainPoint | BallPoint) -> DomainShape:
+    return type_i_shape(pt.n, 1) if isinstance(pt, BallPoint) else pt.shape
 
 
 def kobayashi_distance(
-    x: DomainPoint | BallPoint,
-    y: DomainPoint | BallPoint,
+    x: DomainPoint | BallPoint | Sequence[DomainPoint | BallPoint],
+    y: DomainPoint | BallPoint | Sequence[DomainPoint | BallPoint],
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
+) -> float | np.ndarray:
     """Kobayashi distance between two interior points of the same shape.
 
-    Computed as arctanh of the largest singular value of y transvected by
-    the automorphism moving x to the origin.  On the ball this is the
-    Poincare distance.  x is checked for interiority by the transvection
-    (and by the Cayley transform for Siegel points), so only its symmetry
-    is checked here.
+    On the ball this is the Poincare distance, in the closed form
+    tanh d = |phi_x(y)|.  On the matrix ball it is
+    tanh d = s_max(C^-1 (Y - X)(I - X*Y)^-1 D) with Cholesky factors
+    C C* = I - X X* and D D* = I - X*X: the largest singular value of y
+    moved by the automorphism taking x to the origin.  Type III points are
+    measured as points of the ambient type I ball, split into their exact
+    diagonal blocks; Siegel points are checked in the Siegel model and
+    measured through the Cayley transform.
+
+    x and y may also be equal-length sequences of points of one shape: the
+    distances of the pairs come back as an array, from one call of the
+    stacked kernel, and each equals the distance of its pair alone bit for
+    bit.  Two points are a batch of one.
     """
-    if isinstance(x, BallPoint) != isinstance(y, BallPoint):
-        raise ShapeMismatch("cannot mix ball points and matrix points")
-    if isinstance(x, BallPoint):
-        x, y = x.as_type_i(), y.as_type_i()
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"points live on different shapes: {x.shape} vs {y.shape}")
-    reason = _asymmetry(x, tol)
-    if reason is not None:
-        raise MembershipViolation(f"distance argument must be an interior point: {reason}")
-    _require_interior(y, tol, "distance argument")
-    x, y = _as_matrix_ball(x, tol), _as_matrix_ball(y, tol)
-    moved = transvection_to_origin(x, tol).apply(y)
-    top = float(singular_values(moved.z)[0])
-    if top >= 1.0:
-        raise IllConditioned(f"transvected point has norm {top:.6f} >= 1")
-    return float(np.arctanh(top))
+    if isinstance(x, (DomainPoint, BallPoint)):
+        return float(kobayashi_distance([x], [y], tol)[0])
+    xs, ys = list(x), list(y)
+    if not xs or len(xs) != len(ys):
+        raise ShapeMismatch(f"expected equal nonzero numbers of points, got {len(xs)} and {len(ys)}")
+    ball = isinstance(xs[0], BallPoint)
+    shape = _point_shape(xs[0])
+    for a, b in zip(xs, ys):
+        if isinstance(a, BallPoint) is not ball or isinstance(b, BallPoint) is not ball:
+            raise ShapeMismatch("cannot mix ball points and matrix points")
+        for other in (_point_shape(a), _point_shape(b)):
+            if other != shape:
+                raise ShapeMismatch(f"points live on different shapes: {shape} vs {other}")
+    if ball:
+        return _ball_distances(np.stack([a.coords for a in xs]), np.stack([b.coords for b in ys]), tol)
+    siegel = shape.kind is DomainKind.SIEGEL
+    if siegel:
+        # Checked pair by pair in the Siegel model, measured in the bounded one.
+        for a, b in zip(xs, ys):
+            reason = _asymmetry(a, tol)
+            if reason is not None:
+                raise MembershipViolation(f"distance argument must be an interior point: {reason}")
+            _require_interior(b, tol, "distance argument")
+        xs, ys = [cayley_to_bounded(a, tol) for a in xs], [cayley_to_bounded(b, tol) for b in ys]
+    return _matrix_distances(
+        [a.z for a in xs],
+        [b.z for b in ys],
+        tol,
+        symmetric=shape.kind is not DomainKind.TYPE_I,
+        check_inputs=not siegel,
+    )
 
 
 def ball_distance(x: BallPoint, y: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> float:

@@ -439,6 +439,8 @@ def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT
     for factor, start, stop in block_layout(spec):
         matrix, _ = factor_form(factor)
         out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
+    # Frozen, so the point keeps it without a copy.
+    out.setflags(write=False)
     return DomainPoint(type_iii_shape(g), out)
 
 

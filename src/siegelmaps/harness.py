@@ -6,9 +6,13 @@ embedding spec, and reports the worst residual together with the sample
 that produced it (serialized so it can be replayed through the CLI).
 Suites run in canonical order and reduce deterministically: ties on the
 maximum residual keep the earliest sample (``max`` and ``list.index``
-both keep the first).  The suites that evaluate the
-wedge construction draw all their samples first and evaluate it on stacks
-of samples, one kernel call per stack for all factors.  A suite that
+both keep the first; the membership suite keeps the earliest minimum
+margin).  The linearity, symmetry, equivariance, membership and isometry
+suites draw all their samples first, in the same stream order, and
+evaluate them on slices of a few hundred KiB: one wedge kernel call per
+slice for all factors, one eigensolve per slice for the image margins,
+and one stacked distance call per slice for each side of the isometry
+sandwich.  The retraction suite runs sample by sample.  A suite that
 raises a package error becomes a failed result that names the error.
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import BallPoint, membership
+from .domains import BallPoint, _asymmetries, _block_margins, _diagonal_blocks
 from .embeddings import (
     EmbeddingSpec,
     FactorKind,
@@ -38,7 +42,7 @@ from .exterior import (
 )
 from .linalg import max_abs, singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
-from .retractions import isometry_sandwich, retract_direct_sum
+from .retractions import _sandwich_stack, retract_direct_sum
 from .sampling import generator, sample_ball_point, sample_phases
 from .serialize import point_to_json
 
@@ -86,42 +90,47 @@ def _suite_retraction(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
 def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["membership"])
     tol = config.tol
-    violations = 0
-    min_margin = np.inf
-    worst_input = None
-    for _ in range(config.samples):
-        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
-        image = direct_sum_embed(spec, z, tol)
-        result = membership(image, tol)
-        back = retract_direct_sum(image, spec, tol, verify=False)
-        back_margin = 1.0 - back.norm**2
-        margin = min(result.margin, back_margin)
-        if not result or back_margin <= tol.psd_margin:
-            violations += 1
-        if margin < min_margin:
-            min_margin, worst_input = margin, z
+    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    margins, inside = [], []
+    for part in _point_slices(len(points), spec.target_g**2):
+        images = [direct_sum_embed(spec, z, tol) for z in points[part]]
+        # The test of membership() on the images' exact diagonal blocks, one
+        # eigensolve for the slice.
+        (blocks,) = _diagonal_blocks([image.z for image in images])
+        image_margins = _block_margins(blocks, tol)
+        symmetric = _asymmetries(blocks).max(axis=1, initial=0.0) <= tol.eq_tol
+        for image, image_margin, image_symmetric in zip(images, image_margins.tolist(), symmetric):
+            back = retract_direct_sum(image, spec, tol, verify=False)
+            back_margin = 1.0 - back.norm**2
+            margins.append(min(image_margin, back_margin))
+            inside.append(image_symmetric and image_margin > tol.psd_margin and back_margin > tol.psd_margin)
+    min_margin = min(margins)
     residual = max(0.0, tol.psd_margin - float(min_margin))
     return SuiteResult(
         "membership",
-        violations == 0,
+        all(inside),
         config.samples,
         residual,
-        _ball_json(worst_input),
-        detail=f"violations={violations}, min_margin={min_margin!r}",
+        _ball_json(points[margins.index(min_margin)]),
+        detail=f"violations={inside.count(False)}, min_margin={min_margin!r}",
     )
 
 
 def _suite_isometry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["isometry"])
     tol = config.tol
-    worst, worst_input = -1.0, None
+    xs, ys = [], []
     for _ in range(config.samples):
-        x = sample_ball_point(rng, spec.source_dim, config.radius_cap)
-        y = sample_ball_point(rng, spec.source_dim, config.radius_cap)
-        record = isometry_sandwich(spec, x, y, tol)
-        if record.max_gap > worst:
-            worst = record.max_gap
-            worst_input = {"x": _ball_json(x), "y": _ball_json(y)}
+        xs.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
+        ys.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
+    gaps = []
+    # Each pair holds two g x g images.
+    for part in _point_slices(config.samples, 2 * spec.target_g**2):
+        source, target, retracted = _sandwich_stack(spec, xs[part], ys[part], tol)
+        gaps += np.maximum(np.abs(source - target), np.abs(source - retracted)).tolist()
+    worst = max(gaps)
+    i = gaps.index(worst)
+    worst_input = {"x": _ball_json(xs[i]), "y": _ball_json(ys[i])}
     return SuiteResult("isometry", worst <= 10.0 * tol.eq_tol, config.samples, worst, worst_input)
 
 

@@ -64,9 +64,18 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
 
     Ensures a two-dimensional complex128 array with at least one row and
     column and no NaN/Inf entries.  The returned array is marked read-only
-    so values can be shared freely.
+    so values can be shared freely.  A read-only, C-contiguous complex128
+    array that owns its data is already in that form and is returned
+    without a copy; any other input is copied.
     """
-    m = np.array(data, dtype=np.complex128, order="C")
+    frozen = (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.complex128
+        and data.flags.c_contiguous
+        and data.flags.owndata
+        and not data.flags.writeable
+    )
+    m = data if frozen else np.array(data, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -87,30 +96,50 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def _require_square(m: np.ndarray, what: str) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
 
 
+def _hermitian_part(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """(m + m*)/2 of a square matrix or stack, after checking ``m == m*``
+    up to ``eq_tol`` member by member."""
+    m = np.asarray(m, dtype=np.complex128)
+    _require_square(m, "hermitian matrix")
+    adjoint = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
+    over = defect > tol.eq_tol
+    if over.any():
+        flat = int(np.argmax(over.reshape(-1)))
+        label = _stack_label(flat, m.shape[:-2])
+        raise NotHermitian(
+            f"{label}matrix deviates from Hermitian by {defect.reshape(-1)[flat]:.3e} > {tol.eq_tol:.3e}"
+        )
+    sym = m + adjoint
+    sym *= 0.5
+    return sym
+
+
 def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
+    """Ascending real eigenvalues of a Hermitian matrix, or of each member
+    of a ``(..., n, n)`` stack.
 
     The input is checked against ``m == m*`` up to ``eq_tol`` and then
-    symmetrized as (m + m*)/2 before the eigensolve, so representation
-    noise in near-Hermitian products does not leak into the spectrum.
+    symmetrized as (m + m*)/2 before the values-only eigensolve, so
+    representation noise in near-Hermitian products does not leak into
+    the spectrum.
     """
-    return hermitian_eigensystem(m, tol)[0]
+    sym = _hermitian_part(m, tol)
+    try:
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
 
 
 def hermitian_eigensystem(
     m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    _require_square(m, "hermitian matrix")
-    defect = max_abs(m - m.conj().T)
-    if defect > tol.eq_tol:
-        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e} > {tol.eq_tol:.3e}")
-    sym = 0.5 * (m + m.conj().T)
+    sym = _hermitian_part(m, tol)
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -159,23 +188,40 @@ def solve_right(
         sv = np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"SVD failed: {exc}") from exc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (sv[..., -1] <= 0.0) | (sv[..., 0] / sv[..., -1] > 1.0 / tol.psd_margin)
+    bad = _ill_conditioned(sv[..., 0], sv[..., -1], tol)
     if bad.any():
         label = _stack_label(int(np.argmax(bad.reshape(-1))), batch)
         raise SingularSystem(f"{label}condition number exceeds {1.0 / tol.psd_margin:.3e}")
-    try:
-        x = np.linalg.solve(b.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"solve failed: {exc}") from exc
-    residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
-    bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    x = _solve_unchecked(a, b)
+    residual, bound = _residuals(x, a, b, tol)
     over = residual > bound
     if over.any():
         flat = int(np.argmax(over.reshape(-1)))
         label = _stack_label(flat, batch)
         raise SingularSystem(f"{label}solution residual {residual.reshape(-1)[flat]:.3e} exceeds tolerance")
     return x
+
+
+def _ill_conditioned(largest: np.ndarray, smallest: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Where a matrix with these extreme singular values has a condition
+    number above 1/psd_margin (or is singular): the test of :func:`solve_right`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (smallest <= 0.0) | (largest / smallest > 1.0 / tol.psd_margin)
+
+
+def _solve_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with X @ b = a for matching stacks, with no condition or residual check."""
+    try:
+        return np.linalg.solve(b.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"solve failed: {exc}") from exc
+
+
+def _residuals(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Per member, ``max|X b - a|`` and the bound :func:`solve_right` holds it to."""
+    residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
+    bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    return residual, bound
 
 
 def orthonormal_column_basis(

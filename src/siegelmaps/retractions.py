@@ -132,15 +132,23 @@ class SandwichRecord:
         return max(abs(self.source - self.target), abs(self.source - self.retracted))
 
 
+def _sandwich_stack(
+    spec: EmbeddingSpec, xs, ys, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source, target and retracted distances of pairs of ball points, each
+    kind measured by one stacked distance call over all pairs."""
+    ex = [direct_sum_embed(spec, x, tol) for x in xs]
+    ey = [direct_sum_embed(spec, y, tol) for y in ys]
+    source = kobayashi_distance(xs, ys, tol)
+    target = kobayashi_distance(ex, ey, tol)
+    rx = [retract_direct_sum(e, spec, tol, verify=False) for e in ex]
+    ry = [retract_direct_sum(e, spec, tol, verify=False) for e in ey]
+    return source, target, kobayashi_distance(rx, ry, tol)
+
+
 def isometry_sandwich(
     spec: EmbeddingSpec, x: BallPoint, y: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> SandwichRecord:
     """Measure the distance sandwich for one pair of interior points."""
-    ex = direct_sum_embed(spec, x, tol)
-    ey = direct_sum_embed(spec, y, tol)
-    d_source = kobayashi_distance(x, y, tol)
-    d_target = kobayashi_distance(ex, ey, tol)
-    rx = retract_direct_sum(ex, spec, tol, verify=False)
-    ry = retract_direct_sum(ey, spec, tol, verify=False)
-    d_retracted = kobayashi_distance(rx, ry, tol)
-    return SandwichRecord(d_source, d_target, d_retracted)
+    source, target, retracted = _sandwich_stack(spec, [x], [y], tol)
+    return SandwichRecord(float(source[0]), float(target[0]), float(retracted[0]))

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from siegelmaps import harness
+from siegelmaps import cli, harness
 from siegelmaps.cli import main
 from siegelmaps.errors import IllConditioned
 from siegelmaps.serialize import (
@@ -300,6 +300,19 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.out == ""
+
+
+def test_unwritable_report_fails_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("run_verification called")
+
+    monkeypatch.setattr(cli, "run_verification", unreachable)
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main(["verify", "--spec", spec, "--samples", "2", "--report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
 
 
 def test_worst_case_input_replays_through_embed(tmp_path):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
+    BallPoint,
+    DomainKind,
     DomainPoint,
+    EmbeddingSpec,
+    FactorKind,
+    FactorSpec,
     MembershipStatus,
     ball_distance,
     ball_infinitesimal_metric,
@@ -14,9 +19,11 @@ from siegelmaps import (
     cayley,
     cayley_to_bounded,
     cayley_to_siegel,
+    direct_sum_embed,
     kobayashi_distance,
     membership,
     siegel_shape,
+    singular_values,
     transvection_to_origin,
     type_i_shape,
     type_iii_shape,
@@ -223,22 +230,175 @@ def test_distance_decreases_under_column_deletion():
         assert kobayashi_distance(kept, kept_y) <= kobayashi_distance(x, y) + 1e-8
 
 
-def test_kobayashi_distance_makes_three_eigendecompositions(monkeypatch):
-    # One for the interior check of y, one each for I - X*X and I - XX* in
-    # the transvection, which also checks x.
-    rng = generator(20, 0)
-    x, y = sample_type_iii(rng, 12), sample_type_iii(rng, 12)
+_LAPACK = (
+    "cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+    "lstsq", "pinv", "qr", "slogdet", "solve", "svd", "svdvals",
+)
+
+
+def _g60_image_pair():
+    spec = EmbeddingSpec(
+        5,
+        (FactorSpec(FactorKind.LAMBDA_III, 5, 3),)
+        + tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, 5, m) for m in (2, 3, 4)),
+        60,
+    )
+    rng = generator(22, 0)
+    return tuple(direct_sum_embed(spec, sample_ball_point(rng, 5)) for _ in range(2))
+
+
+def test_kobayashi_distance_makes_no_eigh_call_and_factors_blocks_of_at_most_20(monkeypatch):
+    # The g = 60 image splits into the exact diagonal blocks 15/20/15/10 of
+    # its factors, so no LAPACK kernel sees more than 20 x 20.
+    x, y = _g60_image_pair()
     expected = kobayashi_distance(x, y)
-    calls = []
-    eigh = np.linalg.eigh
+    orders = []
 
-    def counting(m, *args, **kwargs):
-        calls.append(m.shape)
-        return eigh(m, *args, **kwargs)
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            orders.extend(max(a.shape[-2:]) for a in args if isinstance(a, np.ndarray) and a.ndim >= 2)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        return wrapped
+
+    for name in _LAPACK:
+        if hasattr(np.linalg, name):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    eigh_calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: eigh_calls.append(args))
     assert kobayashi_distance(x, y) == expected
-    assert calls == [(12, 12)] * 3
+    assert eigh_calls == []
+    assert orders and max(orders) == 20
+
+
+def _oracle_tanh(x, y):
+    """Largest singular value of y moved by the transvection taking x to 0."""
+    if isinstance(x, DomainPoint) and x.shape.kind is DomainKind.SIEGEL:
+        x, y = cayley_to_bounded(x), cayley_to_bounded(y)
+    if isinstance(x, DomainPoint) and x.shape.kind is DomainKind.TYPE_III:
+        x, y = (DomainPoint(type_i_shape(pt.shape.p, pt.shape.p), pt.z) for pt in (x, y))
+    moved = transvection_to_origin(x).apply(y.as_type_i() if isinstance(y, BallPoint) else y)
+    return float(singular_values(moved.z)[0])
+
+
+def _at_radius(z: np.ndarray, radius: float) -> np.ndarray:
+    return z * (radius / np.linalg.svd(z.reshape(z.shape[0], -1), compute_uv=False)[0])
+
+
+def _pair(kind: str, rng, cap: float):
+    """Two points of a kind, x at norm ``cap`` and y at a random norm below it."""
+    raw = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    radii = (cap, cap * (0.5 + 0.5 * rng.random()))
+    if kind == "ball":
+        return tuple(ball_point(_at_radius(r[:, :1], radius).reshape(-1)) for r, radius in zip(raw, radii))
+    if kind == "type_i":
+        return tuple(DomainPoint(type_i_shape(4, 3), _at_radius(r[:, :3], radius)) for r, radius in zip(raw, radii))
+    bounded = tuple(DomainPoint(type_iii_shape(4), _at_radius(r + r.T, radius)) for r, radius in zip(raw, radii))
+    if kind == "type_iii":
+        return bounded
+    return tuple(cayley_to_siegel(pt) for pt in bounded)
+
+
+# Both computations lose accuracy like eps / (1 - |x|^2) near the sphere.
+# Measured over these cases: |tanh d - oracle| * (1 - cap^2) <= 3.0e-16,
+# i.e. <= 1.6e-15 at cap 0.9, 1.1e-13 at 0.999, 1.1e-10 at 1 - 1e-6.
+# Against 40-digit references at 1 - 1e-6, the closed form on the ball is
+# within 2.5e-16 and the Cholesky kernel within 2.1e-11, the oracle
+# within 1.1e-10.
+def _oracle_bound(cap: float) -> float:
+    return 2e-15 / (1.0 - cap**2)
+
+
+@pytest.mark.parametrize("cap", [0.9, 0.999, 1 - 1e-6], ids=["0.9", "0.999", "1-1e-6"])
+@pytest.mark.parametrize("kind", ["ball", "type_i", "type_iii", "siegel"])
+def test_distance_matches_transvection_oracle(kind, cap):
+    rng = generator(23, 0)
+    for _ in range(10):
+        x, y = _pair(kind, rng, cap)
+        assert abs(np.tanh(kobayashi_distance(x, y)) - _oracle_tanh(x, y)) <= _oracle_bound(cap)
+
+
+def test_distance_on_block_diagonal_pairs_with_padding_and_a_zero_block():
+    # Blocks [0, 3) and [4, 7), a zero block at 3 and zero padding [7, 9):
+    # equal to the dense oracle, and to the largest per-block distance.
+    rng = generator(24, 0)
+    for _ in range(10):
+        x, y = (np.zeros((9, 9), dtype=complex) for _ in range(2))
+        parts = []
+        for start, stop in ((0, 3), (4, 7)):
+            a, b = (sample_type_iii(rng, stop - start, 0.99) for _ in range(2))
+            x[start:stop, start:stop], y[start:stop, start:stop] = a.z, b.z
+            parts.append(kobayashi_distance(a, b))
+        px, py = DomainPoint(type_iii_shape(9), x), DomainPoint(type_iii_shape(9), y)
+        d = kobayashi_distance(px, py)
+        assert abs(np.tanh(d) - _oracle_tanh(px, py)) <= _oracle_bound(0.99)
+        assert d == pytest.approx(max(parts), abs=1e-13)
+    # Square type I points need not be symmetric: an entry below the
+    # diagonal alone joins its row and column into one block.
+    for _ in range(10):
+        lower = []
+        for entries in (((0, 0), (2, 0), (2, 2), (3, 3)), ((1, 1), (2, 0), (3, 3))):
+            z = np.zeros((4, 4), dtype=complex)
+            for entry in entries:
+                z[entry] = complex(*rng.standard_normal(2))
+            lower.append(DomainPoint(type_i_shape(4, 4), _at_radius(z, 0.99 * rng.random())))
+        assert abs(np.tanh(kobayashi_distance(*lower)) - _oracle_tanh(*lower)) <= _oracle_bound(0.99)
+    origin = DomainPoint(type_iii_shape(9), np.zeros((9, 9)))
+    assert kobayashi_distance(origin, origin) == 0.0
+    assert kobayashi_distance(origin, py) == pytest.approx(np.arctanh(singular_values(py.z)[0]), abs=1e-14)
+    assert kobayashi_distance(py, origin) == pytest.approx(np.arctanh(singular_values(py.z)[0]), abs=1e-14)
+
+
+def test_stacked_distance_members_equal_their_batch_of_one():
+    rng = generator(25, 0)
+    images = _g60_image_pair() + _g60_image_pair()[::-1]
+    dense = [sample_type_iii(rng, 7) for _ in range(6)]
+    rectangular = [sample_type_i(rng, 3, 5) for _ in range(6)]
+    balls = [sample_ball_point(rng, 4) for _ in range(8)]
+    for points in (images, dense, rectangular, balls):
+        xs, ys = points[: len(points) // 2], points[len(points) // 2 :]
+        stacked = kobayashi_distance(xs, ys)
+        assert isinstance(stacked, np.ndarray)
+        assert stacked.tolist() == [kobayashi_distance(x, y) for x, y in zip(xs, ys)]
+
+
+def test_distance_exception_classes():
+    inside = DomainPoint(type_iii_shape(2), np.diag([0.5, 0.2]).astype(complex))
+    outside = DomainPoint(type_iii_shape(2), np.diag([1.5, 0.2]).astype(complex))
+    asymmetric = DomainPoint(type_iii_shape(2), np.array([[0.1, 0.3], [0.0, 0.1]], dtype=complex))
+    with pytest.raises(MembershipViolation, match="^transvection base must be an interior point: margin"):
+        kobayashi_distance(outside, inside)
+    with pytest.raises(MembershipViolation, match="^distance argument must be an interior point: margin"):
+        kobayashi_distance(inside, outside)
+    for pair in ((asymmetric, inside), (inside, asymmetric)):
+        with pytest.raises(MembershipViolation, match="not symmetric"):
+            kobayashi_distance(*pair)
+    with pytest.raises(MembershipViolation, match="^distance argument must be an interior point: margin"):
+        kobayashi_distance(ball_point([0.0]), ball_point([0.999999999999]))
+    with pytest.raises(ShapeMismatch):
+        kobayashi_distance(ball_point([0.1, 0.0]), inside)
+    with pytest.raises(ShapeMismatch):
+        kobayashi_distance(ball_point([0.1, 0.0]), ball_point([0.1]))
+    with pytest.raises(ShapeMismatch):
+        kobayashi_distance(inside, DomainPoint(type_i_shape(2, 2), inside.z))
+    # I - X*Y = diag(1.5e-10, 2 - 1.5e-10): each diagonal block alone is
+    # well conditioned, the whole matrix is not, and the whole is checked.
+    r = np.sqrt(1.0 - 1.5e-10)
+    for shape in (type_iii_shape(2), type_i_shape(2, 2)):
+        x, y = DomainPoint(shape, np.diag([r, r])), DomainPoint(shape, np.diag([r, -r]))
+        with pytest.raises(IllConditioned, match="^transvection denominator near singular: condition number exceeds"):
+            kobayashi_distance(x, y)
+    # A stack names its first failing pair.
+    with pytest.raises(MembershipViolation, match="^pair 1: transvection base"):
+        kobayashi_distance([inside, outside], [inside, inside])
+    with pytest.raises(MembershipViolation, match="^pair 1: distance argument"):
+        kobayashi_distance([inside, inside], [inside, outside])
+    with pytest.raises(ShapeMismatch):
+        kobayashi_distance([inside, inside], [inside])
+    with pytest.raises(ShapeMismatch):
+        kobayashi_distance([], [])
+    with pytest.raises(ShapeMismatch):
+        kobayashi_distance([inside, ball_point([0.1, 0.0])], [inside, inside])
 
 
 def test_distance_rejects_non_interior_or_asymmetric_first_argument():

@@ -232,6 +232,13 @@ def test_direct_sum_zero_point():
     assert max_abs(direct_sum_embed(spec, _zero_point(2)).z) == 0.0
 
 
+def test_direct_sum_image_is_frozen_and_kept_without_a_copy():
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 4)
+    image = direct_sum_embed(spec, ball_point([0.3, 0.4]))
+    assert not image.z.flags.writeable and image.z.flags.owndata
+    assert DomainPoint(image.shape, image.z).z is image.z
+
+
 def test_direct_sum_single_connecting_factor_matches_block_display():
     spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
     image = direct_sum_embed(spec, ball_point([0.3, 0.4]))

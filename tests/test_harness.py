@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from siegelmaps import (
     FactorSpec,
     direct_sum_embed,
     exterior_power_embed,
+    kobayashi_distance,
     linearize,
+    membership,
+    retract_direct_sum,
     singular_values,
 )
 from siegelmaps import exterior, harness
@@ -110,7 +115,51 @@ def _loop_equivariance(spec, config):
     )
 
 
-_LOOPS = {"symmetry": _loop_symmetry, "linearity": _loop_linearity, "equivariance": _loop_equivariance}
+def _loop_membership(spec, config):
+    rng, tol = _rng(config, "membership"), config.tol
+    violations, min_margin, worst_input = 0, np.inf, None
+    for _ in range(config.samples):
+        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
+        image = direct_sum_embed(spec, z, tol)
+        result = membership(image, tol)
+        back_margin = 1.0 - retract_direct_sum(image, spec, tol, verify=False).norm ** 2
+        margin = min(result.margin, back_margin)
+        if not result or back_margin <= tol.psd_margin:
+            violations += 1
+        if margin < min_margin:
+            min_margin, worst_input = margin, z
+    return SuiteResult(
+        "membership",
+        violations == 0,
+        config.samples,
+        max(0.0, tol.psd_margin - float(min_margin)),
+        harness._ball_json(worst_input),
+        detail=f"violations={violations}, min_margin={min_margin!r}",
+    )
+
+
+def _loop_isometry(spec, config):
+    rng, tol = _rng(config, "isometry"), config.tol
+    worst, worst_input = -1.0, None
+    for _ in range(config.samples):
+        x = sample_ball_point(rng, spec.source_dim, config.radius_cap)
+        y = sample_ball_point(rng, spec.source_dim, config.radius_cap)
+        ex, ey = direct_sum_embed(spec, x, tol), direct_sum_embed(spec, y, tol)
+        rx, ry = (retract_direct_sum(e, spec, tol, verify=False) for e in (ex, ey))
+        source = kobayashi_distance(x, y, tol)
+        gap = max(abs(source - kobayashi_distance(ex, ey, tol)), abs(source - kobayashi_distance(rx, ry, tol)))
+        if gap > worst:
+            worst, worst_input = gap, {"x": harness._ball_json(x), "y": harness._ball_json(y)}
+    return SuiteResult("isometry", worst <= 10.0 * tol.eq_tol, config.samples, worst, worst_input)
+
+
+_LOOPS = {
+    "symmetry": _loop_symmetry,
+    "linearity": _loop_linearity,
+    "equivariance": _loop_equivariance,
+    "membership": _loop_membership,
+    "isometry": _loop_isometry,
+}
 
 
 @pytest.mark.parametrize("suite", sorted(_LOOPS))
@@ -120,10 +169,18 @@ _LOOPS = {"symmetry": _loop_symmetry, "linearity": _loop_linearity, "equivarianc
     ids=["N2-s20", "N2-s1", "g60-s8", "g60-s40"],
 )
 def test_stacked_suite_equals_per_sample_loop(suite, spec, seed, samples):
-    # At g = 60, 40 samples span several slices of the stacked evaluation.
+    # At g = 60, 40 samples span several slices of the stacked evaluation
+    # (8 samples do too for the membership and isometry suites).
     config = HarnessConfig(seed=seed, samples=samples)
     stacked = harness.run_suite(suite, spec, config)
-    assert stacked == _LOOPS[suite](spec, config)
+    loop = _LOOPS[suite](spec, config)
+    if suite == "membership":
+        # The suite measures the images' diagonal blocks, membership() the
+        # whole image: the smallest eigenvalue agrees to round-off.
+        stacked_margin, loop_margin = (float(r.detail.split("min_margin=")[1]) for r in (stacked, loop))
+        assert stacked_margin == pytest.approx(loop_margin, abs=1e-14)
+        loop = dataclasses.replace(loop, detail=stacked.detail)
+    assert stacked == loop
     assert stacked.passed
 
 

@@ -47,6 +47,43 @@ def test_as_complex_matrix_rejects_bad_input():
     assert out.dtype == np.complex128 and not out.flags.writeable
 
 
+def test_as_complex_matrix_keeps_only_frozen_owned_arrays():
+    frozen = np.arange(6, dtype=np.complex128).reshape(2, 3).copy()
+    frozen.setflags(write=False)
+    assert as_complex_matrix(frozen, rows=2, cols=3) is frozen
+    with pytest.raises(DimensionMismatch):
+        as_complex_matrix(frozen, rows=3)
+    # Writable, a contiguous view, another dtype or Fortran order: copied and frozen.
+    writable = np.arange(6, dtype=np.complex128).reshape(2, 3).copy()
+    for data in (writable, frozen[:1], writable.real, np.asfortranarray(writable)):
+        out = as_complex_matrix(data)
+        assert out is not data and not np.shares_memory(out, data)
+        assert not out.flags.writeable and np.array_equal(out, data)
+    writable[0, 0] = 7.0
+    assert out[0, 0] == 0.0
+    # Frozen or not, non-finite input is rejected.
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        m = np.zeros((2, 2), dtype=np.complex128)
+        m[1, 0] = bad
+        with pytest.raises(DimensionMismatch, match="finite"):
+            as_complex_matrix(m)
+        m.setflags(write=False)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            as_complex_matrix(m)
+
+
+def test_hermitian_eigenvalues_stack_equals_members():
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    stack = raw @ raw.conj().swapaxes(-1, -2)
+    values = hermitian_eigenvalues(stack)
+    for member, expected in zip(stack, values):
+        assert np.array_equal(hermitian_eigenvalues(member), expected)
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian, match="^matrix 2: "):
+        hermitian_eigenvalues(stack)
+
+
 def test_hermitian_eigenvalues_identity():
     assert np.allclose(hermitian_eigenvalues(np.eye(2, dtype=complex)), [1.0, 1.0])
 
