@@ -54,12 +54,10 @@ from .exterior import (
     conjugation_twice_unit,
     conjugation_unit,
     induced_form,
-    induced_form_decomposable,
     multi_indices,
     perm_sign,
     signature,
     wedge_basis,
-    wedge_coefficients,
 )
 from .harness import run_suite, run_verification
 from .linalg import (
@@ -120,7 +118,6 @@ __all__ = [
     "factor_form",
     "hermitian_eigenvalues",
     "induced_form",
-    "induced_form_decomposable",
     "isometry_sandwich",
     "kobayashi_distance",
     "linearize",
@@ -140,5 +137,4 @@ __all__ = [
     "type_i_shape",
     "type_iii_shape",
     "wedge_basis",
-    "wedge_coefficients",
 ]

@@ -45,6 +45,7 @@ from .linalg import (
     _ill_conditioned,
     _inverse_sqrt_from,
     _residuals,
+    _solve_conditioned,
     _solve_unchecked,
     as_complex_matrix,
     hermitian_eigensystem,
@@ -279,10 +280,12 @@ def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Do
     g = pt.shape.p
     eye = np.eye(g, dtype=np.complex128)
     denom = pt.z + 1j * eye
+    # One SVD of the denominator serves both the singularity test and the
+    # condition test of solve_right.
     sv = singular_values(denom)
     if sv[-1] <= tol.psd_margin * sv[0]:
         raise SingularCayley("Z + iI is numerically singular")
-    w = solve_right(pt.z - 1j * eye, denom, tol)
+    w = _solve_conditioned(pt.z - 1j * eye, denom, sv, tol)
     return DomainPoint(type_iii_shape(g), w)
 
 
@@ -298,7 +301,7 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
     if sv[-1] <= tol.psd_margin * sv[0]:
         raise SingularCayley("I - W is numerically singular")
     # (I + W)(I - W)^-1 commutes, so left/right placement agree.
-    z = 1j * solve_right(eye + pt.z, denom, tol)
+    z = 1j * _solve_conditioned(eye + pt.z, denom, sv, tol)
     return DomainPoint(siegel_shape(g), z)
 
 

@@ -23,10 +23,12 @@ and :func:`direct_sum_embed` and the retractions apply only them.  The
 constructions below are kept as the oracle: :func:`linearize` and the
 linearity suite evaluate them at sampled points and compare them with the
 whole g x g image of :func:`direct_sum_embed`.  The oracle evaluates a
-stack of points at once: batched determinants for the wedge minors of
-each degree and one stacked solve per factor.  :func:`exterior_power_embed`
-and :func:`factor_block` are its one-point wrappers, and a stacked block
-has the bits of the same point evaluated alone.
+stack of points at once: a vectorized Laplace recursion for the wedge
+minors of each degree (see :func:`_wedge_coefficients`) and one stacked
+solve per factor.  :func:`exterior_power_embed` and :func:`factor_block`
+are its one-point wrappers, and a stacked block has the bits of the same
+point evaluated alone.  :func:`direct_sum_embed` also takes a stack of
+points, with the same bits per member.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -42,8 +44,10 @@ normalized matrix symmetric.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -74,7 +78,7 @@ from .exterior import (
     signature,
     wedge_basis,
 )
-from .linalg import DEFAULT_TOLERANCE, Tolerance, max_abs, solve_right
+from .linalg import DEFAULT_TOLERANCE, Tolerance, solve_right
 from .sampling import generator
 
 __all__ = [
@@ -101,10 +105,11 @@ LINEARIZATION_PROBE = 0.25
 _CHECK_POINTS = 50
 
 # Entries (256 KiB of complex128) of the largest arrays the oracle builds
-# for a stack of points: the m x m minors of the wedge kernel, and the
-# factor blocks compared with the compiled map.  Longer stacks are taken a
-# slice of points at a time, so these arrays do not grow with the number
-# of points while the per-call cost is still shared by many of them.
+# for a stack of points: the products of the Laplace recursion's widest
+# step, the factor blocks, and the g x g images compared with them.
+# Longer stacks are taken a slice of points at a time, so these arrays do
+# not grow with the number of points while the per-call cost is still
+# shared by many of them.
 _STACK_ENTRIES = 1 << 14
 
 
@@ -271,14 +276,35 @@ def _symmetric_reindex(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _wedge_plan(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _wedge_plan(p: int, m: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Index plan for the wedge expansion: 0-based positive-basis columns
-    per degree-(m-1) subset, and basis-ordered row subsets for minors."""
+    per degree-(m-1) subset; the position of each ``_row_selector`` row
+    subset among the lexicographic m-subsets of the p + 1 rows; and the
+    entries, per point, of the largest array the Laplace recursion builds."""
     subsets = multi_indices(p, m - 1) if m > 1 else ((),)
     sub_idx = np.array([[i - 1 for i in sub] for sub in subsets], dtype=np.intp).reshape(
         len(subsets), m - 1
     )
-    return sub_idx, _row_selector(p, m)
+    lexicographic = {rows: i for i, rows in enumerate(itertools.combinations(range(p + 1), m))}
+    order = np.array([lexicographic[tuple(rows)] for rows in _row_selector(p, m).tolist()], dtype=np.intp)
+    largest = max(len(subsets) * comb(p + 1, k) * k for k in range(1, m + 1))
+    return sub_idx, order, largest
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expansion of the k x k minors of an n-row column stack along its
+    k-th column.  For each k-subset R of the rows, in lexicographic order,
+    and each position t in R: the row R_t, the lexicographic position of
+    the (k-1)-subset R minus R_t, and the cofactor sign (-1)^(t+k-1)."""
+    lower = {rows: i for i, rows in enumerate(itertools.combinations(range(n), k - 1))}
+    subsets = list(itertools.combinations(range(n), k))
+    rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+    minors = np.array(
+        [[lower[subset[:t] + subset[t + 1 :]] for t in range(k)] for subset in subsets], dtype=np.intp
+    ).reshape(len(subsets), k)
+    signs = np.array([(-1.0) ** (t + k - 1) for t in range(k)])
+    return rows, minors, signs
 
 
 def _point_slices(count: int, entries_per_point: int) -> list[slice]:
@@ -296,25 +322,32 @@ def _block_entries(spec: EmbeddingSpec) -> int:
 
 def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
     """Wedge coordinates of the negative-subspace basis at every row of a
-    (B, p) coordinate stack, shape (B, C(p+1, m), s): batched determinants
-    of all the m x m minors."""
-    count, p = coords.shape
-    _, s = signature(p, m)
-    v = np.concatenate([coords, np.ones((count, 1), dtype=np.complex128)], axis=1)
-    plus = np.zeros((count, p + 1, p), dtype=np.complex128)
-    plus[:, :p, :p] = np.eye(p)
-    plus[:, p, :] = np.conj(coords)
+    (B, p) coordinate stack, shape (B, C(p+1, m), s), in basis order.
 
-    # One column stack per point and degree-(m-1) subset of the positive
-    # basis, wedged with v; coefficients are the m x m minors over basis rows.
-    sub_idx, rows = _wedge_plan(p, m)
-    coeffs = np.empty((count, len(rows), s), dtype=np.complex128)
-    for part in _point_slices(count, s * len(rows) * m * m):
-        stacks = np.empty((len(coords[part]), s, p + 1, m), dtype=np.complex128)
-        if m > 1:
-            stacks[..., : m - 1] = plus[part][:, :, sub_idx].transpose(0, 2, 1, 3)
-        stacks[..., m - 1] = v[part, np.newaxis, :]
-        coeffs[part] = np.linalg.det(stacks[:, :, rows, :]).swapaxes(1, 2)
+    Each of the s basis vectors wedges the positive vectors b_i of one
+    degree-(m-1) subset, left to right, with v.  Its coordinates are the
+    m x m minors of that (p+1) x m column stack, built by the Laplace
+    recursion: the k x k minors of the first k columns, for every k-subset
+    of rows, are the expansion along column k of the (k-1) x (k-1) minors
+    of the first k - 1 columns."""
+    count, p = coords.shape
+    sub_idx, order, largest = _wedge_plan(p, m)
+    # Row i of plus is b_i = e_i + conj(z_i) e_{p+1}.
+    plus = np.zeros((count, p, p + 1), dtype=np.complex128)
+    plus[:, :, :p] = np.eye(p)
+    plus[:, :, p] = np.conj(coords)
+    v = np.concatenate([coords, np.ones((count, 1), dtype=np.complex128)], axis=1)[:, np.newaxis, :]
+    coeffs = np.empty((count, len(order), len(sub_idx)), dtype=np.complex128)
+    for part in _point_slices(count, largest):
+        # Column k of every stack as a (b, s, p + 1) or, for v, (b, 1, p + 1) array.
+        columns = [plus[part][:, sub_idx[:, k], :] for k in range(m - 1)] + [v[part]]
+        minors = columns[0]
+        for k, column in enumerate(columns[1:], 2):
+            rows, lower, signs = _laplace_plan(p + 1, k)
+            terms = column[..., rows] * minors[..., lower]
+            terms *= signs
+            minors = terms.sum(axis=-1)
+        coeffs[part] = minors[..., order].swapaxes(1, 2)
     return coeffs
 
 
@@ -428,37 +461,65 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
     return matrix, pseudo
 
 
-def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
+def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE):
     """Evaluate the embedding: each factor's compiled block ``A_f z`` on the
-    diagonal, zero padding."""
-    if z.n != spec.source_dim:
-        raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
-    _require_interior_ball(z, tol, "embedding input")
+    diagonal, zero padding.
+
+    ``z`` is a ball point, and the image a :class:`DomainPoint` of III_g.
+    It may also be a sequence of B ball points: the images then come back
+    as one read-only (B, g, g) array, each member with the bits of its
+    point embedded alone.  An input on or outside the sphere raises; in a
+    sequence the error names the member by its index."""
     g = spec.target_g
-    out = np.zeros((g, g), dtype=np.complex128)
+    if isinstance(z, BallPoint):
+        if z.n != spec.source_dim:
+            raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
+        _require_interior_ball(z, tol, "embedding input")
+        # Its own loop, not a batch of one: the stacked form's set-up is a
+        # large share of a one-point call.
+        out = np.zeros((g, g), dtype=np.complex128)
+        for factor, start, stop in block_layout(spec):
+            matrix, _ = factor_form(factor)
+            out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
+        # Frozen, so the point keeps it without a copy.
+        out.setflags(write=False)
+        return DomainPoint(type_iii_shape(g), out)
+    points = list(z)
+    for i, point in enumerate(points):
+        if point.n != spec.source_dim:
+            raise SpecMismatch(f"embedding input {i}: spec expects ball dimension {spec.source_dim}, got {point.n}")
+        _require_interior_ball(point, tol, f"embedding input {i}")
+    coords = np.array([point.coords for point in points], dtype=np.complex128).reshape(len(points), spec.source_dim)
+    out = np.zeros((len(points), g, g), dtype=np.complex128)
     for factor, start, stop in block_layout(spec):
         matrix, _ = factor_form(factor)
-        out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
-    # Frozen, so the point keeps it without a copy.
+        # One matrix-vector product per member, the same as A_f @ z: the
+        # matrix product C @ A_f^T rounds the signs of zeros differently.
+        blocks = (matrix @ coords[..., np.newaxis])[..., 0]
+        out[:, start:stop, start:stop] = blocks.reshape(-1, stop - start, stop - start)
     out.setflags(write=False)
-    return DomainPoint(type_iii_shape(g), out)
+    return out
 
 
-def _oracle_residuals(spec: EmbeddingSpec, points, tol: Tolerance) -> list[float]:
-    """Per point, ``max|reference - direct_sum_embed(spec, z).z|`` over the
-    g x g target, where the reference holds the factor constructions on
-    its diagonal blocks and zeros elsewhere: the oracle the compiled map is
-    checked against, padding and entries between the blocks included."""
+def _oracle_residuals(spec: EmbeddingSpec, points, tol: Tolerance) -> np.ndarray:
+    """Per point, ``max|reference - image|`` over the g x g target, where
+    the images come from the stacked :func:`direct_sum_embed` and the
+    reference holds the factor constructions on its diagonal blocks and
+    zeros elsewhere: the oracle the compiled map is checked against,
+    padding and entries between the blocks included.  The constructions
+    are evaluated a slice of points at a time, and the images a sub-slice
+    of g x g matrices at a time."""
     g = spec.target_g
     layout = block_layout(spec)
-    reference = np.zeros((g, g), dtype=np.complex128)
-    residuals = []
+    residuals = np.empty(len(points))
     for part in _point_slices(len(points), _block_entries(spec)):
         blocks = _factor_blocks(spec.factors, _stack_points(points[part], spec.source_dim, tol), tol)
-        for i, z in enumerate(points[part]):
+        for sub in _point_slices(len(blocks[0]), g * g):
+            # |image - reference| has the bits of |reference - image|.
+            difference = np.array(direct_sum_embed(spec, points[part][sub], tol))
             for (_, start, stop), block in zip(layout, blocks):
-                reference[start:stop, start:stop] = block[i]
-            residuals.append(max_abs(reference - direct_sum_embed(spec, z, tol).z))
+                difference[:, start:stop, start:stop] -= block[sub]
+            residuals[part][sub] = np.abs(difference).max(axis=(1, 2))
     return residuals
 
 
@@ -480,9 +541,10 @@ def linearize(spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, seed: int
         direction /= np.linalg.norm(direction)
         points.append(BallPoint(direction * (0.95 * rng.random())))
     residuals = _oracle_residuals(spec, points, tol)
-    worst = max(residuals)
+    i = int(np.argmax(residuals))
+    worst = float(residuals[i])
     if worst > tol.eq_tol:
-        worst_z = points[residuals.index(worst)]
+        worst_z = points[i]
         raise NonlinearityDetected(
             f"embedding deviates from its linearization by {worst:.3e} > {tol.eq_tol:.3e} "
             f"at z={np.array2string(worst_z.coords, precision=6)}"

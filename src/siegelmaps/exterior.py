@@ -9,7 +9,10 @@ conjugate-linear in the first argument.  Degree-m wedge products are
 expanded over the basis ``e_M = e_{i_1} ^ ... ^ e_{i_m}`` indexed by
 strictly increasing multi-indices M in {1..p+1}.  The induced pairing on
 the power is diagonal on this basis: +1 when p+1 is not in M, -1 when it
-is, giving signature (C(p, m), C(p, m-1)).
+is, giving signature (C(p, m), C(p, m-1)).  The coordinates of a wedge
+of m column vectors are its m x m minors over the rows of each M; the
+embeddings' oracle computes them with a Laplace recursion over the
+columns, without LAPACK determinants.
 
 The coordinate convention used throughout the package lists the +1 basis
 vectors first and the -1 vectors second, each block in lexicographic
@@ -43,14 +46,11 @@ __all__ = [
     "complement",
     "conjugation_unit",
     "conjugation_twice_unit",
-    "hermitian_pairing",
     "induced_form",
-    "induced_form_decomposable",
     "multi_indices",
     "perm_sign",
     "signature",
     "wedge_basis",
-    "wedge_coefficients",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -185,37 +185,11 @@ def _row_selector(p: int, m: int) -> np.ndarray:
     return np.array([[i - 1 for i in M] for M in basis.ordered], dtype=np.intp)
 
 
-def wedge_coefficients(columns: np.ndarray, basis: WedgeBasis) -> np.ndarray:
-    """Coordinates of the wedge of the given column vectors.
-
-    ``columns`` is a (p+1) x m matrix whose columns are wedged left to
-    right; the result holds the m x m minors det(columns[M, :]) in basis
-    order.
-    """
-    columns = np.asarray(columns, dtype=np.complex128)
-    if columns.shape != (basis.p + 1, basis.m):
-        raise DimensionMismatch(
-            f"expected a {basis.p + 1}x{basis.m} column stack, got {columns.shape}"
-        )
-    rows = _row_selector(basis.p, basis.m)
-    return np.linalg.det(columns[rows, :])
-
-
-def hermitian_pairing(x, y, p: int) -> complex:
-    """Signature-(p, 1) pairing on C^(p+1), conjugate-linear in x."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if x.size != p + 1 or y.size != p + 1:
-        raise DimensionMismatch(f"vectors must have length {p + 1}")
-    return complex(np.vdot(x[:p], y[:p]) - np.conj(x[p]) * y[p])
-
-
 def induced_form(p: int, m: int, x, y) -> complex | np.ndarray:
     """Induced pairing of two degree-m coefficient vectors in basis order.
 
-    Sesquilinear extension of the diagonal +1/-1 values; equals the
-    determinant of base pairings on decomposable arguments (see
-    :func:`induced_form_decomposable`, kept as an independent route).
+    Sesquilinear extension of the diagonal +1/-1 values; on decomposable
+    arguments it equals the determinant of the base pairings.
     Two ``(k, size)`` stacks of vectors pair row by row and give a length-k
     array.
     """
@@ -232,20 +206,3 @@ def induced_form(p: int, m: int, x, y) -> complex | np.ndarray:
     if x.size != basis.size or y.size != basis.size:
         raise DimensionMismatch(f"coefficient vectors must have length {basis.size}")
     return complex(np.sum(np.conj(x) * basis.diagonal() * y))
-
-
-def induced_form_decomposable(xs: np.ndarray, ys: np.ndarray, p: int) -> complex:
-    """Pairing of decomposables x_1 ^ ... ^ x_m and y_1 ^ ... ^ y_m.
-
-    Evaluates det(F(x_i, y_j)) directly from the base pairing.
-    """
-    xs = np.asarray(xs, dtype=np.complex128)
-    ys = np.asarray(ys, dtype=np.complex128)
-    if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[0] != p + 1:
-        raise DimensionMismatch(f"expected matching (p+1) x m column stacks, got {xs.shape} and {ys.shape}")
-    m = xs.shape[1]
-    gram = np.empty((m, m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = hermitian_pairing(xs[:, i], ys[:, j], p)
-    return complex(np.linalg.det(gram))

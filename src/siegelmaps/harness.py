@@ -5,18 +5,20 @@ derived from the configured seed, evaluates one family of claims about an
 embedding spec, and reports the worst residual together with the sample
 that produced it (serialized so it can be replayed through the CLI).
 Suites run in canonical order and reduce deterministically: ties on the
-maximum residual keep the earliest sample (``max`` and ``list.index``
-both keep the first; the membership suite keeps the earliest minimum
-margin).  The linearity, symmetry, equivariance, membership and isometry
-suites draw all their samples first, in the same stream order, and
-evaluate them on slices of a few hundred KiB: one wedge kernel call per
-slice for all factors, one eigensolve per slice for the image margins,
-and one stacked distance call per slice for each side of the isometry
-sandwich.  The retraction suite runs sample by sample.  A suite that
-raises a package error becomes a failed result that names the error.
+maximum residual keep the earliest sample (``argmax``, ``max`` and
+``list.index`` all keep the first; the membership suite keeps the
+earliest minimum margin).  The six sampled suites draw all their samples
+first, in the same stream order, and evaluate them on slices of a few
+hundred KiB: one stacked embed and retract per slice, one wedge kernel
+call per slice for all factors, one eigensolve per slice for the image
+margins, and one stacked distance call per slice for each side of the
+isometry sandwich.  A suite that raises a package error becomes a failed
+result that names the error.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .exterior import (
     signature,
     wedge_basis,
 )
-from .linalg import max_abs, singular_values
+from .linalg import singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
 from .retractions import _sandwich_stack, retract_direct_sum
 from .sampling import generator, sample_ball_point, sample_phases
@@ -70,20 +72,19 @@ def _format_unit(value: complex) -> str:
 def _suite_retraction(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["retraction"])
     tol = config.tol
-    worst, worst_input = -1.0, None
-    for _ in range(config.samples):
-        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
-        image = direct_sum_embed(spec, z, tol)
-        back = retract_direct_sum(image, spec, tol, verify=False)
-        residual = max_abs(back.coords - z.coords)
-        if residual > worst:
-            worst, worst_input = residual, z
+    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    residuals = np.empty(config.samples)
+    for part in _point_slices(config.samples, spec.target_g**2):
+        back = retract_direct_sum(direct_sum_embed(spec, points[part], tol), spec, tol, verify=False)
+        residuals[part] = np.abs(back - [z.coords for z in points[part]]).max(axis=1)
+    i = int(np.argmax(residuals))
+    worst = float(residuals[i])
     return SuiteResult(
         "retraction",
         worst <= 10.0 * tol.eq_tol,
         config.samples,
         worst,
-        _ball_json(worst_input),
+        _ball_json(points[i]),
     )
 
 
@@ -93,15 +94,16 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
     margins, inside = [], []
     for part in _point_slices(len(points), spec.target_g**2):
-        images = [direct_sum_embed(spec, z, tol) for z in points[part]]
+        images = direct_sum_embed(spec, points[part], tol)
         # The test of membership() on the images' exact diagonal blocks, one
         # eigensolve for the slice.
-        (blocks,) = _diagonal_blocks([image.z for image in images])
+        (blocks,) = _diagonal_blocks(images)
         image_margins = _block_margins(blocks, tol)
         symmetric = _asymmetries(blocks).max(axis=1, initial=0.0) <= tol.eq_tol
-        for image, image_margin, image_symmetric in zip(images, image_margins.tolist(), symmetric):
-            back = retract_direct_sum(image, spec, tol, verify=False)
-            back_margin = 1.0 - back.norm**2
+        backs = retract_direct_sum(images, spec, tol, verify=False)
+        for back, image_margin, image_symmetric in zip(backs, image_margins.tolist(), symmetric):
+            # The norm of BallPoint, with its bits.
+            back_margin = 1.0 - float(np.linalg.norm(back)) ** 2
             margins.append(min(image_margin, back_margin))
             inside.append(image_symmetric and image_margin > tol.psd_margin and back_margin > tol.psd_margin)
     min_margin = min(margins)
@@ -159,19 +161,16 @@ def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     tol = config.tol
     models = sorted({f.wedge_model for f in spec.factors if f.wedge_model and f.wedge_model[1]})
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
-    residuals = []
-    for z in points:
-        image = direct_sum_embed(spec, z, tol)
-        residuals.append(max_abs(image.z - image.z.T))
+    residuals = np.empty(config.samples)
+    for part in _point_slices(config.samples, spec.target_g**2):
+        residuals[part] = _asymmetries(direct_sum_embed(spec, points[part], tol))
     coords = _stack_points(points, spec.source_dim, tol)
-    for part in _point_slices(len(points), _block_entries(spec)):
+    for part in _point_slices(config.samples, _block_entries(spec)):
         for blocks in _wedge_blocks(coords[part], models, tol):
-            for i, block in enumerate(blocks, part.start):
-                residuals[i] = max(residuals[i], max_abs(block - block.T))
-    worst = max(residuals)
-    return SuiteResult(
-        "symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(points[residuals.index(worst)])
-    )
+            np.maximum(residuals[part], _asymmetries(blocks), out=residuals[part])
+    i = int(np.argmax(residuals))
+    worst = float(residuals[i])
+    return SuiteResult("symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(points[i]))
 
 
 def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
@@ -187,35 +186,54 @@ def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     # The images of the compiled map against the factor constructions:
     # checking the compiled map against its own matrices would check nothing.
     residuals = _oracle_residuals(spec, points, tol)
-    worst = max(residuals)
+    i = int(np.argmax(residuals))
+    worst = float(residuals[i])
     passed = worst <= tol.eq_tol and rank == spec.source_dim
     return SuiteResult(
         "linearity",
         passed,
         config.samples,
         worst,
-        _ball_json(points[residuals.index(worst)]),
+        _ball_json(points[i]),
         detail=f"rank={rank}, expected={spec.source_dim}",
     )
 
 
-def _induced_phases(p: int, m: int, symmetric: bool, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row and per-column phases matching a diagonal phase action on z."""
+@lru_cache(maxsize=None)
+def _phase_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based source indices of the positive and of the negative wedge
+    basis multi-indices, in basis order, with the index p + 1 dropped."""
     basis = wedge_basis(p, m)
+    positives = np.array(basis.positives, dtype=np.intp).reshape(len(basis.positives), m) - 1
+    negatives = np.array([neg[:-1] for neg in basis.negatives], dtype=np.intp)
+    return positives, negatives.reshape(len(basis.negatives), m - 1) - 1
 
-    def content_product(indices) -> complex:
-        out = 1.0 + 0.0j
-        for i in indices:
-            if i <= p:
-                out *= theta[i - 1]
-        return out
 
-    col_phases = np.array([content_product(neg) for neg in basis.negatives])
+def _content_products(theta: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row of an index table, the product of the phases it indexes,
+    multiplied from 1 left to right, for a (..., p) phase stack.  Each
+    product is spelled out in real arithmetic, (a + bi)(c + di) =
+    (ac - bd) + (ad + bc)i, which has the bits of a scalar complex product;
+    numpy's complex array multiply may round differently."""
+    shape = theta.shape[:-1] + (len(table),)
+    real, imag = np.ones(shape), np.zeros(shape)
+    for column in table.T:
+        c, d = theta[..., column].real, theta[..., column].imag
+        real, imag = real * c - imag * d, real * d + imag * c
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _induced_phases(p: int, m: int, symmetric: bool, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row and per-column phases matching a diagonal phase action on z,
+    for a (p,) phase vector or for each row of a (B, p) stack."""
+    positives, negatives = _phase_tables(p, m)
+    col_phases = _content_products(theta, negatives)
     if symmetric:
-        full = np.prod(theta)
-        row_phases = np.array([full / content_product(neg) for neg in basis.negatives])
+        row_phases = np.prod(theta, axis=-1, keepdims=True) / col_phases
     else:
-        row_phases = np.array([content_product(pos) for pos in basis.positives])
+        row_phases = _content_products(theta, positives)
     return row_phases, col_phases
 
 
@@ -231,24 +249,24 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
         phases.append(sample_phases(rng, spec.source_dim))
     base_coords = _stack_points(points, spec.source_dim, tol)
     moved_coords = _stack_points([BallPoint(t * z.coords) for z, t in zip(points, phases)], spec.source_dim, tol)
-    residuals = [0.0] * config.samples
+    phases = np.stack(phases)
+    residuals = np.zeros(config.samples)
     for part in _point_slices(config.samples, 2 * _block_entries(spec)):
         # Base and rotated points of the slice in one stack.
         stack = np.concatenate([base_coords[part], moved_coords[part]])
         count = len(stack) // 2
         for (m, symmetric), blocks in zip(models, _wedge_blocks(stack, models, tol)):
-            for j, theta in enumerate(phases[part]):
-                row_phases, col_phases = _induced_phases(spec.source_dim, m, symmetric, theta)
-                expected = row_phases[:, np.newaxis] * blocks[j] * np.conj(col_phases)[np.newaxis, :]
-                i = part.start + j
-                residuals[i] = max(residuals[i], max_abs(blocks[count + j] - expected))
-    worst = max(residuals)
+            row_phases, col_phases = _induced_phases(spec.source_dim, m, symmetric, phases[part])
+            expected = row_phases[:, :, np.newaxis] * blocks[:count] * np.conj(col_phases)[:, np.newaxis, :]
+            np.maximum(residuals[part], np.abs(blocks[count:] - expected).max(axis=(1, 2)), out=residuals[part])
+    i = int(np.argmax(residuals))
+    worst = float(residuals[i])
     return SuiteResult(
         "equivariance",
         worst <= 10.0 * tol.eq_tol,
         config.samples,
         worst,
-        _ball_json(points[residuals.index(worst)]),
+        _ball_json(points[i]),
     )
 
 

@@ -183,11 +183,17 @@ def solve_right(
         raise DimensionMismatch(f"right-hand factor must be square, got shape {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.ndim != b.ndim or a.shape[-1] != b.shape[-2]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    batch = b.shape[:-2]
     try:
         sv = np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"SVD failed: {exc}") from exc
+    return _solve_conditioned(a, b, sv, tol)
+
+
+def _solve_conditioned(a: np.ndarray, b: np.ndarray, sv: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The checks and solve of :func:`solve_right`, given the singular
+    values ``sv`` of ``b``, for callers that already hold them."""
+    batch = b.shape[:-2]
     bad = _ill_conditioned(sv[..., 0], sv[..., -1], tol)
     if bad.any():
         label = _stack_label(int(np.argmax(bad.reshape(-1))), batch)

@@ -24,8 +24,11 @@ from .domains import (
     BallPoint,
     DomainKind,
     DomainPoint,
+    _ball_distances,
+    _matrix_distances,
     _require_interior,
     kobayashi_distance,
+    type_iii_shape,
 )
 from .embeddings import (
     LINEARIZATION_PROBE,
@@ -85,32 +88,60 @@ def retract_axis_averaging(
     return BallPoint(coords)
 
 
-def retract_direct_sum(
-    y: DomainPoint, spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
-) -> BallPoint:
+def retract_direct_sum(y, spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True):
     """Left inverse of the direct-sum embedding.
 
     Applies each factor's ``P_f`` to its flattened diagonal block and
     averages the resulting ball points with equal weights; convexity of
     the ball keeps the average interior.  Raises :class:`IllConditioned`
     when a block retracts outside the ball, which no interior input does.
+
+    ``y`` is a type III point, and the result a :class:`BallPoint`.  It may
+    also be a (B, g, g) array, such as the stacked images of
+    :func:`direct_sum_embed`: the source coordinates then come back as one
+    (B, N) array, each member with the bits of its matrix retracted alone,
+    and an error names the failing member by its index.
     """
-    if y.shape.kind is not DomainKind.TYPE_III or y.shape.p != spec.target_g:
-        raise SpecMismatch(
-            f"expected a type III point of size {spec.target_g}, got {y.shape.kind.value} {y.shape.p}"
-        )
-    if verify:
-        _require_interior(y, tol, "direct-sum retraction input")
-    total = np.zeros(spec.source_dim, dtype=np.complex128)
+    g = spec.target_g
     layout = block_layout(spec)
+    if isinstance(y, DomainPoint):
+        if y.shape.kind is not DomainKind.TYPE_III or y.shape.p != g:
+            raise SpecMismatch(
+                f"expected a type III point of size {g}, got {y.shape.kind.value} {y.shape.p}"
+            )
+        if verify:
+            _require_interior(y, tol, "direct-sum retraction input")
+        # Its own loop, not a batch of one: the stacked form's set-up is a
+        # large share of a one-point call.
+        total = np.zeros(spec.source_dim, dtype=np.complex128)
+        for factor, start, stop in layout:
+            _, pseudo = factor_form(factor)
+            coords = pseudo @ y.z[start:stop, start:stop].reshape(-1)
+            norm = float(np.linalg.norm(coords))
+            if norm >= 1.0:
+                raise IllConditioned(f"{factor.kind.value} block retracts to norm {norm:.6f} >= 1")
+            total += coords
+        return BallPoint(total / len(layout))
+    images = np.asarray(y, dtype=np.complex128)
+    if images.ndim != 3 or images.shape[1:] != (g, g):
+        raise SpecMismatch(f"expected a (B, {g}, {g}) stack, got shape {images.shape}")
+    if verify:
+        for i, image in enumerate(images):
+            _require_interior(DomainPoint(type_iii_shape(g), image), tol, f"direct-sum retraction input {i}")
+    total = np.zeros((len(images), spec.source_dim), dtype=np.complex128)
     for factor, start, stop in layout:
         _, pseudo = factor_form(factor)
-        coords = pseudo @ y.z[start:stop, start:stop].reshape(-1)
-        norm = float(np.linalg.norm(coords))
-        if norm >= 1.0:
-            raise IllConditioned(f"{factor.kind.value} block retracts to norm {norm:.6f} >= 1")
+        blocks = images[:, start:stop, start:stop].reshape(len(images), (stop - start) ** 2)
+        # One matrix-vector product per member, the same as P_f @ block:
+        # blocks @ P_f^T rounds differently for some factors.
+        coords = (pseudo @ blocks[..., np.newaxis])[..., 0]
+        norms = np.sqrt((coords.real**2 + coords.imag**2).sum(axis=1))
+        outside = norms >= 1.0
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise IllConditioned(f"matrix {i}: {factor.kind.value} block retracts to norm {norms[i]:.6f} >= 1")
         total += coords
-    return BallPoint(total / len(layout))
+    return total / len(layout)
 
 
 @dataclass(frozen=True)
@@ -136,14 +167,15 @@ def _sandwich_stack(
     spec: EmbeddingSpec, xs, ys, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Source, target and retracted distances of pairs of ball points, each
-    kind measured by one stacked distance call over all pairs."""
-    ex = [direct_sum_embed(spec, x, tol) for x in xs]
-    ey = [direct_sum_embed(spec, y, tol) for y in ys]
+    kind measured by one stacked distance call over all pairs, on images
+    and retractions from the stacked embed and retract."""
+    ex, ey = (direct_sum_embed(spec, points, tol) for points in (xs, ys))
     source = kobayashi_distance(xs, ys, tol)
-    target = kobayashi_distance(ex, ey, tol)
-    rx = [retract_direct_sum(e, spec, tol, verify=False) for e in ex]
-    ry = [retract_direct_sum(e, spec, tol, verify=False) for e in ey]
-    return source, target, kobayashi_distance(rx, ry, tol)
+    # The stacks go to the distance kernels as they are: wrapping each
+    # member as a point for kobayashi_distance would copy every image.
+    target = _matrix_distances(list(ex), list(ey), tol, symmetric=True)
+    rx, ry = (retract_direct_sum(images, spec, tol, verify=False) for images in (ex, ey))
+    return source, target, _ball_distances(rx, ry, tol)
 
 
 def isometry_sandwich(

@@ -34,7 +34,7 @@ from siegelmaps.errors import (
     ShapeMismatch,
     SingularCayley,
 )
-from siegelmaps.linalg import max_abs
+from siegelmaps.linalg import max_abs, solve_right
 from siegelmaps.sampling import generator, sample_ball_point, sample_siegel, sample_type_i, sample_type_iii
 
 ARCTANH_HALF = 0.5493061443340549
@@ -104,6 +104,33 @@ def test_cayley_round_trip_seeded():
             sg = sample_siegel(rng, g)
             back_sg = cayley_to_siegel(cayley_to_bounded(sg))
             assert max_abs(back_sg.z - sg.z) <= 1e-9 * max(1.0, max_abs(sg.z))
+
+
+def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
+    # The singular values of the denominator serve both the SingularCayley
+    # test and the condition test of solve_right.
+    rng = generator(13, 0)
+    points = [sample_type_iii(rng, g) for g in (1, 3, 6)] + [sample_siegel(rng, g) for g in (1, 3, 6)]
+    expected = []
+    for pt in points:
+        eye = np.eye(pt.shape.p)
+        if pt.shape.kind is DomainKind.SIEGEL:
+            expected.append(solve_right(pt.z - 1j * eye, pt.z + 1j * eye))
+        else:
+            expected.append(1j * solve_right(eye + pt.z, eye - pt.z))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for pt, reference in zip(points, expected):
+        calls.clear()
+        image = cayley(pt, "to-bounded" if pt.shape.kind is DomainKind.SIEGEL else "to-siegel")
+        assert len(calls) == 1
+        assert image.z.tobytes() == reference.tobytes()
 
 
 def test_cayley_explicit_diagonal_point():

@@ -35,6 +35,7 @@ from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
     DimensionMismatch,
+    MembershipViolation,
     NonlinearityDetected,
     SpecMismatch,
 )
@@ -43,6 +44,16 @@ from siegelmaps.harness import run_suite
 from siegelmaps.linalg import max_abs
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_point, sample_phases
+
+from lu_wedge import lu_wedge_coefficients
+
+# The paper's N = 5 lambda_III case plus the connecting wedge blocks, g = 60.
+G60_SPEC = EmbeddingSpec(
+    5,
+    (FactorSpec(FactorKind.LAMBDA_III, 5, 3),)
+    + tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, 5, m) for m in (2, 3, 4)),
+    60,
+)
 
 
 def _zero_point(n):
@@ -343,12 +354,12 @@ def test_nonlinearity_detector_fires_off_the_blocks(monkeypatch):
     exact = embeddings.direct_sum_embed
     for row, col in ((0, 3), (2, 6), (6, 6)):
 
-        def corrupted(spec, z, tol=DEFAULT_TOLERANCE, row=row, col=col):
-            image = exact(spec, z, tol)
-            z_out = image.z.copy()
-            z_out[row, col] += 0.05 * z.coords[1]
-            z_out[col, row] = z_out[row, col]
-            return DomainPoint(image.shape, z_out)
+        # The oracle embeds its points as one stack.
+        def corrupted(spec, points, tol=DEFAULT_TOLERANCE, row=row, col=col):
+            images = np.array(exact(spec, points, tol))
+            images[:, row, col] += 0.05 * np.array([z.coords[1] for z in points])
+            images[:, col, row] = images[:, row, col]
+            return images
 
         monkeypatch.setattr(embeddings, "direct_sum_embed", corrupted)
         with pytest.raises(NonlinearityDetected):
@@ -441,3 +452,92 @@ def test_direct_sum_image_is_type_iii_everywhere():
         image = direct_sum_embed(spec, z)
         assert image.shape.kind is DomainKind.TYPE_III
         assert max_abs(image.z - image.z.T) <= 1e-12
+
+
+# --- the Laplace-recursion wedge kernel against LU determinants
+
+
+def _points_at_norm(rng, count: int, n: int, norm: float) -> np.ndarray:
+    directions = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return directions * (norm / np.linalg.norm(directions, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_laplace_minors_match_lu_determinants(p):
+    rng = np.random.default_rng(600 + p)
+    for cap in (0.5, 0.999, 1.0 - 1e-6):
+        coords = _points_at_norm(rng, 4, p, cap)
+        for m in range(1, p + 1):
+            laplace = embeddings._wedge_coefficients(coords, m)
+            assert laplace.shape == (4, comb(p + 1, m), comb(p, m - 1))
+            assert max_abs(laplace - lu_wedge_coefficients(coords, m)) <= 1e-15
+
+
+def test_laplace_kernel_calls_no_lapack_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    coords = _points_at_norm(np.random.default_rng(610), 3, 5, 0.9)
+    for m in range(1, 6):
+        embeddings._wedge_coefficients(coords, m)
+    linearize(G60_SPEC)
+
+
+def test_factor_forms_are_bit_identical_to_lu_built_forms(monkeypatch):
+    # The probes' minors are exact in both kernels, so the compiled forms,
+    # which every embedding applies, do not move.
+    catalog = [factor for n in range(1, 10) for factor in factor_catalog(n)]
+    embeddings.factor_form.cache_clear()
+    laplace = [embeddings.factor_form(factor) for factor in catalog]
+    embeddings.factor_form.cache_clear()
+    monkeypatch.setattr(embeddings, "_wedge_coefficients", lu_wedge_coefficients)
+    try:
+        for factor, forms in zip(catalog, laplace):
+            lu_forms = embeddings.factor_form(factor)
+            assert [a.tobytes() for a in forms] == [a.tobytes() for a in lu_forms], factor
+    finally:
+        embeddings.factor_form.cache_clear()
+
+
+def _oracle_error(spec, points, kernel, monkeypatch) -> float:
+    monkeypatch.setattr(embeddings, "_wedge_coefficients", kernel)
+    return float(embeddings._oracle_residuals(spec, points, DEFAULT_TOLERANCE).max())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_oracle_error_within_twice_the_lu_kernel(n, monkeypatch):
+    laplace_kernel = embeddings._wedge_coefficients
+    rng = generator(620, n)
+    points = [sample_ball_point(rng, n) for _ in range(100)]
+    specs = [EmbeddingSpec(n, (factor,), factor.block_size) for factor in factor_catalog(n)]
+    if n == 5:
+        specs.append(G60_SPEC)
+    laplace = max(_oracle_error(spec, points, laplace_kernel, monkeypatch) for spec in specs)
+    lu = max(_oracle_error(spec, points, lu_wedge_coefficients, monkeypatch) for spec in specs)
+    assert 0.0 < laplace <= 2.0 * lu
+
+
+# --- stacked embedding
+
+
+def test_stacked_embed_members_equal_their_batch_of_one():
+    specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
+    for index, spec in enumerate(specs):
+        rng = generator(630, index)
+        points = [sample_ball_point(rng, spec.source_dim) for _ in range(3)]
+        stacked = direct_sum_embed(spec, points)
+        assert stacked.shape == (3, spec.target_g, spec.target_g) and not stacked.flags.writeable
+        for z, member in zip(points, stacked):
+            assert direct_sum_embed(spec, z).z.tobytes() == member.tobytes()
+            assert direct_sum_embed(spec, [z])[0].tobytes() == member.tobytes()
+
+
+def test_stacked_embed_names_the_failing_member():
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    inside = ball_point([0.1, 0.2])
+    with pytest.raises(MembershipViolation, match="embedding input 2 has norm 1.000000"):
+        direct_sum_embed(spec, [inside, inside, ball_point([1.0 - 1e-12, 0.0])])
+    with pytest.raises(SpecMismatch, match="embedding input 1: spec expects ball dimension 2, got 3"):
+        direct_sum_embed(spec, [inside, ball_point([0.1, 0.0, 0.0])])
+    assert direct_sum_embed(spec, []).shape == (0, 3, 3)

@@ -13,14 +13,14 @@ from siegelmaps import (
     conjugation_twice_unit,
     conjugation_unit,
     induced_form,
-    induced_form_decomposable,
     multi_indices,
     perm_sign,
     signature,
     wedge_basis,
-    wedge_coefficients,
 )
 from siegelmaps.errors import DegreeOutOfRange, DimensionMismatch, NotAPermutation
+
+from lu_wedge import induced_form_decomposable, wedge_coefficients
 
 
 def _brute_force_sign(seq) -> int:

@@ -22,7 +22,7 @@ from siegelmaps import (
 )
 from siegelmaps import exterior, harness
 from siegelmaps.embeddings import block_layout, factor_block
-from siegelmaps.linalg import max_abs
+from siegelmaps.linalg import Tolerance, max_abs
 from siegelmaps.report import HarnessConfig, SuiteResult
 from siegelmaps.sampling import generator, sample_ball_point, sample_phases
 
@@ -45,6 +45,39 @@ G60_SPEC = EmbeddingSpec(
 
 def _rng(config: HarnessConfig, name: str):
     return generator(config.seed, harness._STREAMS[name])
+
+
+def _reference_induced_phases(p, m, symmetric, theta):
+    """Row and column phases of the wedge block under z -> theta * z, one
+    Python product per basis multi-index."""
+    basis = exterior.wedge_basis(p, m)
+
+    def content_product(indices) -> complex:
+        out = 1.0 + 0.0j
+        for i in indices:
+            if i <= p:
+                out *= theta[i - 1]
+        return out
+
+    col_phases = np.array([content_product(neg) for neg in basis.negatives])
+    if symmetric:
+        full = np.prod(theta)
+        row_phases = np.array([full / content_product(neg) for neg in basis.negatives])
+    else:
+        row_phases = np.array([content_product(pos) for pos in basis.positives])
+    return row_phases, col_phases
+
+
+def _loop_retraction(spec, config):
+    rng, tol = _rng(config, "retraction"), config.tol
+    worst, worst_input = -1.0, None
+    for _ in range(config.samples):
+        z = sample_ball_point(rng, spec.source_dim, config.radius_cap)
+        back = retract_direct_sum(direct_sum_embed(spec, z, tol), spec, tol, verify=False)
+        residual = max_abs(back.coords - z.coords)
+        if residual > worst:
+            worst, worst_input = residual, z
+    return SuiteResult("retraction", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input))
 
 
 def _loop_symmetry(spec, config):
@@ -105,7 +138,7 @@ def _loop_equivariance(spec, config):
         for p, m, symmetric in factors:
             base = exterior_power_embed(z, m, symmetric=symmetric, tol=tol).z
             moved = exterior_power_embed(rotated, m, symmetric=symmetric, tol=tol).z
-            rows, cols = harness._induced_phases(p, m, symmetric, theta)
+            rows, cols = _reference_induced_phases(p, m, symmetric, theta)
             expected = rows[:, np.newaxis] * base * np.conj(cols)[np.newaxis, :]
             residual = max(residual, max_abs(moved - expected))
         if residual > worst:
@@ -154,6 +187,7 @@ def _loop_isometry(spec, config):
 
 
 _LOOPS = {
+    "retraction": _loop_retraction,
     "symmetry": _loop_symmetry,
     "linearity": _loop_linearity,
     "equivariance": _loop_equivariance,
@@ -196,3 +230,30 @@ def test_signature_suite_counts_each_degree_with_one_call(monkeypatch):
     result = harness.run_suite("signature", N2_SPEC, HarnessConfig(samples=1))
     assert result.passed and result.samples == 21
     assert calls == [(p, m) for p in range(1, 7) for m in range(1, p + 1)]
+
+
+def test_induced_phases_equal_the_content_product_loop():
+    rng = generator(70, 0)
+    for p in range(1, 8):
+        for m in range(1, p + 1):
+            for symmetric in {False, exterior.balanced_symmetric(p, m)}:
+                thetas = np.stack([sample_phases(rng, p) for _ in range(6)])
+                stacked = harness._induced_phases(p, m, symmetric, thetas)
+                for j, theta in enumerate(thetas):
+                    reference = _reference_induced_phases(p, m, symmetric, theta)
+                    single = harness._induced_phases(p, m, symmetric, theta)
+                    for ref, one, many in zip(reference, single, stacked):
+                        assert ref.tobytes() == one.tobytes() == many[j].tobytes()
+
+
+@pytest.mark.parametrize("spec", [N2_SPEC, G60_SPEC], ids=["N2", "g60"])
+def test_sample_near_the_sphere_fails_naming_the_embedding_input(spec):
+    # A psd_margin of 0.4 puts most sampled radii up to the 0.99 cap within
+    # the margin of the sphere: the embedding must refuse them, and the
+    # failed suite's note must say so.
+    config = HarnessConfig(samples=8, radius_cap=0.99, tol=Tolerance(eq_tol=0.5, psd_margin=0.4))
+    for name in ("retraction", "membership", "symmetry", "isometry"):
+        result = harness.run_suite(name, spec, config)
+        assert not result.passed and result.max_residual is None
+        assert result.detail.startswith("raised MembershipViolation: embedding input "), (name, result.detail)
+        assert ", too close to the sphere" in result.detail

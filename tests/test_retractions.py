@@ -29,7 +29,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps.embeddings import block_layout, factor_block
-from siegelmaps.errors import MembershipViolation, SpecMismatch
+from siegelmaps.errors import IllConditioned, MembershipViolation, SpecMismatch
 from siegelmaps.linalg import DEFAULT_TOLERANCE, max_abs
 from siegelmaps.sampling import (
     generator,
@@ -278,3 +278,44 @@ def test_block_layout_covers_budget_prefix():
     layout = block_layout(spec)
     assert layout[0][1:] == (0, 3)
     assert layout[1][1:] == (3, 6)
+
+
+# --- stacked retraction
+
+G60_SPEC = EmbeddingSpec(
+    5,
+    (FactorSpec(FactorKind.LAMBDA_III, 5, 3),)
+    + tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, 5, m) for m in (2, 3, 4)),
+    60,
+)
+
+
+def test_stacked_retract_members_equal_their_batch_of_one():
+    specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
+    for index, spec in enumerate(specs):
+        rng = generator(56, index)
+        images = direct_sum_embed(spec, [sample_ball_point(rng, spec.source_dim) for _ in range(3)])
+        # Off-image points too, where the factors' blocks disagree.
+        off_image = [sample_type_iii(rng, spec.target_g) for _ in range(2)]
+        points = [DomainPoint(type_iii_shape(spec.target_g), image) for image in images] + off_image
+        stacked = retract_direct_sum(np.stack([pt.z for pt in points]), spec)
+        assert stacked.shape == (5, spec.source_dim)
+        assert retract_direct_sum(images, spec, verify=False).tobytes() == stacked[:3].tobytes()
+        for pt, member in zip(points, stacked):
+            assert retract_direct_sum(pt, spec).coords.tobytes() == member.tobytes()
+            assert retract_direct_sum(pt.z[np.newaxis], spec)[0].tobytes() == member.tobytes()
+
+
+def test_stacked_retract_names_the_failing_member():
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    inside = DomainPoint(type_iii_shape(3), np.zeros((3, 3)))
+    boundary = DomainPoint(type_iii_shape(3), np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(MembershipViolation, match="input 2 must be an interior point"):
+        retract_direct_sum(np.stack([inside.z, inside.z, boundary.z]), spec)
+    far = np.zeros((3, 3), dtype=complex)
+    far[0, 1:] = far[1:, 0] = 3.0
+    with pytest.raises(IllConditioned, match="matrix 1: connecting_lambda block retracts to norm"):
+        retract_direct_sum(np.stack([inside.z, far]), spec, verify=False)
+    with pytest.raises(SpecMismatch, match=r"expected a \(B, 3, 3\) stack, got shape \(2, 4, 4\)"):
+        retract_direct_sum(np.zeros((2, 4, 4)), spec)
+    assert retract_direct_sum(np.zeros((0, 3, 3)), spec).shape == (0, 2)
