@@ -42,11 +42,14 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _certified,
     _ill_conditioned,
     _inverse_sqrt_from,
+    _residual_checked,
     _residuals,
     _solve_conditioned,
     _solve_unchecked,
+    _spectral_slack,
     as_complex_matrix,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -279,13 +282,11 @@ def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Do
     _require_interior(pt, tol, "Cayley input")
     g = pt.shape.p
     eye = np.eye(g, dtype=np.complex128)
-    denom = pt.z + 1j * eye
-    # One SVD of the denominator serves both the singularity test and the
-    # condition test of solve_right.
-    sv = singular_values(denom)
-    if sv[-1] <= tol.psd_margin * sv[0]:
-        raise SingularCayley("Z + iI is numerically singular")
-    w = _solve_conditioned(pt.z - 1j * eye, denom, sv, tol)
+    # On an interior point s_min(Z + iI) >= 1 + lambda_min(Im Z) >= 1, from
+    # |<v, (Z + iI) v>| >= Im <v, (Z + iI) v>, and s_max <= ||Z||_F + 1.
+    # Where these bounds clear, the eigensolve's error is below 1/128.
+    hi = np.linalg.norm(pt.z) + 1.0
+    w = _cayley_solve(pt.z - 1j * eye, pt.z + 1j * eye, hi, 1.0, "Z + iI", tol)
     return DomainPoint(type_iii_shape(g), w)
 
 
@@ -293,16 +294,28 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
     """Bounded model to Siegel upper half space: Z = i(I - W)^-1 (I + W)."""
     if pt.shape.kind is not DomainKind.TYPE_III:
         raise ShapeMismatch(f"expected a type III point, got kind {pt.shape.kind.value}")
-    _require_interior(pt, tol, "Cayley input")
+    margin = _require_interior(pt, tol, "Cayley input").margin
     g = pt.shape.p
     eye = np.eye(g, dtype=np.complex128)
-    denom = eye - pt.z
+    # ||W||^2 <= 1 - margin, up to the eigensolve's error, so the singular
+    # values of I - W lie within ||W|| of 1.
+    norm = np.sqrt(1.0 - margin + _spectral_slack(g))
+    # (I + W)(I - W)^-1 commutes, so left/right placement agree.
+    z = 1j * _cayley_solve(eye + pt.z, eye - pt.z, 1.0 + norm, 1.0 - norm, "I - W", tol)
+    return DomainPoint(siegel_shape(g), z)
+
+
+def _cayley_solve(a: np.ndarray, denom: np.ndarray, hi: float, lo: float, name: str, tol: Tolerance) -> np.ndarray:
+    """a @ denom^-1 for a Cayley transform, given bounds s_max <= hi and
+    s_min >= lo on the denominator's singular values.  Where they do not
+    clear it (see :func:`_certified`), one SVD of the denominator serves
+    both the singularity test and the condition test of solve_right."""
+    if _certified(hi, lo, denom.shape[-1], tol):
+        return _residual_checked(_solve_unchecked(a, denom), a, denom, tol)
     sv = singular_values(denom)
     if sv[-1] <= tol.psd_margin * sv[0]:
-        raise SingularCayley("I - W is numerically singular")
-    # (I + W)(I - W)^-1 commutes, so left/right placement agree.
-    z = 1j * _solve_conditioned(eye + pt.z, denom, sv, tol)
-    return DomainPoint(siegel_shape(g), z)
+        raise SingularCayley(f"{name} is numerically singular")
+    return _solve_conditioned(a, denom, sv, tol)
 
 
 def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -475,10 +488,19 @@ def _matrix_distances(x, y, tol: Tolerance, symmetric: bool, check_inputs: bool 
         raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
     difference = yb - xb
     denominator = np.eye(q) - adjoint @ yb
-    sv = np.linalg.svd(denominator, compute_uv=False)
+    # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the eigensolve's
+    # error, and the same for Y, so the singular values of each block of
+    # I - X*Y lie within ||X_b|| ||Y_b|| of 1.
+    x_norm, y_norm = np.sqrt(1.0 - np.stack([x_margin, y_margin]) + _spectral_slack(max(p, q)))
+    reach = x_norm * y_norm
+    unsettled = ~_certified(1.0 + reach, 1.0 - reach, q, tol)
+    bad = np.zeros(len(x), dtype=bool)
+    if unsettled.any():
+        sv = np.linalg.svd(denominator[unsettled], compute_uv=False)
+        bad[unsettled] = _ill_conditioned(sv[..., 0].max(axis=1), sv[..., -1].min(axis=1), tol)
     near_singular = "transvection denominator near singular: "
     _raise_first(
-        _ill_conditioned(sv[..., 0].max(axis=1), sv[..., -1].min(axis=1), tol),
+        bad,
         IllConditioned,
         lambda i: f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}",
     )

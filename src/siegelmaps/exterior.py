@@ -97,7 +97,11 @@ def conjugation_unit(m_idx: MultiIndex, p: int) -> complex:
     a(M) = -i * eps(M^c, M) * eta(M), with eta(M) = -1 iff p+1 is in M.
     """
     m_idx = _check_multi_index(m_idx, p)
-    comp = complement(m_idx, p)
+    return _conjugation_unit(m_idx, complement(m_idx, p), p)
+
+
+def _conjugation_unit(m_idx: MultiIndex, comp: MultiIndex, p: int) -> complex:
+    """a(M) for a valid multi-index M and its complement."""
     eta = -1 if (p + 1) in m_idx else 1
     return -1j * perm_sign(comp + m_idx) * eta
 

@@ -33,6 +33,7 @@ from .domains import (
 from .embeddings import (
     LINEARIZATION_PROBE,
     EmbeddingSpec,
+    _point_slices,
     block_layout,
     direct_sum_embed,
     exterior_power_embed,
@@ -166,16 +167,22 @@ class SandwichRecord:
 def _sandwich_stack(
     spec: EmbeddingSpec, xs, ys, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source, target and retracted distances of pairs of ball points, each
-    kind measured by one stacked distance call over all pairs, on images
-    and retractions from the stacked embed and retract."""
-    ex, ey = (direct_sum_embed(spec, points, tol) for points in (xs, ys))
-    source = kobayashi_distance(xs, ys, tol)
-    # The stacks go to the distance kernels as they are: wrapping each
-    # member as a point for kobayashi_distance would copy every image.
-    target = _matrix_distances(list(ex), list(ey), tol, symmetric=True)
-    rx, ry = (retract_direct_sum(images, spec, tol, verify=False) for images in (ex, ey))
-    return source, target, _ball_distances(rx, ry, tol)
+    """Source, target and retracted distances of pairs of ball points.
+
+    Only the g x g images are sliced: each slice of a few hundred KiB is
+    embedded, which checks the points, measured by one stacked matrix
+    distance call and retracted.  The source and the retracted distances
+    then take one stacked ball distance call each over all pairs."""
+    target = np.empty(len(xs))
+    rx, ry = (np.empty((len(xs), spec.source_dim), dtype=np.complex128) for _ in range(2))
+    # Each pair holds two g x g images.
+    for part in _point_slices(len(xs), 2 * spec.target_g**2):
+        ex, ey = (direct_sum_embed(spec, points[part], tol) for points in (xs, ys))
+        # The stacks go to the distance kernel as they are: wrapping each
+        # member as a point for kobayashi_distance would copy every image.
+        target[part] = _matrix_distances(list(ex), list(ey), tol, symmetric=True)
+        rx[part], ry[part] = (retract_direct_sum(images, spec, tol, verify=False) for images in (ex, ey))
+    return kobayashi_distance(xs, ys, tol), target, _ball_distances(rx, ry, tol)
 
 
 def isometry_sandwich(

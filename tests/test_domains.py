@@ -107,12 +107,18 @@ def test_cayley_round_trip_seeded():
 
 
 def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
-    # The singular values of the denominator serve both the SingularCayley
-    # test and the condition test of solve_right.
+    # Interior samples are cleared by the certified condition test and make
+    # no SVD call.  Near-singular denominators are not: their one SVD serves
+    # both the SingularCayley test and the condition test of solve_right.
     rng = generator(13, 0)
     points = [sample_type_iii(rng, g) for g in (1, 3, 6)] + [sample_siegel(rng, g) for g in (1, 3, 6)]
+    r = np.sqrt(1.0 - 1e-9)
+    near_singular = [
+        DomainPoint(type_iii_shape(2), np.diag([r, 0.0])),
+        DomainPoint(siegel_shape(2), np.diag([1e9 + 1j, 1j])),
+    ]
     expected = []
-    for pt in points:
+    for pt in points + near_singular:
         eye = np.eye(pt.shape.p)
         if pt.shape.kind is DomainKind.SIEGEL:
             expected.append(solve_right(pt.z - 1j * eye, pt.z + 1j * eye))
@@ -126,10 +132,10 @@ def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    for pt, reference in zip(points, expected):
+    for pt, reference, count in zip(points + near_singular, expected, [0] * len(points) + [1] * len(near_singular)):
         calls.clear()
         image = cayley(pt, "to-bounded" if pt.shape.kind is DomainKind.SIEGEL else "to-siegel")
-        assert len(calls) == 1
+        assert len(calls) == count
         assert image.z.tobytes() == reference.tobytes()
 
 

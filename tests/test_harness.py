@@ -257,3 +257,31 @@ def test_sample_near_the_sphere_fails_naming_the_embedding_input(spec):
         assert not result.passed and result.max_residual is None
         assert result.detail.startswith("raised MembershipViolation: embedding input "), (name, result.detail)
         assert ", too close to the sphere" in result.detail
+
+
+def test_conjugation_notes_equal_the_public_units():
+    for p in range(1, 10):
+        factors = tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m) for m in range(1, p + 1))
+        spec = EmbeddingSpec(p, factors, sum(f.block_size for f in factors))
+        notes = harness._conjugation_notes(spec)
+        for m in range(1, p + 1):
+            basis = exterior.wedge_basis(p, m).ordered
+            units = {harness._format_unit(exterior.conjugation_unit(M, p)) for M in basis}
+            squares = {harness._format_unit(exterior.conjugation_twice_unit(M, p)) for M in basis}
+            assert notes[f"p={p},m={m}"] == {"units": sorted(units), "squared": sorted(squares)}
+
+
+def test_verification_of_the_g60_spec_makes_at_most_five_svd_calls(monkeypatch):
+    # The condition tests are certified from bounds: what is left is the
+    # linearity suite's rank and the isometry suite's distances themselves.
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    report = harness.run_verification(G60_SPEC, HarnessConfig(samples=8, seed=1))
+    assert report.passed
+    assert len(calls) <= 5, calls
