@@ -22,7 +22,6 @@ from .domains import (
     MembershipStatus,
     Transvection,
     ball_distance,
-    ball_infinitesimal_metric,
     ball_point,
     cayley,
     cayley_to_bounded,
@@ -38,9 +37,7 @@ from .embeddings import (
     EmbeddingSpec,
     FactorKind,
     FactorSpec,
-    connecting_embed,
     direct_sum_embed,
-    embed_in_type_i,
     enumerate_specs,
     exterior_power_embed,
     factor_catalog,
@@ -65,7 +62,6 @@ from .linalg import (
     Tolerance,
     as_complex_matrix,
     hermitian_eigenvalues,
-    orthonormal_column_basis,
     singular_values,
     solve_right,
 )
@@ -73,7 +69,6 @@ from .report import HarnessConfig, Report, SuiteResult
 from .retractions import (
     SandwichRecord,
     isometry_sandwich,
-    retract_axis_averaging,
     retract_direct_sum,
 )
 
@@ -100,7 +95,6 @@ __all__ = [
     "as_complex_matrix",
     "balanced_symmetric",
     "ball_distance",
-    "ball_infinitesimal_metric",
     "ball_point",
     "cayley",
     "cayley_to_bounded",
@@ -108,9 +102,7 @@ __all__ = [
     "complement",
     "conjugation_twice_unit",
     "conjugation_unit",
-    "connecting_embed",
     "direct_sum_embed",
-    "embed_in_type_i",
     "enumerate_specs",
     "errors",
     "exterior_power_embed",
@@ -123,9 +115,7 @@ __all__ = [
     "linearize",
     "membership",
     "multi_indices",
-    "orthonormal_column_basis",
     "perm_sign",
-    "retract_axis_averaging",
     "retract_direct_sum",
     "run_suite",
     "run_verification",

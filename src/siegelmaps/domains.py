@@ -66,7 +66,6 @@ __all__ = [
     "MembershipStatus",
     "Transvection",
     "ball_distance",
-    "ball_infinitesimal_metric",
     "ball_point",
     "cayley",
     "cayley_to_bounded",
@@ -111,13 +110,6 @@ class DomainShape:
     @property
     def cols(self) -> int:
         return self.q
-
-    @property
-    def ambient_dim(self) -> int:
-        """Complex dimension of the ambient coordinate space."""
-        if self.kind is DomainKind.TYPE_I:
-            return self.p * self.q
-        return self.p * (self.p + 1) // 2
 
 
 def type_i_shape(p: int, q: int) -> DomainShape:
@@ -614,21 +606,3 @@ def ball_distance(x: BallPoint, y: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE
     """Poincare (= Kobayashi) distance on the unit ball."""
     return kobayashi_distance(x, y, tol)
 
-
-def ball_infinitesimal_metric(x: BallPoint, v) -> float:
-    """Kobayashi-Poincare length of tangent vector v at ball point x.
-
-    Closed form on the ball:
-
-        k(x, v)^2 = (|v|^2 (1 - |x|^2) + |<x, v>|^2) / (1 - |x|^2)^2
-
-    with the Hermitian inner product <x, v> = sum conj(x_i) v_i.  At the
-    origin this is the Euclidean norm of v.
-    """
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.size != x.n:
-        raise DimensionMismatch(f"vector length {v.size} != ball dimension {x.n}")
-    rho = 1.0 - x.norm**2
-    pairing = np.vdot(x.coords, v)
-    value = (float(np.vdot(v, v).real) * rho + abs(pairing) ** 2) / rho**2
-    return float(np.sqrt(value))

@@ -1,18 +1,19 @@
 """Holomorphic totally geodesic embeddings of the ball into matrix domains.
 
-Three building blocks are provided, each landing in a symmetric-matrix
+Three building blocks make up the factors, each a symmetric-matrix
 block suitable for a diagonal direct sum:
 
-* standard: the ball placed in the first row of a type I matrix (or a
-  type III corner for one-dimensional sources),
+* standard: the ball placed in the first row of a 1 x p type I matrix (or
+  a type III corner for one-dimensional sources),
 * connecting: Z in I_{p,q} placed as off-diagonal blocks of a symmetric
   (p+q) x (p+q) matrix,
 * exterior power: the degree-m wedge representation of the ball, landing
   in I_{r,s} with (r, s) the signature of the induced pairing, or in the
   symmetric model III_r in the balanced case r = s.
 
-A factor is one such composite block; an embedding is a diagonal direct
-sum of factors under a genus budget, with unused diagonal slack padded by
+A factor is one such composite block, of size r or r + s from the
+signature (r, s) of its degree; an embedding is a diagonal direct sum of
+factors under a genus budget, with unused diagonal slack padded by
 zeros.  All embeddings fix the origin, are linear in the source
 coordinates, and carry each interior point to an interior point.
 
@@ -51,14 +52,7 @@ from math import comb
 
 import numpy as np
 
-from .domains import (
-    BallPoint,
-    DomainKind,
-    DomainPoint,
-    membership,
-    type_i_shape,
-    type_iii_shape,
-)
+from .domains import BallPoint, DomainPoint, type_i_shape, type_iii_shape
 from .errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -87,9 +81,7 @@ __all__ = [
     "FactorSpec",
     "LINEARIZATION_PROBE",
     "block_layout",
-    "connecting_embed",
     "direct_sum_embed",
-    "embed_in_type_i",
     "enumerate_specs",
     "exterior_power_embed",
     "factor_block",
@@ -125,9 +117,9 @@ class FactorSpec:
     """One diagonal factor of an embedding into a symmetric-matrix domain.
 
     ``p`` is the source ball dimension and ``m`` the wedge degree.  The
-    derived signature (r, s) fixes the block size: a connecting factor
-    costs r + s diagonal entries, the balanced symmetric factor costs r,
-    the standard factors cost p + 1 and 1 respectively.
+    derived signature (r, s) fixes the block size: the symmetric factors
+    (``lambda_III`` and ``standard_III``) cost r diagonal entries, the
+    connecting ones (``connecting_lambda`` and ``standard_I``) r + s.
     """
 
     kind: FactorKind
@@ -165,13 +157,7 @@ class FactorSpec:
     @property
     def block_size(self) -> int:
         r, s = self.signature
-        if self.kind is FactorKind.CONNECTING_LAMBDA:
-            return r + s
-        if self.kind is FactorKind.LAMBDA_III:
-            return r
-        if self.kind is FactorKind.STANDARD_I:
-            return self.p + 1
-        return 1
+        return r if self.kind in (FactorKind.LAMBDA_III, FactorKind.STANDARD_III) else r + s
 
 
 @dataclass(frozen=True)
@@ -225,40 +211,15 @@ def _require_interior_ball(z: BallPoint, tol: Tolerance, what: str) -> None:
         raise MembershipViolation(f"{what} has norm {z.norm:.6f}, too close to the sphere")
 
 
-def embed_in_type_i(z: BallPoint, p: int, q: int, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
-    """Standard embedding of the ball along the first row of a p x q matrix."""
-    if z.n > q:
-        raise DimensionMismatch(f"ball dimension {z.n} exceeds column count {q}")
-    _require_interior_ball(z, tol, "standard embedding input")
-    out = np.zeros((p, q), dtype=np.complex128)
-    out[0, : z.n] = z.coords
-    return DomainPoint(type_i_shape(p, q), out)
-
-
 def _connecting_matrix(z: np.ndarray) -> np.ndarray:
-    """[[0, Z^t], [Z, 0]] for a p x q matrix Z, or for each of a stack."""
+    """[[0, Z^t], [Z, 0]] for a p x q matrix Z, or for each of a stack: a
+    symmetric matrix with the nonzero singular values of Z, so it keeps the
+    distance to the origin."""
     p, q = z.shape[-2:]
     out = np.zeros(z.shape[:-2] + (p + q, p + q), dtype=np.complex128)
     out[..., :q, q:] = z.swapaxes(-1, -2)
     out[..., q:, :q] = z
     return out
-
-
-def connecting_embed(z: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
-    """Connect I_{p,q} to the symmetric domain of size p + q.
-
-    Places Z and its transpose as off-diagonal blocks:
-
-        Z  |->  [[0_qq, Z^t], [Z, 0_pp]]
-
-    which is symmetric and has the same nonzero singular values as Z, so
-    distances to the origin are preserved.
-    """
-    if z.shape.kind is not DomainKind.TYPE_I:
-        raise DimensionMismatch(f"connecting embedding expects a type I point, got {z.shape.kind.value}")
-    if not membership(z, tol):
-        raise MembershipViolation("connecting embedding input must be interior")
-    return DomainPoint(type_iii_shape(z.shape.rows + z.shape.cols), _connecting_matrix(z.z))
 
 
 @lru_cache(maxsize=None)

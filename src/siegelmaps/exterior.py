@@ -162,14 +162,6 @@ class WedgeBasis:
             [np.ones(len(self.positives)), -np.ones(len(self.negatives))]
         )
 
-    def index_of(self, m_idx: MultiIndex) -> int:
-        m_idx = tuple(int(i) for i in m_idx)
-        ordered = self.ordered
-        try:
-            return ordered.index(m_idx)
-        except ValueError:
-            raise DimensionMismatch(f"{m_idx} is not a degree-{self.m} index for p={self.p}") from None
-
 
 @lru_cache(maxsize=None)
 def wedge_basis(p: int, m: int) -> WedgeBasis:

@@ -42,9 +42,7 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
-    "inverse_sqrt_hpd",
     "max_abs",
-    "orthonormal_column_basis",
     "singular_values",
     "solve_right",
 ]
@@ -345,33 +343,6 @@ def _residuals(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> t
     residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
     bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
     return residual, bound
-
-
-def orthonormal_column_basis(
-    m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
-) -> np.ndarray:
-    """Orthonormal basis of the column span, via QR.
-
-    Columns are normalized so the triangular factor has positive real
-    diagonal; a single unit column is therefore returned unchanged.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.shape[1] > m.shape[0]:
-        raise RankDeficient(f"more columns than rows: {m.shape}")
-    sv = singular_values(m)
-    if sv[-1] <= tol.psd_margin:
-        raise RankDeficient(f"smallest singular value {sv[-1]:.3e} <= {tol.psd_margin:.3e}")
-    q, r = np.linalg.qr(m, mode="reduced")
-    diag = np.diagonal(r).copy()
-    phases = np.where(np.abs(diag) > 0.0, diag / np.abs(diag), 1.0)
-    return q * np.conj(phases)[np.newaxis, :]
-
-
-def inverse_sqrt_hpd(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-definite matrix."""
-    return _inverse_sqrt_from(*hermitian_eigensystem(m, tol), tol)
 
 
 def _inverse_sqrt_from(values: np.ndarray, vectors: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -7,16 +7,11 @@ it projects orthogonally onto the factor's image and recovers the source
 coordinates.  A direct sum is retracted blockwise and the per-factor ball
 points are averaged with equal weights, which stays inside the ball by
 convexity.  Every step is linear, so the retraction is holomorphic.
-
-An entry-averaging retraction onto the first-axis disk is kept as an
-independent cross-check: it reads the axis image from the wedge
-construction, not from ``A_f``, and must agree with ``P_f`` on axis points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,63 +25,15 @@ from .domains import (
     kobayashi_distance,
     type_iii_shape,
 )
-from .embeddings import (
-    LINEARIZATION_PROBE,
-    EmbeddingSpec,
-    _point_slices,
-    block_layout,
-    direct_sum_embed,
-    exterior_power_embed,
-    factor_form,
-)
+from .embeddings import EmbeddingSpec, _point_slices, block_layout, direct_sum_embed, factor_form
 from .errors import DimensionMismatch, IllConditioned, SpecMismatch
-from .exterior import signature
 from .linalg import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
     "SandwichRecord",
     "isometry_sandwich",
-    "retract_axis_averaging",
     "retract_direct_sum",
 ]
-
-
-@lru_cache(maxsize=None)
-def _axis_pattern(p: int, m: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero positions and unit values of the first-axis wedge image."""
-    probe = np.zeros(p, dtype=np.complex128)
-    probe[0] = LINEARIZATION_PROBE
-    axis = exterior_power_embed(BallPoint(probe), m, symmetric=symmetric).z / LINEARIZATION_PROBE
-    rows, columns = np.nonzero(np.abs(axis) > 0.5)
-    return rows, columns, axis[rows, columns]
-
-
-def retract_axis_averaging(
-    y: DomainPoint, p: int, m: int, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True
-) -> BallPoint:
-    """Entry-averaging retraction onto the first-axis disk of the ball.
-
-    Selects the square corner spanned by the axis image pattern and takes
-    the phase-corrected mean of the pattern entries.  The mean is
-    normalized by the pattern multiplicity u = C(p-1, m-1) (not u^2) so
-    the map fixes the embedded axis disk; this equals the orthogonal
-    projection onto the axis image line.  Independent cross-check for the
-    compiled left inverse ``P_f``; the two agree on axis points.
-    """
-    r, s = signature(p, m)
-    symmetric = y.shape.kind is DomainKind.TYPE_III
-    expected = (r, r) if symmetric else (r, s)
-    if (y.shape.rows, y.shape.cols) != expected:
-        raise DimensionMismatch(f"input shape {y.shape.rows}x{y.shape.cols} does not match {expected}")
-    if verify:
-        _require_interior(y, tol, "averaging retraction input")
-    rows, columns, phases = _axis_pattern(p, m, symmetric)
-    mean = complex(np.sum(np.conj(phases) * y.z[rows, columns]) / len(phases))
-    coords = np.zeros(p, dtype=np.complex128)
-    coords[0] = mean
-    if abs(mean) >= 1.0:
-        raise IllConditioned(f"averaged coordinate has modulus {abs(mean):.6f} >= 1")
-    return BallPoint(coords)
 
 
 def retract_direct_sum(y, spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, verify: bool = True):
@@ -126,6 +73,9 @@ def retract_direct_sum(y, spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANC
     images = np.asarray(y, dtype=np.complex128)
     if images.ndim != 3 or images.shape[1:] != (g, g):
         raise SpecMismatch(f"expected a (B, {g}, {g}) stack, got shape {images.shape}")
+    finite = np.isfinite(images).all(axis=(1, 2))
+    if not finite.all():
+        raise DimensionMismatch(f"matrix {int(np.argmin(finite))}: entries must be finite")
     if verify:
         for i, image in enumerate(images):
             _require_interior(DomainPoint(type_iii_shape(g), image), tol, f"direct-sum retraction input {i}")

@@ -53,8 +53,9 @@ def load_json(path: str | Path) -> object:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal past Python's digit limit.
+        raise SchemaError(f"cannot parse {path} as JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"{path} nests too deeply to parse") from None
 
@@ -83,14 +84,19 @@ def _matrix_component(obj: dict, name: str, rows: int, cols: int, where: str) ->
     data = _field(obj, name, list, where)
     if len(data) != rows:
         raise SchemaError(f"field {where}.{name} must have {rows} rows, got {len(data)}")
-    out = np.empty((rows, cols), dtype=np.float64)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"field {where}.{name}[{i}] must be a list of {cols} numbers")
+    # Allocated only once the rows match the shape, which the file sets.
+    out = np.empty((rows, cols), dtype=np.float64)
+    for i, row in enumerate(data):
         for j, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise SchemaError(f"field {where}.{name}[{i}][{j}] must be a number, got {entry!r}")
-            out[i, j] = float(entry)
+            try:
+                out[i, j] = float(entry)
+            except OverflowError:  # an integer beyond the float range
+                out[i, j] = np.inf
             if not np.isfinite(out[i, j]):
                 # json accepts NaN, Infinity and -Infinity.
                 raise SchemaError(f"field {where}.{name}[{i}][{j}] must be finite, got {entry!r}")

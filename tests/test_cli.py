@@ -259,8 +259,12 @@ def test_point_schema_errors_name_fields(tmp_path):
         spec_from_json({"source_dim": 2, "target_g": 3, "factors": [{"kind": "bogus", "m": 1}]})
     with pytest.raises(SchemaError):
         load_json(tmp_path / "missing.json")
-    # json parses NaN, Infinity and -Infinity as floats.
-    for value in (float("nan"), float("inf"), float("-inf")):
+    # The rows are checked before an array of the file's shape is made.
+    with pytest.raises(SchemaError, match=r"point\.re\[0\] must be a list of 4611686018427387904 numbers"):
+        point_from_json({"kind": "I", "p": 1, "q": 2**62, "re": [[0.1]], "im": [[0.0]]})
+    # json parses NaN, Infinity and -Infinity as floats, and long integer
+    # literals as integers beyond the float range.
+    for value in (float("nan"), float("inf"), float("-inf"), 10**400):
         with pytest.raises(SchemaError, match=r"point\.re\[1\]\[0\] must be finite"):
             ball_point_from_json({"kind": "I", "p": 2, "q": 1, "re": [[0.0], [value]], "im": [[0.0], [0.0]]})
         with pytest.raises(SchemaError, match=r"point\.im\[0\]\[1\] must be finite"):
@@ -274,10 +278,13 @@ def test_non_finite_point_file_exits_two(tmp_path, capsys):
         tmp_path / "square.json",
         {"kind": "III", "p": 1, "q": 1, "re": [[float("inf")]], "im": [[0.0]]},
     )
+    wide = _write(tmp_path / "wide.json", {"kind": "I", "p": 1, "q": 2**62, "re": [[0.1]], "im": [[0.0]]})
     out = str(tmp_path / "out.json")
     for argv, field in (
         (["embed", "--spec", spec, "--point", ball, "--out", out], "point.re[1][0]"),
         (["cayley", "--point", square, "--direction", "to-siegel", "--out", out], "point.re[0][0]"),
+        (["embed", "--spec", spec, "--point", wide, "--out", out], "point.re[0] must be"),
+        (["cayley", "--point", wide, "--direction", "to-siegel", "--out", out], "point.re[0] must be"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -327,8 +334,8 @@ def test_worst_case_input_replays_through_embed(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [b'{"source_dim": 2, "\xff\xfe": 1}', b"[" * 200000 + b"]" * 200000],
-    ids=["non_utf8", "deep_nesting"],
+    [b'{"source_dim": 2, "\xff\xfe": 1}', b"[" * 200000 + b"]" * 200000, b'{"source_dim": ' + b"1" * 5001 + b"}"],
+    ids=["non_utf8", "deep_nesting", "long_integer"],
 )
 def test_unreadable_json_exits_two(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"

@@ -14,7 +14,6 @@ from siegelmaps import (
     FactorSpec,
     MembershipStatus,
     ball_distance,
-    ball_infinitesimal_metric,
     ball_point,
     cayley,
     cayley_to_bounded,
@@ -460,33 +459,6 @@ def test_distance_on_siegel_points_via_cayley():
     direct = kobayashi_distance(x, y)
     through = kobayashi_distance(cayley_to_bounded(x), cayley_to_bounded(y))
     assert direct == pytest.approx(through, abs=1e-10)
-
-
-def test_infinitesimal_metric_at_origin():
-    x = ball_point([0.0, 0.0])
-    assert ball_infinitesimal_metric(x, [1.0, 0.0]) == pytest.approx(1.0)
-    assert ball_infinitesimal_metric(x, [2.0, 0.0]) == pytest.approx(2.0)
-
-
-def test_infinitesimal_metric_radial_factor():
-    x = ball_point([0.5, 0.0])
-    assert ball_infinitesimal_metric(x, [1.0, 0.0]) == pytest.approx(1.0 / 0.75, abs=1e-12)
-
-
-def test_infinitesimal_metric_matches_transvection_derivative():
-    # oracle: push the vector to the origin with the derivative of the
-    # transvection (finite differences) and take the Euclidean norm there
-    rng = generator(21, 0)
-    for _ in range(10):
-        x = sample_ball_point(rng, 3, 0.8)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        handle = transvection_to_origin(x)
-        h = 1e-7
-        bumped = DomainPoint(type_i_shape(3, 1), (x.coords + h * v).reshape(-1, 1))
-        derivative = handle.apply(bumped).z.reshape(-1) / h
-        assert ball_infinitesimal_metric(x, v) == pytest.approx(
-            float(np.linalg.norm(derivative)), rel=1e-5
-        )
 
 
 def test_ball_point_rejects_norm_one():

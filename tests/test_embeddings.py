@@ -16,9 +16,7 @@ from siegelmaps import (
     FactorKind,
     FactorSpec,
     ball_point,
-    connecting_embed,
     direct_sum_embed,
-    embed_in_type_i,
     enumerate_specs,
     exterior_power_embed,
     factor_catalog,
@@ -34,7 +32,6 @@ from siegelmaps.embeddings import _factor_blocks, block_layout, factor_block
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
-    DimensionMismatch,
     MembershipViolation,
     NonlinearityDetected,
     SpecMismatch,
@@ -60,39 +57,13 @@ def _zero_point(n):
     return ball_point(np.zeros(n, dtype=complex))
 
 
-def test_standard_embed_zero():
-    image = embed_in_type_i(_zero_point(2), 3, 3)
-    assert max_abs(image.z) == 0.0
-
-
-def test_standard_embed_first_row_display():
-    image = embed_in_type_i(ball_point([0.3, 0.4]), 3, 3)
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[0, 0], expected[0, 1] = 0.3, 0.4
-    assert np.array_equal(image.z, expected)
-
-
-def test_standard_embed_preserves_distance_to_origin():
-    z = ball_point([0.3, 0.4])
-    image = embed_in_type_i(z, 3, 3)
-    assert np.allclose(singular_values(image.z), [0.5, 0.0, 0.0], atol=1e-12)
-    origin = DomainPoint(type_i_shape(3, 3), np.zeros((3, 3)))
-    assert kobayashi_distance(origin, image) == pytest.approx(np.arctanh(0.5), abs=1e-12)
-
-
-def test_standard_embed_rejects_narrow_target():
-    with pytest.raises(DimensionMismatch):
-        embed_in_type_i(ball_point([0.1, 0.2, 0.3]), 4, 2)
-
-
 def test_connecting_embed_zero():
-    zero = DomainPoint(type_i_shape(2, 1), np.zeros((2, 1)))
-    assert max_abs(connecting_embed(zero).z) == 0.0
+    factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1)
+    assert max_abs(factor_block(factor, _zero_point(2))) == 0.0
 
 
 def test_connecting_embed_block_display():
-    z = DomainPoint(type_i_shape(2, 1), np.array([[0.3], [0.4]], dtype=complex))
-    image = connecting_embed(z)
+    block = factor_block(FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), ball_point([0.3, 0.4]))
     expected = np.array(
         [
             [0.0, 0.3, 0.4],
@@ -101,17 +72,17 @@ def test_connecting_embed_block_display():
         ],
         dtype=complex,
     )
-    assert np.array_equal(image.z, expected)
+    assert np.array_equal(block, expected)
 
 
 def test_connecting_embed_singular_values_and_isometry():
-    z = DomainPoint(type_i_shape(2, 1), np.array([[0.3], [0.4]], dtype=complex))
-    image = connecting_embed(z)
+    block = factor_block(FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), ball_point([0.3, 0.4]))
     # oracle: eigenvalues of M*M for the explicit symmetric matrix
-    oracle = np.linalg.eigvalsh(image.z.conj().T @ image.z)[::-1]
-    assert np.allclose(singular_values(image.z) ** 2, oracle, atol=1e-12)
-    assert np.allclose(singular_values(image.z), [0.5, 0.5, 0.0], atol=1e-12)
+    oracle = np.linalg.eigvalsh(block.conj().T @ block)[::-1]
+    assert np.allclose(singular_values(block) ** 2, oracle, atol=1e-12)
+    assert np.allclose(singular_values(block), [0.5, 0.5, 0.0], atol=1e-12)
     origin = DomainPoint(type_iii_shape(3), np.zeros((3, 3)))
+    image = DomainPoint(type_iii_shape(3), block)
     assert kobayashi_distance(origin, image) == pytest.approx(np.arctanh(0.5), abs=1e-12)
 
 

@@ -136,7 +136,7 @@ def test_induced_form_diagonal_values():
         for m in range(1, p + 1):
             basis = wedge_basis(p, m)
             lead = np.zeros(basis.size)
-            lead[basis.index_of(tuple(range(1, m + 1)))] = 1.0
+            lead[basis.ordered.index(tuple(range(1, m + 1)))] = 1.0
             assert induced_form(p, m, lead, lead) == 1.0
 
 
@@ -144,8 +144,8 @@ def test_induced_form_orthogonality_of_distinct_indices():
     basis = wedge_basis(4, 2)
     x = np.zeros(basis.size)
     y = np.zeros(basis.size)
-    x[basis.index_of((1, 2))] = 1.0
-    y[basis.index_of((1, 3))] = 1.0
+    x[basis.ordered.index((1, 2))] = 1.0
+    y[basis.ordered.index((1, 3))] = 1.0
     assert induced_form(4, 2, x, y) == 0.0
 
 
@@ -262,7 +262,7 @@ def test_wedge_coefficients_on_basis_vectors():
     e = np.eye(5, dtype=complex)
     coeffs = wedge_coefficients(e[:, [0, 2]], basis)
     expected = np.zeros(basis.size, dtype=complex)
-    expected[basis.index_of((1, 3))] = 1.0
+    expected[basis.ordered.index((1, 3))] = 1.0
     assert np.allclose(coeffs, expected)
 
 

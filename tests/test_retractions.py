@@ -12,9 +12,7 @@ from siegelmaps import (
     FactorSpec,
     ball_distance,
     ball_point,
-    connecting_embed,
     direct_sum_embed,
-    embed_in_type_i,
     enumerate_specs,
     exterior_power_embed,
     factor_catalog,
@@ -22,14 +20,13 @@ from siegelmaps import (
     isometry_sandwich,
     kobayashi_distance,
     membership,
-    retract_axis_averaging,
     retract_direct_sum,
     singular_values,
     type_i_shape,
     type_iii_shape,
 )
 from siegelmaps.embeddings import block_layout, factor_block
-from siegelmaps.errors import IllConditioned, MembershipViolation, SpecMismatch
+from siegelmaps.errors import DimensionMismatch, IllConditioned, MembershipViolation, SpecMismatch
 from siegelmaps.linalg import DEFAULT_TOLERANCE, max_abs
 from siegelmaps.sampling import (
     generator,
@@ -53,7 +50,8 @@ def test_first_row_inverts_standard_embedding():
     for _ in range(20):
         z = sample_ball_point(rng, 2)
         image = direct_sum_embed(_single(factor), z)
-        assert max_abs(image.z - connecting_embed(embed_in_type_i(z, 1, 2)).z) <= 1e-15
+        z1, z2 = z.coords
+        assert max_abs(image.z - np.array([[0, 0, z1], [0, 0, z2], [z1, z2, 0]])) <= 1e-15
         assert max_abs(_retract_block(image.z, factor).coords - z.coords) <= 1e-15
 
 
@@ -73,8 +71,8 @@ def test_offdiagonal_inverts_connecting_embedding():
         p = int(rng.integers(1, 4))
         m = int(rng.integers(1, p + 1))
         z = sample_ball_point(rng, p)
-        image = connecting_embed(exterior_power_embed(z, m))
-        back = _retract_block(image.z, FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m))
+        factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m)
+        back = _retract_block(factor_block(factor, z), factor)
         assert max_abs(back.coords - z.coords) <= 1e-12
 
 
@@ -126,11 +124,7 @@ def test_averaging_evaluator_agrees_with_least_squares_on_axis():
         for t in (-0.95, -0.4, 0.2, 0.7, 0.95):
             coords = np.zeros(p, dtype=complex)
             coords[0] = t
-            image = exterior_power_embed(ball_point(coords), m, symmetric=symmetric)
-            block = image.z if symmetric else connecting_embed(image).z
-            primary = _retract_block(block, factor)
-            secondary = retract_axis_averaging(image, p, m)
-            assert max_abs(primary.coords - secondary.coords) <= 1e-12
+            primary = _retract_block(factor_block(factor, ball_point(coords)), factor)
             assert max_abs(primary.coords - coords) <= 1e-12
 
 
@@ -175,10 +169,18 @@ def test_retractions_reject_non_interior_input():
     boundary = DomainPoint(type_iii_shape(3), np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(MembershipViolation):
         retract_direct_sum(boundary, spec)
-    with pytest.raises(MembershipViolation):
-        retract_axis_averaging(DomainPoint(type_i_shape(2, 1), np.array([[1.0], [0.0]])), 2, 1)
     with pytest.raises(SpecMismatch):
         retract_direct_sum(DomainPoint(type_i_shape(3, 3), np.zeros((3, 3))), spec)
+
+
+def test_stacked_retraction_names_its_non_finite_member():
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    images = np.zeros((4, 3, 3), dtype=complex)
+    images[2, 0, 1] = np.nan
+    images[3, 1, 0] = complex(0.0, np.inf)
+    for verify in (True, False):
+        with pytest.raises(DimensionMismatch, match="matrix 2: entries must be finite"):
+            retract_direct_sum(images, spec, verify=verify)
 
 
 def test_factor_forms_are_left_inverses():
