@@ -135,7 +135,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _USAGE_EXIT
     if _check_writable(args.report):
         return _USAGE_EXIT
-    report = run_verification(spec, config)
+    try:
+        report = run_verification(spec, config)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses an array too big to allocate, as for a target_g
+        # far beyond the spec's cost.
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
     if _write(args.report, report.to_dict()):
         return _USAGE_EXIT
     for suite in report.suites:

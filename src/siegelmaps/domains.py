@@ -14,7 +14,7 @@ Moebius automorphisms, and Kobayashi distances.  A distance is arctanh
 of the largest singular value of y moved by the automorphism taking x to
 the origin, computed without moving anything: in closed form on the ball,
 and from Cholesky factors of I - XX* and I - X*X on the matrix ball, over
-the exact diagonal blocks of square points.  Type III points are measured
+the exact diagonal blocks of square points, grouped by size.  Type III points are measured
 as points of the ambient type I ball; Siegel points are measured through
 the Cayley transform.  The distance kernels run on stacks of pairs, one
 LAPACK call per step for all of them; the transvection is kept as the
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -147,6 +148,8 @@ class BallPoint:
     """Point of the unit ball in C^n, Euclidean norm strictly below one."""
 
     coords: np.ndarray
+    # Euclidean norm of the coordinates, measured once at construction.
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.array(self.coords, dtype=np.complex128).reshape(-1)
@@ -154,18 +157,16 @@ class BallPoint:
             raise DimensionMismatch("ball point needs at least one coordinate")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise DimensionMismatch("ball coordinates must be finite")
-        if np.linalg.norm(c) >= 1.0:
-            raise MembershipViolation(f"ball point has norm {np.linalg.norm(c):.6f} >= 1")
+        norm = float(np.linalg.norm(c))
+        if norm >= 1.0:
+            raise MembershipViolation(f"ball point has norm {norm:.6f} >= 1")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def n(self) -> int:
         return int(self.coords.size)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
 
     def as_type_i(self) -> DomainPoint:
         """The same point as a column of the matrix ball I_{n,1}."""
@@ -378,25 +379,21 @@ def _raise_first(bad: np.ndarray, error: type[Exception], message) -> None:
         raise error(("" if len(bad) == 1 else f"pair {i}: ") + message(i))
 
 
-def _diagonal_blocks(*stacks) -> tuple[np.ndarray, ...]:
-    """Equal-length sequences of square k x k matrices split into
-    ``(B, n, s, s)`` stacks of diagonal blocks.
-
-    The blocks are the finest consecutive diagonal ranges outside which
-    every entry of every matrix is exactly zero; all-zero ranges are left
-    out, and each block is padded with zeros to the largest size s.  A
-    nonzero corner entry [0, k - 1] makes one block without a scan.  Every
-    nonzero entry and its transpose fall in one block, so the blocks hold
-    every entry of Z - Z^t too.  The matrices are read one by one, so no
-    stack of whole matrices is built unless they form one block.
-    """
-    if any(m[0, -1] != 0 for z in stacks for m in z):
-        return tuple(np.stack(z)[:, np.newaxis] for z in stacks)
-    k = stacks[0][0].shape[-1]
+def _block_ranges(pieces) -> list[tuple[int, int]]:
+    """The finest consecutive diagonal ranges of k x k matrices outside
+    which every entry of every matrix is exactly zero, all-zero ranges left
+    out.  ``pieces`` holds sequences or (B, k, k) stacks of such matrices.
+    A nonzero corner entry [0, k - 1] makes one range without a scan."""
+    k = pieces[0][0].shape[-1]
+    if any(m[0, -1] != 0 for piece in pieces for m in piece):
+        return [(0, k)]
     nonzero = np.zeros((k, k), dtype=bool)
-    for z in stacks:
-        for m in z:
-            nonzero |= m != 0
+    for piece in pieces:
+        if isinstance(piece, np.ndarray):
+            nonzero |= (piece != 0).any(axis=0)
+        else:
+            for m in piece:
+                nonzero |= m != 0
     nonzero |= nonzero.T
     index = np.arange(k)
     # The furthest index reached by any row up to i: a range ends at i
@@ -404,59 +401,104 @@ def _diagonal_blocks(*stacks) -> tuple[np.ndarray, ...]:
     reach = np.maximum.accumulate(np.maximum(np.where(nonzero, index, 0).max(axis=1), index))
     stops = np.flatnonzero(reach == index) + 1
     used = nonzero.any(axis=1)
-    ranges = [(start, stop) for start, stop in zip((0, *stops[:-1]), stops) if used[start:stop].any()]
-    size = max((stop - start for start, stop in ranges), default=0)
-    split = []
-    for z in stacks:
-        blocks = np.zeros((len(z), len(ranges), size, size), dtype=np.complex128)
-        for i, m in enumerate(z):
-            for j, (start, stop) in enumerate(ranges):
-                blocks[i, j, : stop - start, : stop - start] = m[start:stop, start:stop]
-        split.append(blocks)
-    return tuple(split)
+    return [(start, stop) for start, stop in zip((0, *stops[:-1]), stops) if used[start:stop].any()]
 
 
-def _block_margins(blocks: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Smallest contraction margin over the blocks of each member of a
-    ``(..., n, s, s)`` block stack; 1, the margin of zero, with no blocks."""
-    if blocks.shape[-3] == 0:
-        return np.ones(blocks.shape[:-3])
-    return _contraction_margins(blocks, tol).min(axis=-1)
+def _block_of(piece, start: int, stop: int) -> np.ndarray:
+    """The (B, s, s) diagonal block [start, stop) of a piece's matrices."""
+    if isinstance(piece, np.ndarray):
+        return piece[:, start:stop, start:stop]
+    if stop - start == piece[0].shape[-1]:
+        return np.stack(piece)
+    return np.stack([m[start:stop, start:stop] for m in piece])
 
 
-def _matrix_distances(x, y, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
-    """Kobayashi distances between the p x q matrices of two equal-length
-    sequences of matrix-ball points, pair by pair.
+def _diagonal_blocks(*stacks) -> list[tuple[np.ndarray, ...]]:
+    """Stacks of B square matrices split into their finest diagonal
+    blocks, grouped by exact size.
+
+    Each stack is a list of pieces along the diagonal, every entry off the
+    pieces being zero: one piece for whole matrices, or the (B, b, b)
+    factor blocks of direct-sum images.  Piece j of every stack is a
+    sequence or a stack of B matrices of one size.  Within a piece the
+    blocks are the finest consecutive diagonal ranges outside which every
+    entry of every matrix of every stack is exactly zero
+    (:func:`_block_ranges`).  The cut between two factor blocks is such a
+    range boundary, so the factor blocks of images give the same blocks as
+    the whole images, also where structural zeros split a factor block.
+    Every nonzero entry and its transpose fall in one block, so the blocks
+    hold every entry of Z - Z^t too.
+
+    Returns one entry per block size, in ascending order, holding for each
+    stack a ``(B, n, s, s)`` array of its n blocks of size s in diagonal
+    order.  No block is padded, so a kernel run once per group sees only
+    the blocks' own entries; whole matrices are stacked only when they
+    form one block.
+    """
+    sizes: dict[int, list[tuple[int, int, int]]] = {}
+    for j, pieces in enumerate(zip(*stacks)):
+        for start, stop in _block_ranges(pieces):
+            sizes.setdefault(stop - start, []).append((j, start, stop))
+    return [tuple(_group_of(stack, sizes[s]) for stack in stacks) for s in sorted(sizes)]
+
+
+def _group_of(stack, ranges) -> np.ndarray:
+    """The contiguous (B, n, s, s) stack of a stack's diagonal blocks at
+    ``(piece, start, stop)`` ranges of one size s."""
+    blocks = [_block_of(stack[j], start, stop) for j, start, stop in ranges]
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0])[:, np.newaxis]
+    return np.stack(blocks, axis=1)
+
+
+def _block_margins(groups, count: int, tol: Tolerance) -> np.ndarray:
+    """Smallest contraction margin over all blocks of each of ``count``
+    members, from one eigensolve per group of ``(..., count, n, s, s)``
+    block stacks; 1, the margin of zero, with no blocks."""
+    if not groups:
+        return np.ones(count)
+    return reduce(np.minimum, [_contraction_margins(blocks, tol).min(axis=-1) for blocks in groups])
+
+
+def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
+    """Kobayashi distances between ``count`` pairs of matrix-ball points
+    given by their diagonal blocks: per group an (x, y) pair of
+    ``(count, n, p, q)`` block stacks, as :func:`_diagonal_blocks` returns
+    for square points; a rectangular point is one p x q block.
 
     tanh d(X, Y) = s_max(C^-1 (Y - X)(I - X*Y)^-1 D) with the Cholesky
     factors C C* = I - X X* and D D* = I - X*X.  They differ from the
     transvection's (I - X X*)^{-1/2} and (I - X*X)^{1/2} by unitary factors
-    only, so the singular values are those of the transvected point.
-    Square matrices are split into their exact diagonal blocks (see
-    :func:`_diagonal_blocks`): the distance is the largest over the
-    blocks, the margins the smallest, and an all-zero range adds distance 0
-    and margin 1.  Each step is one LAPACK call over all blocks of all
-    pairs (the two Cholesky factors of rectangular points take two).
+    only, so the singular values are those of the transvected point.  For
+    block-diagonal points all of these are block diagonal: the distance is
+    the largest over the blocks, the margins the smallest, and an all-zero
+    range adds distance 0 and margin 1.  Each step is one LAPACK call per
+    group over all its blocks of all pairs (the two Cholesky factors of
+    rectangular points take two).  Before each check the per-pair values of
+    all groups are combined, so the checks run in one order whatever the
+    groups.
 
     With ``check_inputs``, x is checked for symmetry (when ``symmetric``)
     and y for interiority, as :func:`membership` does; x is always checked
-    against ``psd_margin``, and I - X*Y like :func:`solve_right` does.  A
-    failing check names the first failing pair.
+    against ``psd_margin``, and I - X*Y like :func:`solve_right` does, on
+    the extreme singular values over all blocks of a pair.  Where the
+    blocks have more than one size, 1 joins those extremes: it is the
+    singular value that the zero padding of the smaller blocks added when
+    every block was padded to the largest, kept so that no decision moves.
+    A failing check names the first failing pair.
     """
-    square = x[0].shape[-1] == x[0].shape[-2]
-    xb, yb = _diagonal_blocks(x, y) if square else (np.stack(x)[:, np.newaxis], np.stack(y)[:, np.newaxis])
+    if not groups:
+        # Every member of both stacks is zero.
+        return np.zeros(count)
     if check_inputs and symmetric:
-        for blocks in (xb, yb):
-            defect = _asymmetries(blocks).max(axis=1, initial=0.0)
+        for side in (0, 1):
+            defect = reduce(np.maximum, [_asymmetries(group[side]).max(axis=1) for group in groups])
             _raise_first(
                 defect > tol.eq_tol,
                 MembershipViolation,
                 lambda i: f"distance argument must be an interior point: {_asymmetry_detail(defect[i])}",
             )
-    if xb.shape[1] == 0:
-        # Every member of both stacks is zero.
-        return np.zeros(len(x))
-    x_margin, y_margin = _block_margins(np.stack([xb, yb]), tol)
+    x_margin, y_margin = _block_margins([np.stack(group) for group in groups], count, tol)
     if check_inputs:
         _raise_first(
             ~(y_margin > tol.psd_margin),
@@ -468,28 +510,37 @@ def _matrix_distances(x, y, tol: Tolerance, symmetric: bool, check_inputs: bool 
         MembershipViolation,
         lambda i: "transvection base " + _interior_detail(x_margin[i]),
     )
-    p, q = xb.shape[-2:]
-    adjoint = xb.conj().swapaxes(-1, -2)
-    grams = (np.eye(p) - xb @ adjoint, np.eye(q) - adjoint @ xb)
-    try:
-        if square:
-            left, right = np.linalg.cholesky(np.stack(grams))
-        else:
-            left, right = (np.linalg.cholesky(gram) for gram in grams)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
-    difference = yb - xb
-    denominator = np.eye(q) - adjoint @ yb
+    differences, denominators, factors = [], [], []
+    order = largest_q = 0
+    for xb, yb in groups:
+        p, q = xb.shape[-2:]
+        order, largest_q = max(order, p, q), max(largest_q, q)
+        adjoint = xb.conj().swapaxes(-1, -2)
+        grams = (np.eye(p) - xb @ adjoint, np.eye(q) - adjoint @ xb)
+        try:
+            if p == q:
+                factors.append(np.linalg.cholesky(np.stack(grams)))
+            else:
+                factors.append([np.linalg.cholesky(gram) for gram in grams])
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
+        differences.append(yb - xb)
+        denominators.append(np.eye(q) - adjoint @ yb)
     # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the eigensolve's
     # error, and the same for Y, so the singular values of each block of
-    # I - X*Y lie within ||X_b|| ||Y_b|| of 1.
-    x_norm, y_norm = np.sqrt(1.0 - np.stack([x_margin, y_margin]) + _spectral_slack(max(p, q)))
+    # I - X*Y lie within ||X_b|| ||Y_b|| of 1.  The largest block order
+    # bounds the rounding of every group.
+    x_norm, y_norm = np.sqrt(1.0 - np.stack([x_margin, y_margin]) + _spectral_slack(order))
     reach = x_norm * y_norm
-    unsettled = ~_certified(1.0 + reach, 1.0 - reach, q, tol)
-    bad = np.zeros(len(x), dtype=bool)
+    unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)
+    bad = np.zeros(count, dtype=bool)
     if unsettled.any():
-        sv = np.linalg.svd(denominator[unsettled], compute_uv=False)
-        bad[unsettled] = _ill_conditioned(sv[..., 0].max(axis=1), sv[..., -1].min(axis=1), tol)
+        largest, smallest = (1.0, 1.0) if len(groups) > 1 else (0.0, np.inf)
+        for denominator in denominators:
+            sv = np.linalg.svd(denominator[unsettled], compute_uv=False)
+            largest = np.maximum(largest, sv[..., 0].max(axis=1))
+            smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
+        bad[unsettled] = _ill_conditioned(largest, smallest, tol)
     near_singular = "transvection denominator near singular: "
     _raise_first(
         bad,
@@ -497,17 +548,23 @@ def _matrix_distances(x, y, tol: Tolerance, symmetric: bool, check_inputs: bool 
         lambda i: f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}",
     )
     try:
-        middle = _solve_unchecked(difference, denominator)
+        middles = [_solve_unchecked(a, b) for a, b in zip(differences, denominators)]
     except SingularSystem as exc:
         raise IllConditioned(f"{near_singular}{exc}") from exc
-    residual, bound = (r.max(axis=1) for r in _residuals(middle, difference, denominator, tol))
+    checks = [_residuals(*args, tol) for args in zip(middles, differences, denominators)]
+    residual, bound = (reduce(np.maximum, [r.max(axis=1) for r in values]) for values in zip(*checks))
     _raise_first(
         residual > bound,
         IllConditioned,
         lambda i: f"{near_singular}solution residual {residual[i]:.3e} exceeds tolerance",
     )
-    moved = np.linalg.solve(left, middle @ right)
-    top = np.linalg.svd(moved, compute_uv=False)[..., 0].max(axis=1)
+    top = reduce(
+        np.maximum,
+        [
+            np.linalg.svd(np.linalg.solve(left, middle @ right), compute_uv=False)[..., 0].max(axis=1)
+            for middle, (left, right) in zip(middles, factors)
+        ]
+    )
     _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1")
     return np.arctanh(top)
 
@@ -593,12 +650,13 @@ def kobayashi_distance(
                 raise MembershipViolation(f"distance argument must be an interior point: {reason}")
             _require_interior(b, tol, "distance argument")
         xs, ys = [cayley_to_bounded(a, tol) for a in xs], [cayley_to_bounded(b, tol) for b in ys]
+    x_matrices, y_matrices = [a.z for a in xs], [b.z for b in ys]
+    if shape.p == shape.q:
+        groups = _diagonal_blocks([x_matrices], [y_matrices])
+    else:
+        groups = [(np.stack(x_matrices)[:, np.newaxis], np.stack(y_matrices)[:, np.newaxis])]
     return _matrix_distances(
-        [a.z for a in xs],
-        [b.z for b in ys],
-        tol,
-        symmetric=shape.kind is not DomainKind.TYPE_I,
-        check_inputs=not siegel,
+        groups, len(xs), tol, symmetric=shape.kind is not DomainKind.TYPE_I, check_inputs=not siegel
     )
 
 

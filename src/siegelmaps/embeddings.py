@@ -29,7 +29,9 @@ minors of each degree (see :func:`_wedge_coefficients`) and one stacked
 solve per factor.  :func:`exterior_power_embed` and :func:`factor_block`
 are its one-point wrappers, and a stacked block has the bits of the same
 point evaluated alone.  :func:`direct_sum_embed` also takes a stack of
-points, with the same bits per member.
+points, with the same bits per member: it places on zero g x g matrices
+the factor blocks of :func:`_embed_blocks`, which the verify suites use
+as they are.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -422,6 +424,27 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
     return matrix, pseudo
 
 
+def _embed_blocks(spec: EmbeddingSpec, points, tol: Tolerance) -> list[np.ndarray]:
+    """The diagonal blocks ``A_f z`` of the images of a sequence of B ball
+    points, one (B, b, b) array per factor in :func:`block_layout` order:
+    the arrays :func:`direct_sum_embed` places on its zero g x g matrices,
+    computed without them.  An input on or outside the sphere raises,
+    naming the member by its index."""
+    for i, point in enumerate(points):
+        if point.n != spec.source_dim:
+            raise SpecMismatch(f"embedding input {i}: spec expects ball dimension {spec.source_dim}, got {point.n}")
+        _require_interior_ball(point, tol, f"embedding input {i}")
+    coords = np.array([point.coords for point in points], dtype=np.complex128).reshape(len(points), spec.source_dim)
+    blocks = []
+    for factor in spec.factors:
+        matrix, _ = factor_form(factor)
+        # One matrix-vector product per member, the same as A_f @ z: the
+        # matrix product C @ A_f^T rounds the signs of zeros differently.
+        size = factor.block_size
+        blocks.append((matrix @ coords[..., np.newaxis])[..., 0].reshape(-1, size, size))
+    return blocks
+
+
 def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE):
     """Evaluate the embedding: each factor's compiled block ``A_f z`` on the
     diagonal, zero padding.
@@ -446,18 +469,10 @@ def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE)
         out.setflags(write=False)
         return DomainPoint(type_iii_shape(g), out)
     points = list(z)
-    for i, point in enumerate(points):
-        if point.n != spec.source_dim:
-            raise SpecMismatch(f"embedding input {i}: spec expects ball dimension {spec.source_dim}, got {point.n}")
-        _require_interior_ball(point, tol, f"embedding input {i}")
-    coords = np.array([point.coords for point in points], dtype=np.complex128).reshape(len(points), spec.source_dim)
+    blocks = _embed_blocks(spec, points, tol)
     out = np.zeros((len(points), g, g), dtype=np.complex128)
-    for factor, start, stop in block_layout(spec):
-        matrix, _ = factor_form(factor)
-        # One matrix-vector product per member, the same as A_f @ z: the
-        # matrix product C @ A_f^T rounds the signs of zeros differently.
-        blocks = (matrix @ coords[..., np.newaxis])[..., 0]
-        out[:, start:stop, start:stop] = blocks.reshape(-1, stop - start, stop - start)
+    for (_, start, stop), block in zip(block_layout(spec), blocks):
+        out[:, start:stop, start:stop] = block
     out.setflags(write=False)
     return out
 

@@ -9,17 +9,22 @@ maximum residual keep the earliest sample (``argmax``, ``max`` and
 ``list.index`` all keep the first; the membership suite keeps the
 earliest minimum margin).  The six sampled suites draw all their samples
 first, in the same stream order, and evaluate them on slices of a few
-hundred KiB: one stacked embed and retract per slice, one wedge kernel
-call per slice for all factors, one eigensolve per slice for the image
-margins, and for the isometry sandwich one stacked matrix distance call
-per slice of images and one ball distance call over all pairs for each
-ball side.  A suite that raises a package error becomes a failed
-result that names the error.
+hundred KiB.  The retraction, membership, symmetry and isometry suites
+carry each image as its factor blocks ``A_f z``, never as a zero-padded
+g x g matrix, and slice by block entries: one stacked embed and retract
+per slice, one wedge kernel call per slice for all factors, one
+eigensolve per block size and slice for the image margins, and for the
+isometry sandwich (:func:`~siegelmaps.retractions.isometry_sandwich` on
+sequences) one distance kernel pass per block size and slice and one
+ball distance call over all pairs for each ball side.  Only the linearity
+oracle compares whole g x g images, which checks the padding of
+:func:`~siegelmaps.embeddings.direct_sum_embed`.  A suite that raises a
+package error becomes a failed result that names the error.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -28,18 +33,18 @@ from .embeddings import (
     EmbeddingSpec,
     FactorKind,
     _block_entries,
+    _embed_blocks,
     _oracle_residuals,
     _point_slices,
     _stack_points,
     _wedge_blocks,
-    direct_sum_embed,
     linearize,
 )
 from .errors import NonlinearityDetected, SiegelmapsError
 from .exterior import _conjugation_unit, induced_form, signature, wedge_basis
 from .linalg import singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
-from .retractions import _sandwich_stack, retract_direct_sum
+from .retractions import _retract_blocks, isometry_sandwich
 from .sampling import generator, sample_ball_point, sample_phases
 from .serialize import point_to_json
 
@@ -69,8 +74,8 @@ def _suite_retraction(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     tol = config.tol
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
     residuals = np.empty(config.samples)
-    for part in _point_slices(config.samples, spec.target_g**2):
-        back = retract_direct_sum(direct_sum_embed(spec, points[part], tol), spec, tol, verify=False)
+    for part in _point_slices(config.samples, _block_entries(spec)):
+        back = _retract_blocks(spec, _embed_blocks(spec, points[part], tol))
         residuals[part] = np.abs(back - [z.coords for z in points[part]]).max(axis=1)
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
@@ -88,14 +93,14 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     tol = config.tol
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
     margins, inside = [], []
-    for part in _point_slices(len(points), spec.target_g**2):
-        images = direct_sum_embed(spec, points[part], tol)
+    for part in _point_slices(len(points), _block_entries(spec)):
+        blocks = _embed_blocks(spec, points[part], tol)
         # The test of membership() on the images' exact diagonal blocks, one
-        # eigensolve for the slice.
-        (blocks,) = _diagonal_blocks(images)
-        image_margins = _block_margins(blocks, tol)
-        symmetric = _asymmetries(blocks).max(axis=1, initial=0.0) <= tol.eq_tol
-        backs = retract_direct_sum(images, spec, tol, verify=False)
+        # eigensolve per block size for the slice.
+        groups = [group for (group,) in _diagonal_blocks(blocks)]
+        image_margins = _block_margins(groups, len(blocks[0]), tol)
+        symmetric = reduce(np.maximum, [_asymmetries(block) for block in blocks]) <= tol.eq_tol
+        backs = _retract_blocks(spec, blocks)
         for back, image_margin, image_symmetric in zip(backs, image_margins.tolist(), symmetric):
             # The norm of BallPoint, with its bits.
             back_margin = 1.0 - float(np.linalg.norm(back)) ** 2
@@ -120,7 +125,7 @@ def _suite_isometry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     for _ in range(config.samples):
         xs.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
         ys.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
-    source, target, retracted = _sandwich_stack(spec, xs, ys, tol)
+    source, target, retracted = isometry_sandwich(spec, xs, ys, tol)
     gaps = np.maximum(np.abs(source - target), np.abs(source - retracted)).tolist()
     worst = max(gaps)
     i = gaps.index(worst)
@@ -154,12 +159,13 @@ def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     models = sorted({f.wedge_model for f in spec.factors if f.wedge_model and f.wedge_model[1]})
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
     residuals = np.empty(config.samples)
-    for part in _point_slices(config.samples, spec.target_g**2):
-        residuals[part] = _asymmetries(direct_sum_embed(spec, points[part], tol))
-    coords = _stack_points(points, spec.source_dim, tol)
     for part in _point_slices(config.samples, _block_entries(spec)):
-        for blocks in _wedge_blocks(coords[part], models, tol):
-            np.maximum(residuals[part], _asymmetries(blocks), out=residuals[part])
+        # The images' entries off their factor blocks are zero, so the
+        # largest |Z - Z^t| over the blocks is that over the whole image.
+        blocks = _embed_blocks(spec, points[part], tol)
+        residuals[part] = reduce(np.maximum, [_asymmetries(block) for block in blocks])
+        for wedge in _wedge_blocks(_stack_points(points[part], spec.source_dim, tol), models, tol):
+            np.maximum(residuals[part], _asymmetries(wedge), out=residuals[part])
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
     return SuiteResult("symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(points[i]))

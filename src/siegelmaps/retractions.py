@@ -6,7 +6,10 @@ matrix ``P_f = A_f^+``: applied to the factor's flattened diagonal block,
 it projects orthogonally onto the factor's image and recovers the source
 coordinates.  A direct sum is retracted blockwise and the per-factor ball
 points are averaged with equal weights, which stays inside the ball by
-convexity.  Every step is linear, so the retraction is holomorphic.
+convexity.  Every step is linear, so the retraction is holomorphic.  The
+stacked :func:`retract_direct_sum` extracts the factor blocks of its
+g x g matrices for :func:`_retract_blocks`, which the verify suites call
+on the blocks of :func:`~siegelmaps.embeddings._embed_blocks` directly.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from .domains import (
     DomainKind,
     DomainPoint,
     _ball_distances,
+    _diagonal_blocks,
     _matrix_distances,
     _require_interior,
     kobayashi_distance,
     type_iii_shape,
 )
-from .embeddings import EmbeddingSpec, _point_slices, block_layout, direct_sum_embed, factor_form
-from .errors import DimensionMismatch, IllConditioned, SpecMismatch
+from .embeddings import EmbeddingSpec, _block_entries, _embed_blocks, _point_slices, block_layout, factor_form
+from .errors import DimensionMismatch, IllConditioned, ShapeMismatch, SpecMismatch
 from .linalg import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
@@ -79,20 +83,28 @@ def retract_direct_sum(y, spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANC
     if verify:
         for i, image in enumerate(images):
             _require_interior(DomainPoint(type_iii_shape(g), image), tol, f"direct-sum retraction input {i}")
-    total = np.zeros((len(images), spec.source_dim), dtype=np.complex128)
-    for factor, start, stop in layout:
+    return _retract_blocks(spec, [images[:, start:stop, start:stop] for _, start, stop in layout])
+
+
+def _retract_blocks(spec: EmbeddingSpec, blocks) -> np.ndarray:
+    """Source coordinates, one (B, N) array, from the diagonal blocks of B
+    images given as one (B, b, b) array per factor in ``block_layout``
+    order, such as :func:`~siegelmaps.embeddings._embed_blocks` returns.
+    A block that retracts outside the ball raises, naming its member."""
+    total = np.zeros((len(blocks[0]), spec.source_dim), dtype=np.complex128)
+    for factor, block in zip(spec.factors, blocks):
         _, pseudo = factor_form(factor)
-        blocks = images[:, start:stop, start:stop].reshape(len(images), (stop - start) ** 2)
+        flat = block.reshape(len(block), factor.block_size**2)
         # One matrix-vector product per member, the same as P_f @ block:
         # blocks @ P_f^T rounds differently for some factors.
-        coords = (pseudo @ blocks[..., np.newaxis])[..., 0]
+        coords = (pseudo @ flat[..., np.newaxis])[..., 0]
         norms = np.sqrt((coords.real**2 + coords.imag**2).sum(axis=1))
         outside = norms >= 1.0
         if outside.any():
             i = int(np.argmax(outside))
             raise IllConditioned(f"matrix {i}: {factor.kind.value} block retracts to norm {norms[i]:.6f} >= 1")
         total += coords
-    return total / len(layout)
+    return total / len(blocks)
 
 
 @dataclass(frozen=True)
@@ -119,25 +131,35 @@ def _sandwich_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Source, target and retracted distances of pairs of ball points.
 
-    Only the g x g images are sliced: each slice of a few hundred KiB is
-    embedded, which checks the points, measured by one stacked matrix
-    distance call and retracted.  The source and the retracted distances
-    then take one stacked ball distance call each over all pairs."""
+    The images are carried as their factor blocks (:func:`_embed_blocks`),
+    never as g x g matrices.  Each slice of pairs holding a few hundred KiB
+    of block entries is embedded, which checks the points, split into its
+    exact diagonal blocks, measured by one pass of the matrix distance
+    kernel per block size, and retracted.  The source and the retracted
+    distances then take one stacked ball distance call each over all
+    pairs."""
     target = np.empty(len(xs))
     rx, ry = (np.empty((len(xs), spec.source_dim), dtype=np.complex128) for _ in range(2))
-    # Each pair holds two g x g images.
-    for part in _point_slices(len(xs), 2 * spec.target_g**2):
-        ex, ey = (direct_sum_embed(spec, points[part], tol) for points in (xs, ys))
-        # The stacks go to the distance kernel as they are: wrapping each
-        # member as a point for kobayashi_distance would copy every image.
-        target[part] = _matrix_distances(list(ex), list(ey), tol, symmetric=True)
-        rx[part], ry[part] = (retract_direct_sum(images, spec, tol, verify=False) for images in (ex, ey))
+    # Each pair holds the blocks of two images.
+    for part in _point_slices(len(xs), 2 * _block_entries(spec)):
+        bx, by = (_embed_blocks(spec, points[part], tol) for points in (xs, ys))
+        target[part] = _matrix_distances(_diagonal_blocks(bx, by), len(bx[0]), tol, symmetric=True)
+        rx[part], ry[part] = (_retract_blocks(spec, blocks) for blocks in (bx, by))
     return kobayashi_distance(xs, ys, tol), target, _ball_distances(rx, ry, tol)
 
 
-def isometry_sandwich(
-    spec: EmbeddingSpec, x: BallPoint, y: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE
-) -> SandwichRecord:
-    """Measure the distance sandwich for one pair of interior points."""
-    source, target, retracted = _sandwich_stack(spec, [x], [y], tol)
-    return SandwichRecord(float(source[0]), float(target[0]), float(retracted[0]))
+def isometry_sandwich(spec: EmbeddingSpec, x, y, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Measure the distance sandwich for one pair of interior points.
+
+    x and y may also be equal-length sequences of ball points: the source,
+    target and retracted distances of the pairs then come back as three
+    arrays from stacked evaluations (see :func:`_sandwich_stack`).  Within
+    one slice of pairs the blocks are those :func:`kobayashi_distance`
+    finds on the g x g images, so the target distances have its bits."""
+    if isinstance(x, BallPoint):
+        source, target, retracted = _sandwich_stack(spec, [x], [y], tol)
+        return SandwichRecord(float(source[0]), float(target[0]), float(retracted[0]))
+    xs, ys = list(x), list(y)
+    if not xs or len(xs) != len(ys):
+        raise ShapeMismatch(f"expected equal nonzero numbers of points, got {len(xs)} and {len(ys)}")
+    return _sandwich_stack(spec, xs, ys, tol)

@@ -159,6 +159,20 @@ def test_verify_over_budget_spec_exits_two(tmp_path, capsys):
     assert "BudgetExceeded" in capsys.readouterr().err
 
 
+def test_verify_on_a_genus_too_big_to_allocate_exits_two(tmp_path, capsys):
+    # The property suites carry the images as factor blocks, so nothing of
+    # order g is built until the linearity oracle asks for whole g x g
+    # images, which numpy refuses before allocating anything: a
+    # "too big" ValueError, not an attempted allocation (a MemoryError).
+    spec = _write(tmp_path / "spec.json", dict(CONNECTING_SPEC, target_g=2**40))
+    report = tmp_path / "r.json"
+    code = main(["verify", "--spec", spec, "--samples", "2", "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: array is too big"), err
+    assert report.read_text() == ""
+
+
 def test_verify_unknown_suite_exits_two(tmp_path, capsys):
     spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
     code = main(["verify", "--spec", spec, "--suites", "nonsense", "--report", str(tmp_path / "r.json")])

@@ -466,6 +466,15 @@ def test_ball_point_rejects_norm_one():
         ball_point([1.0, 0.0])
 
 
+def test_ball_point_norm_is_measured_once(monkeypatch):
+    z = ball_point([0.3, 0.4j, -0.2 + 0.1j])
+    assert z.norm == float(np.linalg.norm(z.coords))
+    calls = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: calls.append(args))
+    assert z.norm == z.norm < 1.0
+    assert calls == []
+
+
 def test_siegel_cayley_singular_guard():
     # bounded point with eigenvalue pinned at 1 - eps along the real axis
     z = np.diag([1.0 - 1e-14, 0.0]).astype(complex)

@@ -20,7 +20,7 @@ from siegelmaps import (
     retract_direct_sum,
     singular_values,
 )
-from siegelmaps import exterior, harness
+from siegelmaps import embeddings, exterior, harness
 from siegelmaps.embeddings import block_layout, factor_block
 from siegelmaps.linalg import Tolerance, max_abs
 from siegelmaps.report import HarnessConfig, SuiteResult
@@ -30,6 +30,16 @@ N2_SPEC = EmbeddingSpec(
     2,
     (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 2)),
     6,
+)
+# Padded (cost 5) and with both standard factors.
+N1_PADDED_SPEC = EmbeddingSpec(
+    1,
+    (
+        FactorSpec(FactorKind.STANDARD_I, 1, 1),
+        FactorSpec(FactorKind.STANDARD_III, 1, 1),
+        FactorSpec(FactorKind.CONNECTING_LAMBDA, 1, 1),
+    ),
+    8,
 )
 G60_SPEC = EmbeddingSpec(
     5,
@@ -199,8 +209,9 @@ _LOOPS = {
 @pytest.mark.parametrize("suite", sorted(_LOOPS))
 @pytest.mark.parametrize(
     "spec, seed, samples",
-    [(N2_SPEC, 3, 20), (N2_SPEC, 11, 1), (G60_SPEC, 0, 8), (G60_SPEC, 5, 40)],
-    ids=["N2-s20", "N2-s1", "g60-s8", "g60-s40"],
+    [(N2_SPEC, 3, 20), (N2_SPEC, 11, 1), (G60_SPEC, 0, 8), (G60_SPEC, 5, 40)]
+    + [(N1_PADDED_SPEC, 2, 12), (N1_PADDED_SPEC, 9, 1)],
+    ids=["N2-s20", "N2-s1", "g60-s8", "g60-s40"] + ["N1-padded-s12", "N1-padded-s1"],
 )
 def test_stacked_suite_equals_per_sample_loop(suite, spec, seed, samples):
     # At g = 60, 40 samples span several slices of the stacked evaluation
@@ -285,3 +296,35 @@ def test_verification_of_the_g60_spec_makes_at_most_five_svd_calls(monkeypatch):
     report = harness.run_verification(G60_SPEC, HarnessConfig(samples=8, seed=1))
     assert report.passed
     assert len(calls) <= 5, calls
+
+
+def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(monkeypatch):
+    # Only the linearity oracle builds whole g x g images: 14 calls of
+    # direct_sum_embed for linearize's 50 points and 2 for the suite's 8.
+    # The isometry suite's 8 pairs fit one slice, measured by one pass of
+    # the distance kernel per block size (one block of 10, two of 15, one
+    # of 20), with one Cholesky call each.
+    embeds, choleskys = [], []
+    counted_embed, counted_cholesky = embeddings.direct_sum_embed, np.linalg.cholesky
+
+    def counting_embed(spec, z, tol=Tolerance()):
+        embeds.append(len(z))
+        return counted_embed(spec, z, tol)
+
+    def counting_cholesky(a):
+        choleskys.append(a.shape)
+        return counted_cholesky(a)
+
+    monkeypatch.setattr(embeddings, "direct_sum_embed", counting_embed)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    config = HarnessConfig(samples=8, seed=1)
+    for name in ("retraction", "membership", "isometry", "symmetry"):
+        assert harness.run_suite(name, G60_SPEC, config).passed
+    assert embeds == []
+    assert choleskys == [(2, 8, n, s, s) for n, s in ((1, 10), (2, 15), (1, 20))]
+    assert harness.run_verification(G60_SPEC, config).passed
+    assert len(embeds) == 16 and sum(embeds) == 58
+    # Nothing in those four suites grows with g: at g = 2**40 they pass.
+    huge = dataclasses.replace(G60_SPEC, target_g=2**40)
+    for name in ("retraction", "membership", "isometry", "symmetry"):
+        assert harness.run_suite(name, huge, config).passed

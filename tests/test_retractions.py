@@ -26,7 +26,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps.embeddings import block_layout, factor_block
-from siegelmaps.errors import DimensionMismatch, IllConditioned, MembershipViolation, SpecMismatch
+from siegelmaps.errors import DimensionMismatch, IllConditioned, MembershipViolation, ShapeMismatch, SpecMismatch
 from siegelmaps.linalg import DEFAULT_TOLERANCE, max_abs
 from siegelmaps.sampling import (
     generator,
@@ -273,6 +273,23 @@ def test_isometry_sandwich_seeded_pairs():
                 x = sample_ball_point(rng, n)
                 y = sample_ball_point(rng, n)
                 assert isometry_sandwich(spec, x, y).max_gap <= 1e-8
+
+
+def test_isometry_sandwich_on_sequences_equals_its_pairs():
+    rng = generator(57, 0)
+    for n in (1, 2, 3):
+        specs, _ = enumerate_specs(n, 6)
+        for spec in specs[:4]:
+            xs = [sample_ball_point(rng, n) for _ in range(5)]
+            ys = [sample_ball_point(rng, n) for _ in range(5)]
+            stacked = isometry_sandwich(spec, xs, ys)
+            records = [isometry_sandwich(spec, x, y) for x, y in zip(xs, ys)]
+            for values, name in zip(stacked, ("source", "target", "retracted")):
+                assert values.tolist() == [getattr(record, name) for record in records]
+    with pytest.raises(ShapeMismatch):
+        isometry_sandwich(spec, xs, ys[:-1])
+    with pytest.raises(ShapeMismatch):
+        isometry_sandwich(spec, [], [])
 
 
 def test_block_layout_covers_budget_prefix():
