@@ -382,18 +382,14 @@ def _raise_first(bad: np.ndarray, error: type[Exception], message) -> None:
 def _block_ranges(pieces) -> list[tuple[int, int]]:
     """The finest consecutive diagonal ranges of k x k matrices outside
     which every entry of every matrix is exactly zero, all-zero ranges left
-    out.  ``pieces`` holds sequences or (B, k, k) stacks of such matrices.
-    A nonzero corner entry [0, k - 1] makes one range without a scan."""
-    k = pieces[0][0].shape[-1]
-    if any(m[0, -1] != 0 for piece in pieces for m in piece):
+    out.  ``pieces`` holds (B, k, k) stacks of such matrices.  A nonzero
+    corner entry [0, k - 1] makes one range without a scan."""
+    k = pieces[0].shape[-1]
+    if any((piece[:, 0, -1] != 0).any() for piece in pieces):
         return [(0, k)]
     nonzero = np.zeros((k, k), dtype=bool)
     for piece in pieces:
-        if isinstance(piece, np.ndarray):
-            nonzero |= (piece != 0).any(axis=0)
-        else:
-            for m in piece:
-                nonzero |= m != 0
+        nonzero |= (piece != 0).any(axis=0)
     nonzero |= nonzero.T
     index = np.arange(k)
     # The furthest index reached by any row up to i: a range ends at i
@@ -402,15 +398,6 @@ def _block_ranges(pieces) -> list[tuple[int, int]]:
     stops = np.flatnonzero(reach == index) + 1
     used = nonzero.any(axis=1)
     return [(start, stop) for start, stop in zip((0, *stops[:-1]), stops) if used[start:stop].any()]
-
-
-def _block_of(piece, start: int, stop: int) -> np.ndarray:
-    """The (B, s, s) diagonal block [start, stop) of a piece's matrices."""
-    if isinstance(piece, np.ndarray):
-        return piece[:, start:stop, start:stop]
-    if stop - start == piece[0].shape[-1]:
-        return np.stack(piece)
-    return np.stack([m[start:stop, start:stop] for m in piece])
 
 
 def _diagonal_blocks(*stacks) -> list[tuple[np.ndarray, ...]]:
@@ -432,9 +419,10 @@ def _diagonal_blocks(*stacks) -> list[tuple[np.ndarray, ...]]:
     Returns one entry per block size, in ascending order, holding for each
     stack a ``(B, n, s, s)`` array of its n blocks of size s in diagonal
     order.  No block is padded, so a kernel run once per group sees only
-    the blocks' own entries; whole matrices are stacked only when they
-    form one block.
+    the blocks' own entries.  A piece given as a sequence is stacked once,
+    on entry, and a piece that forms one block is not copied again.
     """
+    stacks = [[np.asarray(piece) for piece in stack] for stack in stacks]
     sizes: dict[int, list[tuple[int, int, int]]] = {}
     for j, pieces in enumerate(zip(*stacks)):
         for start, stop in _block_ranges(pieces):
@@ -445,7 +433,7 @@ def _diagonal_blocks(*stacks) -> list[tuple[np.ndarray, ...]]:
 def _group_of(stack, ranges) -> np.ndarray:
     """The contiguous (B, n, s, s) stack of a stack's diagonal blocks at
     ``(piece, start, stop)`` ranges of one size s."""
-    blocks = [_block_of(stack[j], start, stop) for j, start, stop in ranges]
+    blocks = [stack[j][:, start:stop, start:stop] for j, start, stop in ranges]
     if len(blocks) == 1:
         return np.ascontiguousarray(blocks[0])[:, np.newaxis]
     return np.stack(blocks, axis=1)

@@ -363,13 +363,20 @@ def exterior_power_embed(
     return DomainPoint(type_i_shape(*block.shape), block)
 
 
-def _stack_points(points, n: int, tol: Tolerance) -> np.ndarray:
-    """(B, n) coordinates of interior n-dimensional ball points."""
-    for z in points:
-        if z.n != n:
-            raise SpecMismatch(f"factor expects a {n}-dimensional ball point, got {z.n}")
-        _require_interior_ball(z, tol, "factor input")
-    return np.stack([z.coords for z in points])
+def _ball_coords(n: int, tol: Tolerance, *sequences) -> list[np.ndarray]:
+    """The (B, n) coordinates of each of equal-length sequences of B ball
+    points, every member checked once: member i of each sequence before
+    member i + 1.  An input of another dimension, or on or outside the
+    sphere, raises, naming its index i: a sample or a pair of samples."""
+    for i, members in enumerate(zip(*sequences)):
+        for point in members:
+            if point.n != n:
+                raise SpecMismatch(f"embedding input {i}: spec expects ball dimension {n}, got {point.n}")
+            _require_interior_ball(point, tol, f"embedding input {i}")
+    return [
+        np.array([point.coords for point in points], dtype=np.complex128).reshape(len(points), n)
+        for points in sequences
+    ]
 
 
 def _factor_blocks(factors, coords: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
@@ -401,7 +408,10 @@ def factor_block(factor: FactorSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLE
     construction, so the block's membership is not re-checked here; the
     harness verifies image membership separately.
     """
-    return _factor_blocks((factor,), _stack_points((z,), factor.p, tol), tol)[0][0]
+    if z.n != factor.p:
+        raise SpecMismatch(f"factor expects a {factor.p}-dimensional ball point, got {z.n}")
+    _require_interior_ball(z, tol, "factor input")
+    return _factor_blocks((factor,), z.coords[np.newaxis, :], tol)[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -424,17 +434,12 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
     return matrix, pseudo
 
 
-def _embed_blocks(spec: EmbeddingSpec, points, tol: Tolerance) -> list[np.ndarray]:
-    """The diagonal blocks ``A_f z`` of the images of a sequence of B ball
-    points, one (B, b, b) array per factor in :func:`block_layout` order:
-    the arrays :func:`direct_sum_embed` places on its zero g x g matrices,
-    computed without them.  An input on or outside the sphere raises,
-    naming the member by its index."""
-    for i, point in enumerate(points):
-        if point.n != spec.source_dim:
-            raise SpecMismatch(f"embedding input {i}: spec expects ball dimension {spec.source_dim}, got {point.n}")
-        _require_interior_ball(point, tol, f"embedding input {i}")
-    coords = np.array([point.coords for point in points], dtype=np.complex128).reshape(len(points), spec.source_dim)
+def _embed_blocks(spec: EmbeddingSpec, coords: np.ndarray) -> list[np.ndarray]:
+    """The diagonal blocks ``A_f z`` of the images of B ball points, given
+    as their (B, N) coordinates checked by :func:`_ball_coords`: one
+    (B, b, b) array per factor in :func:`block_layout` order, the arrays
+    :func:`direct_sum_embed` places on its zero g x g matrices, computed
+    without them."""
     blocks = []
     for factor in spec.factors:
         matrix, _ = factor_form(factor)
@@ -468,10 +473,9 @@ def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE)
         # Frozen, so the point keeps it without a copy.
         out.setflags(write=False)
         return DomainPoint(type_iii_shape(g), out)
-    points = list(z)
-    blocks = _embed_blocks(spec, points, tol)
-    out = np.zeros((len(points), g, g), dtype=np.complex128)
-    for (_, start, stop), block in zip(block_layout(spec), blocks):
+    (coords,) = _ball_coords(spec.source_dim, tol, list(z))
+    out = np.zeros((len(coords), g, g), dtype=np.complex128)
+    for (_, start, stop), block in zip(block_layout(spec), _embed_blocks(spec, coords)):
         out[:, start:stop, start:stop] = block
     out.setflags(write=False)
     return out
@@ -482,14 +486,16 @@ def _oracle_residuals(spec: EmbeddingSpec, points, tol: Tolerance) -> np.ndarray
     the images come from the stacked :func:`direct_sum_embed` and the
     reference holds the factor constructions on its diagonal blocks and
     zeros elsewhere: the oracle the compiled map is checked against,
-    padding and entries between the blocks included.  The constructions
-    are evaluated a slice of points at a time, and the images a sub-slice
-    of g x g matrices at a time."""
+    padding and entries between the blocks included.  The points are
+    checked first, all of them, so an error names a point by its index in
+    ``points``.  The constructions are then evaluated a slice of points at
+    a time, and the images a sub-slice of g x g matrices at a time."""
     g = spec.target_g
+    (coords,) = _ball_coords(spec.source_dim, tol, points)
     layout = block_layout(spec)
     residuals = np.empty(len(points))
     for part in _point_slices(len(points), _block_entries(spec)):
-        blocks = _factor_blocks(spec.factors, _stack_points(points[part], spec.source_dim, tol), tol)
+        blocks = _factor_blocks(spec.factors, coords[part], tol)
         for sub in _point_slices(len(blocks[0]), g * g):
             # |image - reference| has the bits of |reference - image|.
             difference = np.array(direct_sum_embed(spec, points[part][sub], tol))

@@ -8,8 +8,9 @@ Suites run in canonical order and reduce deterministically: ties on the
 maximum residual keep the earliest sample (``argmax``, ``max`` and
 ``list.index`` all keep the first; the membership suite keeps the
 earliest minimum margin).  The six sampled suites draw all their samples
-first, in the same stream order, and evaluate them on slices of a few
-hundred KiB.  The retraction, membership, symmetry and isometry suites
+first, in the same stream order, check them once, so that a sample on or
+outside the sphere is named by its index in the suite (for isometry, its
+pair), and evaluate them on slices of a few hundred KiB.  The retraction, membership, symmetry and isometry suites
 carry each image as its factor blocks ``A_f z``, never as a zero-padded
 g x g matrix, and slice by block entries: one stacked embed and retract
 per slice, one wedge kernel call per slice for all factors, one
@@ -32,11 +33,11 @@ from .domains import BallPoint, _asymmetries, _block_margins, _diagonal_blocks
 from .embeddings import (
     EmbeddingSpec,
     FactorKind,
+    _ball_coords,
     _block_entries,
     _embed_blocks,
     _oracle_residuals,
     _point_slices,
-    _stack_points,
     _wedge_blocks,
     linearize,
 )
@@ -73,10 +74,11 @@ def _suite_retraction(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     rng = generator(config.seed, _STREAMS["retraction"])
     tol = config.tol
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    (coords,) = _ball_coords(spec.source_dim, tol, points)
     residuals = np.empty(config.samples)
     for part in _point_slices(config.samples, _block_entries(spec)):
-        back = _retract_blocks(spec, _embed_blocks(spec, points[part], tol))
-        residuals[part] = np.abs(back - [z.coords for z in points[part]]).max(axis=1)
+        back = _retract_blocks(spec, _embed_blocks(spec, coords[part]))
+        residuals[part] = np.abs(back - coords[part]).max(axis=1)
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
     return SuiteResult(
@@ -92,9 +94,10 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     rng = generator(config.seed, _STREAMS["membership"])
     tol = config.tol
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    (coords,) = _ball_coords(spec.source_dim, tol, points)
     margins, inside = [], []
-    for part in _point_slices(len(points), _block_entries(spec)):
-        blocks = _embed_blocks(spec, points[part], tol)
+    for part in _point_slices(config.samples, _block_entries(spec)):
+        blocks = _embed_blocks(spec, coords[part])
         # The test of membership() on the images' exact diagonal blocks, one
         # eigensolve per block size for the slice.
         groups = [group for (group,) in _diagonal_blocks(blocks)]
@@ -158,13 +161,14 @@ def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     tol = config.tol
     models = sorted({f.wedge_model for f in spec.factors if f.wedge_model and f.wedge_model[1]})
     points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    (coords,) = _ball_coords(spec.source_dim, tol, points)
     residuals = np.empty(config.samples)
     for part in _point_slices(config.samples, _block_entries(spec)):
         # The images' entries off their factor blocks are zero, so the
         # largest |Z - Z^t| over the blocks is that over the whole image.
-        blocks = _embed_blocks(spec, points[part], tol)
+        blocks = _embed_blocks(spec, coords[part])
         residuals[part] = reduce(np.maximum, [_asymmetries(block) for block in blocks])
-        for wedge in _wedge_blocks(_stack_points(points[part], spec.source_dim, tol), models, tol):
+        for wedge in _wedge_blocks(coords[part], models, tol):
             np.maximum(residuals[part], _asymmetries(wedge), out=residuals[part])
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
@@ -245,8 +249,8 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
     for _ in range(config.samples):
         points.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
         phases.append(sample_phases(rng, spec.source_dim))
-    base_coords = _stack_points(points, spec.source_dim, tol)
-    moved_coords = _stack_points([BallPoint(t * z.coords) for z, t in zip(points, phases)], spec.source_dim, tol)
+    (base_coords,) = _ball_coords(spec.source_dim, tol, points)
+    (moved_coords,) = _ball_coords(spec.source_dim, tol, [BallPoint(t * z.coords) for z, t in zip(points, phases)])
     phases = np.stack(phases)
     residuals = np.zeros(config.samples)
     for part in _point_slices(config.samples, 2 * _block_entries(spec)):

@@ -29,7 +29,15 @@ from .domains import (
     kobayashi_distance,
     type_iii_shape,
 )
-from .embeddings import EmbeddingSpec, _block_entries, _embed_blocks, _point_slices, block_layout, factor_form
+from .embeddings import (
+    EmbeddingSpec,
+    _ball_coords,
+    _block_entries,
+    _embed_blocks,
+    _point_slices,
+    block_layout,
+    factor_form,
+)
 from .errors import DimensionMismatch, IllConditioned, ShapeMismatch, SpecMismatch
 from .linalg import DEFAULT_TOLERANCE, Tolerance
 
@@ -131,20 +139,22 @@ def _sandwich_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Source, target and retracted distances of pairs of ball points.
 
-    The images are carried as their factor blocks (:func:`_embed_blocks`),
-    never as g x g matrices.  Each slice of pairs holding a few hundred KiB
-    of block entries is embedded, which checks the points, split into its
+    The points are checked once, pair by pair, and an error names the
+    pair.  The images are carried as their factor blocks
+    (:func:`_embed_blocks`), never as g x g matrices.  Each slice of pairs
+    holding a few hundred KiB of block entries is embedded, split into its
     exact diagonal blocks, measured by one pass of the matrix distance
     kernel per block size, and retracted.  The source and the retracted
     distances then take one stacked ball distance call each over all
     pairs."""
-    target = np.empty(len(xs))
-    rx, ry = (np.empty((len(xs), spec.source_dim), dtype=np.complex128) for _ in range(2))
+    cx, cy = _ball_coords(spec.source_dim, tol, xs, ys)
+    target = np.empty(len(cx))
+    rx, ry = np.empty_like(cx), np.empty_like(cy)
     # Each pair holds the blocks of two images.
-    for part in _point_slices(len(xs), 2 * _block_entries(spec)):
-        bx, by = (_embed_blocks(spec, points[part], tol) for points in (xs, ys))
+    for part in _point_slices(len(cx), 2 * _block_entries(spec)):
+        bx, by = _embed_blocks(spec, cx[part]), _embed_blocks(spec, cy[part])
         target[part] = _matrix_distances(_diagonal_blocks(bx, by), len(bx[0]), tol, symmetric=True)
-        rx[part], ry[part] = (_retract_blocks(spec, blocks) for blocks in (bx, by))
+        rx[part], ry[part] = _retract_blocks(spec, bx), _retract_blocks(spec, by)
     return kobayashi_distance(xs, ys, tol), target, _ball_distances(rx, ry, tol)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from siegelmaps import cli, harness
 from siegelmaps.cli import main
-from siegelmaps.errors import IllConditioned
+from siegelmaps.errors import BudgetExceeded, IllConditioned
 from siegelmaps.serialize import (
     SchemaError,
     ball_point_from_json,
@@ -320,6 +321,57 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+
+
+# Each command's exit code per failure kind, raised by the function it
+# hands its work to, or for "unwritable" by the JSON writer: a full disk,
+# whose error names no file.
+EXIT_CODES = {
+    "memory": {"embed": 2, "verify": 2, "enumerate": 2, "cayley": 2},
+    "value": {"embed": 2, "verify": 2, "enumerate": 2, "cayley": 2},
+    "package": {"embed": 1, "verify": 1, "enumerate": 2, "cayley": 1},
+    "over_budget": {"embed": 1, "verify": 2, "enumerate": 2, "cayley": 1},
+    "unwritable": {"embed": 2, "verify": 2, "enumerate": 2, "cayley": 2},
+}
+FAILURES = {
+    "memory": MemoryError("Unable to allocate 256. TiB for an array with shape (4194304, 4194304)"),
+    "value": ValueError("array is too big"),
+    "package": IllConditioned("transvected point has norm 1.000000 >= 1"),
+    "over_budget": BudgetExceeded("factor costs 3 exceed target genus 2"),
+    "unwritable": OSError(errno.ENOSPC, "No space left on device"),
+}
+WORK = {"embed": "direct_sum_embed", "verify": "run_verification", "enumerate": "enumerate_specs", "cayley": "cayley"}
+
+
+@pytest.mark.parametrize(
+    "command, kind", [(command, kind) for kind, codes in EXIT_CODES.items() for command in codes]
+)
+def test_exit_code_table(tmp_path, capsys, monkeypatch, command, kind):
+    failure = FAILURES[kind]
+
+    def failing(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "dump_json" if kind == "unwritable" else WORK[command], failing)
+    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
+    point = _write(tmp_path / "pt.json", _ball_json([0.1, 0.2]))
+    square = _write(tmp_path / "square.json", {"kind": "III", "p": 1, "q": 1, "re": [[0.1]], "im": [[0.0]]})
+    out = str(tmp_path / "out.json")
+    argv = {
+        "embed": ["embed", "--spec", spec, "--point", point, "--out", out],
+        "verify": ["verify", "--spec", spec, "--samples", "2", "--report", out],
+        "enumerate": ["enumerate", "--source-dim", "2", "--max-g", "3", "--out", out],
+        "cayley": ["cayley", "--point", square, "--direction", "to-siegel", "--out", out],
+    }[command]
+    assert main(argv) == EXIT_CODES[kind][command]
+    captured = capsys.readouterr()
+    message = {
+        "over_budget": f"BudgetExceeded: {failure}",
+        "unwritable": f"cannot write {out}: {failure}",
+    }.get(kind, str(failure))
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -270,6 +270,29 @@ def test_sample_near_the_sphere_fails_naming_the_embedding_input(spec):
         assert ", too close to the sphere" in result.detail
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("name", ["retraction", "membership", "isometry", "symmetry", "linearity", "equivariance"])
+def test_sample_near_the_sphere_is_named_by_its_index_in_the_suite(name, seed):
+    # At 60 samples the g = 60 suites evaluate several slices; the first
+    # failing draw must be named by its index in the suite's stream (for
+    # isometry, its pair), not in its slice.  At seed 5 the isometry suite's
+    # first failing pair, 22, lies beyond its first slice of 8 pairs.
+    config = HarnessConfig(seed=seed, samples=60, radius_cap=0.99, tol=Tolerance(eq_tol=0.5, psd_margin=0.05))
+    rng = generator(config.seed, harness._STREAMS[name])
+    for index in range(config.samples):
+        draws = [sample_ball_point(rng, 5, config.radius_cap) for _ in range(2 if name == "isometry" else 1)]
+        if name == "equivariance":
+            sample_phases(rng, 5)
+        near = [z for z in draws if z.norm >= 1.0 - config.tol.psd_margin]
+        if near:
+            break
+    assert index > 0
+    result = harness.run_suite(name, G60_SPEC, config)
+    assert result.detail == (
+        f"raised MembershipViolation: embedding input {index} has norm {near[0].norm:.6f}, too close to the sphere"
+    )
+
+
 def test_conjugation_notes_equal_the_public_units():
     for p in range(1, 10):
         factors = tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m) for m in range(1, p + 1))
