@@ -17,6 +17,7 @@ Exit codes:
 | `embed` on a spec over its genus budget | 1 |
 | `verify` on a spec over its genus budget | 2 |
 | `enumerate` with bad arguments | 2 |
+| `enumerate` on a budget that admits more than 1,000,000 specs (`_ENUMERATE_LIMIT`), refused before any is built | 2 |
 | an image numpy cannot allocate, for every command | 2 |
 | a usage or schema error, non-finite matrix entries, or an output path that cannot be written | 2 |
 
@@ -31,7 +32,7 @@ import os
 import sys
 
 from .domains import cayley, membership
-from .embeddings import direct_sum_embed, enumerate_specs
+from .embeddings import _spec_count, direct_sum_embed, enumerate_specs
 from .errors import BudgetExceeded, SiegelmapsError
 from .harness import run_verification
 from .linalg import DEFAULT_TOLERANCE, Tolerance
@@ -51,6 +52,10 @@ __all__ = ["main"]
 
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 1
+
+# The most specs enumerate lists: N = 1 at --max-g 40 (37,190 specs) runs,
+# --max-g 100 (1,194,725) is refused.
+_ENUMERATE_LIMIT = 1_000_000
 
 
 class _Unwritable(Exception):
@@ -120,6 +125,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    count, exact = _spec_count(args.source_dim, args.max_g, _ENUMERATE_LIMIT)
+    if count > _ENUMERATE_LIMIT:
+        raise ValueError(
+            f"--source-dim {args.source_dim} --max-g {args.max_g} admits {'' if exact else 'at least '}"
+            f"{count:,} specs, more than the limit of {_ENUMERATE_LIMIT:,}"
+        )
     specs, minimal_g = enumerate_specs(args.source_dim, args.max_g)
     payload = {
         "schema": 1,

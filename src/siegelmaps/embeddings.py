@@ -22,12 +22,16 @@ matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
 (:func:`factor_form`); these are the only compiled form of an embedding,
 and :func:`direct_sum_embed` and the retractions apply only them.  The
 constructions below are kept as the oracle: :func:`linearize` and the
-linearity suite evaluate them at sampled points and compare them with the
-whole g x g image of :func:`direct_sum_embed`.  The oracle evaluates a
-stack of points at once: a vectorized Laplace recursion for the wedge
-minors of each degree (see :func:`_wedge_coefficients`) and one stacked
-solve per factor.  :func:`exterior_power_embed` and :func:`factor_block`
-are its one-point wrappers, and a stacked block has the bits of the same
+linearity suite evaluate them at seeded and sampled points, in one stack,
+and compare them block by block with the compiled blocks ``A_f z``.  Both
+are zero off the blocks, so no g x g image is built per point; the
+padding of :func:`direct_sum_embed` is checked once, on a probe point
+with every coordinate nonzero, whose image must be zero off the blocks
+and equal them on them.  The oracle evaluates a stack of points at once:
+a vectorized Laplace recursion for the wedge minors of each degree (see
+:func:`_wedge_coefficients`) and one stacked solve per degree, shared by
+its models.  :func:`exterior_power_embed` and :func:`factor_block` are
+its one-point wrappers, and a stacked block has the bits of the same
 point evaluated alone.  :func:`direct_sum_embed` also takes a stack of
 points, with the same bits per member: it places on zero g x g matrices
 the factor blocks of :func:`_embed_blocks`, which the verify suites use
@@ -49,7 +53,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
@@ -100,10 +104,11 @@ _CHECK_POINTS = 50
 
 # Entries (256 KiB of complex128) of the largest arrays the oracle builds
 # for a stack of points: the products of the Laplace recursion's widest
-# step, the factor blocks, and the g x g images compared with them.
-# Longer stacks are taken a slice of points at a time, so these arrays do
-# not grow with the number of points while the per-call cost is still
-# shared by many of them.
+# step, and the factor blocks of the constructions and of the compiled map
+# that it compares.  No g x g image is built per point: the padding is
+# checked once, on a probe.  Longer stacks are taken a slice of points at a
+# time, so these arrays do not grow with the number of points while the
+# per-call cost is still shared by many of them.
 _STACK_ENTRIES = 1 << 14
 
 
@@ -316,28 +321,35 @@ def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
 
 def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray]:
     """Normalized wedge blocks X Y^{-1} at every row of a (B, p) coordinate
-    stack, one (B, r, s) array per ``(m, symmetric)`` model: one stacked
-    solve per model, and the minors of a degree computed once for both of
-    its models.  Each block has the bits of the same point evaluated alone;
-    the caller validates the degrees and the points."""
+    stack, one (B, r, s) array per ``(m, symmetric)`` model.  The models of
+    a degree share its minors and its negative block Y, so a degree takes
+    one kernel call and one stacked solve, with the X rows of its two
+    models stacked when the models ask for both.  Each block has the bits
+    of the same point and model evaluated alone: LAPACK solves each
+    right-hand column by the same steps.  The caller validates the degrees
+    and the points."""
     p = coords.shape[1]
-    coefficients: dict[int, np.ndarray] = {}
-    blocks = []
-    for m, symmetric in models:
-        if m not in coefficients:
-            coefficients[m] = _wedge_coefficients(coords, m)
+    solved: dict[tuple[int, bool], np.ndarray] = {}
+    for m in dict.fromkeys(m for m, _ in models):
+        coefficients = _wedge_coefficients(coords, m)
         r, _ = signature(p, m)
-        x_block = coefficients[m][:, :r, :]
-        y_block = coefficients[m][:, r:, :]
-        if symmetric:
-            perm, units = _symmetric_reindex(p, m)
-            x_block = x_block[:, perm, :] / units[:, np.newaxis]
+        kinds = [symmetric for symmetric in (False, True) if (m, symmetric) in models]
+        x_blocks = []
+        for symmetric in kinds:
+            x_block = coefficients[:, :r, :]
+            if symmetric:
+                perm, units = _symmetric_reindex(p, m)
+                x_block = x_block[:, perm, :] / units[:, np.newaxis]
+            x_blocks.append(x_block)
+        # A degree with one model, as in every factor_form call, takes no concatenate.
+        rows = x_blocks[0] if len(x_blocks) == 1 else np.concatenate(x_blocks, axis=1)
         try:
-            normalized = solve_right(x_block, y_block, tol)
+            normalized = solve_right(rows, coefficients[:, r:, :], tol)
         except SingularSystem as exc:
             raise NormalizationSingular(f"negative block not invertible: {exc}") from exc
-        blocks.append(np.ascontiguousarray(normalized))
-    return blocks
+        for i, symmetric in enumerate(kinds):
+            solved[m, symmetric] = np.ascontiguousarray(normalized[:, i * r : (i + 1) * r])
+    return [solved[model] for model in models]
 
 
 def exterior_power_embed(
@@ -481,28 +493,90 @@ def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE)
     return out
 
 
-def _oracle_residuals(spec: EmbeddingSpec, points, tol: Tolerance) -> np.ndarray:
-    """Per point, ``max|reference - image|`` over the g x g target, where
-    the images come from the stacked :func:`direct_sum_embed` and the
-    reference holds the factor constructions on its diagonal blocks and
-    zeros elsewhere: the oracle the compiled map is checked against,
-    padding and entries between the blocks included.  The points are
-    checked first, all of them, so an error names a point by its index in
-    ``points``.  The constructions are then evaluated a slice of points at
-    a time, and the images a sub-slice of g x g matrices at a time."""
-    g = spec.target_g
-    (coords,) = _ball_coords(spec.source_dim, tol, points)
-    layout = block_layout(spec)
-    residuals = np.empty(len(points))
-    for part in _point_slices(len(points), _block_entries(spec)):
-        blocks = _factor_blocks(spec.factors, coords[part], tol)
-        for sub in _point_slices(len(blocks[0]), g * g):
-            # |image - reference| has the bits of |reference - image|.
-            difference = np.array(direct_sum_embed(spec, points[part][sub], tol))
-            for (_, start, stop), block in zip(layout, blocks):
-                difference[:, start:stop, start:stop] -= block[sub]
-            residuals[part][sub] = np.abs(difference).max(axis=(1, 2))
+def _oracle_residuals(spec: EmbeddingSpec, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Per row of a (B, N) coordinate stack checked by :func:`_ball_coords`,
+    ``max|reference - image|`` over the factor blocks: the compiled blocks
+    ``A_f z`` of :func:`_embed_blocks` against the factor constructions,
+    the oracle the compiled map is checked against.  Both are zero off the
+    blocks of the g x g target, so this is the largest deviation over the
+    whole target, with its bits, and no g x g array is built; the padding
+    of :func:`direct_sum_embed` is checked apart, once, on a probe
+    (:func:`_check_padding`).  The points are evaluated a slice at a time."""
+    residuals = np.empty(len(coords))
+    for part in _point_slices(len(coords), _block_entries(spec)):
+        references = _factor_blocks(spec.factors, coords[part], tol)
+        images = _embed_blocks(spec, coords[part])
+        residuals[part] = reduce(
+            np.maximum, [np.abs(image - reference).max(axis=(1, 2)) for image, reference in zip(images, references)]
+        )
     return residuals
+
+
+def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
+    """Check that the public stacked :func:`direct_sum_embed` places the
+    compiled blocks and nothing else: its image of a probe point, of norm
+    ``LINEARIZATION_PROBE`` with every coordinate nonzero (each of its own
+    modulus and phase), must be zero off the factor blocks and equal
+    :func:`_embed_blocks` on them, exactly.  The padding does not depend on
+    the point, so one probe checks it for every point.  The image is read in
+    place: no copy and no ``abs`` of the g x g array unless the check fails."""
+    k = np.arange(1, spec.source_dim + 1)
+    direction = k * np.exp(1j * k)
+    probe = BallPoint(direction * (LINEARIZATION_PROBE / np.linalg.norm(direction)))
+    (image,) = direct_sum_embed(spec, [probe], tol)
+    layout = block_layout(spec)
+    blocks = [block for (block,) in _embed_blocks(spec, probe.coords[np.newaxis, :])]
+    if not image[spec.cost :].any() and all(
+        not image[start:stop, :start].any()
+        and not image[start:stop, stop:].any()
+        and np.array_equal(image[start:stop, start:stop], block)
+        for (_, start, stop), block in zip(layout, blocks)
+    ):
+        return
+    reference = np.zeros_like(image)
+    for (_, start, stop), block in zip(layout, blocks):
+        reference[start:stop, start:stop] = block
+    worst = float(np.abs(image - reference).max())
+    raise NonlinearityDetected(
+        f"embedding deviates from its factor blocks by {worst:.3e} "
+        f"at the probe z={np.array2string(probe.coords, precision=6)}"
+    )
+
+
+def _check_points(n: int, seed: int) -> list[BallPoint]:
+    """The ``_CHECK_POINTS`` seeded interior points of :func:`linearize`."""
+    rng = generator(seed, 0x11E4)
+    points = []
+    for _ in range(_CHECK_POINTS):
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        points.append(BallPoint(direction * (0.95 * rng.random())))
+    return points
+
+
+def _linearization(spec: EmbeddingSpec, tol: Tolerance, seed: int, samples) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`linearize`, and the oracle residuals of the ball points
+    ``samples`` from the same stack: the check points and the samples take
+    one pass of the factor constructions.  Each sequence is checked with
+    its own indices, the check points first, and the padding once on a
+    probe; a deviation at a check point raises before any residual of the
+    samples is returned."""
+    n = spec.source_dim
+    checks = _check_points(n, seed)
+    (check_coords,) = _ball_coords(n, tol, checks)
+    (sample_coords,) = _ball_coords(n, tol, samples)
+    _check_padding(spec, tol)
+    residuals = _oracle_residuals(spec, np.concatenate([check_coords, sample_coords]), tol)
+    i = int(np.argmax(residuals[:_CHECK_POINTS]))
+    worst = float(residuals[i])
+    if worst > tol.eq_tol:
+        raise NonlinearityDetected(
+            f"embedding deviates from its linearization by {worst:.3e} > {tol.eq_tol:.3e} "
+            f"at z={np.array2string(checks[i].coords, precision=6)}"
+        )
+    matrix = np.concatenate([factor_form(factor)[0] for factor, _, _ in block_layout(spec)])
+    matrix.setflags(write=False)
+    return matrix, residuals[_CHECK_POINTS:]
 
 
 def linearize(spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, seed: int = 0) -> np.ndarray:
@@ -511,29 +585,13 @@ def linearize(spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, seed: int
     Returns the factors' matrices ``A_f`` stacked in :func:`block_layout`
     order, shape ``(sum b_f**2, N)``: its rows are the flattened diagonal
     blocks of the image.  The constructions are first evaluated on
-    ``_CHECK_POINTS`` seeded interior points and compared with
-    :func:`direct_sum_embed`, raising :class:`NonlinearityDetected` on
-    disagreement beyond ``eq_tol``.
+    ``_CHECK_POINTS`` seeded interior points and compared with the
+    compiled blocks, and :func:`direct_sum_embed` is checked to place
+    those blocks on zeros, raising :class:`NonlinearityDetected` on
+    disagreement beyond ``eq_tol`` (on the blocks) or on any entry off
+    them.
     """
-    rng = generator(seed, 0x11E4)
-    n = spec.source_dim
-    points = []
-    for _ in range(_CHECK_POINTS):
-        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        points.append(BallPoint(direction * (0.95 * rng.random())))
-    residuals = _oracle_residuals(spec, points, tol)
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    if worst > tol.eq_tol:
-        worst_z = points[i]
-        raise NonlinearityDetected(
-            f"embedding deviates from its linearization by {worst:.3e} > {tol.eq_tol:.3e} "
-            f"at z={np.array2string(worst_z.coords, precision=6)}"
-        )
-    matrix = np.concatenate([factor_form(factor)[0] for factor, _, _ in block_layout(spec)])
-    matrix.setflags(write=False)
-    return matrix
+    return _linearization(spec, tol, seed, [])[0]
 
 
 def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:
@@ -549,6 +607,37 @@ def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:
     return tuple(sorted(factors, key=lambda f: (f.kind.value, f.m)))
 
 
+def _budget_catalog(source_dim: int, g_max: int) -> tuple[FactorSpec, ...]:
+    """:func:`factor_catalog`, once the source dimension and the budget of
+    an enumeration are checked."""
+    if source_dim < 1 or g_max < 1:
+        raise DimensionMismatch("source dimension and budget must be positive")
+    return factor_catalog(source_dim)
+
+
+def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
+    """How many specs :func:`enumerate_specs` returns, counted without
+    building them, and whether the count is exact.
+
+    The specs are the nonempty multisets of catalog factors of total block
+    size at most ``g_max``: a coin-change count over the block sizes, whose
+    cost grows with ``g_max``.  Where the c factors of the least block size
+    b alone make more than ``limit`` specs, C(g_max // b + c, c) - 1 of
+    them, that lower bound is returned instead, so a budget far beyond the
+    limit is refused in constant time."""
+    sizes = [f.block_size for f in _budget_catalog(source_dim, g_max)]
+    least = min(sizes)
+    bound = comb(g_max // least + sizes.count(least), sizes.count(least)) - 1
+    if bound > limit:
+        return bound, False
+    # ways[t]: the multisets of the factors seen so far with total t.
+    ways = [1] + [0] * g_max
+    for size in sizes:
+        for total in range(size, g_max + 1):
+            ways[total] += ways[total - size]
+    return sum(ways) - 1, True
+
+
 def enumerate_specs(source_dim: int, g_max: int) -> tuple[tuple[EmbeddingSpec, ...], int]:
     """All factor multisets within the genus budget, plus the minimal genus.
 
@@ -557,9 +646,7 @@ def enumerate_specs(source_dim: int, g_max: int) -> tuple[tuple[EmbeddingSpec, .
     cost.  ``minimal_g`` is the smallest cost over all nonempty multisets,
     reported even when the budget admits none.
     """
-    if source_dim < 1 or g_max < 1:
-        raise DimensionMismatch("source dimension and budget must be positive")
-    catalog = factor_catalog(source_dim)
+    catalog = _budget_catalog(source_dim, g_max)
     minimal_g = min(f.block_size for f in catalog)
     specs: list[EmbeddingSpec] = []
 

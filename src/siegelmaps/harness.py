@@ -17,10 +17,12 @@ per slice, one wedge kernel call per slice for all factors, one
 eigensolve per block size and slice for the image margins, and for the
 isometry sandwich (:func:`~siegelmaps.retractions.isometry_sandwich` on
 sequences) one distance kernel pass per block size and slice and one
-ball distance call over all pairs for each ball side.  Only the linearity
-oracle compares whole g x g images, which checks the padding of
-:func:`~siegelmaps.embeddings.direct_sum_embed`.  A suite that raises a
-package error becomes a failed result that names the error.
+ball distance call over all pairs for each ball side.  The linearity
+suite compares the factor constructions with the compiled blocks too, at
+linearize's check points and its samples in one stack; the padding of
+:func:`~siegelmaps.embeddings.direct_sum_embed` is checked once, on a
+probe.  A suite that raises a package error becomes a failed result that
+names the error.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from .embeddings import (
     _ball_coords,
     _block_entries,
     _embed_blocks,
-    _oracle_residuals,
+    _linearization,
     _point_slices,
     _wedge_blocks,
-    linearize,
 )
 from .errors import NonlinearityDetected, SiegelmapsError
 from .exterior import _conjugation_unit, induced_form, signature, wedge_basis
@@ -178,16 +179,16 @@ def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
 def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["linearity"])
     tol = config.tol
+    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
     try:
-        matrix = linearize(spec, tol, seed=config.seed)
+        # linearize, and the samples' images of the compiled map against the
+        # factor constructions in the same stack: checking the compiled map
+        # against its own matrices would check nothing.
+        matrix, residuals = _linearization(spec, tol, config.seed, points)
     except NonlinearityDetected as exc:
         return SuiteResult("linearity", False, 0, None, detail=str(exc))
     sv = singular_values(matrix)
     rank = int(np.sum(sv > tol.eq_tol * max(1.0, float(sv[0]))))
-    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
-    # The images of the compiled map against the factor constructions:
-    # checking the compiled map against its own matrices would check nothing.
-    residuals = _oracle_residuals(spec, points, tol)
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
     passed = worst <= tol.eq_tol and rank == spec.source_dim

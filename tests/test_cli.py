@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +337,8 @@ EXIT_CODES = {
     "package": {"embed": 1, "verify": 1, "enumerate": 2, "cayley": 1},
     "over_budget": {"embed": 1, "verify": 2, "enumerate": 2, "cayley": 1},
     "unwritable": {"embed": 2, "verify": 2, "enumerate": 2, "cayley": 2},
+    # A budget that admits too many specs, refused before any is built.
+    "over_limit": {"enumerate": 2},
 }
 FAILURES = {
     "memory": MemoryError("Unable to allocate 256. TiB for an array with shape (4194304, 4194304)"),
@@ -340,6 +346,7 @@ FAILURES = {
     "package": IllConditioned("transvected point has norm 1.000000 >= 1"),
     "over_budget": BudgetExceeded("factor costs 3 exceed target genus 2"),
     "unwritable": OSError(errno.ENOSPC, "No space left on device"),
+    "over_limit": AssertionError("enumerate_specs called on a budget over the limit"),
 }
 WORK = {"embed": "direct_sum_embed", "verify": "run_verification", "enumerate": "enumerate_specs", "cayley": "cayley"}
 
@@ -364,11 +371,14 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, command, kind):
         "enumerate": ["enumerate", "--source-dim", "2", "--max-g", "3", "--out", out],
         "cayley": ["cayley", "--point", square, "--direction", "to-siegel", "--out", out],
     }[command]
+    if kind == "over_limit":
+        argv = ["enumerate", "--source-dim", "1", "--max-g", "100", "--out", out]
     assert main(argv) == EXIT_CODES[kind][command]
     captured = capsys.readouterr()
     message = {
         "over_budget": f"BudgetExceeded: {failure}",
         "unwritable": f"cannot write {out}: {failure}",
+        "over_limit": "--source-dim 1 --max-g 100 admits 1,194,725 specs, more than the limit of 1,000,000",
     }.get(kind, str(failure))
     assert captured.err.splitlines() == [f"error: {message}"]
     assert "Traceback" not in captured.err
@@ -427,3 +437,23 @@ def test_tolerance_below_psd_margin_names_the_margin(tmp_path, monkeypatch, caps
     monkeypatch.setenv("BSDE_TOL", "1e-12")
     assert main(["verify", "--spec", spec, "--report", report]) == 2
     assert "must exceed the fixed psd_margin of 1e-10" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_enumerate(tmp_path):
+    # ``python -m siegelmaps`` runs the documented commands without an
+    # install; the continuous-integration workflow runs the same two.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "specs.json"
+
+    def run(*args):
+        argv = [sys.executable, "-m", "siegelmaps", "enumerate", *args, "--out", str(out)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("--source-dim", "4", "--max-g", "12")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "11 specs within budget 12; minimal genus 5\n", "")
+    assert len(json.loads(out.read_text())["specs"]) == 11
+    out.unlink()
+    refused = run("--source-dim", "1", "--max-g", "100")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr == "error: --source-dim 1 --max-g 100 admits 1,194,725 specs, more than the limit of 1,000,000\n"
+    assert not out.exists()

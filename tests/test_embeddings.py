@@ -32,6 +32,7 @@ from siegelmaps.embeddings import _factor_blocks, block_layout, factor_block
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
+    DimensionMismatch,
     MembershipViolation,
     NonlinearityDetected,
     SpecMismatch,
@@ -43,6 +44,7 @@ from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_point, sample_phases
 
 from lu_wedge import lu_wedge_coefficients
+from whole_image_oracle import whole_image_linearize, whole_image_residuals
 
 # The paper's N = 5 lambda_III case plus the connecting wedge blocks, g = 60.
 G60_SPEC = EmbeddingSpec(
@@ -50,6 +52,20 @@ G60_SPEC = EmbeddingSpec(
     (FactorSpec(FactorKind.LAMBDA_III, 5, 3),)
     + tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, 5, m) for m in (2, 3, 4)),
     60,
+)
+
+# Padded (cost 5 and 6) and with the standard factors.
+N1_PADDED_SPEC = EmbeddingSpec(
+    1,
+    (
+        FactorSpec(FactorKind.STANDARD_I, 1, 1),
+        FactorSpec(FactorKind.STANDARD_III, 1, 1),
+        FactorSpec(FactorKind.CONNECTING_LAMBDA, 1, 1),
+    ),
+    8,
+)
+N2_PADDED_SPEC = EmbeddingSpec(
+    2, (FactorSpec(FactorKind.STANDARD_I, 2, 1), FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 2)), 9
 )
 
 
@@ -354,6 +370,47 @@ def test_linearity_suite_catches_a_bad_compiled_map(monkeypatch):
     assert not run_suite("linearity", spec, config).passed
 
 
+def test_linearize_names_the_point_the_whole_image_oracle_names(monkeypatch):
+    # The block oracle must report a bad compiled map at the same check
+    # point, with the same deviation, as the comparison of whole images.
+    exact = embeddings.factor_form
+
+    def corrupted(factor):
+        matrix = exact(factor)[0].copy()
+        matrix[1, 0] += 0.05
+        return matrix, np.linalg.pinv(matrix)
+
+    monkeypatch.setattr(embeddings, "factor_form", corrupted)
+    for spec in (EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3), N2_PADDED_SPEC):
+        for seed in (0, 1):
+            with pytest.raises(NonlinearityDetected) as reference:
+                whole_image_linearize(spec, seed=seed)
+            with pytest.raises(NonlinearityDetected) as blocks:
+                linearize(spec, seed=seed)
+            assert str(blocks.value) == str(reference.value)
+
+
+def _block_oracle_specs():
+    singles = [EmbeddingSpec(n, (f,), f.block_size + 2) for n in range(1, 7) for f in factor_catalog(n)]
+    return singles + [G60_SPEC, N1_PADDED_SPEC, N2_PADDED_SPEC]
+
+
+def _spec_id(spec) -> str:
+    return "+".join(f"{f.kind.value}({f.p},{f.m})" for f in spec.factors) + f"@{spec.target_g}"
+
+
+@pytest.mark.parametrize("spec", _block_oracle_specs(), ids=_spec_id)
+def test_block_oracle_equals_the_whole_image_oracle(spec):
+    # The compiled blocks and the constructions are both zero off the
+    # blocks, so comparing blocks gives the whole images' residuals, bit
+    # for bit, without building them.
+    rng = generator(45, spec.cost)
+    points = [sample_ball_point(rng, spec.source_dim) for _ in range(40)]
+    (coords,) = embeddings._ball_coords(spec.source_dim, DEFAULT_TOLERANCE, points)
+    blocks = embeddings._oracle_residuals(spec, coords, DEFAULT_TOLERANCE)
+    assert blocks.tobytes() == whole_image_residuals(spec, points).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_oracle_equals_per_point_factor_block(n):
     # One wedge kernel call over the whole stack gives every block with the
@@ -364,6 +421,30 @@ def test_stacked_oracle_equals_per_point_factor_block(n):
     catalog = factor_catalog(n)
     for factor, stacked in zip(catalog, _factor_blocks(catalog, coords, DEFAULT_TOLERANCE)):
         assert np.array_equal(stacked, np.stack([factor_block(factor, z) for z in points]))
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_models_of_a_degree_share_one_solve(n, monkeypatch):
+    # lambda_III and connecting_lambda of degree (n + 1) / 2 share their
+    # negative block Y: one solve for both, each block with the bits of its
+    # model solved alone.
+    solves = []
+    counted = embeddings.solve_right
+
+    def counting(a, b, tol):
+        solves.append(a.shape)
+        return counted(a, b, tol)
+
+    m = (n + 1) // 2
+    models = [(m, True), (m, False), (m, True)]
+    rng = generator(46, n)
+    coords = np.stack([sample_ball_point(rng, n).coords for _ in range(4)])
+    alone = [embeddings._wedge_blocks(coords, [model], DEFAULT_TOLERANCE)[0] for model in models]
+    monkeypatch.setattr(embeddings, "solve_right", counting)
+    shared = embeddings._wedge_blocks(coords, models, DEFAULT_TOLERANCE)
+    r = comb(n, m)
+    assert solves == [(4, 2 * r, comb(n, m - 1))]
+    assert [block.tobytes() for block in shared] == [block.tobytes() for block in alone]
 
 
 def test_enumerate_specs_empty_below_minimum():
@@ -407,6 +488,22 @@ def test_enumerate_specs_deduplicates_multisets():
         assert key == tuple(sorted(key))
         assert (key, s.target_g) not in seen
         seen.add((key, s.target_g))
+
+
+def test_spec_count_equals_the_enumeration():
+    for n in range(1, 6):
+        for g_max in range(1, 13):
+            assert embeddings._spec_count(n, g_max, 10**6) == (len(enumerate_specs(n, g_max)[0]), True)
+    # N = 1 has block sizes 2, 1, 2, 1: a coin-change count.
+    assert embeddings._spec_count(1, 40, 10**6) == (37190, True)
+    assert embeddings._spec_count(1, 100, 10**6) == (1194725, True)
+    assert embeddings._spec_count(1, 2100, 10**12) == (203938064225, True)
+    # Past the limit the cheapest factors alone decide: the two of size 1
+    # make C(g + 2, 2) - 1 specs.
+    assert embeddings._spec_count(1, 2100, 10**6) == (2208150, False)
+    assert embeddings._spec_count(1, 10**18, 10**6) == ((10**18 + 2) * (10**18 + 1) // 2 - 1, False)
+    with pytest.raises(DimensionMismatch, match="source dimension and budget must be positive"):
+        embeddings._spec_count(2, 0, 10**6)
 
 
 def test_factor_catalog_is_canonical():
@@ -473,7 +570,8 @@ def test_factor_forms_are_bit_identical_to_lu_built_forms(monkeypatch):
 
 def _oracle_error(spec, points, kernel, monkeypatch) -> float:
     monkeypatch.setattr(embeddings, "_wedge_coefficients", kernel)
-    return float(embeddings._oracle_residuals(spec, points, DEFAULT_TOLERANCE).max())
+    (coords,) = embeddings._ball_coords(spec.source_dim, DEFAULT_TOLERANCE, points)
+    return float(embeddings._oracle_residuals(spec, coords, DEFAULT_TOLERANCE).max())
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -322,9 +322,9 @@ def test_verification_of_the_g60_spec_makes_at_most_five_svd_calls(monkeypatch):
 
 
 def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(monkeypatch):
-    # Only the linearity oracle builds whole g x g images: 14 calls of
-    # direct_sum_embed for linearize's 50 points and 2 for the suite's 8.
-    # The isometry suite's 8 pairs fit one slice, measured by one pass of
+    # No suite builds a g x g image per point: the linearity suite compares
+    # factor blocks, and embeds one probe through direct_sum_embed to check
+    # its padding.  The isometry suite's 8 pairs fit one slice, measured by one pass of
     # the distance kernel per block size (one block of 10, two of 15, one
     # of 20), with one Cholesky call each.
     embeds, choleskys = [], []
@@ -346,8 +346,48 @@ def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(mon
     assert embeds == []
     assert choleskys == [(2, 8, n, s, s) for n, s in ((1, 10), (2, 15), (1, 20))]
     assert harness.run_verification(G60_SPEC, config).passed
-    assert len(embeds) == 16 and sum(embeds) == 58
+    assert embeds == [1]
     # Nothing in those four suites grows with g: at g = 2**40 they pass.
     huge = dataclasses.replace(G60_SPEC, target_g=2**40)
     for name in ("retraction", "membership", "isometry", "symmetry"):
         assert harness.run_suite(name, huge, config).passed
+
+
+def test_linearity_suite_embeds_one_probe_far_beyond_the_cost(monkeypatch):
+    # At target_g 2048 a cost-3 spec's images are 2048 x 2048; the suite
+    # builds one of them, the probe's, however many points it checks.
+    embeds = []
+    counted = embeddings.direct_sum_embed
+
+    def counting_embed(spec, z, tol=Tolerance()):
+        embeds.append(len(z))
+        return counted(spec, z, tol)
+
+    monkeypatch.setattr(embeddings, "direct_sum_embed", counting_embed)
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 2048)
+    assert harness.run_suite("linearity", spec, HarnessConfig(samples=2, seed=0)).passed
+    assert embeds == [1]
+
+
+@pytest.mark.parametrize("where", ["last", "between", "on"])
+def test_padding_probe_fires_far_beyond_the_cost(monkeypatch, where):
+    # The probe's image is checked in place: an entry written at (g-1, g-1),
+    # between the two factor blocks, or on a block (where the compiled
+    # blocks the oracle compares are right) fails the suite.
+    spec = EmbeddingSpec(
+        2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), FactorSpec(FactorKind.STANDARD_I, 2, 1)), 2048
+    )
+    row, col = {"last": (2047, 2047), "between": (0, 3), "on": (1, 1)}[where]
+    exact = embeddings.direct_sum_embed
+
+    def corrupted(spec, points, tol=Tolerance()):
+        images = exact(spec, points, tol)
+        images.setflags(write=True)
+        images[:, row, col] += 0.05 * np.array([z.coords[1] for z in points])
+        images[:, col, row] = images[:, row, col]
+        return images
+
+    monkeypatch.setattr(embeddings, "direct_sum_embed", corrupted)
+    result = harness.run_suite("linearity", spec, HarnessConfig(samples=2, seed=0))
+    assert not result.passed and result.max_residual is None
+    assert result.detail.startswith("embedding deviates from its factor blocks by ")
