@@ -20,8 +20,6 @@ from .domains import (
     DomainShape,
     MembershipResult,
     MembershipStatus,
-    Transvection,
-    ball_distance,
     ball_point,
     cayley,
     cayley_to_bounded,
@@ -29,7 +27,6 @@ from .domains import (
     kobayashi_distance,
     membership,
     siegel_shape,
-    transvection_to_origin,
     type_i_shape,
     type_iii_shape,
 )
@@ -39,7 +36,6 @@ from .embeddings import (
     FactorSpec,
     direct_sum_embed,
     enumerate_specs,
-    exterior_power_embed,
     factor_catalog,
     factor_form,
     linearize,
@@ -48,7 +44,6 @@ from .exterior import (
     WedgeBasis,
     balanced_symmetric,
     complement,
-    conjugation_twice_unit,
     conjugation_unit,
     induced_form,
     multi_indices,
@@ -66,11 +61,7 @@ from .linalg import (
     solve_right,
 )
 from .report import HarnessConfig, Report, SuiteResult
-from .retractions import (
-    SandwichRecord,
-    isometry_sandwich,
-    retract_direct_sum,
-)
+from .retractions import isometry_sandwich, retract_direct_sum
 
 __version__ = "0.1.0"
 
@@ -87,25 +78,20 @@ __all__ = [
     "MembershipResult",
     "MembershipStatus",
     "Report",
-    "SandwichRecord",
     "SuiteResult",
     "Tolerance",
-    "Transvection",
     "WedgeBasis",
     "as_complex_matrix",
     "balanced_symmetric",
-    "ball_distance",
     "ball_point",
     "cayley",
     "cayley_to_bounded",
     "cayley_to_siegel",
     "complement",
-    "conjugation_twice_unit",
     "conjugation_unit",
     "direct_sum_embed",
     "enumerate_specs",
     "errors",
-    "exterior_power_embed",
     "factor_catalog",
     "factor_form",
     "hermitian_eigenvalues",
@@ -123,7 +109,6 @@ __all__ = [
     "signature",
     "singular_values",
     "solve_right",
-    "transvection_to_origin",
     "type_i_shape",
     "type_iii_shape",
     "wedge_basis",

@@ -9,17 +9,16 @@ coordinates:
 * Siegel: symmetric g x g matrices with positive-definite imaginary part.
 
 The module provides membership classification with explicit margins, the
-Cayley transform between the Siegel and bounded models, origin-moving
-Moebius automorphisms, and Kobayashi distances.  A distance is arctanh
-of the largest singular value of y moved by the automorphism taking x to
-the origin, computed without moving anything: in closed form on the ball,
-and from Cholesky factors of I - XX* and I - X*X on the matrix ball, over
-the exact diagonal blocks of square points, grouped by size.  Type III points are measured
-as points of the ambient type I ball; Siegel points are measured through
-the Cayley transform.  The distance kernels run on stacks of pairs, one
-LAPACK call per step for all of them; the transvection is kept as the
-public automorphism and as the oracle the distance is tested against.
-Interior margins come from values-only eigensolves.
+Cayley transform between the Siegel and bounded models, and Kobayashi
+distances.  A distance is arctanh of the largest singular value of y
+moved by the automorphism taking x to the origin, computed without moving
+anything: in closed form on the ball, and from Cholesky factors of
+I - XX* and I - X*X on the matrix ball, over the exact diagonal blocks of
+square points, grouped by size.  Type III points are measured as points
+of the ambient type I ball; Siegel points are measured through the Cayley
+transform.  The distance kernels run on stacks of pairs, one LAPACK call
+per step for all of them.  Interior margins come from values-only
+eigensolves.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     IllConditioned,
     MembershipViolation,
-    RankDeficient,
     ShapeMismatch,
     SingularCayley,
     SingularSystem,
@@ -45,17 +43,14 @@ from .linalg import (
     Tolerance,
     _certified,
     _ill_conditioned,
-    _inverse_sqrt_from,
     _residual_checked,
     _residuals,
     _solve_conditioned,
     _solve_unchecked,
     _spectral_slack,
     as_complex_matrix,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     singular_values,
-    solve_right,
 )
 
 __all__ = [
@@ -65,8 +60,6 @@ __all__ = [
     "DomainShape",
     "MembershipResult",
     "MembershipStatus",
-    "Transvection",
-    "ball_distance",
     "ball_point",
     "cayley",
     "cayley_to_bounded",
@@ -74,7 +67,6 @@ __all__ = [
     "kobayashi_distance",
     "membership",
     "siegel_shape",
-    "transvection_to_origin",
     "type_i_shape",
     "type_iii_shape",
 ]
@@ -255,12 +247,6 @@ def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> MembershipR
     return result
 
 
-def _require_margin(margin: float, tol: Tolerance, what: str) -> None:
-    """The interior test of :func:`membership` on a margin already measured."""
-    if not margin > tol.psd_margin:
-        raise MembershipViolation(f"{what} {_interior_detail(margin)}")
-
-
 def _interior_detail(margin: float) -> str:
     return f"must be an interior point: margin {margin:.3e}"
 
@@ -318,57 +304,6 @@ def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) 
     if direction == "to-siegel":
         return cayley_to_siegel(pt, tol)
     raise ValueError(f"unknown Cayley direction {direction!r}")
-
-
-@dataclass(frozen=True)
-class Transvection:
-    """Moebius automorphism of a type I matrix ball sending ``base`` to 0.
-
-    g_a(Z) = (I - a a*)^{-1/2} (Z - a) (I - a* Z)^{-1} (I - a* a)^{1/2}
-    """
-
-    shape: DomainShape
-    base: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    tol: Tolerance
-
-    def apply(self, pt: DomainPoint) -> DomainPoint:
-        if pt.shape != self.shape:
-            raise ShapeMismatch(f"transvection on {self.shape} applied to {pt.shape}")
-        eye = np.eye(self.shape.cols, dtype=np.complex128)
-        try:
-            middle = solve_right(pt.z - self.base, eye - self.base.conj().T @ pt.z, self.tol)
-        except SingularSystem as exc:
-            raise IllConditioned(f"transvection denominator near singular: {exc}") from exc
-        return DomainPoint(self.shape, self.left @ middle @ self.right)
-
-
-def transvection_to_origin(a: DomainPoint | BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Transvection:
-    """Automorphism handle moving an interior type I point to the origin."""
-    pt = a.as_type_i() if isinstance(a, BallPoint) else a
-    if pt.shape.kind is not DomainKind.TYPE_I:
-        raise ShapeMismatch(f"transvections act on type I points, got {pt.shape.kind.value}")
-    z = pt.z
-    p, q = pt.shape.rows, pt.shape.cols
-    # One eigensystem each of I - ZZ* and I - Z*Z.  The smaller side, the
-    # one membership() measures, comes first and gives the interior check.
-    left_gram = np.eye(p, dtype=np.complex128) - z @ z.conj().T
-    right_gram = np.eye(q, dtype=np.complex128) - z.conj().T @ z
-    if p >= q:
-        right_values, right_vectors = hermitian_eigensystem(right_gram, tol)
-        _require_margin(float(right_values[0]), tol, "transvection base")
-        left_system = hermitian_eigensystem(left_gram, tol)
-    else:
-        left_system = hermitian_eigensystem(left_gram, tol)
-        _require_margin(float(left_system[0][0]), tol, "transvection base")
-        right_values, right_vectors = hermitian_eigensystem(right_gram, tol)
-    try:
-        left = _inverse_sqrt_from(*left_system, tol)
-    except RankDeficient as exc:
-        raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
-    right = (right_vectors * np.sqrt(right_values)[np.newaxis, :]) @ right_vectors.conj().T
-    return Transvection(pt.shape, z, left, right, tol)
 
 
 def _raise_first(bad: np.ndarray, error: type[Exception], message) -> None:
@@ -646,9 +581,3 @@ def kobayashi_distance(
     return _matrix_distances(
         groups, len(xs), tol, symmetric=shape.kind is not DomainKind.TYPE_I, check_inputs=not siegel
     )
-
-
-def ball_distance(x: BallPoint, y: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Poincare (= Kobayashi) distance on the unit ball."""
-    return kobayashi_distance(x, y, tol)
-

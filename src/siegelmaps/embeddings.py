@@ -30,12 +30,10 @@ with every coordinate nonzero, whose image must be zero off the blocks
 and equal them on them.  The oracle evaluates a stack of points at once:
 a vectorized Laplace recursion for the wedge minors of each degree (see
 :func:`_wedge_coefficients`) and one stacked solve per degree, shared by
-its models.  :func:`exterior_power_embed` and :func:`factor_block` are
-its one-point wrappers, and a stacked block has the bits of the same
-point evaluated alone.  :func:`direct_sum_embed` also takes a stack of
-points, with the same bits per member: it places on zero g x g matrices
-the factor blocks of :func:`_embed_blocks`, which the verify suites use
-as they are.
+its models; a stacked block has the bits of the same point evaluated
+alone.  :func:`direct_sum_embed` also takes a stack of points, with the
+same bits per member: it places on zero g x g matrices the factor blocks
+of :func:`_embed_blocks`, which the verify suites use as they are.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -58,7 +56,7 @@ from math import comb
 
 import numpy as np
 
-from .domains import BallPoint, DomainPoint, type_i_shape, type_iii_shape
+from .domains import BallPoint, DomainPoint, type_iii_shape
 from .errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -89,8 +87,6 @@ __all__ = [
     "block_layout",
     "direct_sum_embed",
     "enumerate_specs",
-    "exterior_power_embed",
-    "factor_block",
     "factor_catalog",
     "factor_form",
     "linearize",
@@ -213,9 +209,9 @@ def block_layout(spec: EmbeddingSpec) -> tuple[tuple[FactorSpec, int, int], ...]
     return tuple(layout)
 
 
-def _require_interior_ball(z: BallPoint, tol: Tolerance, what: str) -> None:
-    if z.norm >= 1.0 - tol.psd_margin:
-        raise MembershipViolation(f"{what} has norm {z.norm:.6f}, too close to the sphere")
+def _require_interior_ball(norm: float, tol: Tolerance, what: str) -> None:
+    if norm >= 1.0 - tol.psd_margin:
+        raise MembershipViolation(f"{what} has norm {norm:.6f}, too close to the sphere")
 
 
 def _connecting_matrix(z: np.ndarray) -> np.ndarray:
@@ -352,29 +348,6 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
     return [solved[model] for model in models]
 
 
-def exterior_power_embed(
-    z: BallPoint, m: int, symmetric: bool = False, tol: Tolerance = DEFAULT_TOLERANCE
-) -> DomainPoint:
-    """Degree-m wedge-power embedding of a ball point.
-
-    Returns an interior point of I_{r,s} with (r, s) = (C(p, m),
-    C(p, m-1)), or of the symmetric model III_r when ``symmetric`` is set
-    (balanced case only).  Fixes the origin and is linear in z.
-    """
-    p = z.n
-    if not 1 <= m <= p:
-        raise DegreeOutOfRange(f"degree m={m} outside 1..{p}")
-    if symmetric and not balanced_symmetric(p, m):
-        raise DegreeOutOfRange(
-            f"symmetric model needs p = 1 mod 4 and m = (p+1)/2, got p={p}, m={m}"
-        )
-    _require_interior_ball(z, tol, "wedge embedding input")
-    block = _wedge_blocks(z.coords[np.newaxis, :], [(m, symmetric)], tol)[0][0]
-    if symmetric:
-        return DomainPoint(type_iii_shape(block.shape[0]), block)
-    return DomainPoint(type_i_shape(*block.shape), block)
-
-
 def _ball_coords(n: int, tol: Tolerance, *sequences) -> list[np.ndarray]:
     """The (B, n) coordinates of each of equal-length sequences of B ball
     points, every member checked once: member i of each sequence before
@@ -384,7 +357,7 @@ def _ball_coords(n: int, tol: Tolerance, *sequences) -> list[np.ndarray]:
         for point in members:
             if point.n != n:
                 raise SpecMismatch(f"embedding input {i}: spec expects ball dimension {n}, got {point.n}")
-            _require_interior_ball(point, tol, f"embedding input {i}")
+            _require_interior_ball(point.norm, tol, f"embedding input {i}")
     return [
         np.array([point.coords for point in points], dtype=np.complex128).reshape(len(points), n)
         for points in sequences
@@ -410,20 +383,6 @@ def _factor_blocks(factors, coords: np.ndarray, tol: Tolerance) -> list[np.ndarr
             # One-dimensional source placed directly as a symmetric 1x1 corner.
             blocks.append(coords.reshape(-1, 1, 1).copy())
     return blocks
-
-
-def factor_block(factor: FactorSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Symmetric matrix block a factor contributes to the diagonal sum,
-    evaluated through the factor's construction.
-
-    Wedge and first-row images of interior ball points are interior by
-    construction, so the block's membership is not re-checked here; the
-    harness verifies image membership separately.
-    """
-    if z.n != factor.p:
-        raise SpecMismatch(f"factor expects a {factor.p}-dimensional ball point, got {z.n}")
-    _require_interior_ball(z, tol, "factor input")
-    return _factor_blocks((factor,), z.coords[np.newaxis, :], tol)[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +434,7 @@ def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE)
     if isinstance(z, BallPoint):
         if z.n != spec.source_dim:
             raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
-        _require_interior_ball(z, tol, "embedding input")
+        _require_interior_ball(z.norm, tol, "embedding input")
         # Its own loop, not a batch of one: the stacked form's set-up is a
         # large share of a one-point call.
         out = np.zeros((g, g), dtype=np.complex128)
@@ -543,15 +502,20 @@ def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
     )
 
 
-def _check_points(n: int, seed: int) -> list[BallPoint]:
-    """The ``_CHECK_POINTS`` seeded interior points of :func:`linearize`."""
+def _check_points(n: int, seed: int, tol: Tolerance) -> np.ndarray:
+    """The (``_CHECK_POINTS``, n) coordinates of the seeded interior points
+    of :func:`linearize`, each checked as :func:`_ball_coords` checks a
+    ball point, with its index."""
     rng = generator(seed, 0x11E4)
-    points = []
-    for _ in range(_CHECK_POINTS):
+    coords = np.empty((_CHECK_POINTS, n), dtype=np.complex128)
+    for i, row in enumerate(coords):
         direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
-        points.append(BallPoint(direction * (0.95 * rng.random())))
-    return points
+        row[:] = direction * (0.95 * rng.random())
+        # The norm of the row alone, as BallPoint measures it: a norm along
+        # an axis of the stack can round differently.
+        _require_interior_ball(float(np.linalg.norm(row)), tol, f"embedding input {i}")
+    return coords
 
 
 def _linearization(spec: EmbeddingSpec, tol: Tolerance, seed: int, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -562,8 +526,7 @@ def _linearization(spec: EmbeddingSpec, tol: Tolerance, seed: int, samples) -> t
     probe; a deviation at a check point raises before any residual of the
     samples is returned."""
     n = spec.source_dim
-    checks = _check_points(n, seed)
-    (check_coords,) = _ball_coords(n, tol, checks)
+    check_coords = _check_points(n, seed, tol)
     (sample_coords,) = _ball_coords(n, tol, samples)
     _check_padding(spec, tol)
     residuals = _oracle_residuals(spec, np.concatenate([check_coords, sample_coords]), tol)
@@ -572,7 +535,7 @@ def _linearization(spec: EmbeddingSpec, tol: Tolerance, seed: int, samples) -> t
     if worst > tol.eq_tol:
         raise NonlinearityDetected(
             f"embedding deviates from its linearization by {worst:.3e} > {tol.eq_tol:.3e} "
-            f"at z={np.array2string(checks[i].coords, precision=6)}"
+            f"at z={np.array2string(check_coords[i], precision=6)}"
         )
     matrix = np.concatenate([factor_form(factor)[0] for factor, _, _ in block_layout(spec)])
     matrix.setflags(write=False)

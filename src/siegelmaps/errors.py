@@ -21,10 +21,6 @@ class SingularSystem(SiegelmapsError):
     """Linear system is singular or too ill-conditioned to solve."""
 
 
-class RankDeficient(SiegelmapsError):
-    """Matrix does not have full column rank."""
-
-
 class ShapeMismatch(SiegelmapsError):
     """Operands live on incompatible domain shapes."""
 

@@ -25,8 +25,8 @@ A semi-linear conjugation sends ``e_M`` to ``a(M) e_{M^c}`` with
 where eps is the sign of the concatenated permutation (M^c, M) against
 (1, ..., p+1) and eta(M) is -1 when p+1 is in M, +1 otherwise.  Applying
 the conjugation twice multiplies ``e_M`` by the unit
-``conj(a(M)) * a(M^c)``; the value is exposed for measurement rather than
-assumed to be 1.
+``conj(a(M)) * a(M^c)``; the verification report records the measured
+value rather than assuming it is 1.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "balanced_symmetric",
     "complement",
     "conjugation_unit",
-    "conjugation_twice_unit",
     "induced_form",
     "multi_indices",
     "perm_sign",
@@ -104,16 +103,6 @@ def _conjugation_unit(m_idx: MultiIndex, comp: MultiIndex, p: int) -> complex:
     """a(M) for a valid multi-index M and its complement."""
     eta = -1 if (p + 1) in m_idx else 1
     return -1j * perm_sign(comp + m_idx) * eta
-
-
-def conjugation_twice_unit(m_idx: MultiIndex, p: int) -> complex:
-    """Unit multiplier picked up by e_M under the conjugation applied twice.
-
-    Equals conj(a(M)) * a(M^c); recorded by the verification harness, not
-    normalized away.
-    """
-    m_idx = _check_multi_index(m_idx, p)
-    return complex(np.conj(conjugation_unit(m_idx, p)) * conjugation_unit(complement(m_idx, p), p))
 
 
 def signature(p: int, m: int) -> tuple[int, int]:

@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
-    RankDeficient,
     SingularSystem,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "Tolerance",
     "as_complex_matrix",
-    "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "max_abs",
     "singular_values",
@@ -144,18 +142,6 @@ def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> 
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-
-
-def hermitian_eigensystem(
-    m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    sym = _hermitian_part(m, tol)
-    try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    return values, vectors
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -343,11 +329,3 @@ def _residuals(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> t
     residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
     bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
     return residual, bound
-
-
-def _inverse_sqrt_from(values: np.ndarray, vectors: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Inverse square root from an ascending eigensystem, for callers that
-    already hold one."""
-    if values[0] <= tol.psd_margin:
-        raise RankDeficient(f"matrix not positive definite within margin: {values[0]:.3e}")
-    return (vectors * (values ** -0.5)[np.newaxis, :]) @ vectors.conj().T

@@ -14,8 +14,6 @@ on the blocks of :func:`~siegelmaps.embeddings._embed_blocks` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domains import (
@@ -42,7 +40,6 @@ from .errors import DimensionMismatch, IllConditioned, ShapeMismatch, SpecMismat
 from .linalg import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
-    "SandwichRecord",
     "isometry_sandwich",
     "retract_direct_sum",
 ]
@@ -115,25 +112,6 @@ def _retract_blocks(spec: EmbeddingSpec, blocks) -> np.ndarray:
     return total / len(blocks)
 
 
-@dataclass(frozen=True)
-class SandwichRecord:
-    """Distances through one embed/retract cycle.
-
-    ``source`` is the ball distance, ``target`` the distance between the
-    embedded images measured in the ambient matrix ball, ``retracted`` the
-    ball distance after retraction.  Holomorphy forces target <= source
-    and source <= target (via the retraction), so all three agree.
-    """
-
-    source: float
-    target: float
-    retracted: float
-
-    @property
-    def max_gap(self) -> float:
-        return max(abs(self.source - self.target), abs(self.source - self.retracted))
-
-
 def _sandwich_stack(
     spec: EmbeddingSpec, xs, ys, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,17 +136,19 @@ def _sandwich_stack(
     return kobayashi_distance(xs, ys, tol), target, _ball_distances(rx, ry, tol)
 
 
-def isometry_sandwich(spec: EmbeddingSpec, x, y, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Measure the distance sandwich for one pair of interior points.
+def isometry_sandwich(
+    spec: EmbeddingSpec, x, y, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure the distance sandwich for pairs of interior points.
 
-    x and y may also be equal-length sequences of ball points: the source,
-    target and retracted distances of the pairs then come back as three
-    arrays from stacked evaluations (see :func:`_sandwich_stack`).  Within
-    one slice of pairs the blocks are those :func:`kobayashi_distance`
-    finds on the g x g images, so the target distances have its bits."""
-    if isinstance(x, BallPoint):
-        source, target, retracted = _sandwich_stack(spec, [x], [y], tol)
-        return SandwichRecord(float(source[0]), float(target[0]), float(retracted[0]))
+    x and y are equal-length sequences of ball points.  The source
+    distances of the pairs, the target distances of their images in the
+    ambient matrix ball and the ball distances after retraction come back
+    as three arrays from stacked evaluations (see :func:`_sandwich_stack`).
+    The embedding is holomorphic and has a holomorphic left inverse, so the
+    three agree.  Within one slice of pairs the blocks are those
+    :func:`kobayashi_distance` finds on the g x g images, so the target
+    distances have its bits."""
     xs, ys = list(x), list(y)
     if not xs or len(xs) != len(ys):
         raise ShapeMismatch(f"expected equal nonzero numbers of points, got {len(xs)} and {len(ys)}")

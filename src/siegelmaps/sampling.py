@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import BallPoint, DomainPoint, siegel_shape, type_i_shape, type_iii_shape
+from .domains import BallPoint, DomainPoint, type_iii_shape
 
 __all__ = [
     "generator",
     "sample_ball_point",
     "sample_phases",
-    "sample_siegel",
-    "sample_type_i",
     "sample_type_iii",
 ]
 
@@ -40,30 +38,12 @@ def sample_ball_point(rng: np.random.Generator, n: int, radius_cap: float = 0.95
     return BallPoint(direction * (radius_cap * rng.random()))
 
 
-def sample_type_i(
-    rng: np.random.Generator, p: int, q: int, radius_cap: float = 0.95
-) -> DomainPoint:
-    """Interior type I point with largest singular value below radius_cap."""
-    raw = _complex_normal(rng, (p, q))
-    top = np.linalg.svd(raw, compute_uv=False)[0]
-    return DomainPoint(type_i_shape(p, q), raw * (radius_cap * rng.random() / top))
-
-
 def sample_type_iii(rng: np.random.Generator, k: int, radius_cap: float = 0.95) -> DomainPoint:
     """Interior symmetric point of the bounded model."""
     raw = _complex_normal(rng, (k, k))
     raw = 0.5 * (raw + raw.T)
     top = np.linalg.svd(raw, compute_uv=False)[0]
     return DomainPoint(type_iii_shape(k), raw * (radius_cap * rng.random() / top))
-
-
-def sample_siegel(rng: np.random.Generator, g: int) -> DomainPoint:
-    """Interior Siegel point: random real symmetric part, SPD imaginary part."""
-    real = rng.standard_normal((g, g))
-    real = 0.5 * (real + real.T)
-    root = rng.standard_normal((g, g))
-    imag = root @ root.T / g + 0.1 * np.eye(g)
-    return DomainPoint(siegel_shape(g), real + 1j * imag)
 
 
 def sample_phases(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -161,5 +161,5 @@ def test_factor_block_path_equals_kobayashi_distance_on_the_images(spec, pairs, 
     _, target, _ = isometry_sandwich(spec, xs, ys)
     assert target.tobytes() == kobayashi_distance(ex, ey).tobytes()
     for x, y, a, b, d in zip(xs, ys, ex, ey, target):
-        alone = isometry_sandwich(spec, x, y).target
+        (alone,) = isometry_sandwich(spec, [x], [y])[1]
         assert alone == kobayashi_distance(a, b) == d

@@ -18,7 +18,6 @@ from siegelmaps import (
     ball_point,
     direct_sum_embed,
     enumerate_specs,
-    exterior_power_embed,
     factor_catalog,
     kobayashi_distance,
     linearize,
@@ -28,7 +27,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps import embeddings
-from siegelmaps.embeddings import _factor_blocks, block_layout, factor_block
+from siegelmaps.embeddings import _factor_blocks, block_layout
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -44,6 +43,7 @@ from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_point, sample_phases
 
 from lu_wedge import lu_wedge_coefficients
+from oracle_blocks import factor_block, wedge_block
 from whole_image_oracle import whole_image_linearize, whole_image_residuals
 
 # The paper's N = 5 lambda_III case plus the connecting wedge blocks, g = 60.
@@ -105,18 +105,17 @@ def test_connecting_embed_singular_values_and_isometry():
 def test_wedge_embed_fixes_origin():
     for p in range(1, 5):
         for m in range(1, p + 1):
-            image = exterior_power_embed(_zero_point(p), m)
-            assert max_abs(image.z) == 0.0
+            assert max_abs(wedge_block(_zero_point(p), m)) == 0.0
 
 
 def test_wedge_embed_frozen_two_dimensional_case():
     # hand-derived by expanding the minors: the negative block is
     # [[0.91, -0.12], [-0.12, 0.84]] and the positive row (0.4, -0.3),
     # giving exactly (0.4, -0.3) after normalization
-    image = exterior_power_embed(ball_point([0.3, 0.4]), 2)
-    assert image.shape == type_i_shape(1, 2)
-    assert np.allclose(image.z, [[0.4, -0.3]], atol=1e-14)
-    assert np.allclose(singular_values(image.z), [0.5], atol=1e-14)
+    image = wedge_block(ball_point([0.3, 0.4]), 2)
+    assert image.shape == (1, 2)
+    assert np.allclose(image, [[0.4, -0.3]], atol=1e-14)
+    assert np.allclose(singular_values(image), [0.5], atol=1e-14)
 
 
 def test_wedge_embed_axis_pattern_entrywise():
@@ -127,15 +126,15 @@ def test_wedge_embed_axis_pattern_entrywise():
         for m in range(1, p + 1):
             coords = np.zeros(p, dtype=complex)
             coords[0] = t
-            image = exterior_power_embed(ball_point(coords), m)
+            image = wedge_block(ball_point(coords), m)
             basis = wedge_basis(p, m)
             expected = np.zeros((len(basis.positives), len(basis.negatives)), dtype=complex)
             for sub in combinations(range(2, p + 1), m - 1):
                 row = basis.positives.index(tuple(sorted((1,) + sub)))
                 col = basis.negatives.index(sub + (p + 1,))
                 expected[row, col] = (-1) ** (m - 1) * t
-            assert max_abs(image.z - expected) <= 1e-12
-            assert np.count_nonzero(np.abs(image.z) > 1e-12) == comb(p - 1, m - 1)
+            assert max_abs(image - expected) <= 1e-12
+            assert np.count_nonzero(np.abs(image) > 1e-12) == comb(p - 1, m - 1)
 
 
 def test_wedge_embed_symmetric_axis_pattern():
@@ -144,7 +143,7 @@ def test_wedge_embed_symmetric_axis_pattern():
     t, p, m = 0.41, 5, 3
     coords = np.zeros(p, dtype=complex)
     coords[0] = t
-    image = exterior_power_embed(ball_point(coords), m, symmetric=True)
+    image = wedge_block(ball_point(coords), m, symmetric=True)
     basis = wedge_basis(p, m)
     expected = np.zeros((len(basis.negatives),) * 2, dtype=complex)
     for sub in combinations(range(2, p + 1), m - 1):
@@ -154,17 +153,17 @@ def test_wedge_embed_symmetric_axis_pattern():
         col = basis.negatives.index(sub + (p + 1,))
         unit = conjugation_unit(row_index_set + (p + 1,), p)
         expected[row, col] = (-1) ** (m - 1) * t / unit
-    assert max_abs(image.z - expected) <= 1e-12
+    assert max_abs(image - expected) <= 1e-12
 
 
 def test_wedge_embed_symmetric_output_is_symmetric():
     rng = generator(32, 0)
     for _ in range(20):
         z = sample_ball_point(rng, 5)
-        image = exterior_power_embed(z, 3, symmetric=True)
-        assert image.shape == type_iii_shape(10)
-        assert max_abs(image.z - image.z.T) <= 1e-12
-        assert singular_values(image.z)[0] == pytest.approx(z.norm, abs=1e-12)
+        image = wedge_block(z, 3, symmetric=True)
+        assert image.shape == (10, 10)
+        assert max_abs(image - image.T) <= 1e-12
+        assert singular_values(image)[0] == pytest.approx(z.norm, abs=1e-12)
 
 
 def test_wedge_embed_membership_closure():
@@ -173,8 +172,8 @@ def test_wedge_embed_membership_closure():
         for m in range(1, p + 1):
             for _ in range(10):
                 z = sample_ball_point(rng, p)
-                image = exterior_power_embed(z, m)
-                assert membership(image).status.value == "interior"
+                image = wedge_block(z, m)
+                assert membership(DomainPoint(type_i_shape(*image.shape), image)).status.value == "interior"
 
 
 def test_wedge_embed_diagonal_phase_equivariance():
@@ -185,8 +184,8 @@ def test_wedge_embed_diagonal_phase_equivariance():
         m = int(rng.integers(1, p + 1))
         z = sample_ball_point(rng, p)
         theta = sample_phases(rng, p)
-        base = exterior_power_embed(z, m).z
-        moved = exterior_power_embed(ball_point(theta * z.coords), m).z
+        base = wedge_block(z, m)
+        moved = wedge_block(ball_point(theta * z.coords), m)
         basis = wedge_basis(p, m)
         rows = np.array([np.prod([theta[i - 1] for i in M]) for M in basis.positives])
         cols = np.array([np.prod([theta[i - 1] for i in M if i <= p]) for M in basis.negatives])
@@ -196,9 +195,9 @@ def test_wedge_embed_diagonal_phase_equivariance():
 
 def test_wedge_embed_rejects_bad_degrees():
     with pytest.raises(DegreeOutOfRange):
-        exterior_power_embed(ball_point([0.1, 0.2]), 3)
+        FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 3)
     with pytest.raises(DegreeOutOfRange):
-        exterior_power_embed(ball_point([0.1, 0.2]), 1, symmetric=True)
+        FactorSpec(FactorKind.LAMBDA_III, 2, 1)
 
 
 def test_factor_spec_validation():

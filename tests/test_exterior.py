@@ -10,7 +10,6 @@ import pytest
 from siegelmaps import (
     balanced_symmetric,
     complement,
-    conjugation_twice_unit,
     conjugation_unit,
     induced_form,
     multi_indices,
@@ -97,7 +96,11 @@ def test_conjugation_twice_constant_sign_per_degree():
     for p in range(1, 7):
         for m in range(1, p + 1):
             basis = wedge_basis(p, m)
-            units = {conjugation_twice_unit(M, p) for M in basis.ordered}
+            # e_M picks up conj(a(M)) * a(M^c) under the conjugation applied twice
+            units = {
+                complex(np.conj(conjugation_unit(M, p)) * conjugation_unit(complement(M, p), p))
+                for M in basis.ordered
+            }
             assert len(units) == 1
             unit = units.pop()
             assert abs(abs(unit) - 1.0) < 1e-12

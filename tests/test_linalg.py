@@ -18,7 +18,9 @@ from siegelmaps.errors import (
     NotHermitian,
     SingularSystem,
 )
-from siegelmaps.linalg import hermitian_eigensystem, max_abs
+from siegelmaps.linalg import max_abs
+
+from transvection import hermitian_eigensystem
 
 EQ = DEFAULT_TOLERANCE.eq_tol
 

@@ -1,22 +1,42 @@
-"""The public surface: every exported name resolves, and removed ones stay gone."""
+"""The public surface: every exported name resolves, removed ones stay gone,
+and the README examples run."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import siegelmaps
 
 # Test-only helpers the pipeline never called, removed from the package.
+# The transvection oracle and the type I and Siegel samplers live on in
+# tests/ as transvection.py and samplers.py.
 REMOVED = (
+    "RankDeficient",
+    "SandwichRecord",
+    "Transvection",
     "_axis_pattern",
+    "_inverse_sqrt_from",
+    "_require_margin",
+    "ball_distance",
     "ball_infinitesimal_metric",
+    "conjugation_twice_unit",
     "connecting_embed",
     "embed_in_type_i",
+    "exterior_power_embed",
+    "factor_block",
+    "hermitian_eigensystem",
     "inverse_sqrt_hpd",
     "orthonormal_column_basis",
     "retract_axis_averaging",
+    "sample_siegel",
+    "sample_type_i",
+    "transvection_to_origin",
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exported_names_resolve_and_removed_names_are_gone():
@@ -31,3 +51,10 @@ def test_exported_names_resolve_and_removed_names_are_gone():
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name} is back"
     assert len(set(siegelmaps.__all__)) == len(siegelmaps.__all__)
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
