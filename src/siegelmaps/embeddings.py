@@ -31,9 +31,9 @@ and equal them on them.  The oracle evaluates a stack of points at once:
 a vectorized Laplace recursion for the wedge minors of each degree (see
 :func:`_wedge_coefficients`) and one stacked solve per degree, shared by
 its models; a stacked block has the bits of the same point evaluated
-alone.  :func:`direct_sum_embed` also takes a stack of points, with the
-same bits per member: it places on zero g x g matrices the factor blocks
-of :func:`_embed_blocks`, which the verify suites use as they are.
+alone.  :func:`direct_sum_embed` embeds one point; the verify suites
+embed their stacks of samples with :func:`_embed_blocks`, whose blocks
+have the bits of the one-point map on its diagonal.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -408,9 +408,9 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
 def _embed_blocks(spec: EmbeddingSpec, coords: np.ndarray) -> list[np.ndarray]:
     """The diagonal blocks ``A_f z`` of the images of B ball points, given
     as their (B, N) coordinates checked by :func:`_ball_coords`: one
-    (B, b, b) array per factor in :func:`block_layout` order, the arrays
-    :func:`direct_sum_embed` places on its zero g x g matrices, computed
-    without them."""
+    (B, b, b) array per factor in :func:`block_layout` order, each member
+    with the bits :func:`direct_sum_embed` places on its zero g x g
+    matrix, computed without it."""
     blocks = []
     for factor in spec.factors:
         matrix, _ = factor_form(factor)
@@ -421,35 +421,26 @@ def _embed_blocks(spec: EmbeddingSpec, coords: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def direct_sum_embed(spec: EmbeddingSpec, z, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Evaluate the embedding: each factor's compiled block ``A_f z`` on the
-    diagonal, zero padding.
-
-    ``z`` is a ball point, and the image a :class:`DomainPoint` of III_g.
-    It may also be a sequence of B ball points: the images then come back
-    as one read-only (B, g, g) array, each member with the bits of its
-    point embedded alone.  An input on or outside the sphere raises; in a
-    sequence the error names the member by its index."""
+def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
+    """Evaluate the embedding at a ball point: each factor's compiled block
+    ``A_f z`` on the diagonal of a read-only type III :class:`DomainPoint`,
+    zero padding.  Any input but a :class:`BallPoint` of the spec's
+    dimension, inside the sphere, raises."""
+    if not isinstance(z, BallPoint):
+        raise SpecMismatch(f"expected a BallPoint, got {type(z).__name__}")
+    if z.n != spec.source_dim:
+        raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
+    _require_interior_ball(z.norm, tol, "embedding input")
+    # Its own loop, not a batch of one through _embed_blocks: the stacked
+    # kernel's set-up is a large share of a one-point call.
     g = spec.target_g
-    if isinstance(z, BallPoint):
-        if z.n != spec.source_dim:
-            raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
-        _require_interior_ball(z.norm, tol, "embedding input")
-        # Its own loop, not a batch of one: the stacked form's set-up is a
-        # large share of a one-point call.
-        out = np.zeros((g, g), dtype=np.complex128)
-        for factor, start, stop in block_layout(spec):
-            matrix, _ = factor_form(factor)
-            out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
-        # Frozen, so the point keeps it without a copy.
-        out.setflags(write=False)
-        return DomainPoint(type_iii_shape(g), out)
-    (coords,) = _ball_coords(spec.source_dim, tol, list(z))
-    out = np.zeros((len(coords), g, g), dtype=np.complex128)
-    for (_, start, stop), block in zip(block_layout(spec), _embed_blocks(spec, coords)):
-        out[:, start:stop, start:stop] = block
+    out = np.zeros((g, g), dtype=np.complex128)
+    for factor, start, stop in block_layout(spec):
+        matrix, _ = factor_form(factor)
+        out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
+    # Frozen, so the point keeps it without a copy.
     out.setflags(write=False)
-    return out
+    return DomainPoint(type_iii_shape(g), out)
 
 
 def _oracle_residuals(spec: EmbeddingSpec, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -472,8 +463,8 @@ def _oracle_residuals(spec: EmbeddingSpec, coords: np.ndarray, tol: Tolerance) -
 
 
 def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
-    """Check that the public stacked :func:`direct_sum_embed` places the
-    compiled blocks and nothing else: its image of a probe point, of norm
+    """Check that :func:`direct_sum_embed` places the compiled blocks and
+    nothing else: its image of a probe point, of norm
     ``LINEARIZATION_PROBE`` with every coordinate nonzero (each of its own
     modulus and phase), must be zero off the factor blocks and equal
     :func:`_embed_blocks` on them, exactly.  The padding does not depend on
@@ -482,7 +473,7 @@ def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
     k = np.arange(1, spec.source_dim + 1)
     direction = k * np.exp(1j * k)
     probe = BallPoint(direction * (LINEARIZATION_PROBE / np.linalg.norm(direction)))
-    (image,) = direct_sum_embed(spec, [probe], tol)
+    image = direct_sum_embed(spec, probe, tol).z
     layout = block_layout(spec)
     blocks = [block for (block,) in _embed_blocks(spec, probe.coords[np.newaxis, :])]
     if not image[spec.cost :].any() and all(

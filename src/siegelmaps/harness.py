@@ -10,17 +10,18 @@ maximum residual keep the earliest sample (``argmax``, ``max`` and
 earliest minimum margin).  The six sampled suites draw all their samples
 first, in the same stream order, check them once, so that a sample on or
 outside the sphere is named by its index in the suite (for isometry, its
-pair), and evaluate them on slices of a few hundred KiB.  The retraction, membership, symmetry and isometry suites
-carry each image as its factor blocks ``A_f z``, never as a zero-padded
-g x g matrix, and slice by block entries: one stacked embed and retract
-per slice, one wedge kernel call per slice for all factors, one
-eigensolve per block size and slice for the image margins, and for the
-isometry sandwich (:func:`~siegelmaps.retractions.isometry_sandwich` on
-sequences) one distance kernel pass per block size and slice and one
-ball distance call over all pairs for each ball side.  The linearity
-suite compares the factor constructions with the compiled blocks too, at
-linearize's check points and its samples in one stack; the padding of
-:func:`~siegelmaps.embeddings.direct_sum_embed` is checked once, on a
+pair), and evaluate them on slices of a few hundred KiB.  The
+retraction, membership, symmetry and isometry suites carry each image as
+its factor blocks ``A_f z`` (:func:`~siegelmaps.embeddings._embed_blocks`),
+never as a zero-padded g x g matrix, and slice by block entries: one
+stacked embed and retract per slice, one wedge kernel call per slice for
+all factors, one eigensolve per block size and slice for the image
+margins, and for :func:`~siegelmaps.retractions.isometry_sandwich` one
+distance kernel pass per block size and slice and one ball distance call
+over all pairs for each ball side.  The linearity suite compares the
+factor constructions with the compiled blocks too, at linearize's check
+points and its samples in one stack, and checks the padding of the
+one-point :func:`~siegelmaps.embeddings.direct_sum_embed` once, on a
 probe.  A suite that raises a package error becomes a failed result that
 names the error.
 """

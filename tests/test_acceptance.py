@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
-    DomainPoint,
     EmbeddingSpec,
     FactorKind,
     FactorSpec,
@@ -32,18 +31,20 @@ from siegelmaps import (
     retract_direct_sum,
     signature,
     singular_values,
-    type_iii_shape,
     wedge_basis,
 )
 from siegelmaps.cli import main
+from siegelmaps.embeddings import _embed_blocks
 from siegelmaps.errors import NonlinearityDetected
 from siegelmaps.linalg import max_abs
+from siegelmaps.retractions import _retract_blocks
 from siegelmaps.sampling import (
     generator,
     sample_ball_point,
     sample_type_iii,
 )
 
+from bulk_images import embedded_images
 from oracle_blocks import wedge_block
 from samplers import sample_siegel
 
@@ -90,7 +91,8 @@ def sweep():
     """Shared embed/retract sweep over all admissible specs, N in 1..4.
 
     Each spec's samples are embedded and retracted as one stack through the
-    public stacked forms; every member has the bits of its point alone."""
+    suites' block kernels, whose members have the bits of the one-point
+    maps."""
     per_n = {}
     total_elapsed = 0.0
     for n in (1, 2, 3, 4):
@@ -102,14 +104,14 @@ def sweep():
             rng = generator(SEED, 1000 + index)
             start = time.perf_counter()
             points = [sample_ball_point(rng, n) for _ in range(SAMPLES_PER_SPEC)]
-            images = direct_sum_embed(spec, points)
-            backs = retract_direct_sum(images, spec, verify=False)
-            residuals = np.abs(backs - np.stack([z.coords for z in points])).max(axis=1)
+            coords = np.stack([z.coords for z in points])
+            backs = _retract_blocks(spec, _embed_blocks(spec, coords))
+            residuals = np.abs(backs - coords).max(axis=1)
             total_elapsed += time.perf_counter() - start
             worst = max(worst, float(residuals.max()))
             # criterion 2 bookkeeping, outside the timed section
-            for image, back in zip(images, backs):
-                result = membership(DomainPoint(type_iii_shape(spec.target_g), image))
+            for image, back in zip(embedded_images(spec, points), backs):
+                result = membership(image)
                 back_margin = 1.0 - float(np.linalg.norm(back)) ** 2
                 if not result or back_margin <= 1e-10:
                     membership_violations += 1
@@ -149,8 +151,8 @@ def test_criterion_2_membership_closure(sweep):
 
 
 def test_criterion_3_isometry_sandwich():
-    # Pair by pair, from one stacked embed per side and one stacked distance
-    # call per kind; each member has the bits of its pair alone.
+    # Pair by pair, from bulk images and one stacked distance call per
+    # kind; each member has the bits of its pair alone.
     worst = -1.0
     count = 0
     for n in (1, 2, 3):
@@ -162,10 +164,7 @@ def test_criterion_3_isometry_sandwich():
             for _ in range(SAMPLES_PER_SPEC):
                 xs.append(sample_ball_point(rng, n))
                 ys.append(sample_ball_point(rng, n))
-            ex, ey = (
-                [DomainPoint(type_iii_shape(spec.target_g), image) for image in direct_sum_embed(spec, points)]
-                for points in (xs, ys)
-            )
+            ex, ey = embedded_images(spec, xs), embedded_images(spec, ys)
             gaps = np.abs(kobayashi_distance(xs, ys) - kobayashi_distance(ex, ey))
             worst = max(worst, float(gaps.max()))
     ok = worst <= ISOMETRY_TOL

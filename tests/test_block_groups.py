@@ -122,7 +122,7 @@ def test_grouped_kernel_equals_the_padded_kernel():
 
 
 def _images(spec, points):
-    return [DomainPoint(type_iii_shape(spec.target_g), image) for image in direct_sum_embed(spec, points)]
+    return [direct_sum_embed(spec, z) for z in points]
 
 
 def _axis_pairs(n, count, axis):

@@ -332,24 +332,28 @@ def test_nonlinearity_detector_fires_on_corrupted_matrix(monkeypatch):
 
 def test_nonlinearity_detector_fires_off_the_blocks(monkeypatch):
     # The oracle is zero outside its diagonal blocks; an embedding that
-    # writes into the padding or between blocks must be caught there too.
+    # writes between blocks or into the padding must be caught there too,
+    # on the one-point map that embed runs.
     spec = EmbeddingSpec(
         2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1), FactorSpec(FactorKind.STANDARD_I, 2, 1)), 7
     )
+    config = HarnessConfig(seed=0, samples=8, suites=("linearity",))
     linearize(spec)
+    assert run_suite("linearity", spec, config).passed
     exact = embeddings.direct_sum_embed
     for row, col in ((0, 3), (2, 6), (6, 6)):
 
-        # The oracle embeds its points as one stack.
-        def corrupted(spec, points, tol=DEFAULT_TOLERANCE, row=row, col=col):
-            images = np.array(exact(spec, points, tol))
-            images[:, row, col] += 0.05 * np.array([z.coords[1] for z in points])
-            images[:, col, row] = images[:, row, col]
-            return images
+        def corrupted(spec, z, tol=DEFAULT_TOLERANCE, row=row, col=col):
+            image = exact(spec, z, tol).z.copy()
+            image[row, col] += 0.05 * z.coords[1]
+            image[col, row] = image[row, col]
+            return DomainPoint(type_iii_shape(spec.target_g), image)
 
         monkeypatch.setattr(embeddings, "direct_sum_embed", corrupted)
-        with pytest.raises(NonlinearityDetected):
+        with pytest.raises(NonlinearityDetected, match="deviates from its factor blocks"):
             linearize(spec)
+        result = run_suite("linearity", spec, config)
+        assert not result.passed and result.detail.startswith("embedding deviates from its factor blocks by ")
 
 
 def test_linearity_suite_catches_a_bad_compiled_map(monkeypatch):
@@ -586,26 +590,39 @@ def test_oracle_error_within_twice_the_lu_kernel(n, monkeypatch):
     assert 0.0 < laplace <= 2.0 * lu
 
 
-# --- stacked embedding
+# --- the one-point map and the suites' stacked kernel
 
 
-def test_stacked_embed_members_equal_their_batch_of_one():
+def test_one_point_embed_holds_the_kernel_blocks():
+    # direct_sum_embed holds the bits of _embed_blocks on its diagonal
+    # blocks and zeros elsewhere, on every spec the acceptance sweep runs.
     specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
     for index, spec in enumerate(specs):
         rng = generator(630, index)
         points = [sample_ball_point(rng, spec.source_dim) for _ in range(3)]
-        stacked = direct_sum_embed(spec, points)
-        assert stacked.shape == (3, spec.target_g, spec.target_g) and not stacked.flags.writeable
-        for z, member in zip(points, stacked):
-            assert direct_sum_embed(spec, z).z.tobytes() == member.tobytes()
-            assert direct_sum_embed(spec, [z])[0].tobytes() == member.tobytes()
+        blocks = embeddings._embed_blocks(spec, np.stack([z.coords for z in points]))
+        for i, z in enumerate(points):
+            image = direct_sum_embed(spec, z).z.copy()
+            for (_, start, stop), block in zip(block_layout(spec), blocks):
+                assert image[start:stop, start:stop].tobytes() == block[i].tobytes()
+                image[start:stop, start:stop] = 0.0
+            assert not image.any()
 
 
 def test_stacked_embed_names_the_failing_member():
-    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    # The suites check their samples once, as a stack, before embedding
+    # them with _embed_blocks: an error names the sample by its index.
     inside = ball_point([0.1, 0.2])
     with pytest.raises(MembershipViolation, match="embedding input 2 has norm 1.000000"):
-        direct_sum_embed(spec, [inside, inside, ball_point([1.0 - 1e-12, 0.0])])
+        embeddings._ball_coords(2, DEFAULT_TOLERANCE, [inside, inside, ball_point([1.0 - 1e-12, 0.0])])
     with pytest.raises(SpecMismatch, match="embedding input 1: spec expects ball dimension 2, got 3"):
-        direct_sum_embed(spec, [inside, ball_point([0.1, 0.0, 0.0])])
-    assert direct_sum_embed(spec, []).shape == (0, 3, 3)
+        embeddings._ball_coords(2, DEFAULT_TOLERANCE, [inside, ball_point([0.1, 0.0, 0.0])])
+
+
+@pytest.mark.parametrize(
+    "value", [np.array([0.1, 0.2]), [0.1, 0.2], DomainPoint(type_iii_shape(3), np.zeros((3, 3)))]
+)
+def test_embed_takes_one_ball_point(value):
+    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    with pytest.raises(SpecMismatch, match=f"^expected a BallPoint, got {type(value).__name__}$"):
+        direct_sum_embed(spec, value)

@@ -327,14 +327,14 @@ def test_verification_of_the_g60_spec_makes_at_most_five_svd_calls(monkeypatch):
 def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(monkeypatch):
     # No suite builds a g x g image per point: the linearity suite compares
     # factor blocks, and embeds one probe through direct_sum_embed to check
-    # its padding.  The isometry suite's 8 pairs fit one slice, measured by one pass of
-    # the distance kernel per block size (one block of 10, two of 15, one
-    # of 20), with one Cholesky call each.
+    # its padding.  The isometry suite's 8 pairs fit one slice, measured by
+    # one pass of the distance kernel per block size (one block of 10, two
+    # of 15, one of 20), with one Cholesky call each.
     embeds, choleskys = [], []
     counted_embed, counted_cholesky = embeddings.direct_sum_embed, np.linalg.cholesky
 
     def counting_embed(spec, z, tol=Tolerance()):
-        embeds.append(len(z))
+        embeds.append(z)
         return counted_embed(spec, z, tol)
 
     def counting_cholesky(a):
@@ -349,7 +349,7 @@ def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(mon
     assert embeds == []
     assert choleskys == [(2, 8, n, s, s) for n, s in ((1, 10), (2, 15), (1, 20))]
     assert harness.run_verification(G60_SPEC, config).passed
-    assert embeds == [1]
+    assert len(embeds) == 1 and isinstance(embeds[0], BallPoint)
     # Nothing in those four suites grows with g: at g = 2**40 they pass.
     huge = dataclasses.replace(G60_SPEC, target_g=2**40)
     for name in ("retraction", "membership", "isometry", "symmetry"):
@@ -363,13 +363,13 @@ def test_linearity_suite_embeds_one_probe_far_beyond_the_cost(monkeypatch):
     counted = embeddings.direct_sum_embed
 
     def counting_embed(spec, z, tol=Tolerance()):
-        embeds.append(len(z))
+        embeds.append(z)
         return counted(spec, z, tol)
 
     monkeypatch.setattr(embeddings, "direct_sum_embed", counting_embed)
     spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 2048)
     assert harness.run_suite("linearity", spec, HarnessConfig(samples=2, seed=0)).passed
-    assert embeds == [1]
+    assert len(embeds) == 1 and isinstance(embeds[0], BallPoint)
 
 
 @pytest.mark.parametrize("where", ["last", "between", "on"])
@@ -383,12 +383,12 @@ def test_padding_probe_fires_far_beyond_the_cost(monkeypatch, where):
     row, col = {"last": (2047, 2047), "between": (0, 3), "on": (1, 1)}[where]
     exact = embeddings.direct_sum_embed
 
-    def corrupted(spec, points, tol=Tolerance()):
-        images = exact(spec, points, tol)
-        images.setflags(write=True)
-        images[:, row, col] += 0.05 * np.array([z.coords[1] for z in points])
-        images[:, col, row] = images[:, row, col]
-        return images
+    def corrupted(spec, z, tol=Tolerance()):
+        image = exact(spec, z, tol)
+        image.z.setflags(write=True)
+        image.z[row, col] += 0.05 * z.coords[1]
+        image.z[col, row] = image.z[row, col]
+        return image
 
     monkeypatch.setattr(embeddings, "direct_sum_embed", corrupted)
     result = harness.run_suite("linearity", spec, HarnessConfig(samples=2, seed=0))

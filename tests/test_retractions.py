@@ -24,8 +24,9 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps.embeddings import block_layout
-from siegelmaps.errors import DimensionMismatch, IllConditioned, MembershipViolation, ShapeMismatch, SpecMismatch
+from siegelmaps.errors import IllConditioned, MembershipViolation, ShapeMismatch, SpecMismatch
 from siegelmaps.linalg import DEFAULT_TOLERANCE, max_abs
+from siegelmaps.retractions import _retract_blocks
 from siegelmaps.sampling import (
     generator,
     sample_ball_point,
@@ -172,14 +173,11 @@ def test_retractions_reject_non_interior_input():
         retract_direct_sum(DomainPoint(type_i_shape(3, 3), np.zeros((3, 3))), spec)
 
 
-def test_stacked_retraction_names_its_non_finite_member():
+@pytest.mark.parametrize("value", [np.zeros((3, 3)), [np.zeros((3, 3))], ball_point([0.1, 0.2])])
+def test_retraction_takes_one_type_iii_point(value):
     spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
-    images = np.zeros((4, 3, 3), dtype=complex)
-    images[2, 0, 1] = np.nan
-    images[3, 1, 0] = complex(0.0, np.inf)
-    for verify in (True, False):
-        with pytest.raises(DimensionMismatch, match="matrix 2: entries must be finite"):
-            retract_direct_sum(images, spec, verify=verify)
+    with pytest.raises(SpecMismatch, match=f"^expected a type III DomainPoint of size 3, got {type(value).__name__}$"):
+        retract_direct_sum(value, spec)
 
 
 def test_factor_forms_are_left_inverses():
@@ -311,32 +309,25 @@ G60_SPEC = EmbeddingSpec(
 )
 
 
-def test_stacked_retract_members_equal_their_batch_of_one():
+def test_one_point_retract_equals_the_kernel_on_its_blocks():
+    # retract_direct_sum has the bits of _retract_blocks on the point's
+    # diagonal blocks, on every spec the acceptance sweep runs.
     specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
     for index, spec in enumerate(specs):
         rng = generator(56, index)
-        images = direct_sum_embed(spec, [sample_ball_point(rng, spec.source_dim) for _ in range(3)])
+        images = [direct_sum_embed(spec, sample_ball_point(rng, spec.source_dim)) for _ in range(3)]
         # Off-image points too, where the factors' blocks disagree.
-        off_image = [sample_type_iii(rng, spec.target_g) for _ in range(2)]
-        points = [DomainPoint(type_iii_shape(spec.target_g), image) for image in images] + off_image
-        stacked = retract_direct_sum(np.stack([pt.z for pt in points]), spec)
-        assert stacked.shape == (5, spec.source_dim)
-        assert retract_direct_sum(images, spec, verify=False).tobytes() == stacked[:3].tobytes()
-        for pt, member in zip(points, stacked):
+        points = images + [sample_type_iii(rng, spec.target_g) for _ in range(2)]
+        blocks = [np.stack([pt.z[start:stop, start:stop] for pt in points]) for _, start, stop in block_layout(spec)]
+        for pt, member in zip(points, _retract_blocks(spec, blocks)):
             assert retract_direct_sum(pt, spec).coords.tobytes() == member.tobytes()
-            assert retract_direct_sum(pt.z[np.newaxis], spec)[0].tobytes() == member.tobytes()
 
 
 def test_stacked_retract_names_the_failing_member():
+    # The suites retract their stacks of image blocks with _retract_blocks:
+    # a block that retracts outside the ball is named by its member.
     spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
-    inside = DomainPoint(type_iii_shape(3), np.zeros((3, 3)))
-    boundary = DomainPoint(type_iii_shape(3), np.diag([1.0, 0.0, 0.0]))
-    with pytest.raises(MembershipViolation, match="input 2 must be an interior point"):
-        retract_direct_sum(np.stack([inside.z, inside.z, boundary.z]), spec)
-    far = np.zeros((3, 3), dtype=complex)
-    far[0, 1:] = far[1:, 0] = 3.0
-    with pytest.raises(IllConditioned, match="matrix 1: connecting_lambda block retracts to norm"):
-        retract_direct_sum(np.stack([inside.z, far]), spec, verify=False)
-    with pytest.raises(SpecMismatch, match=r"expected a \(B, 3, 3\) stack, got shape \(2, 4, 4\)"):
-        retract_direct_sum(np.zeros((2, 4, 4)), spec)
-    assert retract_direct_sum(np.zeros((0, 3, 3)), spec).shape == (0, 2)
+    far = np.zeros((2, 3, 3), dtype=complex)
+    far[1, 0, 1:] = far[1, 1:, 0] = 3.0
+    with pytest.raises(IllConditioned, match=r"^matrix 1: connecting_lambda block retracts to norm 4\.242641 >= 1$"):
+        _retract_blocks(spec, [far])

@@ -4,7 +4,7 @@ checked against.
 ``whole_image_residuals`` is ``embeddings._oracle_residuals`` as it was
 before the oracle compared factor blocks: per point, ``max|reference -
 image|`` over the whole g x g target, where the images come from the
-public stacked ``direct_sum_embed`` and the reference holds the factor
+public one-point ``direct_sum_embed`` and the reference holds the factor
 constructions on its diagonal blocks and zeros elsewhere, so every point
 also checks the padding.  It takes ball points and checks them first, with
 their index.  ``whole_image_linearize`` is ``linearize`` on top of it: the
@@ -32,7 +32,7 @@ def whole_image_residuals(spec, points, tol: Tolerance = DEFAULT_TOLERANCE) -> n
         blocks = _factor_blocks(spec.factors, coords[part], tol)
         for sub in _point_slices(len(blocks[0]), g * g):
             # |image - reference| has the bits of |reference - image|.
-            difference = np.array(embeddings.direct_sum_embed(spec, points[part][sub], tol))
+            difference = np.array([embeddings.direct_sum_embed(spec, z, tol).z for z in points[part][sub]])
             for (_, start, stop), block in zip(layout, blocks):
                 difference[:, start:stop, start:stop] -= block[sub]
             residuals[part][sub] = np.abs(difference).max(axis=(1, 2))
