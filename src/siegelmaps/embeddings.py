@@ -77,7 +77,7 @@ from .exterior import (
     wedge_basis,
 )
 from .linalg import DEFAULT_TOLERANCE, Tolerance, solve_right
-from .sampling import generator
+from .sampling import generator, sample_ball_coords
 
 __all__ = [
     "EmbeddingSpec",
@@ -348,6 +348,16 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
     return [solved[model] for model in models]
 
 
+def _interior_rows(coords: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """A (B, N) coordinate stack, its rows checked in turn as
+    :func:`_ball_coords` checks a ball point, naming row i: by the row's own
+    norm, as :class:`BallPoint` measures it (a norm along an axis of the
+    stack can round differently)."""
+    for i, row in enumerate(coords):
+        _require_interior_ball(float(np.linalg.norm(row)), tol, f"embedding input {i}")
+    return coords
+
+
 def _ball_coords(n: int, tol: Tolerance, *sequences) -> list[np.ndarray]:
     """The (B, n) coordinates of each of equal-length sequences of B ball
     points, every member checked once: member i of each sequence before
@@ -493,32 +503,15 @@ def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
     )
 
 
-def _check_points(n: int, seed: int, tol: Tolerance) -> np.ndarray:
-    """The (``_CHECK_POINTS``, n) coordinates of the seeded interior points
-    of :func:`linearize`, each checked as :func:`_ball_coords` checks a
-    ball point, with its index."""
-    rng = generator(seed, 0x11E4)
-    coords = np.empty((_CHECK_POINTS, n), dtype=np.complex128)
-    for i, row in enumerate(coords):
-        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        row[:] = direction * (0.95 * rng.random())
-        # The norm of the row alone, as BallPoint measures it: a norm along
-        # an axis of the stack can round differently.
-        _require_interior_ball(float(np.linalg.norm(row)), tol, f"embedding input {i}")
-    return coords
-
-
 def _linearization(spec: EmbeddingSpec, tol: Tolerance, seed: int, samples) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`linearize`, and the oracle residuals of the ball points
-    ``samples`` from the same stack: the check points and the samples take
-    one pass of the factor constructions.  Each sequence is checked with
-    its own indices, the check points first, and the padding once on a
-    probe; a deviation at a check point raises before any residual of the
-    samples is returned."""
-    n = spec.source_dim
-    check_coords = _check_points(n, seed, tol)
-    (sample_coords,) = _ball_coords(n, tol, samples)
+    """:func:`linearize`, and the oracle residuals of the (B, N) sample rows
+    ``samples`` from the same stack: the ``_CHECK_POINTS`` seeded check
+    points and the samples take one pass of the factor constructions.
+    Each stack's rows are checked with their own indices, the check points
+    first, and the padding once on a probe; a deviation at a check point
+    raises before any residual of the samples is returned."""
+    check_coords = _interior_rows(sample_ball_coords(generator(seed, 0x11E4), spec.source_dim, _CHECK_POINTS), tol)
+    sample_coords = _interior_rows(samples, tol)
     _check_padding(spec, tol)
     residuals = _oracle_residuals(spec, np.concatenate([check_coords, sample_coords]), tol)
     i = int(np.argmax(residuals[:_CHECK_POINTS]))
@@ -545,7 +538,7 @@ def linearize(spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, seed: int
     disagreement beyond ``eq_tol`` (on the blocks) or on any entry off
     them.
     """
-    return _linearization(spec, tol, seed, [])[0]
+    return _linearization(spec, tol, seed, np.empty((0, spec.source_dim), dtype=np.complex128))[0]
 
 
 def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:

@@ -5,12 +5,15 @@ derived from the configured seed, evaluates one family of claims about an
 embedding spec, and reports the worst residual together with the sample
 that produced it (serialized so it can be replayed through the CLI).
 Suites run in canonical order and reduce deterministically: ties on the
-maximum residual keep the earliest sample (``argmax``, ``max`` and
-``list.index`` all keep the first; the membership suite keeps the
-earliest minimum margin).  The six sampled suites draw all their samples
-first, in the same stream order, check them once, so that a sample on or
-outside the sphere is named by its index in the suite (for isometry, its
-pair), and evaluate them on slices of a few hundred KiB.  The
+maximum residual keep the earliest sample (:func:`_earliest_max`; the
+isometry suite keeps the first of its largest gaps, and the membership
+suite the earliest minimum margin).  The six sampled suites draw all
+their samples first, in stream order, as (samples, N) coordinate rows
+(:func:`~siegelmaps.sampling.sample_ball_coords`), check each row once,
+so that a sample on or outside the sphere is named by its index in the
+suite (for isometry, its pair), and evaluate them on slices of a few
+hundred KiB.  Only the isometry suite wraps its rows in ball points, for
+the public :func:`~siegelmaps.retractions.isometry_sandwich`.  The
 retraction, membership, symmetry and isometry suites carry each image as
 its factor blocks ``A_f z`` (:func:`~siegelmaps.embeddings._embed_blocks`),
 never as a zero-padded g x g matrix, and slice by block entries: one
@@ -32,13 +35,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .domains import BallPoint, _asymmetries, _block_margins, _diagonal_blocks
+from .domains import BallPoint, DomainPoint, _asymmetries, _block_margins, _diagonal_blocks, type_i_shape
 from .embeddings import (
     EmbeddingSpec,
     FactorKind,
-    _ball_coords,
     _block_entries,
     _embed_blocks,
+    _interior_rows,
     _linearization,
     _point_slices,
     _wedge_blocks,
@@ -48,7 +51,7 @@ from .exterior import _conjugation_unit, induced_form, signature, wedge_basis
 from .linalg import singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
 from .retractions import _retract_blocks, isometry_sandwich
-from .sampling import generator, sample_ball_point, sample_phases
+from .sampling import generator, sample_ball_coords, sample_phases
 from .serialize import point_to_json
 
 __all__ = ["run_suite", "run_verification"]
@@ -59,8 +62,25 @@ _STREAMS = {name: i + 1 for i, name in enumerate(SUITE_NAMES)}
 _SIGNATURE_TABLE_MAX_P = 6
 
 
-def _ball_json(z: BallPoint) -> dict:
-    return point_to_json(z.as_type_i())
+def _ball_json(row: np.ndarray) -> dict:
+    """A sample's coordinate row as the type I column the CLI reads."""
+    return point_to_json(DomainPoint(type_i_shape(len(row), 1), row.reshape(-1, 1)))
+
+
+def _draw(name: str, spec: EmbeddingSpec, config: HarnessConfig) -> np.ndarray:
+    """A suite's samples, drawn from its own stream as (samples, N)
+    coordinate rows, not yet checked."""
+    rng = generator(config.seed, _STREAMS[name])
+    return sample_ball_coords(rng, spec.source_dim, config.samples, config.radius_cap)
+
+
+def _earliest_max(name: str, residuals, coords, bound: float, passed: bool = True, detail=None) -> SuiteResult:
+    """A suite's result: its largest residual, the earliest sample that
+    attains it as the worst input (``argmax`` keeps the first), and a pass
+    if ``passed`` holds and the largest residual is within ``bound``."""
+    i = int(np.argmax(residuals))
+    worst = float(residuals[i])
+    return SuiteResult(name, passed and worst <= bound, len(residuals), worst, _ball_json(coords[i]), detail)
 
 
 def _format_unit(value: complex) -> str:
@@ -73,30 +93,18 @@ def _format_unit(value: complex) -> str:
 
 
 def _suite_retraction(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
-    rng = generator(config.seed, _STREAMS["retraction"])
     tol = config.tol
-    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
-    (coords,) = _ball_coords(spec.source_dim, tol, points)
+    coords = _interior_rows(_draw("retraction", spec, config), tol)
     residuals = np.empty(config.samples)
     for part in _point_slices(config.samples, _block_entries(spec)):
         back = _retract_blocks(spec, _embed_blocks(spec, coords[part]))
         residuals[part] = np.abs(back - coords[part]).max(axis=1)
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    return SuiteResult(
-        "retraction",
-        worst <= 10.0 * tol.eq_tol,
-        config.samples,
-        worst,
-        _ball_json(points[i]),
-    )
+    return _earliest_max("retraction", residuals, coords, 10.0 * tol.eq_tol)
 
 
 def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
-    rng = generator(config.seed, _STREAMS["membership"])
     tol = config.tol
-    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
-    (coords,) = _ball_coords(spec.source_dim, tol, points)
+    coords = _interior_rows(_draw("membership", spec, config), tol)
     margins, inside = [], []
     for part in _point_slices(config.samples, _block_entries(spec)):
         blocks = _embed_blocks(spec, coords[part])
@@ -118,7 +126,7 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
         all(inside),
         config.samples,
         residual,
-        _ball_json(points[margins.index(min_margin)]),
+        _ball_json(coords[margins.index(min_margin)]),
         detail=f"violations={inside.count(False)}, min_margin={min_margin!r}",
     )
 
@@ -126,15 +134,14 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
 def _suite_isometry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["isometry"])
     tol = config.tol
-    xs, ys = [], []
-    for _ in range(config.samples):
-        xs.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
-        ys.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
+    # Each pair is drawn as two consecutive rows, x then y.
+    rows = sample_ball_coords(rng, spec.source_dim, 2 * config.samples, config.radius_cap)
+    xs, ys = [BallPoint(row) for row in rows[0::2]], [BallPoint(row) for row in rows[1::2]]
     source, target, retracted = isometry_sandwich(spec, xs, ys, tol)
     gaps = np.maximum(np.abs(source - target), np.abs(source - retracted)).tolist()
     worst = max(gaps)
     i = gaps.index(worst)
-    worst_input = {"x": _ball_json(xs[i]), "y": _ball_json(ys[i])}
+    worst_input = {"x": _ball_json(xs[i].coords), "y": _ball_json(ys[i].coords)}
     return SuiteResult("isometry", worst <= 10.0 * tol.eq_tol, config.samples, worst, worst_input)
 
 
@@ -159,11 +166,9 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
 
 
 def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
-    rng = generator(config.seed, _STREAMS["symmetry"])
     tol = config.tol
     models = sorted({f.wedge_model for f in spec.factors if f.wedge_model and f.wedge_model[1]})
-    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
-    (coords,) = _ball_coords(spec.source_dim, tol, points)
+    coords = _interior_rows(_draw("symmetry", spec, config), tol)
     residuals = np.empty(config.samples)
     for part in _point_slices(config.samples, _block_entries(spec)):
         # The images' entries off their factor blocks are zero, so the
@@ -172,35 +177,23 @@ def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
         residuals[part] = reduce(np.maximum, [_asymmetries(block) for block in blocks])
         for wedge in _wedge_blocks(coords[part], models, tol):
             np.maximum(residuals[part], _asymmetries(wedge), out=residuals[part])
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    return SuiteResult("symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, _ball_json(points[i]))
+    return _earliest_max("symmetry", residuals, coords, 10.0 * tol.eq_tol)
 
 
 def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
-    rng = generator(config.seed, _STREAMS["linearity"])
     tol = config.tol
-    points = [sample_ball_point(rng, spec.source_dim, config.radius_cap) for _ in range(config.samples)]
+    coords = _draw("linearity", spec, config)
     try:
         # linearize, and the samples' images of the compiled map against the
         # factor constructions in the same stack: checking the compiled map
         # against its own matrices would check nothing.
-        matrix, residuals = _linearization(spec, tol, config.seed, points)
+        matrix, residuals = _linearization(spec, tol, config.seed, coords)
     except NonlinearityDetected as exc:
         return SuiteResult("linearity", False, 0, None, detail=str(exc))
     sv = singular_values(matrix)
     rank = int(np.sum(sv > tol.eq_tol * max(1.0, float(sv[0]))))
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    passed = worst <= tol.eq_tol and rank == spec.source_dim
-    return SuiteResult(
-        "linearity",
-        passed,
-        config.samples,
-        worst,
-        _ball_json(points[i]),
-        detail=f"rank={rank}, expected={spec.source_dim}",
-    )
+    detail = f"rank={rank}, expected={spec.source_dim}"
+    return _earliest_max("linearity", residuals, coords, tol.eq_tol, rank == spec.source_dim, detail)
 
 
 @lru_cache(maxsize=None)
@@ -247,13 +240,13 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
     models = sorted({f.wedge_model for f in spec.factors if f.wedge_model is not None})
     if not models:
         return SuiteResult("equivariance", True, 0, 0.0, detail="no wedge factors in spec")
-    points, phases = [], []
-    for _ in range(config.samples):
-        points.append(sample_ball_point(rng, spec.source_dim, config.radius_cap))
-        phases.append(sample_phases(rng, spec.source_dim))
-    (base_coords,) = _ball_coords(spec.source_dim, tol, points)
-    (moved_coords,) = _ball_coords(spec.source_dim, tol, [BallPoint(t * z.coords) for z, t in zip(points, phases)])
-    phases = np.stack(phases)
+    # Each sample's phases are drawn right after its row.
+    n, cap = spec.source_dim, config.radius_cap
+    draws = [(sample_ball_coords(rng, n, 1, cap)[0], sample_phases(rng, n)) for _ in range(config.samples)]
+    base_coords = _interior_rows(np.array([row for row, _ in draws]), tol)
+    # Row by row, with the bits of a one-point product.
+    moved_coords = _interior_rows(np.array([t * row for row, t in draws]), tol)
+    phases = np.array([t for _, t in draws])
     residuals = np.zeros(config.samples)
     for part in _point_slices(config.samples, 2 * _block_entries(spec)):
         # Base and rotated points of the slice in one stack.
@@ -263,15 +256,7 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
             row_phases, col_phases = _induced_phases(spec.source_dim, m, symmetric, phases[part])
             expected = row_phases[:, :, np.newaxis] * blocks[:count] * np.conj(col_phases)[:, np.newaxis, :]
             np.maximum(residuals[part], np.abs(blocks[count:] - expected).max(axis=(1, 2)), out=residuals[part])
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    return SuiteResult(
-        "equivariance",
-        worst <= 10.0 * tol.eq_tol,
-        config.samples,
-        worst,
-        _ball_json(points[i]),
-    )
+    return _earliest_max("equivariance", residuals, base_coords, 10.0 * tol.eq_tol)
 
 
 _SUITE_RUNNERS = {

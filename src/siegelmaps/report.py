@@ -7,7 +7,7 @@ files.  Schema version 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .embeddings import EmbeddingSpec
 from .linalg import Tolerance
@@ -65,14 +65,7 @@ class SuiteResult:
     detail: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "worst_input": self.worst_input,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ All randomness flows through a counter-based Philox generator keyed by
 bit for bit on any platform.  Directions are drawn uniformly on the
 sphere by normalizing standard complex Gaussians; radii are scaled to at
 most ``radius_cap`` to keep conditioning bounded away from the boundary.
+Ball samples have one draw routine, :func:`sample_ball_coords`: the
+harness suites and ``linearize``'s check points draw (count, n)
+coordinate rows, and :func:`sample_ball_point` is one row of it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .domains import BallPoint, DomainPoint, type_iii_shape
 
 __all__ = [
     "generator",
+    "sample_ball_coords",
     "sample_ball_point",
     "sample_phases",
     "sample_type_iii",
@@ -31,11 +35,21 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def sample_ball_coords(rng: np.random.Generator, n: int, count: int, radius_cap: float = 0.95) -> np.ndarray:
+    """``count`` ball points as the rows of a (count, n) array, drawn one
+    after the other: per row a uniform direction, then a radius uniform in
+    (0, radius_cap)."""
+    coords = np.empty((count, n), dtype=np.complex128)
+    for row in coords:
+        direction = _complex_normal(rng, n)
+        direction /= np.linalg.norm(direction)
+        row[:] = direction * (radius_cap * rng.random())
+    return coords
+
+
 def sample_ball_point(rng: np.random.Generator, n: int, radius_cap: float = 0.95) -> BallPoint:
-    """Uniform direction, radius uniform in (0, radius_cap)."""
-    direction = _complex_normal(rng, n)
-    direction /= np.linalg.norm(direction)
-    return BallPoint(direction * (radius_cap * rng.random()))
+    """One row of :func:`sample_ball_coords`, as a :class:`BallPoint`."""
+    return BallPoint(sample_ball_coords(rng, n, 1, radius_cap)[0])
 
 
 def sample_type_iii(rng: np.random.Generator, k: int, radius_cap: float = 0.95) -> DomainPoint:

@@ -246,6 +246,15 @@ def test_cayley_rejects_asymmetric_input(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+def test_cayley_on_an_exterior_point_names_the_transform_and_writes_nothing(tmp_path, capsys):
+    # The transform checks its input once; the command adds no check of its own.
+    src = _write(tmp_path / "z.json", {"kind": "III", "p": 1, "q": 1, "re": [[1.5]], "im": [[0.0]]})
+    out = tmp_path / "o.json"
+    assert main(["cayley", "--point", src, "--direction", "to-siegel", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Cayley input must be an interior point: margin -1.250e+00\n"
+    assert not out.exists()
+
+
 def test_env_tolerance_override(tmp_path, monkeypatch):
     spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
     report = tmp_path / "r.json"

@@ -23,7 +23,7 @@ from siegelmaps import embeddings, exterior, harness
 from siegelmaps.embeddings import block_layout
 from siegelmaps.linalg import Tolerance, max_abs
 from siegelmaps.report import HarnessConfig, SuiteResult
-from siegelmaps.sampling import generator, sample_ball_point, sample_phases
+from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
 
 from oracle_blocks import factor_block, wedge_block
 
@@ -88,7 +88,9 @@ def _loop_retraction(spec, config):
         residual = max_abs(back.coords - z.coords)
         if residual > worst:
             worst, worst_input = residual, z
-    return SuiteResult("retraction", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input))
+    return SuiteResult(
+        "retraction", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input.coords)
+    )
 
 
 def _loop_symmetry(spec, config):
@@ -104,7 +106,9 @@ def _loop_symmetry(spec, config):
             residual = max(residual, max_abs(block - block.T))
         if residual > worst:
             worst, worst_input = residual, z
-    return SuiteResult("symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input))
+    return SuiteResult(
+        "symmetry", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input.coords)
+    )
 
 
 def _loop_linearity(spec, config):
@@ -126,7 +130,7 @@ def _loop_linearity(spec, config):
         worst <= tol.eq_tol and rank == spec.source_dim,
         config.samples,
         worst,
-        harness._ball_json(worst_input),
+        harness._ball_json(worst_input.coords),
         detail=f"rank={rank}, expected={spec.source_dim}",
     )
 
@@ -155,7 +159,7 @@ def _loop_equivariance(spec, config):
         if residual > worst:
             worst, worst_input = residual, z
     return SuiteResult(
-        "equivariance", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input)
+        "equivariance", worst <= 10.0 * tol.eq_tol, config.samples, worst, harness._ball_json(worst_input.coords)
     )
 
 
@@ -177,7 +181,7 @@ def _loop_membership(spec, config):
         violations == 0,
         config.samples,
         max(0.0, tol.psd_margin - float(min_margin)),
-        harness._ball_json(worst_input),
+        harness._ball_json(worst_input.coords),
         detail=f"violations={violations}, min_margin={min_margin!r}",
     )
 
@@ -193,7 +197,7 @@ def _loop_isometry(spec, config):
         source = kobayashi_distance(x, y, tol)
         gap = max(abs(source - kobayashi_distance(ex, ey, tol)), abs(source - kobayashi_distance(rx, ry, tol)))
         if gap > worst:
-            worst, worst_input = gap, {"x": harness._ball_json(x), "y": harness._ball_json(y)}
+            worst, worst_input = gap, {"x": harness._ball_json(x.coords), "y": harness._ball_json(y.coords)}
     return SuiteResult("isometry", worst <= 10.0 * tol.eq_tol, config.samples, worst, worst_input)
 
 
@@ -228,6 +232,52 @@ def test_stacked_suite_equals_per_sample_loop(suite, spec, seed, samples):
         loop = dataclasses.replace(loop, detail=stacked.detail)
     assert stacked == loop
     assert stacked.passed
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ball_coords_are_the_per_point_draws_bit_for_bit(n):
+    # Per row: two standard_normal(n), a normalisation, one random(), in
+    # that order, written out here as one point at a time.
+    for seed, stream, cap in ((0, 0, 0.95), (4, 3, 0.5), (2**64 - 1, 0x11E4, 0.999)):
+        rng, reference = generator(seed, stream), generator(seed, stream)
+        coords = sample_ball_coords(rng, n, 9, cap)
+        assert coords.shape == (9, n)
+        for row in coords:
+            direction = reference.standard_normal(n) + 1j * reference.standard_normal(n)
+            direction /= np.linalg.norm(direction)
+            assert row.tobytes() == (direction * (cap * reference.random())).tobytes()
+        # The generator is left where the per-point draws leave it.
+        assert rng.random() == reference.random()
+        assert sample_ball_point(generator(seed, stream), n, cap).coords.tobytes() == coords[0].tobytes()
+
+
+def test_ties_on_the_largest_residual_name_the_earliest_sample():
+    # On the 1 x 1 corner every retraction, symmetry and linearity residual
+    # is exactly 0.0, so each suite's worst input is the first draw of its
+    # stream, not the last.
+    spec = EmbeddingSpec(1, (FactorSpec(FactorKind.STANDARD_III, 1, 1),), 1)
+    config = HarnessConfig(seed=4, samples=6)
+    for name in ("retraction", "symmetry", "linearity"):
+        result = harness.run_suite(name, spec, config)
+        assert result.passed and result.max_residual == 0.0, name
+        draws = sample_ball_coords(_rng(config, name), 1, config.samples, config.radius_cap)
+        assert result.worst_input == harness._ball_json(draws[0]) != harness._ball_json(draws[-1]), name
+
+
+def test_verification_builds_ball_points_only_for_isometry_and_the_padding_probe(monkeypatch):
+    # The suites carry their samples as coordinate rows: on the g = 60 spec
+    # at 8 samples, the 8 isometry pairs and the padding probe are the only
+    # ball points built, 17, where one per sample and suite would be 65.
+    built = []
+    counted = BallPoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        counted(self)
+
+    monkeypatch.setattr(BallPoint, "__post_init__", counting)
+    assert harness.run_verification(G60_SPEC, HarnessConfig(samples=8)).passed
+    assert len(built) <= 17
 
 
 def test_signature_suite_counts_each_degree_with_one_call(monkeypatch):
