@@ -96,14 +96,6 @@ class DomainShape:
         if self.kind is not DomainKind.TYPE_I and self.q != self.p:
             raise DimensionMismatch(f"{self.kind.value} shapes are square, got {self.p}x{self.q}")
 
-    @property
-    def rows(self) -> int:
-        return self.p
-
-    @property
-    def cols(self) -> int:
-        return self.q
-
 
 def type_i_shape(p: int, q: int) -> DomainShape:
     return DomainShape(DomainKind.TYPE_I, p, q)
@@ -131,7 +123,7 @@ class DomainPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "z", as_complex_matrix(self.z, rows=self.shape.rows, cols=self.shape.cols)
+            self, "z", as_complex_matrix(self.z, rows=self.shape.p, cols=self.shape.q)
         )
 
 
@@ -159,10 +151,6 @@ class BallPoint:
     @property
     def n(self) -> int:
         return int(self.coords.size)
-
-    def as_type_i(self) -> DomainPoint:
-        """The same point as a column of the matrix ball I_{n,1}."""
-        return DomainPoint(type_i_shape(self.n, 1), self.coords.reshape(-1, 1))
 
 
 def ball_point(coords) -> BallPoint:

@@ -43,7 +43,8 @@ vectors of V+ with v, expanded over the wedge basis, split into the
 positive coefficient block X and negative block Y, and column-normalized
 to X Y^{-1}.  In the balanced symmetric case the positive rows are first
 re-expressed through the semi-linear conjugation, which makes the
-normalized matrix symmetric.
+normalized matrix symmetric: X is replaced by its rows in reverse order,
+row i divided by the unit a(M) of negative multi-index i.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -67,15 +68,7 @@ from .errors import (
     SingularSystem,
     SpecMismatch,
 )
-from .exterior import (
-    _row_selector,
-    balanced_symmetric,
-    complement,
-    conjugation_unit,
-    multi_indices,
-    signature,
-    wedge_basis,
-)
+from .exterior import _basis_rows, balanced_symmetric, conjugation_unit, signature, wedge_basis
 from .linalg import DEFAULT_TOLERANCE, Tolerance, solve_right
 from .sampling import generator, sample_ball_coords
 
@@ -226,33 +219,13 @@ def _connecting_matrix(z: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _symmetric_reindex(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row permutation and unit divisors converting wedge rows to the
-    conjugation basis of the balanced symmetric model."""
-    basis = wedge_basis(p, m)
-    perm = np.empty(len(basis.negatives), dtype=np.intp)
-    units = np.empty(len(basis.negatives), dtype=np.complex128)
-    positive_index = {M: i for i, M in enumerate(basis.positives)}
-    for i, neg in enumerate(basis.negatives):
-        perm[i] = positive_index[complement(neg, p)]
-        units[i] = conjugation_unit(neg, p)
-    return perm, units
-
-
-@lru_cache(maxsize=None)
-def _wedge_plan(p: int, m: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Index plan for the wedge expansion: 0-based positive-basis columns
-    per degree-(m-1) subset; the position of each ``_row_selector`` row
-    subset among the lexicographic m-subsets of the p + 1 rows; and the
-    entries, per point, of the largest array the Laplace recursion builds."""
-    subsets = multi_indices(p, m - 1) if m > 1 else ((),)
-    sub_idx = np.array([[i - 1 for i in sub] for sub in subsets], dtype=np.intp).reshape(
-        len(subsets), m - 1
-    )
-    lexicographic = {rows: i for i, rows in enumerate(itertools.combinations(range(p + 1), m))}
-    order = np.array([lexicographic[tuple(rows)] for rows in _row_selector(p, m).tolist()], dtype=np.intp)
-    largest = max(len(subsets) * comb(p + 1, k) * k for k in range(1, m + 1))
-    return sub_idx, order, largest
+def _conjugation_units(p: int, m: int) -> np.ndarray:
+    """The units a(M) of the negative multi-indices, in basis order, which
+    divide the positive rows reversed in the balanced symmetric model.
+    Reversed, because complementing the m-subsets of the 2m = p + 1 rows
+    reverses their lexicographic order: the complement of negative i is
+    positive r - 1 - i."""
+    return np.array([conjugation_unit(M, p) for M in wedge_basis(p, m).negatives], dtype=np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +268,9 @@ def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
     of rows, are the expansion along column k of the (k-1) x (k-1) minors
     of the first k - 1 columns."""
     count, p = coords.shape
-    sub_idx, order, largest = _wedge_plan(p, m)
+    _, sub_idx, order = _basis_rows(p, m)
+    # Entries, per point, of the products of the recursion's widest step.
+    largest = max(len(sub_idx) * comb(p + 1, k) * k for k in range(1, m + 1))
     # Row i of plus is b_i = e_i + conj(z_i) e_{p+1}.
     plus = np.zeros((count, p, p + 1), dtype=np.complex128)
     plus[:, :, :p] = np.eye(p)
@@ -320,10 +295,11 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
     stack, one (B, r, s) array per ``(m, symmetric)`` model.  The models of
     a degree share its minors and its negative block Y, so a degree takes
     one kernel call and one stacked solve, with the X rows of its two
-    models stacked when the models ask for both.  Each block has the bits
-    of the same point and model evaluated alone: LAPACK solves each
-    right-hand column by the same steps.  The caller validates the degrees
-    and the points."""
+    models stacked when the models ask for both.  A symmetric model's X
+    rows are the positive rows reversed, divided by the units
+    (:func:`_conjugation_units`).  Each block has the bits of the same point
+    and model evaluated alone: LAPACK solves each right-hand column by the
+    same steps.  The caller validates the degrees and the points."""
     p = coords.shape[1]
     solved: dict[tuple[int, bool], np.ndarray] = {}
     for m in dict.fromkeys(m for m, _ in models):
@@ -334,8 +310,7 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
         for symmetric in kinds:
             x_block = coefficients[:, :r, :]
             if symmetric:
-                perm, units = _symmetric_reindex(p, m)
-                x_block = x_block[:, perm, :] / units[:, np.newaxis]
+                x_block = x_block[:, ::-1, :] / _conjugation_units(p, m)[:, np.newaxis]
             x_blocks.append(x_block)
         # A degree with one model, as in every factor_form call, takes no concatenate.
         rows = x_blocks[0] if len(x_blocks) == 1 else np.concatenate(x_blocks, axis=1)
@@ -545,21 +520,37 @@ def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:
     """All admissible factor kinds for a given source dimension."""
     if source_dim < 1:
         raise DimensionMismatch(f"source dimension must be positive, got {source_dim}")
-    factors = [FactorSpec(FactorKind.CONNECTING_LAMBDA, source_dim, m) for m in range(1, source_dim + 1)]
-    if source_dim % 4 == 1:
-        factors.append(FactorSpec(FactorKind.LAMBDA_III, source_dim, (source_dim + 1) // 2))
-    factors.append(FactorSpec(FactorKind.STANDARD_I, source_dim, 1))
-    if source_dim == 1:
-        factors.append(FactorSpec(FactorKind.STANDARD_III, 1, 1))
-    return tuple(sorted(factors, key=lambda f: (f.kind.value, f.m)))
+    return _budget_catalog(source_dim, inf)
 
 
-def _budget_catalog(source_dim: int, g_max: int) -> tuple[FactorSpec, ...]:
-    """:func:`factor_catalog`, once the source dimension and the budget of
-    an enumeration are checked."""
+def _budget_catalog(source_dim: int, g_max: float) -> tuple[FactorSpec, ...]:
+    """The factors of :func:`factor_catalog` whose blocks fit in ``g_max``,
+    in its order, once the source dimension and the budget are checked.
+
+    Degree m's connecting block has size C(N+1, m), which rises from both
+    ends of 1..N toward the middle: the walk goes up from m = 1, stops at
+    the first block that does not fit, and takes each fitting degree's
+    mirror N + 1 - m with it.  The symmetric block C(N, (N+1)/2) is at
+    least C(N, 2), and is computed only when that bound fits: at N = 10^6
+    the binomial takes seconds."""
     if source_dim < 1 or g_max < 1:
         raise DimensionMismatch("source dimension and budget must be positive")
-    return factor_catalog(source_dim)
+    n = source_dim
+    factors = []
+    for m in range(1, (n + 1) // 2 + 1):
+        factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, n, m)
+        if factor.block_size > g_max:
+            break
+        factors.append(factor)
+        if 2 * m < n + 1:
+            factors.append(FactorSpec(FactorKind.CONNECTING_LAMBDA, n, n + 1 - m))
+    if n % 4 == 1 and n * (n - 1) // 2 <= g_max:
+        factors.append(FactorSpec(FactorKind.LAMBDA_III, n, (n + 1) // 2))
+    factors.append(FactorSpec(FactorKind.STANDARD_I, n, 1))
+    if n == 1:
+        factors.append(FactorSpec(FactorKind.STANDARD_III, 1, 1))
+    fitting = [f for f in factors if f.block_size <= g_max]
+    return tuple(sorted(fitting, key=lambda f: (f.kind.value, f.m)))
 
 
 def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
@@ -573,6 +564,8 @@ def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
     them, that lower bound is returned instead, so a budget far beyond the
     limit is refused in constant time."""
     sizes = [f.block_size for f in _budget_catalog(source_dim, g_max)]
+    if not sizes:
+        return 0, True
     least = min(sizes)
     bound = comb(g_max // least + sizes.count(least), sizes.count(least)) - 1
     if bound > limit:
@@ -594,7 +587,9 @@ def enumerate_specs(source_dim: int, g_max: int) -> tuple[tuple[EmbeddingSpec, .
     reported even when the budget admits none.
     """
     catalog = _budget_catalog(source_dim, g_max)
-    minimal_g = min(f.block_size for f in catalog)
+    # An empty catalog means N > 1 (standard_III costs 1 at N = 1), and past
+    # N = 1 no factor costs less than standard_I, whose block is N + 1.
+    minimal_g = min((f.block_size for f in catalog), default=source_dim + 1)
     specs: list[EmbeddingSpec] = []
 
     def extend(start: int, chosen: list[FactorSpec], budget: int) -> None:

@@ -12,7 +12,8 @@ the power is diagonal on this basis: +1 when p+1 is not in M, -1 when it
 is, giving signature (C(p, m), C(p, m-1)).  The coordinates of a wedge
 of m column vectors are its m x m minors over the rows of each M; the
 embeddings' oracle computes them with a Laplace recursion over the
-columns, without LAPACK determinants.
+columns, without LAPACK determinants, from the basis index tables of
+:func:`_basis_rows`, which the equivariance suite reads too.
 
 The coordinate convention used throughout the package lists the +1 basis
 vectors first and the -1 vectors second, each block in lexicographic
@@ -164,10 +165,19 @@ def wedge_basis(p: int, m: int) -> WedgeBasis:
 
 
 @lru_cache(maxsize=None)
-def _row_selector(p: int, m: int) -> np.ndarray:
-    """0-based row subsets of the basis order, shape (C(p+1, m), m)."""
+def _basis_rows(p: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index tables of the degree-m basis, 0-based: the rows of the
+    positive multi-indices, shape (r, m); the rows of the negative ones with
+    p + 1 dropped, shape (s, m - 1), which are the (m-1)-subsets of the
+    first p rows in lexicographic order; and the position of each basis
+    member, in basis order, among the lexicographic m-subsets of the p + 1
+    rows."""
     basis = wedge_basis(p, m)
-    return np.array([[i - 1 for i in M] for M in basis.ordered], dtype=np.intp)
+    positives = np.array(basis.positives, dtype=np.intp).reshape(len(basis.positives), m) - 1
+    negatives = np.array([M[:-1] for M in basis.negatives], dtype=np.intp).reshape(len(basis.negatives), m - 1) - 1
+    lexicographic = {M: i for i, M in enumerate(multi_indices(p + 1, m))}
+    order = np.array([lexicographic[M] for M in basis.ordered], dtype=np.intp)
+    return positives, negatives, order
 
 
 def induced_form(p: int, m: int, x, y) -> complex | np.ndarray:

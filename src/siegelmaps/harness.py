@@ -31,7 +31,7 @@ names the error.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .embeddings import (
     _wedge_blocks,
 )
 from .errors import NonlinearityDetected, SiegelmapsError
-from .exterior import _conjugation_unit, induced_form, signature, wedge_basis
+from .exterior import _basis_rows, _conjugation_unit, induced_form, signature, wedge_basis
 from .linalg import singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
 from .retractions import _retract_blocks, isometry_sandwich
@@ -196,16 +196,6 @@ def _suite_linearity(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     return _earliest_max("linearity", residuals, coords, tol.eq_tol, rank == spec.source_dim, detail)
 
 
-@lru_cache(maxsize=None)
-def _phase_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based source indices of the positive and of the negative wedge
-    basis multi-indices, in basis order, with the index p + 1 dropped."""
-    basis = wedge_basis(p, m)
-    positives = np.array(basis.positives, dtype=np.intp).reshape(len(basis.positives), m) - 1
-    negatives = np.array([neg[:-1] for neg in basis.negatives], dtype=np.intp)
-    return positives, negatives.reshape(len(basis.negatives), m - 1) - 1
-
-
 def _content_products(theta: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per row of an index table, the product of the phases it indexes,
     multiplied from 1 left to right, for a (..., p) phase stack.  Each
@@ -225,7 +215,7 @@ def _content_products(theta: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _induced_phases(p: int, m: int, symmetric: bool, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row and per-column phases matching a diagonal phase action on z,
     for a (p,) phase vector or for each row of a (B, p) stack."""
-    positives, negatives = _phase_tables(p, m)
+    positives, negatives, _ = _basis_rows(p, m)
     col_phases = _content_products(theta, negatives)
     if symmetric:
         row_phases = np.prod(theta, axis=-1, keepdims=True) / col_phases

@@ -245,8 +245,7 @@ def solve_right(
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
-        raise DimensionMismatch(f"right-hand factor must be square, got shape {b.shape}")
+    _require_square(b, "right-hand factor")
     if a.shape[:-2] != b.shape[:-2] or a.ndim != b.ndim or a.shape[-1] != b.shape[-2]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     n, k = a.shape[-2], b.shape[-1]

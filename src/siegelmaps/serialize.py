@@ -125,8 +125,8 @@ def point_from_json(obj: object, where: str = "point") -> DomainPoint:
 def point_to_json(pt: DomainPoint) -> dict:
     return {
         "kind": pt.shape.kind.value,
-        "p": pt.shape.rows,
-        "q": pt.shape.cols,
+        "p": pt.shape.p,
+        "q": pt.shape.q,
         "re": [[float(v) for v in row] for row in pt.z.real],
         "im": [[float(v) for v in row] for row in pt.z.imag],
     }
@@ -134,7 +134,7 @@ def point_to_json(pt: DomainPoint) -> dict:
 
 def ball_point_from_json(obj: object, where: str = "point") -> BallPoint:
     pt = point_from_json(obj, where)
-    if pt.shape.kind is not DomainKind.TYPE_I or pt.shape.cols != 1:
+    if pt.shape.kind is not DomainKind.TYPE_I or pt.shape.q != 1:
         raise SchemaError(f"{where} must be a type I column (q = 1) to act as a ball point")
     return BallPoint(pt.z.reshape(-1))
 

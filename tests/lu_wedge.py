@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from siegelmaps.errors import DimensionMismatch
-from siegelmaps.exterior import WedgeBasis, _row_selector, multi_indices, signature, wedge_basis
+from siegelmaps.exterior import WedgeBasis, multi_indices, signature, wedge_basis
 
 
 def wedge_coefficients(columns: np.ndarray, basis: WedgeBasis) -> np.ndarray:
@@ -29,7 +29,7 @@ def wedge_coefficients(columns: np.ndarray, basis: WedgeBasis) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a {basis.p + 1}x{basis.m} column stack, got {columns.shape}"
         )
-    rows = _row_selector(basis.p, basis.m)
+    rows = np.array(basis.ordered, dtype=np.intp).reshape(basis.size, basis.m) - 1
     return np.linalg.det(columns[rows, :])
 
 

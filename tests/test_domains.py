@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
-    BallPoint,
     DomainKind,
     DomainPoint,
     EmbeddingSpec,
@@ -35,7 +34,7 @@ from siegelmaps.linalg import max_abs, solve_right
 from siegelmaps.sampling import generator, sample_ball_point, sample_type_iii
 
 from samplers import sample_siegel, sample_type_i
-from transvection import transvection_to_origin
+from transvection import as_type_i, transvection_to_origin
 
 ARCTANH_HALF = 0.5493061443340549
 
@@ -310,7 +309,7 @@ def _oracle_tanh(x, y):
         x, y = cayley_to_bounded(x), cayley_to_bounded(y)
     if isinstance(x, DomainPoint) and x.shape.kind is DomainKind.TYPE_III:
         x, y = (DomainPoint(type_i_shape(pt.shape.p, pt.shape.p), pt.z) for pt in (x, y))
-    moved = transvection_to_origin(x).apply(y.as_type_i() if isinstance(y, BallPoint) else y)
+    moved = transvection_to_origin(x).apply(as_type_i(y))
     return float(singular_values(moved.z)[0])
 
 

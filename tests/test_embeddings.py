@@ -26,7 +26,7 @@ from siegelmaps import (
     type_i_shape,
     type_iii_shape,
 )
-from siegelmaps import embeddings
+from siegelmaps import embeddings, exterior
 from siegelmaps.embeddings import _factor_blocks, block_layout
 from siegelmaps.errors import (
     BudgetExceeded,
@@ -514,6 +514,39 @@ def test_factor_catalog_is_canonical():
     assert all(f.p == 5 for f in catalog)
     assert catalog == tuple(sorted(catalog, key=lambda f: (f.kind.value, f.m)))
     assert any(f.kind is FactorKind.LAMBDA_III for f in catalog)
+
+
+def test_budget_catalog_is_the_fitting_part_of_the_catalog():
+    for n in range(1, 14):
+        catalog = factor_catalog(n)
+        # The admissible kinds: every degree connected, the balanced symmetric
+        # block for N = 1 mod 4, standard_I, and standard_III for N = 1.
+        expected = [FactorSpec(FactorKind.CONNECTING_LAMBDA, n, m) for m in range(1, n + 1)]
+        expected += [FactorSpec(FactorKind.LAMBDA_III, n, (n + 1) // 2)] if n % 4 == 1 else []
+        expected += [FactorSpec(FactorKind.STANDARD_I, n, 1)]
+        expected += [FactorSpec(FactorKind.STANDARD_III, 1, 1)] if n == 1 else []
+        assert catalog == tuple(sorted(expected, key=lambda f: (f.kind.value, f.m)))
+        for g_max in list(range(1, 41)) + [60, 100, 130, 1000]:
+            assert embeddings._budget_catalog(n, g_max) == tuple(f for f in catalog if f.block_size <= g_max)
+
+
+@pytest.mark.parametrize("n", [30_000, 1_000_001])
+def test_enumeration_past_the_budget_computes_a_handful_of_binomials(n, monkeypatch):
+    # Every catalog factor's block size is two binomials, and the balanced
+    # one of N = 1,000,001 takes seconds; only the degrees that can fit are
+    # visited, and that block is bounded by C(N, 2) before it is computed.
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(embeddings, "comb", counting)
+    monkeypatch.setattr(exterior, "comb", counting)
+    assert embeddings._spec_count(n, 5, 10**6) == (0, True)
+    assert enumerate_specs(n, 5) == ((), n + 1)
+    assert len(calls) <= 8
+    assert all(b <= 1 for _, b in calls)
 
 
 def test_direct_sum_image_is_type_iii_everywhere():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -18,6 +19,7 @@ from siegelmaps import (
     wedge_basis,
 )
 from siegelmaps.errors import DegreeOutOfRange, DimensionMismatch, NotAPermutation
+from siegelmaps.exterior import _basis_rows
 
 from lu_wedge import induced_form_decomposable, wedge_coefficients
 
@@ -132,6 +134,50 @@ def test_wedge_basis_order_is_lexicographic():
     assert basis.positives == ((1, 2), (1, 3), (2, 3))
     assert basis.negatives == ((1, 4), (2, 4), (3, 4))
     assert np.array_equal(basis.diagonal(), [1, 1, 1, -1, -1, -1])
+
+
+def test_basis_rows_equal_the_tables_each_module_built():
+    # The tables the embeddings' oracle, the equivariance suite and the LU
+    # reference each derived from the basis before they read one table,
+    # written out as they were built.
+    for p in range(1, 10):
+        for m in range(1, p + 1):
+            basis = wedge_basis(p, m)
+            row_selector = np.array([[i - 1 for i in M] for M in basis.ordered], dtype=np.intp)
+            subsets = multi_indices(p, m - 1) if m > 1 else ((),)
+            sub_idx = np.array([[i - 1 for i in sub] for sub in subsets], dtype=np.intp).reshape(len(subsets), m - 1)
+            lexicographic = {rows: i for i, rows in enumerate(itertools.combinations(range(p + 1), m))}
+            order = np.array([lexicographic[tuple(rows)] for rows in row_selector.tolist()], dtype=np.intp)
+            phase_positives = np.array(basis.positives, dtype=np.intp).reshape(len(basis.positives), m) - 1
+            phase_negatives = np.array([neg[:-1] for neg in basis.negatives], dtype=np.intp)
+            phase_negatives = phase_negatives.reshape(len(basis.negatives), m - 1) - 1
+
+            positives, negatives, table_order = _basis_rows(p, m)
+            pairs = ((positives, phase_positives), (negatives, phase_negatives), (negatives, sub_idx), (table_order, order))
+            for got, expected in pairs:
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert np.array_equal(got, expected)
+            last = np.full((len(negatives), 1), p, dtype=np.intp)
+            assert np.array_equal(np.concatenate([positives, np.concatenate([negatives, last], axis=1)]), row_selector)
+
+
+@pytest.mark.parametrize("p", range(1, 22, 2))
+def test_complement_reverses_the_balanced_basis(p):
+    # The symmetric model's reindex: with 2m = p + 1, the complement of
+    # negative i is positive r - 1 - i.  Counted per pair of index rows, on a
+    # basis built past the cache: p = 21 has 352,716 negatives.
+    m = (p + 1) // 2
+    basis = wedge_basis.__wrapped__(p, m)
+    r = len(basis.positives)
+    assert len(basis.negatives) == r
+    counts = np.zeros((r, p + 2), dtype=np.intp)
+    rows = np.arange(r)[:, np.newaxis]
+    # No index repeats within a row, so each += adds one per member.
+    counts[rows, np.array(basis.negatives)] += 1
+    counts[rows, np.array(basis.positives[::-1])] += 1
+    assert (counts[:, 1:] == 1).all()
+    if p <= 9:
+        assert [complement(M, p) for M in basis.negatives] == list(basis.positives[::-1])
 
 
 def test_induced_form_diagonal_values():

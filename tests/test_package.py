@@ -12,14 +12,19 @@ import siegelmaps
 
 # Test-only helpers the pipeline never called, removed from the package.
 # The transvection oracle and the type I and Siegel samplers live on in
-# tests/ as transvection.py and samplers.py.
+# tests/ as transvection.py and samplers.py.  The wedge-basis index tables
+# are built once, by exterior._basis_rows.
 REMOVED = (
     "RankDeficient",
     "SandwichRecord",
     "Transvection",
     "_axis_pattern",
     "_inverse_sqrt_from",
+    "_phase_tables",
     "_require_margin",
+    "_row_selector",
+    "_symmetric_reindex",
+    "_wedge_plan",
     "ball_distance",
     "ball_infinitesimal_metric",
     "conjugation_twice_unit",
@@ -34,6 +39,15 @@ REMOVED = (
     "sample_siegel",
     "sample_type_i",
     "transvection_to_origin",
+)
+
+# Aliases removed from the package's classes: DomainShape.rows and .cols
+# (its p and q), and BallPoint.as_type_i, now a helper of the transvection
+# oracle in tests/transvection.py.
+REMOVED_ATTRIBUTES = (
+    (siegelmaps.DomainShape, "rows"),
+    (siegelmaps.DomainShape, "cols"),
+    (siegelmaps.BallPoint, "as_type_i"),
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,6 +65,8 @@ def test_exported_names_resolve_and_removed_names_are_gone():
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name} is back"
     assert len(set(siegelmaps.__all__)) == len(siegelmaps.__all__)
+    for cls, name in REMOVED_ATTRIBUTES:
+        assert not hasattr(cls, name), f"{cls.__name__}.{name} is back"
 
 
 def test_readme_python_examples_run():

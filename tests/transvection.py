@@ -68,7 +68,7 @@ class Transvection:
     def apply(self, pt: DomainPoint) -> DomainPoint:
         if pt.shape != self.shape:
             raise ShapeMismatch(f"transvection on {self.shape} applied to {pt.shape}")
-        eye = np.eye(self.shape.cols, dtype=np.complex128)
+        eye = np.eye(self.shape.q, dtype=np.complex128)
         try:
             middle = solve_right(pt.z - self.base, eye - self.base.conj().T @ pt.z, self.tol)
         except SingularSystem as exc:
@@ -76,13 +76,20 @@ class Transvection:
         return DomainPoint(self.shape, self.left @ middle @ self.right)
 
 
+def as_type_i(pt: DomainPoint | BallPoint) -> DomainPoint:
+    """The same point, a ball point as a column of the matrix ball I_{n,1}."""
+    if isinstance(pt, BallPoint):
+        return DomainPoint(DomainShape(DomainKind.TYPE_I, pt.n, 1), pt.coords.reshape(-1, 1))
+    return pt
+
+
 def transvection_to_origin(a: DomainPoint | BallPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Transvection:
     """Automorphism handle moving an interior type I point to the origin."""
-    pt = a.as_type_i() if isinstance(a, BallPoint) else a
+    pt = as_type_i(a)
     if pt.shape.kind is not DomainKind.TYPE_I:
         raise ShapeMismatch(f"transvections act on type I points, got {pt.shape.kind.value}")
     z = pt.z
-    p, q = pt.shape.rows, pt.shape.cols
+    p, q = pt.shape.p, pt.shape.q
     # One eigensystem each of I - ZZ* and I - Z*Z.  The smaller side, the
     # one membership() measures, comes first and gives the interior check.
     left_gram = np.eye(p, dtype=np.complex128) - z @ z.conj().T
