@@ -36,7 +36,6 @@ from .embeddings import (
     FactorSpec,
     direct_sum_embed,
     enumerate_specs,
-    factor_catalog,
     factor_form,
     linearize,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "direct_sum_embed",
     "enumerate_specs",
     "errors",
-    "factor_catalog",
     "factor_form",
     "hermitian_eigenvalues",
     "induced_form",

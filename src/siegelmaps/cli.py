@@ -2,11 +2,11 @@
 
 Subcommands::
 
-    embed      --spec F --point F --out F
-    verify     --spec F [--samples N] [--seed S] [--tol T]
+    embed      --spec F --point F [--tol T] --out F
+    verify     --spec F [--samples N] [--seed S] [--radius-cap R] [--tol T]
                [--suites a,b,c] --report F
     enumerate  --source-dim N --max-g G --out F
-    cayley     --point F --direction to-bounded|to-siegel --out F
+    cayley     --point F --direction to-bounded|to-siegel [--tol T] --out F
 
 Exit codes:
 

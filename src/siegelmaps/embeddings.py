@@ -1,21 +1,20 @@
 """Holomorphic totally geodesic embeddings of the ball into matrix domains.
 
-Three building blocks make up the factors, each a symmetric-matrix
-block suitable for a diagonal direct sum:
-
-* standard: the ball placed in the first row of a 1 x p type I matrix (or
-  a type III corner for one-dimensional sources),
-* connecting: Z in I_{p,q} placed as off-diagonal blocks of a symmetric
-  (p+q) x (p+q) matrix,
-* exterior power: the degree-m wedge representation of the ball, landing
-  in I_{r,s} with (r, s) the signature of the induced pairing, or in the
-  symmetric model III_r in the balanced case r = s.
-
-A factor is one such composite block, of size r or r + s from the
-signature (r, s) of its degree; an embedding is a diagonal direct sum of
-factors under a genus budget, with unused diagonal slack padded by
-zeros.  All embeddings fix the origin, are linear in the source
-coordinates, and carry each interior point to an interior point.
+Every factor is built from one kernel, the degree-m wedge representation
+of the ball, landing in I_{r,s} with (r, s) the signature of the induced
+pairing.  A ``connecting_lambda`` block places it as the off-diagonal
+blocks of a symmetric (r+s) x (r+s) matrix; a ``lambda_III`` block is its
+symmetric model III_r in the balanced case r = s.  The standard factors
+are automorphic images of degree-1 wedge blocks, moved by a fixed
+automorphism of III_g that fixes 0: ``standard_I`` is the
+``connecting_lambda(1)`` block with its indices rotated by one (the ball
+along the first row of a 1 x p type I matrix, connected), and
+``standard_III`` is i times the ``lambda_III(1, 1)`` block (a 1 x 1
+corner).  A factor is one such block, of size r or r + s; an embedding is
+a diagonal direct sum of factors under a genus budget, with unused
+diagonal slack padded by zeros.  All embeddings fix the origin, are
+linear in the source coordinates, and carry each interior point to an
+interior point.
 
 Because every block is linear, each factor is compiled once into a fixed
 matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
@@ -53,7 +52,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb, inf
+from math import comb
 
 import numpy as np
 
@@ -80,7 +79,6 @@ __all__ = [
     "block_layout",
     "direct_sum_embed",
     "enumerate_specs",
-    "factor_catalog",
     "factor_form",
     "linearize",
 ]
@@ -113,9 +111,9 @@ class FactorSpec:
     """One diagonal factor of an embedding into a symmetric-matrix domain.
 
     ``p`` is the source ball dimension and ``m`` the wedge degree.  The
-    derived signature (r, s) fixes the block size: the symmetric factors
-    (``lambda_III`` and ``standard_III``) cost r diagonal entries, the
-    connecting ones (``connecting_lambda`` and ``standard_I``) r + s.
+    derived signature (r, s) fixes the block size: a symmetric wedge model
+    (``lambda_III``, ``standard_III``) costs r diagonal entries, a
+    connecting one (``connecting_lambda``, ``standard_I``) r + s.
     """
 
     kind: FactorKind
@@ -141,19 +139,17 @@ class FactorSpec:
         return signature(self.p, self.m)
 
     @property
-    def wedge_model(self) -> tuple[int, bool] | None:
-        """``(m, symmetric)`` of the wedge block the factor is built from, or
-        None for the standard factors, which are not wedge blocks."""
-        if self.kind is FactorKind.LAMBDA_III:
-            return self.m, True
-        if self.kind is FactorKind.CONNECTING_LAMBDA:
-            return self.m, False
-        return None
+    def wedge_model(self) -> tuple[int, bool]:
+        """``(m, symmetric)`` of the wedge block the factor is built from.
+        The standard factors are automorphic images of degree-1 blocks:
+        ``standard_I`` of the connecting ``(1, False)`` block,
+        ``standard_III`` of the symmetric ``(1, True)`` block."""
+        return self.m, self.kind in (FactorKind.LAMBDA_III, FactorKind.STANDARD_III)
 
     @property
     def block_size(self) -> int:
         r, s = self.signature
-        return r if self.kind in (FactorKind.LAMBDA_III, FactorKind.STANDARD_III) else r + s
+        return r if self.wedge_model[1] else r + s
 
 
 @dataclass(frozen=True)
@@ -181,14 +177,31 @@ class EmbeddingSpec:
                 raise SpecMismatch(
                     f"factor {f.kind.value} has source dimension {f.p}, spec has {self.source_dim}"
                 )
-        if self.cost > self.target_g:
-            raise BudgetExceeded(
-                f"factor costs total {self.cost} but the genus budget is {self.target_g}"
-            )
+        budget = self.target_g
+        for f in factors:
+            size = _block_size_within(f, budget)
+            if size is None:
+                raise BudgetExceeded(f"factor costs total more than the genus budget of {self.target_g}")
+            budget -= size
 
     @property
     def cost(self) -> int:
         return sum(f.block_size for f in self.factors)
+
+
+def _block_size_within(factor: FactorSpec, budget: int) -> int | None:
+    """``factor.block_size`` if it is at most ``budget``, else None: the
+    size C(n, m), n = p + 1 for a connecting model and p for a symmetric
+    one, built from partial products C(n - k + i, i) that rise with i, so
+    a block of C(40001, 20000), some 12,000 digits, stops in a few steps."""
+    n = factor.p if factor.wedge_model[1] else factor.p + 1
+    k = min(factor.m, n - factor.m)
+    size = 1
+    for i in range(1, k + 1):
+        if size > budget:
+            return None
+        size = size * (n - k + i) // i
+    return size if size <= budget else None
 
 
 @lru_cache(maxsize=None)
@@ -352,21 +365,17 @@ def _ball_coords(n: int, tol: Tolerance, *sequences) -> list[np.ndarray]:
 def _factor_blocks(factors, coords: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     """The constructions of factors of one source dimension at every row of
     a (B, p) coordinate stack: one (B, b, b) array of symmetric blocks per
-    factor, with one wedge kernel call for all of them."""
-    models = [f.wedge_model for f in factors if f.wedge_model is not None]
-    wedges = iter(_wedge_blocks(coords, models, tol))
+    factor, with one wedge kernel call for all of them.  A standard factor
+    moves its degree-1 block by a fixed automorphism of III_g: the p x 1
+    block of ``standard_I`` is transposed, which rotates the connected
+    block's indices by one, and that of ``standard_III`` is multiplied by i."""
     blocks = []
-    for factor in factors:
-        if factor.wedge_model is not None:
-            _, symmetric = factor.wedge_model
-            wedge = next(wedges)
-            blocks.append(wedge if symmetric else _connecting_matrix(wedge))
-        elif factor.kind is FactorKind.STANDARD_I:
-            # The first row of a 1 x p type I matrix, connected.
-            blocks.append(_connecting_matrix(coords[:, np.newaxis, :]))
-        else:
-            # One-dimensional source placed directly as a symmetric 1x1 corner.
-            blocks.append(coords.reshape(-1, 1, 1).copy())
+    for factor, wedge in zip(factors, _wedge_blocks(coords, [f.wedge_model for f in factors], tol)):
+        if factor.kind is FactorKind.STANDARD_I:
+            wedge = wedge.swapaxes(1, 2)
+        elif factor.kind is FactorKind.STANDARD_III:
+            wedge = 1j * wedge
+        blocks.append(wedge if factor.wedge_model[1] else _connecting_matrix(wedge))
     return blocks
 
 
@@ -516,23 +525,17 @@ def linearize(spec: EmbeddingSpec, tol: Tolerance = DEFAULT_TOLERANCE, seed: int
     return _linearization(spec, tol, seed, np.empty((0, spec.source_dim), dtype=np.complex128))[0]
 
 
-def factor_catalog(source_dim: int) -> tuple[FactorSpec, ...]:
-    """All admissible factor kinds for a given source dimension."""
-    if source_dim < 1:
-        raise DimensionMismatch(f"source dimension must be positive, got {source_dim}")
-    return _budget_catalog(source_dim, inf)
-
-
 def _budget_catalog(source_dim: int, g_max: float) -> tuple[FactorSpec, ...]:
-    """The factors of :func:`factor_catalog` whose blocks fit in ``g_max``,
-    in its order, once the source dimension and the budget are checked.
+    """The admissible factors of a source dimension whose blocks fit in
+    ``g_max`` (all of them at ``math.inf``), sorted by kind then degree,
+    once the source dimension and the budget are checked.
 
     Degree m's connecting block has size C(N+1, m), which rises from both
     ends of 1..N toward the middle: the walk goes up from m = 1, stops at
     the first block that does not fit, and takes each fitting degree's
-    mirror N + 1 - m with it.  The symmetric block C(N, (N+1)/2) is at
-    least C(N, 2), and is computed only when that bound fits: at N = 10^6
-    the binomial takes seconds."""
+    mirror N + 1 - m with it.  The other blocks are sized only up to the
+    budget (:func:`_block_size_within`): at N = 10^6 the symmetric block's
+    whole binomial would take seconds."""
     if source_dim < 1 or g_max < 1:
         raise DimensionMismatch("source dimension and budget must be positive")
     n = source_dim
@@ -544,12 +547,12 @@ def _budget_catalog(source_dim: int, g_max: float) -> tuple[FactorSpec, ...]:
         factors.append(factor)
         if 2 * m < n + 1:
             factors.append(FactorSpec(FactorKind.CONNECTING_LAMBDA, n, n + 1 - m))
-    if n % 4 == 1 and n * (n - 1) // 2 <= g_max:
+    if n % 4 == 1:
         factors.append(FactorSpec(FactorKind.LAMBDA_III, n, (n + 1) // 2))
     factors.append(FactorSpec(FactorKind.STANDARD_I, n, 1))
     if n == 1:
         factors.append(FactorSpec(FactorKind.STANDARD_III, 1, 1))
-    fitting = [f for f in factors if f.block_size <= g_max]
+    fitting = [f for f in factors if _block_size_within(f, g_max) is not None]
     return tuple(sorted(fitting, key=lambda f: (f.kind.value, f.m)))
 
 

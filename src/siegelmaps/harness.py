@@ -167,7 +167,7 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
 
 def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     tol = config.tol
-    models = sorted({f.wedge_model for f in spec.factors if f.wedge_model and f.wedge_model[1]})
+    models = sorted({f.wedge_model for f in spec.factors if f.wedge_model[1]})
     coords = _interior_rows(_draw("symmetry", spec, config), tol)
     residuals = np.empty(config.samples)
     for part in _point_slices(config.samples, _block_entries(spec)):
@@ -227,7 +227,10 @@ def _induced_phases(p: int, m: int, symmetric: bool, theta: np.ndarray) -> tuple
 def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     rng = generator(config.seed, _STREAMS["equivariance"])
     tol = config.tol
-    models = sorted({f.wedge_model for f in spec.factors if f.wedge_model is not None})
+    # The wedge kinds only: the standard factors' degree-1 models would
+    # change the report bytes, which waits for report schema v2.
+    wedge_kinds = (FactorKind.CONNECTING_LAMBDA, FactorKind.LAMBDA_III)
+    models = sorted({f.wedge_model for f in spec.factors if f.kind in wedge_kinds})
     if not models:
         return SuiteResult("equivariance", True, 0, 0.0, detail="no wedge factors in spec")
     # Each sample's phases are drawn right after its row.

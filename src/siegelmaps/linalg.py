@@ -40,7 +40,6 @@ __all__ = [
     "Tolerance",
     "as_complex_matrix",
     "hermitian_eigenvalues",
-    "max_abs",
     "singular_values",
     "solve_right",
 ]
@@ -97,11 +96,6 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
         raise DimensionMismatch("matrix entries must be finite")
     m.setflags(write=False)
     return m
-
-
-def max_abs(m: np.ndarray) -> float:
-    """Entrywise max-norm."""
-    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def _require_square(m: np.ndarray, what: str) -> None:

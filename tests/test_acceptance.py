@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
+    DEFAULT_TOLERANCE,
     EmbeddingSpec,
     FactorKind,
     FactorSpec,
@@ -34,17 +35,19 @@ from siegelmaps import (
     wedge_basis,
 )
 from siegelmaps.cli import main
+from siegelmaps.domains import _ball_distances
 from siegelmaps.embeddings import _embed_blocks
 from siegelmaps.errors import NonlinearityDetected
-from siegelmaps.linalg import max_abs
 from siegelmaps.retractions import _retract_blocks
 from siegelmaps.sampling import (
     generator,
+    sample_ball_coords,
     sample_ball_point,
     sample_type_iii,
 )
 
 from bulk_images import embedded_images
+from norms import max_abs
 from oracle_blocks import wedge_block
 from samplers import sample_siegel
 
@@ -110,7 +113,7 @@ def sweep():
             total_elapsed += time.perf_counter() - start
             worst = max(worst, float(residuals.max()))
             # criterion 2 bookkeeping, outside the timed section
-            for image, back in zip(embedded_images(spec, points), backs):
+            for image, back in zip(embedded_images(spec, coords), backs):
                 result = membership(image)
                 back_margin = 1.0 - float(np.linalg.norm(back)) ** 2
                 if not result or back_margin <= 1e-10:
@@ -151,21 +154,20 @@ def test_criterion_2_membership_closure(sweep):
 
 
 def test_criterion_3_isometry_sandwich():
-    # Pair by pair, from bulk images and one stacked distance call per
-    # kind; each member has the bits of its pair alone.
+    # A spec's pairs are the rows of one draw, x and y alternating, so the
+    # pairs are those drawn one point at a time.  The ball distances are
+    # taken on the coordinate arrays, the target distances from bulk images,
+    # one stacked call per kind; each member has the bits of its pair alone.
     worst = -1.0
     count = 0
     for n in (1, 2, 3):
         specs, _ = enumerate_specs(n, SWEEP_BUDGET)
         count += len(specs)
         for index, spec in enumerate(specs):
-            rng = generator(SEED, 2000 + index)
-            xs, ys = [], []
-            for _ in range(SAMPLES_PER_SPEC):
-                xs.append(sample_ball_point(rng, n))
-                ys.append(sample_ball_point(rng, n))
+            rows = sample_ball_coords(generator(SEED, 2000 + index), n, 2 * SAMPLES_PER_SPEC)
+            xs, ys = rows[0::2], rows[1::2]
             ex, ey = embedded_images(spec, xs), embedded_images(spec, ys)
-            gaps = np.abs(kobayashi_distance(xs, ys) - kobayashi_distance(ex, ey))
+            gaps = np.abs(_ball_distances(xs, ys, DEFAULT_TOLERANCE) - kobayashi_distance(ex, ey))
             worst = max(worst, float(gaps.max()))
     ok = worst <= ISOMETRY_TOL
     _report(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +164,20 @@ def test_verify_over_budget_spec_exits_two(tmp_path, capsys):
     code = main(["verify", "--spec", spec, "--report", str(tmp_path / "r.json")])
     assert code == 2
     assert "BudgetExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, exit_code", [("embed", 1), ("verify", 2)])
+def test_over_budget_spec_with_a_huge_block_is_refused_by_its_budget(tmp_path, capsys, command, exit_code):
+    # The block of connecting_lambda(20000) at N = 40000 is C(40001, 20000),
+    # some 12,000 digits, more than Python converts to a string; the budget
+    # check stops building it once it passes the budget, and names no cost.
+    huge = {"source_dim": 40000, "target_g": 5, "factors": [{"kind": "connecting_lambda", "m": 20000}]}
+    spec = _write(tmp_path / "spec.json", huge)
+    point = _write(tmp_path / "pt.json", _ball_json([0.0] * 40000))
+    outputs = {"embed": ["--point", point, "--out"], "verify": ["--report"]}[command]
+    assert main([command, "--spec", spec, *outputs, str(tmp_path / "o.json")]) == exit_code
+    assert capsys.readouterr().err == "error: BudgetExceeded: factor costs total more than the genus budget of 5\n"
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_on_a_genus_too_big_to_allocate_exits_two(tmp_path, capsys):
@@ -446,6 +462,19 @@ def test_tolerance_below_psd_margin_names_the_margin(tmp_path, monkeypatch, caps
     monkeypatch.setenv("BSDE_TOL", "1e-12")
     assert main(["verify", "--spec", spec, "--report", report]) == 2
     assert "must exceed the fixed psd_margin of 1e-10" in capsys.readouterr().err
+
+
+def test_usage_block_lists_every_long_option():
+    # Each command's lines of the module docstring's usage block name every
+    # long option its subparser defines, argparse's --help aside.
+    usage = cli.__doc__.split("Subcommands::")[1].split("Exit codes:")[0]
+    lines = {block.split()[0]: block for block in re.split(r"\n    (?=\S)", usage.strip())}
+    (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(lines) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        options = {o for action in parser._actions for o in action.option_strings if o.startswith("--")}
+        for option in sorted(options - {"--help"}):
+            assert re.search(rf"{option}\b", lines[name]), f"{name} {option} is missing from the usage block"
 
 
 def test_module_entry_point_runs_enumerate(tmp_path):

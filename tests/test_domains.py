@@ -30,9 +30,10 @@ from siegelmaps.errors import (
     ShapeMismatch,
     SingularCayley,
 )
-from siegelmaps.linalg import max_abs, solve_right
+from siegelmaps.linalg import solve_right
 from siegelmaps.sampling import generator, sample_ball_point, sample_type_iii
 
+from norms import max_abs
 from samplers import sample_siegel, sample_type_i
 from transvection import as_type_i, transvection_to_origin
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from siegelmaps import (
     ball_point,
     direct_sum_embed,
     enumerate_specs,
-    factor_catalog,
     kobayashi_distance,
     linearize,
     membership,
@@ -27,7 +26,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps import embeddings, exterior
-from siegelmaps.embeddings import _factor_blocks, block_layout
+from siegelmaps.embeddings import _budget_catalog, _factor_blocks, block_layout
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -38,12 +37,13 @@ from siegelmaps.errors import (
 )
 from siegelmaps.exterior import conjugation_unit, wedge_basis
 from siegelmaps.harness import run_suite
-from siegelmaps.linalg import max_abs
 from siegelmaps.report import HarnessConfig
-from siegelmaps.sampling import generator, sample_ball_point, sample_phases
+from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
 
 from lu_wedge import lu_wedge_coefficients
+from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
+from standard_blocks import standard_blocks, standard_form
 from whole_image_oracle import whole_image_linearize, whole_image_residuals
 
 # The paper's N = 5 lambda_III case plus the connecting wedge blocks, g = 60.
@@ -317,17 +317,48 @@ def test_linearize_rank_equals_source_dimension():
 
 
 def test_nonlinearity_detector_fires_on_corrupted_matrix(monkeypatch):
-    spec = EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3)
+    # A wedge factor and both standard ones: the oracle builds the standard
+    # blocks from wedge blocks, never from the compiled form it checks.
+    specs = (
+        EmbeddingSpec(2, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 2, 1),), 3),
+        EmbeddingSpec(2, (FactorSpec(FactorKind.STANDARD_I, 2, 1),), 3),
+        EmbeddingSpec(1, (FactorSpec(FactorKind.STANDARD_III, 1, 1),), 1),
+    )
     exact = embeddings.factor_form
 
     def corrupted(factor):
         matrix = exact(factor)[0].copy()
-        matrix[1, 0] += 0.05
+        # The first nonzero entry of the first column.
+        matrix[np.flatnonzero(matrix[:, 0])[0], 0] += 0.05
         return matrix, np.linalg.pinv(matrix)
 
     monkeypatch.setattr(embeddings, "factor_form", corrupted)
-    with pytest.raises(NonlinearityDetected):
-        linearize(spec)
+    for spec in specs:
+        with pytest.raises(NonlinearityDetected):
+            linearize(spec)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_standard_factors_are_bit_identical_to_their_direct_constructions(n):
+    # The standard blocks come from the degree-1 wedge blocks, moved by a
+    # fixed automorphism of III_g; they keep every bit of the direct
+    # constructions, signs of zeros included, alone and in one stack with
+    # the wedge factors of the same models.
+    standard = [FactorSpec(FactorKind.STANDARD_I, n, 1)]
+    standard += [FactorSpec(FactorKind.STANDARD_III, 1, 1)] if n == 1 else []
+    coords = sample_ball_coords(generator(160, n), n, 30)
+    coords[0] = 0.0
+    coords[1] = -coords[1].real
+    factors = standard + [FactorSpec(FactorKind.CONNECTING_LAMBDA, n, 1)]
+    factors += [FactorSpec(FactorKind.LAMBDA_III, 1, 1)] if n == 1 else []
+    together = _factor_blocks(factors, coords, DEFAULT_TOLERANCE)
+    for factor, stacked in zip(standard, together):
+        reference = standard_blocks(factor, coords)
+        (alone,) = _factor_blocks((factor,), coords, DEFAULT_TOLERANCE)
+        assert alone.tobytes() == reference.tobytes()
+        assert stacked.tobytes() == reference.tobytes()
+        for compiled, expected in zip(embeddings.factor_form(factor), standard_form(factor)):
+            assert compiled.tobytes() == expected.tobytes()
 
 
 def test_nonlinearity_detector_fires_off_the_blocks(monkeypatch):
@@ -394,7 +425,7 @@ def test_linearize_names_the_point_the_whole_image_oracle_names(monkeypatch):
 
 
 def _block_oracle_specs():
-    singles = [EmbeddingSpec(n, (f,), f.block_size + 2) for n in range(1, 7) for f in factor_catalog(n)]
+    singles = [EmbeddingSpec(n, (f,), f.block_size + 2) for n in range(1, 7) for f in _budget_catalog(n, inf)]
     return singles + [G60_SPEC, N1_PADDED_SPEC, N2_PADDED_SPEC]
 
 
@@ -421,7 +452,7 @@ def test_stacked_oracle_equals_per_point_factor_block(n):
     rng = generator(40, n)
     points = [sample_ball_point(rng, n) for _ in range(20)]
     coords = np.stack([z.coords for z in points])
-    catalog = factor_catalog(n)
+    catalog = _budget_catalog(n, inf)
     for factor, stacked in zip(catalog, _factor_blocks(catalog, coords, DEFAULT_TOLERANCE)):
         assert np.array_equal(stacked, np.stack([factor_block(factor, z) for z in points]))
 
@@ -510,7 +541,7 @@ def test_spec_count_equals_the_enumeration():
 
 
 def test_factor_catalog_is_canonical():
-    catalog = factor_catalog(5)
+    catalog = _budget_catalog(5, inf)
     assert all(f.p == 5 for f in catalog)
     assert catalog == tuple(sorted(catalog, key=lambda f: (f.kind.value, f.m)))
     assert any(f.kind is FactorKind.LAMBDA_III for f in catalog)
@@ -518,7 +549,7 @@ def test_factor_catalog_is_canonical():
 
 def test_budget_catalog_is_the_fitting_part_of_the_catalog():
     for n in range(1, 14):
-        catalog = factor_catalog(n)
+        catalog = _budget_catalog(n, inf)
         # The admissible kinds: every degree connected, the balanced symmetric
         # block for N = 1 mod 4, standard_I, and standard_III for N = 1.
         expected = [FactorSpec(FactorKind.CONNECTING_LAMBDA, n, m) for m in range(1, n + 1)]
@@ -530,11 +561,35 @@ def test_budget_catalog_is_the_fitting_part_of_the_catalog():
             assert embeddings._budget_catalog(n, g_max) == tuple(f for f in catalog if f.block_size <= g_max)
 
 
+def test_budget_check_stops_a_block_size_at_the_budget(monkeypatch):
+    # C(10^6 + 1, 5 * 10^5) would take seconds to compute and cannot be printed:
+    # the check builds each block size from partial products and stops at
+    # the first past what is left of the budget, computing no full binomial.
+    def refused(a, b):
+        raise AssertionError(f"C({a}, {b}) computed")
+
+    monkeypatch.setattr(embeddings, "comb", refused)
+    monkeypatch.setattr(exterior, "comb", refused)
+    huge = FactorSpec(FactorKind.CONNECTING_LAMBDA, 10**6, 5 * 10**5)
+    with pytest.raises(BudgetExceeded, match="^factor costs total more than the genus budget of 5$"):
+        EmbeddingSpec(10**6, (huge,), 5)
+    cl = [FactorSpec(FactorKind.CONNECTING_LAMBDA, 4, m) for m in (1, 2)]
+    with pytest.raises(BudgetExceeded, match="budget of 14$"):
+        EmbeddingSpec(4, tuple(cl), 14)
+    monkeypatch.undo()
+    for n in range(1, 9):
+        for f in _budget_catalog(n, inf):
+            size = f.block_size
+            assert embeddings._block_size_within(f, size) == size
+            assert embeddings._block_size_within(f, size - 1) is None
+            assert EmbeddingSpec(n, (f, f), 2 * size).cost == 2 * size
+
+
 @pytest.mark.parametrize("n", [30_000, 1_000_001])
 def test_enumeration_past_the_budget_computes_a_handful_of_binomials(n, monkeypatch):
     # Every catalog factor's block size is two binomials, and the balanced
     # one of N = 1,000,001 takes seconds; only the degrees that can fit are
-    # visited, and that block is bounded by C(N, 2) before it is computed.
+    # visited, and the other blocks are sized only up to the budget.
     calls = []
 
     def counting(a, b):
@@ -591,7 +646,7 @@ def test_laplace_kernel_calls_no_lapack_determinant(monkeypatch):
 def test_factor_forms_are_bit_identical_to_lu_built_forms(monkeypatch):
     # The probes' minors are exact in both kernels, so the compiled forms,
     # which every embedding applies, do not move.
-    catalog = [factor for n in range(1, 10) for factor in factor_catalog(n)]
+    catalog = [factor for n in range(1, 10) for factor in _budget_catalog(n, inf)]
     embeddings.factor_form.cache_clear()
     laplace = [embeddings.factor_form(factor) for factor in catalog]
     embeddings.factor_form.cache_clear()
@@ -615,7 +670,7 @@ def test_oracle_error_within_twice_the_lu_kernel(n, monkeypatch):
     laplace_kernel = embeddings._wedge_coefficients
     rng = generator(620, n)
     points = [sample_ball_point(rng, n) for _ in range(100)]
-    specs = [EmbeddingSpec(n, (factor,), factor.block_size) for factor in factor_catalog(n)]
+    specs = [EmbeddingSpec(n, (factor,), factor.block_size) for factor in _budget_catalog(n, inf)]
     if n == 5:
         specs.append(G60_SPEC)
     laplace = max(_oracle_error(spec, points, laplace_kernel, monkeypatch) for spec in specs)

@@ -21,10 +21,11 @@ from siegelmaps import (
 )
 from siegelmaps import embeddings, exterior, harness
 from siegelmaps.embeddings import block_layout
-from siegelmaps.linalg import Tolerance, max_abs
+from siegelmaps.linalg import Tolerance
 from siegelmaps.report import HarnessConfig, SuiteResult
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
 
+from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
 
 N2_SPEC = EmbeddingSpec(

@@ -18,8 +18,8 @@ from siegelmaps.errors import (
     NotHermitian,
     SingularSystem,
 )
-from siegelmaps.linalg import max_abs
 
+from norms import max_abs
 from transvection import hermitian_eigensystem
 
 EQ = DEFAULT_TOLERANCE.eq_tol

@@ -12,8 +12,9 @@ import siegelmaps
 
 # Test-only helpers the pipeline never called, removed from the package.
 # The transvection oracle and the type I and Siegel samplers live on in
-# tests/ as transvection.py and samplers.py.  The wedge-basis index tables
-# are built once, by exterior._basis_rows.
+# tests/ as transvection.py and samplers.py, and max_abs in tests/norms.py;
+# the whole catalog is embeddings._budget_catalog at an infinite budget.
+# The wedge-basis index tables are built once, by exterior._basis_rows.
 REMOVED = (
     "RankDeficient",
     "SandwichRecord",
@@ -32,8 +33,10 @@ REMOVED = (
     "embed_in_type_i",
     "exterior_power_embed",
     "factor_block",
+    "factor_catalog",
     "hermitian_eigensystem",
     "inverse_sqrt_hpd",
+    "max_abs",
     "orthonormal_column_basis",
     "retract_axis_averaging",
     "sample_siegel",
