@@ -51,8 +51,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from math import comb
+from functools import cached_property, lru_cache, reduce
+from math import comb, inf
 
 import numpy as np
 
@@ -135,10 +135,6 @@ class FactorSpec:
             raise DegreeOutOfRange("standard type III factors exist only for one-dimensional sources")
 
     @property
-    def signature(self) -> tuple[int, int]:
-        return signature(self.p, self.m)
-
-    @property
     def wedge_model(self) -> tuple[int, bool]:
         """``(m, symmetric)`` of the wedge block the factor is built from.
         The standard factors are automorphic images of degree-1 blocks:
@@ -146,10 +142,9 @@ class FactorSpec:
         ``standard_III`` of the symmetric ``(1, True)`` block."""
         return self.m, self.kind in (FactorKind.LAMBDA_III, FactorKind.STANDARD_III)
 
-    @property
+    @cached_property
     def block_size(self) -> int:
-        r, s = self.signature
-        return r if self.wedge_model[1] else r + s
+        return _block_size_within(self, inf)
 
 
 @dataclass(frozen=True)
@@ -177,21 +172,22 @@ class EmbeddingSpec:
                 raise SpecMismatch(
                     f"factor {f.kind.value} has source dimension {f.p}, spec has {self.source_dim}"
                 )
-        budget = self.target_g
-        for f in factors:
-            size = _block_size_within(f, budget)
-            if size is None:
-                raise BudgetExceeded(f"factor costs total more than the genus budget of {self.target_g}")
-            budget -= size
+        # Blocks sized only up to the larger of the budget and 2^63, which a
+        # block past it passes within 63 partial products: cheap, printable.
+        sizes = [_block_size_within(f, max(self.target_g, 1 << 63)) for f in factors]
+        if None in sizes:
+            raise BudgetExceeded(f"factors cost more than the genus budget of {self.target_g}")
+        if sum(sizes) > self.target_g:
+            raise BudgetExceeded(f"factor costs total {sum(sizes)} but the genus budget is {self.target_g}")
 
     @property
     def cost(self) -> int:
         return sum(f.block_size for f in self.factors)
 
 
-def _block_size_within(factor: FactorSpec, budget: int) -> int | None:
-    """``factor.block_size`` if it is at most ``budget``, else None: the
-    size C(n, m), n = p + 1 for a connecting model and p for a symmetric
+def _block_size_within(factor: FactorSpec, budget: float) -> int | None:
+    """A factor's block size if it is at most ``budget``, else None: r + s
+    = C(p + 1, m) for a connecting model and r = C(p, m) for a symmetric
     one, built from partial products C(n - k + i, i) that rise with i, so
     a block of C(40001, 20000), some 12,000 digits, stops in a few steps."""
     n = factor.p if factor.wedge_model[1] else factor.p + 1
@@ -533,27 +529,26 @@ def _budget_catalog(source_dim: int, g_max: float) -> tuple[FactorSpec, ...]:
     Degree m's connecting block has size C(N+1, m), which rises from both
     ends of 1..N toward the middle: the walk goes up from m = 1, stops at
     the first block that does not fit, and takes each fitting degree's
-    mirror N + 1 - m with it.  The other blocks are sized only up to the
-    budget (:func:`_block_size_within`): at N = 10^6 the symmetric block's
-    whole binomial would take seconds."""
+    mirror N + 1 - m with it.  Each block is sized once, and only up to
+    the budget (:func:`_block_size_within`): at N = 10^6 the symmetric
+    block's whole binomial would take seconds."""
     if source_dim < 1 or g_max < 1:
         raise DimensionMismatch("source dimension and budget must be positive")
     n = source_dim
     factors = []
     for m in range(1, (n + 1) // 2 + 1):
         factor = FactorSpec(FactorKind.CONNECTING_LAMBDA, n, m)
-        if factor.block_size > g_max:
+        if _block_size_within(factor, g_max) is None:
             break
         factors.append(factor)
         if 2 * m < n + 1:
             factors.append(FactorSpec(FactorKind.CONNECTING_LAMBDA, n, n + 1 - m))
-    if n % 4 == 1:
-        factors.append(FactorSpec(FactorKind.LAMBDA_III, n, (n + 1) // 2))
-    factors.append(FactorSpec(FactorKind.STANDARD_I, n, 1))
+    others = [FactorSpec(FactorKind.LAMBDA_III, n, (n + 1) // 2)] if n % 4 == 1 else []
+    others.append(FactorSpec(FactorKind.STANDARD_I, n, 1))
     if n == 1:
-        factors.append(FactorSpec(FactorKind.STANDARD_III, 1, 1))
-    fitting = [f for f in factors if _block_size_within(f, g_max) is not None]
-    return tuple(sorted(fitting, key=lambda f: (f.kind.value, f.m)))
+        others.append(FactorSpec(FactorKind.STANDARD_III, 1, 1))
+    factors += [f for f in others if _block_size_within(f, g_max) is not None]
+    return tuple(sorted(factors, key=lambda f: (f.kind.value, f.m)))
 
 
 def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:

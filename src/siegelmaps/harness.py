@@ -167,7 +167,8 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
 
 def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     tol = config.tol
-    models = sorted({f.wedge_model for f in spec.factors if f.wedge_model[1]})
+    # Not standard_III's wedge block: 1 x 1, so symmetric by its shape.
+    models = sorted({f.wedge_model for f in spec.factors if f.kind is FactorKind.LAMBDA_III})
     coords = _interior_rows(_draw("symmetry", spec, config), tol)
     residuals = np.empty(config.samples)
     for part in _point_slices(config.samples, _block_entries(spec)):

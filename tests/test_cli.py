@@ -170,13 +170,13 @@ def test_verify_over_budget_spec_exits_two(tmp_path, capsys):
 def test_over_budget_spec_with_a_huge_block_is_refused_by_its_budget(tmp_path, capsys, command, exit_code):
     # The block of connecting_lambda(20000) at N = 40000 is C(40001, 20000),
     # some 12,000 digits, more than Python converts to a string; the budget
-    # check stops building it once it passes the budget, and names no cost.
+    # check stops building it once it passes 2^63, and names no cost.
     huge = {"source_dim": 40000, "target_g": 5, "factors": [{"kind": "connecting_lambda", "m": 20000}]}
     spec = _write(tmp_path / "spec.json", huge)
     point = _write(tmp_path / "pt.json", _ball_json([0.0] * 40000))
     outputs = {"embed": ["--point", point, "--out"], "verify": ["--report"]}[command]
     assert main([command, "--spec", spec, *outputs, str(tmp_path / "o.json")]) == exit_code
-    assert capsys.readouterr().err == "error: BudgetExceeded: factor costs total more than the genus budget of 5\n"
+    assert capsys.readouterr().err == "error: BudgetExceeded: factors cost more than the genus budget of 5\n"
     assert not (tmp_path / "o.json").exists()
 
 

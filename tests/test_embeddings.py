@@ -25,7 +25,7 @@ from siegelmaps import (
     type_i_shape,
     type_iii_shape,
 )
-from siegelmaps import embeddings, exterior
+from siegelmaps import embeddings
 from siegelmaps.embeddings import _budget_catalog, _factor_blocks, block_layout
 from siegelmaps.errors import (
     BudgetExceeded,
@@ -35,7 +35,7 @@ from siegelmaps.errors import (
     NonlinearityDetected,
     SpecMismatch,
 )
-from siegelmaps.exterior import conjugation_unit, wedge_basis
+from siegelmaps.exterior import conjugation_unit, signature, wedge_basis
 from siegelmaps.harness import run_suite
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
@@ -562,24 +562,31 @@ def test_budget_catalog_is_the_fitting_part_of_the_catalog():
 
 
 def test_budget_check_stops_a_block_size_at_the_budget(monkeypatch):
-    # C(10^6 + 1, 5 * 10^5) would take seconds to compute and cannot be printed:
-    # the check builds each block size from partial products and stops at
-    # the first past what is left of the budget, computing no full binomial.
-    def refused(a, b):
-        raise AssertionError(f"C({a}, {b}) computed")
+    # C(10^6 + 1, 5 * 10^5) would take seconds to compute and cannot be
+    # printed: the check builds each block size from partial products and
+    # stops past the larger of the budget and 2^63, so it prints the total
+    # of blocks that small and names no cost for a larger one.
+    budgets = []
+    sized = embeddings._block_size_within
 
-    monkeypatch.setattr(embeddings, "comb", refused)
-    monkeypatch.setattr(exterior, "comb", refused)
+    def recording(factor, budget):
+        budgets.append(budget)
+        return sized(factor, budget)
+
+    monkeypatch.setattr(embeddings, "_block_size_within", recording)
     huge = FactorSpec(FactorKind.CONNECTING_LAMBDA, 10**6, 5 * 10**5)
-    with pytest.raises(BudgetExceeded, match="^factor costs total more than the genus budget of 5$"):
+    with pytest.raises(BudgetExceeded, match="^factors cost more than the genus budget of 5$"):
         EmbeddingSpec(10**6, (huge,), 5)
+    assert budgets == [1 << 63]
     cl = [FactorSpec(FactorKind.CONNECTING_LAMBDA, 4, m) for m in (1, 2)]
-    with pytest.raises(BudgetExceeded, match="budget of 14$"):
+    with pytest.raises(BudgetExceeded, match="^factor costs total 15 but the genus budget is 14$"):
         EmbeddingSpec(4, tuple(cl), 14)
     monkeypatch.undo()
     for n in range(1, 9):
         for f in _budget_catalog(n, inf):
             size = f.block_size
+            r, s = signature(n, f.m)
+            assert size == (r if f.wedge_model[1] else r + s)
             assert embeddings._block_size_within(f, size) == size
             assert embeddings._block_size_within(f, size - 1) is None
             assert EmbeddingSpec(n, (f, f), 2 * size).cost == 2 * size
@@ -587,21 +594,21 @@ def test_budget_check_stops_a_block_size_at_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("n", [30_000, 1_000_001])
 def test_enumeration_past_the_budget_computes_a_handful_of_binomials(n, monkeypatch):
-    # Every catalog factor's block size is two binomials, and the balanced
-    # one of N = 1,000,001 takes seconds; only the degrees that can fit are
-    # visited, and the other blocks are sized only up to the budget.
-    calls = []
+    # A catalog block's size is a binomial, and the balanced one of
+    # N = 1,000,001 takes seconds; only the degrees that can fit are
+    # visited, and each block is sized once, only up to the budget.
+    budgets = []
+    sized = embeddings._block_size_within
 
-    def counting(a, b):
-        calls.append((a, b))
-        return comb(a, b)
+    def recording(factor, budget):
+        budgets.append(budget)
+        return sized(factor, budget)
 
-    monkeypatch.setattr(embeddings, "comb", counting)
-    monkeypatch.setattr(exterior, "comb", counting)
+    monkeypatch.setattr(embeddings, "_block_size_within", recording)
     assert embeddings._spec_count(n, 5, 10**6) == (0, True)
     assert enumerate_specs(n, 5) == ((), n + 1)
-    assert len(calls) <= 8
-    assert all(b <= 1 for _, b in calls)
+    assert len(budgets) <= 6
+    assert all(budget == 5 for budget in budgets)
 
 
 def test_direct_sum_image_is_type_iii_everywhere():
