@@ -19,7 +19,11 @@ interior point.
 Because every block is linear, each factor is compiled once into a fixed
 matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
 (:func:`factor_form`); these are the only compiled form of an embedding,
-and :func:`direct_sum_embed` and the retractions apply only them.  The
+and :func:`direct_sum_embed` and the retractions apply only them.  Each
+spec has one copy plan (:func:`_copy_plan`): for each distinct factor,
+the flat indices of its copies' blocks.  The maps apply each distinct
+factor once per point and write or gather all its copies through the
+plan, with the bits of applying each copy in turn.  The
 constructions below are kept as the oracle: :func:`linearize` and the
 linearity suite evaluate them at seeded and sampled points, in one stack,
 and compare them block by block with the compiled blocks ``A_f z``.  Both
@@ -53,6 +57,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb, inf
+from operator import itemgetter
 
 import numpy as np
 
@@ -209,6 +214,39 @@ def block_layout(spec: EmbeddingSpec) -> tuple[tuple[FactorSpec, int, int], ...]
         layout.append((f, offset, offset + f.block_size))
         offset += f.block_size
     return tuple(layout)
+
+
+@lru_cache(maxsize=None)
+def _copy_plan(spec: EmbeddingSpec) -> tuple[tuple[FactorSpec, np.ndarray], ...]:
+    """The copy plan of a spec, for applying each distinct factor once per
+    point: for each distinct factor, in :func:`block_layout` order, the
+    factor and the read-only (k, b * b) flat indices of its k copies'
+    blocks, row c holding copy c's entries row major, in the leading
+    cost x cost square of the image (the whole image unless it is padded).
+    Equal factors are adjacent in the canonical order, so a factor's copies
+    are consecutive blocks, and the copies in plan order are the blocks in
+    layout order.  No index depends on ``target_g``, so the stacked kernels,
+    which never build an image, read the plan at any genus."""
+    layout = block_layout(spec)
+    cost = layout[-1][2]
+    plan = []
+    for factor, copies in itertools.groupby(layout, key=itemgetter(0)):
+        starts = [start for _, start, _ in copies]
+        index = starts[0] * (cost + 1) + _copy_offsets(factor.block_size, len(starts), cost)
+        index.setflags(write=False)
+        plan.append((factor, index))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _copy_offsets(size: int, count: int, cost: int) -> np.ndarray:
+    """The (count, size * size) flat offsets, row major in a cost x cost
+    square, of the entries of ``count`` consecutive size x size diagonal
+    blocks from the first entry of the first.  Cached apart from the plans,
+    which share it across specs of one cost."""
+    entries = np.arange(size)
+    starts = (size * np.arange(count))[:, np.newaxis, np.newaxis]
+    return ((starts + entries[:, np.newaxis]) * cost + starts + entries).reshape(count, size * size)
 
 
 def _require_interior_ball(norm: float, tol: Tolerance, what: str) -> None:
@@ -398,16 +436,19 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
 def _embed_blocks(spec: EmbeddingSpec, coords: np.ndarray) -> list[np.ndarray]:
     """The diagonal blocks ``A_f z`` of the images of B ball points, given
     as their (B, N) coordinates checked by :func:`_ball_coords`: one
-    (B, b, b) array per factor in :func:`block_layout` order, each member
-    with the bits :func:`direct_sum_embed` places on its zero g x g
-    matrix, computed without it."""
+    read-only (B, b, b) array per factor in :func:`block_layout` order, each
+    member with the bits :func:`direct_sum_embed` places on its zero g x g
+    matrix, computed without it.  Each distinct factor is applied once
+    (:func:`_copy_plan`), and its copies share that one array."""
     blocks = []
-    for factor in spec.factors:
+    for factor, index in _copy_plan(spec):
         matrix, _ = factor_form(factor)
         # One matrix-vector product per member, the same as A_f @ z: the
         # matrix product C @ A_f^T rounds the signs of zeros differently.
         size = factor.block_size
-        blocks.append((matrix @ coords[..., np.newaxis])[..., 0].reshape(-1, size, size))
+        block = (matrix @ coords[..., np.newaxis])[..., 0].reshape(-1, size, size)
+        block.setflags(write=False)
+        blocks += [block] * len(index)
     return blocks
 
 
@@ -422,12 +463,18 @@ def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT
         raise SpecMismatch(f"spec expects ball dimension {spec.source_dim}, got {z.n}")
     _require_interior_ball(z.norm, tol, "embedding input")
     # Its own loop, not a batch of one through _embed_blocks: the stacked
-    # kernel's set-up is a large share of a one-point call.
-    g = spec.target_g
+    # kernel's set-up is a large share of a one-point call.  The image comes
+    # first, so a genus too big to allocate fails in numpy before any work.
+    g, cost = spec.target_g, spec.cost
     out = np.zeros((g, g), dtype=np.complex128)
-    for factor, start, stop in block_layout(spec):
+    square = out if cost == g else np.zeros((cost, cost), dtype=np.complex128)
+    flat = square.reshape(-1)
+    for factor, index in _copy_plan(spec):
         matrix, _ = factor_form(factor)
-        out[start:stop, start:stop] = (matrix @ z.coords).reshape(stop - start, stop - start)
+        # One product per distinct factor, written into all its copies.
+        flat[index] = matrix @ z.coords
+    if square is not out:
+        out[:cost, :cost] = square
     # Frozen, so the point keeps it without a copy.
     out.setflags(write=False)
     return DomainPoint(type_iii_shape(g), out)
@@ -556,8 +603,9 @@ def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
     building them, and whether the count is exact.
 
     The specs are the nonempty multisets of catalog factors of total block
-    size at most ``g_max``: a coin-change count over the block sizes, whose
-    cost grows with ``g_max``.  Where the c factors of the least block size
+    size at most ``g_max``: a coin-change count over the block sizes, kept
+    only at the totals the factors can reach, so its cost grows with their
+    number, not with ``g_max``.  Where the c factors of the least block size
     b alone make more than ``limit`` specs, C(g_max // b + c, c) - 1 of
     them, that lower bound is returned instead, so a budget far beyond the
     limit is refused in constant time."""
@@ -568,12 +616,23 @@ def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
     bound = comb(g_max // least + sizes.count(least), sizes.count(least)) - 1
     if bound > limit:
         return bound, False
-    # ways[t]: the multisets of the factors seen so far with total t.
-    ways = [1] + [0] * g_max
+    # ways[t]: the multisets of the factors seen so far with total t, at
+    # every reachable t.  A factor of size b adds the totals t + j b to each
+    # residue class mod b from its least reachable total, and the new count
+    # at t is the old one plus the new one at t - b.
+    ways = {0: 1}
     for size in sizes:
-        for total in range(size, g_max + 1):
-            ways[total] += ways[total - size]
-    return sum(ways) - 1, True
+        firsts: dict[int, int] = {}
+        for total in sorted(ways):
+            firsts.setdefault(total % size, total)
+        extended = {}
+        for first in firsts.values():
+            running = 0
+            for total in range(first, g_max + 1, size):
+                running += ways.get(total, 0)
+                extended[total] = running
+        ways = extended
+    return sum(ways.values()) - 1, True
 
 
 def enumerate_specs(source_dim: int, g_max: int) -> tuple[tuple[EmbeddingSpec, ...], int]:

@@ -4,9 +4,15 @@ Every factor of an embedding is the fixed linear map ``A_f`` of
 :func:`~siegelmaps.embeddings.factor_form`, so its retraction is the fixed
 matrix ``P_f = A_f^+``: applied to the factor's flattened diagonal block,
 it projects orthogonally onto the factor's image and recovers the source
-coordinates.  A direct sum is retracted blockwise and the per-factor ball
+coordinates.  A direct sum is retracted blockwise and the per-copy ball
 points are averaged with equal weights, which stays inside the ball by
 convexity.  Every step is linear, so the retraction is holomorphic.
+
+The spec's copy plan (:func:`~siegelmaps.embeddings._copy_plan`) groups
+the blocks by distinct factor: each factor's copies are gathered and
+retracted by one stacked product, their norms checked, and all copies
+summed in block order.  The values and the error raised for a block
+outside the ball are those of retracting each copy in turn.
 :func:`retract_direct_sum` retracts one point; the verify suites retract
 their stacks of images with :func:`_retract_blocks`, on the blocks of
 :func:`~siegelmaps.embeddings._embed_blocks`, with the same bits.
@@ -30,9 +36,9 @@ from .embeddings import (
     EmbeddingSpec,
     _ball_coords,
     _block_entries,
+    _copy_plan,
     _embed_blocks,
     _point_slices,
-    block_layout,
     factor_form,
 )
 from .errors import IllConditioned, ShapeMismatch, SpecMismatch
@@ -64,17 +70,41 @@ def retract_direct_sum(
     if verify:
         _require_interior(y, tol, "direct-sum retraction input")
     # Its own loop, not a batch of one through _retract_blocks: the stacked
-    # kernel's set-up is a large share of a one-point call.
-    layout = block_layout(spec)
-    total = np.zeros(spec.source_dim, dtype=np.complex128)
-    for factor, start, stop in layout:
-        _, pseudo = factor_form(factor)
-        coords = pseudo @ y.z[start:stop, start:stop].reshape(-1)
-        norm = float(np.linalg.norm(coords))
-        if norm >= 1.0:
-            raise IllConditioned(f"{factor.kind.value} block retracts to norm {norm:.6f} >= 1")
-        total += coords
-    return BallPoint(total / len(layout))
+    # kernel's set-up is a large share of a one-point call.  A view of the
+    # blocks' square when it is the whole point, else a copy of it.
+    cost = spec.cost
+    flat = y.z[:cost, :cost].reshape(-1)
+    plan = _copy_plan(spec)
+    coords = _copy_coords(plan, [flat[index] for _, index in plan])
+    # The squared norm of each copy with the bits of np.linalg.norm's, which
+    # takes the same dot products; a norm is at least 1 where its square is.
+    squares = np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag)
+    outside = squares >= 1.0
+    if outside.any():
+        copy = int(np.argmax(outside))
+        norm = float(np.sqrt(squares[copy]))
+        raise IllConditioned(f"{spec.factors[copy].kind.value} block retracts to norm {norm:.6f} >= 1")
+    return BallPoint(_sum_from_zero(coords) / len(coords))
+
+
+def _copy_coords(plan, flats) -> np.ndarray:
+    """Source coordinates of every copy, one (F, ..., N) array in layout
+    order, from the flattened blocks of each distinct factor's copies, one
+    (k, ..., b * b) array per entry of a spec's
+    :func:`~siegelmaps.embeddings._copy_plan`.  Each distinct factor takes
+    one stacked product, of one matrix-vector product per copy and member,
+    the same as ``P_f @ block``: ``blocks @ P_f^T`` rounds differently for
+    some factors."""
+    coords = [(factor_form(factor)[1] @ flat[..., np.newaxis])[..., 0] for (factor, _), flat in zip(plan, flats)]
+    return coords[0] if len(coords) == 1 else np.concatenate(coords)
+
+
+def _sum_from_zero(coords: np.ndarray) -> np.ndarray:
+    """The sum along the first axis with the bits of adding each entry in
+    turn to a zero total.  An accumulation adds in order, where a reduction
+    may pair its terms; adding 0.0 to its last entry turns a sum of -0.0
+    into the 0.0 a zero total gives, and leaves every other value as it is."""
+    return np.add.accumulate(coords)[-1] + 0.0
 
 
 def _retract_blocks(spec: EmbeddingSpec, blocks) -> np.ndarray:
@@ -82,22 +112,28 @@ def _retract_blocks(spec: EmbeddingSpec, blocks) -> np.ndarray:
     images given as one (B, b, b) array per factor in ``block_layout``
     order, such as :func:`~siegelmaps.embeddings._embed_blocks` returns.
     Each member has the bits of :func:`retract_direct_sum` on a matrix with
-    these diagonal blocks.  A block that retracts outside the ball raises,
-    naming its member."""
-    total = np.zeros((len(blocks[0]), spec.source_dim), dtype=np.complex128)
-    for factor, block in zip(spec.factors, blocks):
-        _, pseudo = factor_form(factor)
-        flat = block.reshape(len(block), factor.block_size**2)
-        # One matrix-vector product per member, the same as P_f @ block:
-        # blocks @ P_f^T rounds differently for some factors.
-        coords = (pseudo @ flat[..., np.newaxis])[..., 0]
-        norms = np.sqrt((coords.real**2 + coords.imag**2).sum(axis=1))
-        outside = norms >= 1.0
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise IllConditioned(f"matrix {i}: {factor.kind.value} block retracts to norm {norms[i]:.6f} >= 1")
-        total += coords
-    return total / len(blocks)
+    these diagonal blocks: the copies of each distinct factor are stacked
+    and retracted together.  A block that retracts outside the ball raises,
+    naming its member: the first such member of the first such block in
+    layout order."""
+    plan = _copy_plan(spec)
+    flats = []
+    first = 0
+    for factor, index in plan:
+        group = blocks[first : first + len(index)]
+        # A factor with one copy is read in place.
+        copies = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
+        flats.append(copies.reshape(len(index), len(copies[0]), factor.block_size**2))
+        first += len(index)
+    coords = _copy_coords(plan, flats)
+    norms = np.sqrt((coords.real**2 + coords.imag**2).sum(axis=-1))
+    outside = norms >= 1.0
+    if outside.any():
+        copy = int(np.argmax(outside.any(axis=1)))
+        i = int(np.argmax(outside[copy]))
+        factor = spec.factors[copy]
+        raise IllConditioned(f"matrix {i}: {factor.kind.value} block retracts to norm {norms[copy, i]:.6f} >= 1")
+    return _sum_from_zero(coords) / len(coords)
 
 
 def isometry_sandwich(

@@ -1,17 +1,27 @@
-"""Many g x g images of ball points at once, for tests that feed them to
-``membership`` or ``kobayashi_distance`` in bulk: the blocks of
-``_embed_blocks`` on zero matrices, for the rows of a (B, N) coordinate
-array.  Each image has the bits of the one-point ``direct_sum_embed``,
-which ``test_one_point_embed_holds_the_kernel_blocks`` pins on every spec
-of the acceptance sweep, at a fraction of its per-point cost.  The rows
-must be interior ball points of the spec's dimension; they are not
-checked."""
+"""Many images of ball points at once, for tests that measure them in
+bulk, from the blocks of ``_embed_blocks`` for the rows of a (B, N)
+coordinate array.  The rows must be interior ball points of the spec's
+dimension; they are not checked.
+
+``embedded_images`` places the blocks on zero g x g matrices, for tests
+that feed whole images to ``membership`` or ``kobayashi_distance``.  Each
+image has the bits of the one-point ``direct_sum_embed``, which
+``test_one_point_embed_holds_the_kernel_blocks`` pins on every spec of the
+acceptance sweep, at a fraction of its per-point cost.
+
+``target_distances`` measures the images of pairs without building them,
+as ``isometry_sandwich`` does: the factor blocks are split into their exact
+diagonal blocks and measured by the matrix distance kernel, one pass per
+block size.  The distances have the bits of ``kobayashi_distance`` on the
+``embedded_images`` of the same pairs, which ``test_block_groups`` checks.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from siegelmaps.domains import DomainPoint, type_iii_shape
+from siegelmaps import DEFAULT_TOLERANCE
+from siegelmaps.domains import DomainPoint, _diagonal_blocks, _matrix_distances, type_iii_shape
 from siegelmaps.embeddings import _embed_blocks, block_layout
 
 
@@ -22,3 +32,8 @@ def embedded_images(spec, coords: np.ndarray) -> list[DomainPoint]:
     for (_, start, stop), block in zip(block_layout(spec), blocks):
         images[:, start:stop, start:stop] = block
     return [DomainPoint(type_iii_shape(g), image) for image in images]
+
+
+def target_distances(spec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    bx, by = _embed_blocks(spec, xs), _embed_blocks(spec, ys)
+    return _matrix_distances(_diagonal_blocks(bx, by), len(xs), DEFAULT_TOLERANCE, symmetric=True)

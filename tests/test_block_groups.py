@@ -1,8 +1,9 @@
 """Diagonal blocks grouped by exact size.
 
 The grouped distance kernel is compared with the padded kernel it
-replaced (``padded_distance.py``), and the suites' factor-block path with
-``kobayashi_distance`` on the whole g x g images.
+replaced (``padded_distance.py``), and the factor-block path of the suites
+and of acceptance criterion 3 with ``kobayashi_distance`` on the whole
+g x g images.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bulk_images import embedded_images, target_distances
 from padded_distance import padded_distances
 from siegelmaps import (
     DomainPoint,
@@ -18,13 +20,15 @@ from siegelmaps import (
     FactorSpec,
     ball_point,
     direct_sum_embed,
+    enumerate_specs,
     isometry_sandwich,
     kobayashi_distance,
     type_iii_shape,
 )
 from siegelmaps import domains
 from siegelmaps.errors import SiegelmapsError
-from siegelmaps.sampling import generator, sample_ball_point
+from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point
+from test_acceptance import SAMPLES_PER_SPEC, SEED, SWEEP_BUDGET
 
 CL = FactorKind.CONNECTING_LAMBDA
 G60_SPEC = EmbeddingSpec(
@@ -163,3 +167,15 @@ def test_factor_block_path_equals_kobayashi_distance_on_the_images(spec, pairs, 
     for x, y, a, b, d in zip(xs, ys, ex, ey, target):
         (alone,) = isometry_sandwich(spec, [x], [y])[1]
         assert alone == kobayashi_distance(a, b) == d
+
+
+def test_criterion_3_target_distances_equal_kobayashi_distance_on_the_images():
+    # Every 7th spec of acceptance criterion 3, with its draws: the target
+    # distances taken on the factor blocks have the bits of
+    # kobayashi_distance on the whole images of the same pairs.
+    drawn = [(n, index, spec) for n in (1, 2, 3) for index, spec in enumerate(enumerate_specs(n, SWEEP_BUDGET)[0])]
+    for n, index, spec in drawn[::7]:
+        rows = sample_ball_coords(generator(SEED, 2000 + index), n, 2 * SAMPLES_PER_SPEC)
+        xs, ys = rows[0::2], rows[1::2]
+        expected = kobayashi_distance(embedded_images(spec, xs), embedded_images(spec, ys))
+        assert target_distances(spec, xs, ys).tobytes() == expected.tobytes(), spec

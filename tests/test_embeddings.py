@@ -40,6 +40,7 @@ from siegelmaps.harness import run_suite
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
 
+from list_count import list_spec_count
 from lu_wedge import lu_wedge_coefficients
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
@@ -538,6 +539,21 @@ def test_spec_count_equals_the_enumeration():
     assert embeddings._spec_count(1, 10**18, 10**6) == ((10**18 + 2) * (10**18 + 1) // 2 - 1, False)
     with pytest.raises(DimensionMismatch, match="source dimension and budget must be positive"):
         embeddings._spec_count(2, 0, 10**6)
+
+
+def test_spec_count_equals_the_list_count():
+    # Counted over the reachable totals, as the list over every total
+    # counted it; exact counts within the limit and the refusals' bounds.
+    exact = 0
+    for n in range(1, 14):
+        for g_max in range(1, 61):
+            count = embeddings._spec_count(n, g_max, 10**6)
+            assert count == list_spec_count(n, g_max, 10**6), (n, g_max)
+            exact += count[1] and count[0] <= 10**6
+    assert exact > 600
+    # A budget far beyond the catalog's blocks: the totals reached are the
+    # multiples of the one fitting block size, N + 1.
+    assert embeddings._spec_count(1000001, 10**7, 10**6) == (219, True)
 
 
 def test_factor_catalog_is_canonical():
