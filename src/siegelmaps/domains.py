@@ -18,7 +18,8 @@ square points, grouped by size.  Type III points are measured as points
 of the ambient type I ball; Siegel points are measured through the Cayley
 transform.  The distance kernels run on stacks of pairs, one LAPACK call
 per step for all of them.  Interior margins come from values-only
-eigensolves.
+eigensolves of I - Z*Z, or of Im Z for Siegel points: matrices this module
+forms itself, symmetrized but not checked for being Hermitian.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .linalg import (
     _solve_conditioned,
     _solve_unchecked,
     _spectral_slack,
+    _symmetrized_eigenvalues,
     as_complex_matrix,
-    hermitian_eigenvalues,
     singular_values,
 )
 
@@ -173,15 +174,27 @@ class MembershipResult:
         return self.status is MembershipStatus.INTERIOR
 
 
-def _contraction_margins(z: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Smallest eigenvalue of I - Z*Z for a matrix or for each member of a
-    ``(..., p, q)`` stack, computed on the smaller square side."""
+def _contraction_grams(z: np.ndarray) -> np.ndarray:
+    """The Gram I - Z*Z of a matrix or of each member of a ``(..., p, q)``
+    stack, or I - ZZ* where Z is wider than tall: the smaller square side."""
     if z.shape[-2] >= z.shape[-1]:
         gram = z.conj().swapaxes(-1, -2) @ z
     else:
         gram = z @ z.conj().swapaxes(-1, -2)
     np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
-    return hermitian_eigenvalues(gram, tol)[..., 0]
+    return gram
+
+
+def _contraction_margins(z: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of I - Z*Z for a matrix or for each member of a
+    ``(..., p, q)`` stack, computed on the smaller square side.
+
+    The Gram is formed here, Hermitian in exact arithmetic, so it goes to
+    the eigensolve symmetrized but unchecked (:func:`_symmetrized_eigenvalues`).
+    Its rounding grows with |Z|^2: an absolute ``eq_tol`` check on it would
+    raise ``NotHermitian`` for a symmetric point with entries near 1e6,
+    where the margin should say Outside."""
+    return _symmetrized_eigenvalues(_contraction_grams(z))[..., 0]
 
 
 def _asymmetries(z: np.ndarray) -> np.ndarray:
@@ -214,10 +227,11 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     z = pt.z
     reason = _asymmetry(pt, tol)
     if pt.shape.kind is DomainKind.SIEGEL:
-        imag = (z - z.conj().T) / 2j
-        margin = float(hermitian_eigenvalues(imag, tol)[0])
+        # Formed here and Hermitian, unchecked like the Gram of the bounded
+        # kinds (see _contraction_margins).
+        margin = float(_symmetrized_eigenvalues((z - z.conj().T) / 2j)[0])
     else:
-        margin = float(_contraction_margins(z, tol))
+        margin = float(_contraction_margins(z))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
     if margin > tol.psd_margin:
@@ -302,17 +316,15 @@ def _raise_first(bad: np.ndarray, error: type[Exception], message) -> None:
         raise error(("" if len(bad) == 1 else f"pair {i}: ") + message(i))
 
 
-def _block_ranges(pieces) -> list[tuple[int, int]]:
+def _block_ranges(piece: np.ndarray) -> list[tuple[int, int]]:
     """The finest consecutive diagonal ranges of k x k matrices outside
     which every entry of every matrix is exactly zero, all-zero ranges left
-    out.  ``pieces`` holds (B, k, k) stacks of such matrices.  A nonzero
+    out.  ``piece`` is a (..., k, k) stack of such matrices.  A nonzero
     corner entry [0, k - 1] makes one range without a scan."""
-    k = pieces[0].shape[-1]
-    if any((piece[:, 0, -1] != 0).any() for piece in pieces):
+    k = piece.shape[-1]
+    if (piece[..., 0, -1] != 0).any():
         return [(0, k)]
-    nonzero = np.zeros((k, k), dtype=bool)
-    for piece in pieces:
-        nonzero |= (piece != 0).any(axis=0)
+    nonzero = (piece != 0).reshape(-1, k, k).any(axis=0)
     nonzero |= nonzero.T
     index = np.arange(k)
     # The furthest index reached by any row up to i: a range ends at i
@@ -323,59 +335,61 @@ def _block_ranges(pieces) -> list[tuple[int, int]]:
     return [(start, stop) for start, stop in zip((0, *stops[:-1]), stops) if used[start:stop].any()]
 
 
-def _diagonal_blocks(*stacks) -> list[tuple[np.ndarray, ...]]:
-    """Stacks of B square matrices split into their finest diagonal
-    blocks, grouped by exact size.
+def _diagonal_blocks(pieces) -> list[np.ndarray]:
+    """Stacks of B square matrices on S sides split into their finest
+    diagonal blocks, grouped by exact size.
 
-    Each stack is a list of pieces along the diagonal, every entry off the
-    pieces being zero: one piece for whole matrices, or the (B, b, b)
-    factor blocks of direct-sum images.  Piece j of every stack is a
-    sequence or a stack of B matrices of one size.  Within a piece the
-    blocks are the finest consecutive diagonal ranges outside which every
-    entry of every matrix of every stack is exactly zero
-    (:func:`_block_ranges`).  The cut between two factor blocks is such a
-    range boundary, so the factor blocks of images give the same blocks as
-    the whole images, also where structural zeros split a factor block.
-    Every nonzero entry and its transpose fall in one block, so the blocks
-    hold every entry of Z - Z^t too.
+    The matrices are given as pieces along the diagonal, every entry off
+    the pieces being zero: one piece for whole matrices, or one per factor
+    block of direct-sum images.  Each piece is an ``(S, B, b, b)`` array,
+    or a sequence of S ``(B, b, b)`` stacks, stacked once on entry; the
+    sides are the two points of each pair for a distance, or one side for
+    a margin.  Within a piece the blocks are the finest consecutive
+    diagonal ranges outside which every entry of every matrix of every side
+    is exactly zero (:func:`_block_ranges`).  The cut between two factor
+    blocks is such a range boundary, so the factor blocks of images give
+    the same blocks as the whole images, also where structural zeros split
+    a factor block.  Every nonzero entry and its transpose fall in one
+    block, so the blocks hold every entry of Z - Z^t too.
 
-    Returns one entry per block size, in ascending order, holding for each
-    stack a ``(B, n, s, s)`` array of its n blocks of size s in diagonal
-    order.  No block is padded, so a kernel run once per group sees only
-    the blocks' own entries.  A piece given as a sequence is stacked once,
-    on entry, and a piece that forms one block is not copied again.
+    Returns one contiguous ``(S, B, n, s, s)`` array per block size, in
+    ascending order, holding the n blocks of size s of every side in
+    diagonal order.  No block is padded, so a kernel run once per group
+    sees only the blocks' own entries, and a piece that forms one block is
+    not copied again.
     """
-    stacks = [[np.asarray(piece) for piece in stack] for stack in stacks]
+    pieces = [np.asarray(piece) for piece in pieces]
     sizes: dict[int, list[tuple[int, int, int]]] = {}
-    for j, pieces in enumerate(zip(*stacks)):
-        for start, stop in _block_ranges(pieces):
+    for j, piece in enumerate(pieces):
+        for start, stop in _block_ranges(piece):
             sizes.setdefault(stop - start, []).append((j, start, stop))
-    return [tuple(_group_of(stack, sizes[s]) for stack in stacks) for s in sorted(sizes)]
+    return [_group_of(pieces, sizes[s]) for s in sorted(sizes)]
 
 
-def _group_of(stack, ranges) -> np.ndarray:
-    """The contiguous (B, n, s, s) stack of a stack's diagonal blocks at
+def _group_of(pieces, ranges) -> np.ndarray:
+    """The contiguous (S, B, n, s, s) stack of the diagonal blocks at
     ``(piece, start, stop)`` ranges of one size s."""
-    blocks = [stack[j][:, start:stop, start:stop] for j, start, stop in ranges]
+    blocks = [pieces[j][..., start:stop, start:stop] for j, start, stop in ranges]
     if len(blocks) == 1:
-        return np.ascontiguousarray(blocks[0])[:, np.newaxis]
-    return np.stack(blocks, axis=1)
+        return np.ascontiguousarray(blocks[0])[:, :, np.newaxis]
+    return np.stack(blocks, axis=2)
 
 
-def _block_margins(groups, count: int, tol: Tolerance) -> np.ndarray:
+def _block_margins(grams, count: int) -> np.ndarray:
     """Smallest contraction margin over all blocks of each of ``count``
     members, from one eigensolve per group of ``(..., count, n, s, s)``
-    block stacks; 1, the margin of zero, with no blocks."""
-    if not groups:
+    Grams as :func:`_contraction_grams` forms them; 1, the margin of zero,
+    with no blocks."""
+    if not grams:
         return np.ones(count)
-    return reduce(np.minimum, [_contraction_margins(blocks, tol).min(axis=-1) for blocks in groups])
+    return reduce(np.minimum, [_symmetrized_eigenvalues(gram)[..., 0].min(axis=-1) for gram in grams])
 
 
 def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
     """Kobayashi distances between ``count`` pairs of matrix-ball points
-    given by their diagonal blocks: per group an (x, y) pair of
-    ``(count, n, p, q)`` block stacks, as :func:`_diagonal_blocks` returns
-    for square points; a rectangular point is one p x q block.
+    given by their diagonal blocks: per group one ``(2, count, n, p, q)``
+    block stack, x side first, as :func:`_diagonal_blocks` returns for
+    square points; a rectangular point is one p x q block.
 
     tanh d(X, Y) = s_max(C^-1 (Y - X)(I - X*Y)^-1 D) with the Cholesky
     factors C C* = I - X X* and D D* = I - X*X.  They differ from the
@@ -389,50 +403,53 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
     all groups are combined, so the checks run in one order whatever the
     groups.
 
-    With ``check_inputs``, x is checked for symmetry (when ``symmetric``)
-    and y for interiority, as :func:`membership` does; x is always checked
-    against ``psd_margin``, and I - X*Y like :func:`solve_right` does, on
-    the extreme singular values over all blocks of a pair.  Where the
-    blocks have more than one size, 1 joins those extremes: it is the
-    singular value that the zero padding of the smaller blocks added when
-    every block was padded to the largest, kept so that no decision moves.
-    A failing check names the first failing pair.
+    With ``check_inputs``, both sides are checked for symmetry (when
+    ``symmetric``), x before y, and y for interiority, as
+    :func:`membership` does; x is always checked against ``psd_margin``,
+    and I - X*Y like :func:`solve_right` does, on the extreme singular
+    values over all blocks of a pair.  The margins come from the Grams
+    I - Z*Z of both sides, formed once and unchecked, as in
+    :func:`_contraction_margins`; x's Gram is also the one Cholesky factor
+    D is taken of (C's where the blocks are wider than tall).  Where the
+    blocks have more than one size, 1 joins the extreme singular values:
+    it is the singular value that the zero padding of the smaller blocks
+    added when every block was padded to the largest, kept so that no
+    decision moves.  A failing check names the first failing pair.
     """
     if not groups:
         # Every member of both stacks is zero.
         return np.zeros(count)
     if check_inputs and symmetric:
-        for side in (0, 1):
-            defect = reduce(np.maximum, [_asymmetries(group[side]).max(axis=1) for group in groups])
-            _raise_first(
-                defect > tol.eq_tol,
-                MembershipViolation,
-                lambda i: f"distance argument must be an interior point: {_asymmetry_detail(defect[i])}",
-            )
-    x_margin, y_margin = _block_margins([np.stack(group) for group in groups], count, tol)
+        defects = reduce(np.maximum, [_asymmetries(group).max(axis=-1) for group in groups])
+        asymmetric = defects > tol.eq_tol
+        if asymmetric.any():
+            for bad, defect in zip(asymmetric, defects):
+                _raise_first(
+                    bad,
+                    MembershipViolation,
+                    lambda i: f"distance argument must be an interior point: {_asymmetry_detail(defect[i])}",
+                )
+    grams = [_contraction_grams(group) for group in groups]
+    margins = _block_margins(grams, count)
+    (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
     if check_inputs:
-        _raise_first(
-            ~(y_margin > tol.psd_margin),
-            MembershipViolation,
-            lambda i: "distance argument " + _interior_detail(y_margin[i]),
-        )
-    _raise_first(
-        ~(x_margin > tol.psd_margin),
-        MembershipViolation,
-        lambda i: "transvection base " + _interior_detail(x_margin[i]),
-    )
+        _raise_first(y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]))
+    _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]))
     differences, denominators, factors = [], [], []
     order = largest_q = 0
-    for xb, yb in groups:
+    for (xb, yb), gram in zip(groups, grams):
         p, q = xb.shape[-2:]
         order, largest_q = max(order, p, q), max(largest_q, q)
         adjoint = xb.conj().swapaxes(-1, -2)
-        grams = (np.eye(p) - xb @ adjoint, np.eye(q) - adjoint @ xb)
+        if p >= q:
+            sides = (np.eye(p) - xb @ adjoint, gram[0])
+        else:
+            sides = (gram[0], np.eye(q) - adjoint @ xb)
         try:
             if p == q:
-                factors.append(np.linalg.cholesky(np.stack(grams)))
+                factors.append(np.linalg.cholesky(np.asarray(sides)))
             else:
-                factors.append([np.linalg.cholesky(gram) for gram in grams])
+                factors.append([np.linalg.cholesky(side) for side in sides])
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
         differences.append(yb - xb)
@@ -441,23 +458,23 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
     # error, and the same for Y, so the singular values of each block of
     # I - X*Y lie within ||X_b|| ||Y_b|| of 1.  The largest block order
     # bounds the rounding of every group.
-    x_norm, y_norm = np.sqrt(1.0 - np.stack([x_margin, y_margin]) + _spectral_slack(order))
+    x_norm, y_norm = np.sqrt(1.0 - margins + _spectral_slack(order))
     reach = x_norm * y_norm
     unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)
-    bad = np.zeros(count, dtype=bool)
+    near_singular = "transvection denominator near singular: "
     if unsettled.any():
         largest, smallest = (1.0, 1.0) if len(groups) > 1 else (0.0, np.inf)
         for denominator in denominators:
             sv = np.linalg.svd(denominator[unsettled], compute_uv=False)
             largest = np.maximum(largest, sv[..., 0].max(axis=1))
             smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
+        bad = np.zeros(count, dtype=bool)
         bad[unsettled] = _ill_conditioned(largest, smallest, tol)
-    near_singular = "transvection denominator near singular: "
-    _raise_first(
-        bad,
-        IllConditioned,
-        lambda i: f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}",
-    )
+        _raise_first(
+            bad,
+            IllConditioned,
+            lambda i: f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}",
+        )
     try:
         middles = [_solve_unchecked(a, b) for a, b in zip(differences, denominators)]
     except SingularSystem as exc:
@@ -535,11 +552,11 @@ def kobayashi_distance(
     x and y may also be equal-length sequences of points of one shape: the
     distances of the pairs come back as an array, from one call of the
     stacked kernel, and each equals the distance of its pair alone bit for
-    bit.  Two points are a batch of one.
+    bit.  Two points are a batch of one: their matrices go into the same
+    stack, with no sequence built around them first.
     """
-    if isinstance(x, (DomainPoint, BallPoint)):
-        return float(kobayashi_distance([x], [y], tol)[0])
-    xs, ys = list(x), list(y)
+    pair = isinstance(x, (DomainPoint, BallPoint))
+    xs, ys = ((x,), (y,)) if pair else (list(x), list(y))
     if not xs or len(xs) != len(ys):
         raise ShapeMismatch(f"expected equal nonzero numbers of points, got {len(xs)} and {len(ys)}")
     ball = isinstance(xs[0], BallPoint)
@@ -551,21 +568,21 @@ def kobayashi_distance(
             if other != shape:
                 raise ShapeMismatch(f"points live on different shapes: {shape} vs {other}")
     if ball:
-        return _ball_distances(np.stack([a.coords for a in xs]), np.stack([b.coords for b in ys]), tol)
-    siegel = shape.kind is DomainKind.SIEGEL
-    if siegel:
-        # Checked pair by pair in the Siegel model, measured in the bounded one.
-        for a, b in zip(xs, ys):
-            reason = _asymmetry(a, tol)
-            if reason is not None:
-                raise MembershipViolation(f"distance argument must be an interior point: {reason}")
-            _require_interior(b, tol, "distance argument")
-        xs, ys = [cayley_to_bounded(a, tol) for a in xs], [cayley_to_bounded(b, tol) for b in ys]
-    x_matrices, y_matrices = [a.z for a in xs], [b.z for b in ys]
-    if shape.p == shape.q:
-        groups = _diagonal_blocks([x_matrices], [y_matrices])
+        distances = _ball_distances(np.stack([a.coords for a in xs]), np.stack([b.coords for b in ys]), tol)
     else:
-        groups = [(np.stack(x_matrices)[:, np.newaxis], np.stack(y_matrices)[:, np.newaxis])]
-    return _matrix_distances(
-        groups, len(xs), tol, symmetric=shape.kind is not DomainKind.TYPE_I, check_inputs=not siegel
-    )
+        siegel = shape.kind is DomainKind.SIEGEL
+        if siegel:
+            # Checked pair by pair in the Siegel model, measured in the bounded one.
+            for a, b in zip(xs, ys):
+                reason = _asymmetry(a, tol)
+                if reason is not None:
+                    raise MembershipViolation(f"distance argument must be an interior point: {reason}")
+                _require_interior(b, tol, "distance argument")
+            xs, ys = [cayley_to_bounded(a, tol) for a in xs], [cayley_to_bounded(b, tol) for b in ys]
+        # Both sides in one (2, B, p, q) stack, x first.
+        z = np.asarray([a.z for a in xs] + [b.z for b in ys]).reshape(2, len(xs), shape.p, shape.q)
+        groups = _diagonal_blocks([z]) if shape.p == shape.q else [z[:, :, np.newaxis]]
+        distances = _matrix_distances(
+            groups, len(xs), tol, symmetric=shape.kind is not DomainKind.TYPE_I, check_inputs=not siegel
+        )
+    return float(distances[0]) if pair else distances

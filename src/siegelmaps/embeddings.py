@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import comb, inf
 from operator import itemgetter
@@ -119,11 +119,13 @@ class FactorSpec:
     derived signature (r, s) fixes the block size: a symmetric wedge model
     (``lambda_III``, ``standard_III``) costs r diagonal entries, a
     connecting one (``connecting_lambda``, ``standard_I``) r + s.
+    The hash is taken once, at construction: specs key the package's caches.
     """
 
     kind: FactorKind
     p: int
     m: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -138,6 +140,15 @@ class FactorSpec:
             raise DegreeOutOfRange("standard type I factors use the degree-1 representation")
         if self.kind is FactorKind.STANDARD_III and (self.p != 1 or self.m != 1):
             raise DegreeOutOfRange("standard type III factors exist only for one-dimensional sources")
+        object.__setattr__(self, "_hash", hash((self.kind, self.p, self.m)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # The stored hash follows the process's string hash seed, so a
+        # pickled spec is rebuilt, and hashed again, by the constructor.
+        return type(self), (self.kind, self.p, self.m)
 
     @property
     def wedge_model(self) -> tuple[int, bool]:
@@ -158,12 +169,15 @@ class EmbeddingSpec:
 
     Factors are canonicalized (sorted by kind then degree) so equal
     multisets compare equal and serialized output is stable.  The sum of
-    factor costs must fit in ``target_g``; slack is padded with zeros.
+    factor costs, ``cost``, must fit in ``target_g``; slack is padded with
+    zeros.  The cost and the hash are taken once, at construction.
     """
 
     source_dim: int
     factors: tuple[FactorSpec, ...]
     target_g: int
+    cost: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = tuple(sorted(self.factors, key=lambda f: (f.kind.value, f.m)))
@@ -182,12 +196,18 @@ class EmbeddingSpec:
         sizes = [_block_size_within(f, max(self.target_g, 1 << 63)) for f in factors]
         if None in sizes:
             raise BudgetExceeded(f"factors cost more than the genus budget of {self.target_g}")
-        if sum(sizes) > self.target_g:
-            raise BudgetExceeded(f"factor costs total {sum(sizes)} but the genus budget is {self.target_g}")
+        cost = sum(sizes)
+        if cost > self.target_g:
+            raise BudgetExceeded(f"factor costs total {cost} but the genus budget is {self.target_g}")
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "_hash", hash((self.source_dim, factors, self.target_g)))
 
-    @property
-    def cost(self) -> int:
-        return sum(f.block_size for f in self.factors)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt by the constructor, as FactorSpec is.
+        return type(self), (self.source_dim, self.factors, self.target_g)
 
 
 def _block_size_within(factor: FactorSpec, budget: float) -> int | None:

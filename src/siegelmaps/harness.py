@@ -35,7 +35,15 @@ from functools import reduce
 
 import numpy as np
 
-from .domains import BallPoint, DomainPoint, _asymmetries, _block_margins, _diagonal_blocks, type_i_shape
+from .domains import (
+    BallPoint,
+    DomainPoint,
+    _asymmetries,
+    _block_margins,
+    _contraction_grams,
+    _diagonal_blocks,
+    type_i_shape,
+)
 from .embeddings import (
     EmbeddingSpec,
     FactorKind,
@@ -110,8 +118,8 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
         blocks = _embed_blocks(spec, coords[part])
         # The test of membership() on the images' exact diagonal blocks, one
         # eigensolve per block size for the slice.
-        groups = [group for (group,) in _diagonal_blocks(blocks)]
-        image_margins = _block_margins(groups, len(blocks[0]), tol)
+        groups = _diagonal_blocks([block[np.newaxis] for block in blocks])
+        image_margins = _block_margins([_contraction_grams(group[0]) for group in groups], len(blocks[0]))
         symmetric = reduce(np.maximum, [_asymmetries(block) for block in blocks]) <= tol.eq_tol
         backs = _retract_blocks(spec, blocks)
         for back, image_margin, image_symmetric in zip(backs, image_margins.tolist(), symmetric):

@@ -91,11 +91,17 @@ def _copy_coords(plan, flats) -> np.ndarray:
     """Source coordinates of every copy, one (F, ..., N) array in layout
     order, from the flattened blocks of each distinct factor's copies, one
     (k, ..., b * b) array per entry of a spec's
-    :func:`~siegelmaps.embeddings._copy_plan`.  Each distinct factor takes
-    one stacked product, of one matrix-vector product per copy and member,
-    the same as ``P_f @ block``: ``blocks @ P_f^T`` rounds differently for
-    some factors."""
-    coords = [(factor_form(factor)[1] @ flat[..., np.newaxis])[..., 0] for (factor, _), flat in zip(plan, flats)]
+    :func:`~siegelmaps.embeddings._copy_plan`, or (1, ..., b * b) where the
+    k copies are one and the same: those coordinates are repeated k times.
+    Each distinct factor takes one stacked product, of one matrix-vector
+    product per copy and member, the same as ``P_f @ block``:
+    ``blocks @ P_f^T`` rounds differently for some factors."""
+    coords = []
+    for (factor, index), flat in zip(plan, flats):
+        copies = (factor_form(factor)[1] @ flat[..., np.newaxis])[..., 0]
+        if len(copies) < len(index):
+            copies = np.broadcast_to(copies, (len(index), *copies.shape[1:]))
+        coords.append(copies)
     return coords[0] if len(coords) == 1 else np.concatenate(coords)
 
 
@@ -113,17 +119,18 @@ def _retract_blocks(spec: EmbeddingSpec, blocks) -> np.ndarray:
     order, such as :func:`~siegelmaps.embeddings._embed_blocks` returns.
     Each member has the bits of :func:`retract_direct_sum` on a matrix with
     these diagonal blocks: the copies of each distinct factor are stacked
-    and retracted together.  A block that retracts outside the ball raises,
-    naming its member: the first such member of the first such block in
-    layout order."""
+    and retracted together, and copies that are one and the same array, as
+    ``_embed_blocks`` returns them, are read in place and retracted once.
+    A block that retracts outside the ball raises, naming its member: the
+    first such member of the first such block in layout order."""
     plan = _copy_plan(spec)
     flats = []
     first = 0
     for factor, index in plan:
         group = blocks[first : first + len(index)]
-        # A factor with one copy is read in place.
-        copies = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
-        flats.append(copies.reshape(len(index), len(copies[0]), factor.block_size**2))
+        shared = all(block is group[0] for block in group)
+        copies = group[0][np.newaxis] if shared else np.stack(group)
+        flats.append(copies.reshape(len(copies), len(copies[0]), factor.block_size**2))
         first += len(index)
     coords = _copy_coords(plan, flats)
     norms = np.sqrt((coords.real**2 + coords.imag**2).sum(axis=-1))
@@ -164,6 +171,6 @@ def isometry_sandwich(
     # Each pair holds the blocks of two images.
     for part in _point_slices(len(cx), 2 * _block_entries(spec)):
         bx, by = _embed_blocks(spec, cx[part]), _embed_blocks(spec, cy[part])
-        target[part] = _matrix_distances(_diagonal_blocks(bx, by), len(bx[0]), tol, symmetric=True)
+        target[part] = _matrix_distances(_diagonal_blocks(zip(bx, by)), len(bx[0]), tol, symmetric=True)
         rx[part], ry[part] = _retract_blocks(spec, bx), _retract_blocks(spec, by)
     return kobayashi_distance(xs, ys, tol), target, _ball_distances(rx, ry, tol)

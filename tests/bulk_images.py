@@ -36,4 +36,4 @@ def embedded_images(spec, coords: np.ndarray) -> list[DomainPoint]:
 
 def target_distances(spec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     bx, by = _embed_blocks(spec, xs), _embed_blocks(spec, ys)
-    return _matrix_distances(_diagonal_blocks(bx, by), len(xs), DEFAULT_TOLERANCE, symmetric=True)
+    return _matrix_distances(_diagonal_blocks(zip(bx, by)), len(xs), DEFAULT_TOLERANCE, symmetric=True)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from siegelmaps.domains import _asymmetries, _asymmetry_detail, _contraction_margins, _interior_detail, _raise_first
+from checked_grams import _contraction_margins
+from siegelmaps.domains import _asymmetries, _asymmetry_detail, _interior_detail, _raise_first
 from siegelmaps.errors import IllConditioned, MembershipViolation, SingularSystem
 from siegelmaps.linalg import (
     DEFAULT_TOLERANCE,

@@ -111,7 +111,7 @@ def test_grouped_kernel_equals_the_padded_kernel():
         kinds = rng.choice(["plain", "plain", "plain", "near", "asymmetric", "ill"], size=int(rng.integers(1, 7)))
         pairs = [_pair(rng, layout, kind) for kind in kinds]
         xs, ys = ([DomainPoint(type_iii_shape(K), pair[side]) for pair in pairs] for side in (0, 1))
-        assert len(domains._diagonal_blocks([[x.z for x in xs]])) == len({stop - start for start, stop in layout})
+        assert len(domains._diagonal_blocks([np.stack([x.z for x in xs])[np.newaxis]])) == len({stop - start for start, stop in layout})
         got = _outcome(kobayashi_distance, xs, ys)
         expected = _outcome(padded_distances, [x.z for x in xs], [y.z for y in ys])
         if isinstance(expected, tuple):
@@ -158,8 +158,8 @@ def _random_pairs(n, count):
 def test_factor_block_path_equals_kobayashi_distance_on_the_images(spec, pairs, split):
     xs, ys = pairs
     ex, ey = _images(spec, xs), _images(spec, ys)
-    groups = domains._diagonal_blocks([[e.z for e in ex + ey]])
-    sizes = sorted(size for (blocks,) in groups for size in [blocks.shape[-1]] * blocks.shape[1])
+    groups = domains._diagonal_blocks([np.stack([e.z for e in ex + ey])[np.newaxis]])
+    sizes = sorted(size for blocks in groups for size in [blocks.shape[-1]] * blocks.shape[2])
     # Axis points: structural zeros cut some factor block.
     assert (sizes != sorted(f.block_size for f in spec.factors)) is split
     _, target, _ = isometry_sandwich(spec, xs, ys)

@@ -271,6 +271,19 @@ def test_cayley_on_an_exterior_point_names_the_transform_and_writes_nothing(tmp_
     assert not out.exists()
 
 
+def test_cayley_on_a_symmetric_point_with_large_entries_names_its_margin(tmp_path, capsys):
+    # Small integers over 7, times 1e6: far outside, with a Gram I - Z*Z
+    # whose rounding is far above eq_tol.  The margin classifies the point.
+    z = 1e6 * (np.array([[1, 2, 3], [2, 4, 5], [3, 5, 6]]) + 1j * np.array([[7, 1, 2], [1, 3, 4], [2, 4, 8]])) / 7
+    src = _write(tmp_path / "z.json", {"kind": "III", "p": 3, "q": 3, "re": z.real.tolist(), "im": z.imag.tolist()})
+    out = tmp_path / "o.json"
+    assert main(["cayley", "--point", src, "--direction", "to-siegel", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Cayley input must be an interior point: margin -")
+    assert "Hermitian" not in err
+    assert not out.exists()
+
+
 def test_env_tolerance_override(tmp_path, monkeypatch):
     spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
     report = tmp_path / "r.json"

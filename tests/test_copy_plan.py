@@ -25,7 +25,7 @@ from siegelmaps import (
     retract_direct_sum,
     type_iii_shape,
 )
-from siegelmaps import embeddings
+from siegelmaps import embeddings, retractions
 from siegelmaps.embeddings import _copy_plan, _embed_blocks, block_layout
 from siegelmaps.errors import IllConditioned
 from siegelmaps.retractions import _retract_blocks, _sum_from_zero
@@ -86,6 +86,36 @@ def test_stacked_kernels_equal_the_per_copy_loops(spec):
     points = [sample_type_iii(rng, spec.target_g) for _ in range(3)]
     off = [np.stack([p.z[start:stop, start:stop] for p in points]) for _, start, stop in block_layout(spec)]
     assert _retract_blocks(spec, off).tobytes() == retract_blocks_per_copy(spec, off).tobytes()
+
+
+class _CountingPseudo:
+    """A factor's P_f that records how many matrix-vector products each
+    product with it takes."""
+
+    def __init__(self, pseudo: np.ndarray, products: list) -> None:
+        self.pseudo, self.products = pseudo, products
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        self.products.append(int(np.prod(other.shape[:-2])))
+        return self.pseudo @ other
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+def test_copies_that_are_one_array_are_retracted_once(spec, monkeypatch):
+    coords = np.stack([z.coords for z in _points(spec.source_dim)])
+    blocks = _embed_blocks(spec, coords)
+    expected = retract_blocks_per_copy(spec, embed_blocks_per_copy(spec, coords)).tobytes()
+    products = []
+    monkeypatch.setattr(
+        retractions, "factor_form", lambda factor: (factor_form(factor)[0], _CountingPseudo(factor_form(factor)[1], products))
+    )
+    assert _retract_blocks(spec, blocks).tobytes() == expected
+    # One product per distinct factor and point, not one per copy.
+    assert products == [len(coords)] * len(set(spec.factors))
+    # Copies given as separate arrays are each retracted, with the same bits.
+    products.clear()
+    assert _retract_blocks(spec, [block.copy() for block in blocks]).tobytes() == expected
+    assert sum(products) == len(coords) * len(spec.factors)
 
 
 def test_the_sum_of_the_copies_has_the_bits_of_a_running_total():
@@ -157,4 +187,4 @@ def test_clearing_the_package_caches_rebuilds_the_plan():
     plan = _copy_plan(spec)
     assert [factor for factor, _ in plan] == list(dict.fromkeys(spec.factors))
     assert [len(index) for _, index in plan] == [spec.factors.count(factor) for factor, _ in plan]
-    assert set(vars(spec)) == {"source_dim", "factors", "target_g"}
+    assert set(vars(spec)) == {"source_dim", "factors", "target_g", "cost", "_hash"}

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import os
+import pickle
+import subprocess
+import sys
 from itertools import combinations
 from math import comb, inf
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +34,8 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps import embeddings
-from siegelmaps.embeddings import _budget_catalog, _factor_blocks, block_layout
+from siegelmaps.cli import main
+from siegelmaps.embeddings import _budget_catalog, _copy_plan, _factor_blocks, block_layout, factor_form
 from siegelmaps.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -523,6 +532,69 @@ def test_enumerate_specs_deduplicates_multisets():
         assert key == tuple(sorted(key))
         assert (key, s.target_g) not in seen
         seen.add((key, s.target_g))
+
+
+def test_specs_hash_once_at_construction_and_still_key_the_caches(monkeypatch):
+    cl1, cl2 = FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 1), FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2)
+    first = EmbeddingSpec(3, (cl2, cl1, cl2), 20)
+    second = EmbeddingSpec(3, (cl2, cl2, FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 1)), 20)
+    assert first == second and first is not second and hash(first) == hash(second)
+    assert first != EmbeddingSpec(3, (cl2, cl1, cl2), 21)
+    assert first.cost == sum(f.block_size for f in first.factors) == 16
+    for cache in (block_layout, _copy_plan, factor_form):
+        cache.cache_clear()
+    calls = []
+    factor_hash = FactorSpec.__hash__
+    monkeypatch.setattr(FactorSpec, "__hash__", lambda self: calls.append(self) or factor_hash(self))
+    # A spec's hash was taken at construction: hashing it hashes no factor.
+    hash(first)
+    assert calls == []
+    for spec in (first, second):
+        block_layout(spec)
+        _copy_plan(spec)
+        for factor in spec.factors:
+            factor_form(factor)
+    # The plan reads the layout through its cache too.
+    assert block_layout.cache_info()[:2] == (2, 1)
+    assert _copy_plan.cache_info()[:2] == (1, 1)
+    assert factor_form.cache_info()[:2] == (4, 2)
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy == first and hash(copy) == hash(first) and copy.cost == first.cost
+
+
+def test_a_pickled_spec_hashes_as_a_new_one_in_another_process():
+    # String hashes, and so the stored hashes, differ between processes.
+    spec = EmbeddingSpec(3, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2),) * 2, 12)
+    child = (
+        "import pickle, sys\n"
+        "from siegelmaps import EmbeddingSpec, FactorKind, FactorSpec\n"
+        "spec = pickle.loads(sys.stdin.buffer.read())\n"
+        "new = EmbeddingSpec(3, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 3, 2),) * 2, 12)\n"
+        "assert spec == new and hash(spec) == hash(new) and hash(spec.factors[0]) == hash(new.factors[0])\n"
+        "assert spec in {new: 1} and spec.factors[0] in {new.factors[0]}\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": str(Path(embeddings.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", child], input=pickle.dumps(spec), env=env, capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_enumerate_output_keeps_its_bytes(tmp_path):
+    # sha256 of the enumerate files at budget 12, as written before specs
+    # kept their hash and cost.
+    expected = {
+        1: "471a9b233f8e2a0eabc8f98e2821508a15d7d5320300bb3047de7323746727eb",
+        2: "1d5421623c683064af44fa8dd0bf86507ea62cdfa39cde7f2de3cdfa11236879",
+        3: "918b8bfca63db20c05587bcf7496c44c17da30165f11b626f406ccb4c2b0020e",
+        4: "420111848593a5027a79209f6b545637ccec351b9a0493c6550b386a43569b62",
+        5: "5b23a57637200a58a4a2f0ac1961685a18b41bdf76c626f91ac422a07c503050",
+    }
+    out = tmp_path / "specs.json"
+    for n, digest in expected.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["enumerate", "--source-dim", str(n), "--max-g", "12", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_spec_count_equals_the_enumeration():

@@ -18,6 +18,7 @@ from siegelmaps.errors import (
     NotHermitian,
     SingularSystem,
 )
+from siegelmaps.linalg import _symmetrized_eigenvalues
 
 from norms import max_abs
 from transvection import hermitian_eigensystem
@@ -82,6 +83,18 @@ def test_hermitian_eigenvalues_stack_equals_members():
     stack[2, 0, 1] += 1e-3
     with pytest.raises(NotHermitian, match="^matrix 2: "):
         hermitian_eigenvalues(stack)
+
+
+def test_formed_matrices_take_the_hermitian_part_unchecked():
+    # Eigenvalues of (m + m*)/2, not of one triangle of m, and no check: the
+    # path of the Grams the package forms itself.
+    m = np.array([[[1.0, 2e-3], [0.0, 1.0]], [[2.0, 0.0], [4j, 0.0]]])
+    values = _symmetrized_eigenvalues(m)
+    assert np.allclose(values, [[1.0 - 1e-3, 1.0 + 1e-3], [1.0 - np.sqrt(5.0), 1.0 + np.sqrt(5.0)]])
+    with pytest.raises(NotHermitian, match="^matrix 0: "):
+        hermitian_eigenvalues(m)
+    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
+    assert values.tobytes() == hermitian_eigenvalues(hermitian).tobytes()
 
 
 def test_hermitian_eigenvalues_identity():

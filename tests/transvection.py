@@ -27,12 +27,12 @@ import numpy as np
 
 from siegelmaps.domains import BallPoint, DomainKind, DomainPoint, DomainShape, _interior_detail
 from siegelmaps.errors import IllConditioned, MembershipViolation, NoConvergence, ShapeMismatch, SingularSystem
-from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _hermitian_part, solve_right
+from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _require_hermitian, _symmetrized, solve_right
 
 
 def hermitian_eigensystem(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    sym = _hermitian_part(m, tol)
+    sym = _symmetrized(_require_hermitian(m, tol))
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
