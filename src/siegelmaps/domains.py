@@ -176,25 +176,38 @@ class MembershipResult:
 
 def _contraction_grams(z: np.ndarray) -> np.ndarray:
     """The Gram I - Z*Z of a matrix or of each member of a ``(..., p, q)``
-    stack, or I - ZZ* where Z is wider than tall: the smaller square side."""
-    if z.shape[-2] >= z.shape[-1]:
-        gram = z.conj().swapaxes(-1, -2) @ z
-    else:
-        gram = z @ z.conj().swapaxes(-1, -2)
-    np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
+    stack, or I - ZZ* where Z is wider than tall: the smaller square side.
+    Entries too large to square make entries that are not finite, without
+    a warning (see :func:`_gram_margins`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if z.shape[-2] >= z.shape[-1]:
+            gram = z.conj().swapaxes(-1, -2) @ z
+        else:
+            gram = z @ z.conj().swapaxes(-1, -2)
+        np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
     return gram
 
 
-def _contraction_margins(z: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of I - Z*Z for a matrix or for each member of a
-    ``(..., p, q)`` stack, computed on the smaller square side.
+def _gram_margins(gram: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of a Gram I - Z*Z that :func:`_contraction_grams`
+    forms, or of each member of a ``(..., n, n)`` stack of them: the
+    contraction margin of Z, on the smaller square side.
 
     The Gram is formed here, Hermitian in exact arithmetic, so it goes to
     the eigensolve symmetrized but unchecked (:func:`_symmetrized_eigenvalues`).
     Its rounding grows with |Z|^2: an absolute ``eq_tol`` check on it would
     raise ``NotHermitian`` for a symmetric point with entries near 1e6,
-    where the margin should say Outside."""
-    return _symmetrized_eigenvalues(_contraction_grams(z))[..., 0]
+    where the margin should say Outside.  Every entry and partial sum of
+    Z*Z is at most s_max(Z)^2 in modulus, so a Gram with an entry that is
+    not finite has 1 - s_max^2 rounded to -inf: its margin is -inf, with no
+    eigensolve."""
+    finite = np.isfinite(gram)
+    if finite.all():
+        return _symmetrized_eigenvalues(gram)[..., 0]
+    finite = finite.all(axis=(-2, -1))
+    margins = np.full(finite.shape, -np.inf)
+    margins[finite] = _symmetrized_eigenvalues(gram[finite])[..., 0]
+    return margins
 
 
 def _asymmetries(z: np.ndarray) -> np.ndarray:
@@ -228,10 +241,10 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     reason = _asymmetry(pt, tol)
     if pt.shape.kind is DomainKind.SIEGEL:
         # Formed here and Hermitian, unchecked like the Gram of the bounded
-        # kinds (see _contraction_margins).
+        # kinds (see _gram_margins).
         margin = float(_symmetrized_eigenvalues((z - z.conj().T) / 2j)[0])
     else:
-        margin = float(_contraction_margins(z))
+        margin = float(_gram_margins(_contraction_grams(z)))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
     if margin > tol.psd_margin:
@@ -382,7 +395,7 @@ def _block_margins(grams, count: int) -> np.ndarray:
     with no blocks."""
     if not grams:
         return np.ones(count)
-    return reduce(np.minimum, [_symmetrized_eigenvalues(gram)[..., 0].min(axis=-1) for gram in grams])
+    return reduce(np.minimum, [_gram_margins(gram).min(axis=-1) for gram in grams])
 
 
 def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
@@ -409,7 +422,7 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
     and I - X*Y like :func:`solve_right` does, on the extreme singular
     values over all blocks of a pair.  The margins come from the Grams
     I - Z*Z of both sides, formed once and unchecked, as in
-    :func:`_contraction_margins`; x's Gram is also the one Cholesky factor
+    :func:`_gram_margins`; x's Gram is also the one Cholesky factor
     D is taken of (C's where the blocks are wider than tall).  Where the
     blocks have more than one size, 1 joins the extreme singular values:
     it is the singular value that the zero padding of the smaller blocks

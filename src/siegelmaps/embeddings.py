@@ -20,13 +20,15 @@ Because every block is linear, each factor is compiled once into a fixed
 matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
 (:func:`factor_form`); these are the only compiled form of an embedding,
 and :func:`direct_sum_embed` and the retractions apply only them.  Each
-spec has one copy plan (:func:`_copy_plan`): for each distinct factor,
-the flat indices of its copies' blocks.  The maps apply each distinct
-factor once per point and write or gather all its copies through the
-plan, with the bits of applying each copy in turn.  The
-constructions below are kept as the oracle: :func:`linearize` and the
-linearity suite evaluate them at seeded and sampled points, in one stack,
-and compare them block by block with the compiled blocks ``A_f z``.  Both
+spec has one copy plan (:func:`_copy_plan`), the one place that knows
+of copies: for each distinct factor, the flat indices of its copies'
+blocks.  :func:`direct_sum_embed` applies each distinct factor once and
+writes all its copies through the plan; the verify suites embed stacks
+of samples with :func:`_embed_blocks`, one block per distinct factor.
+Both have the bits of applying each copy in turn.  The constructions
+below are kept as the oracle: :func:`linearize` and the linearity suite
+evaluate them for the distinct factors at seeded and sampled points, in
+one stack, and compare them with the compiled blocks ``A_f z``.  Both
 are zero off the blocks, so no g x g image is built per point; the
 padding of :func:`direct_sum_embed` is checked once, on a probe point
 with every coordinate nonzero, whose image must be zero off the blocks
@@ -34,9 +36,7 @@ and equal them on them.  The oracle evaluates a stack of points at once:
 a vectorized Laplace recursion for the wedge minors of each degree (see
 :func:`_wedge_coefficients`) and one stacked solve per degree, shared by
 its models; a stacked block has the bits of the same point evaluated
-alone.  :func:`direct_sum_embed` embeds one point; the verify suites
-embed their stacks of samples with :func:`_embed_blocks`, whose blocks
-have the bits of the one-point map on its diagonal.
+alone.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -456,19 +456,18 @@ def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
 def _embed_blocks(spec: EmbeddingSpec, coords: np.ndarray) -> list[np.ndarray]:
     """The diagonal blocks ``A_f z`` of the images of B ball points, given
     as their (B, N) coordinates checked by :func:`_ball_coords`: one
-    read-only (B, b, b) array per factor in :func:`block_layout` order, each
-    member with the bits :func:`direct_sum_embed` places on its zero g x g
-    matrix, computed without it.  Each distinct factor is applied once
-    (:func:`_copy_plan`), and its copies share that one array."""
+    read-only (B, b, b) array per distinct factor (:func:`_copy_plan`),
+    each member with the bits :func:`direct_sum_embed` places on every copy
+    of the factor on its zero g x g matrix, computed without it."""
     blocks = []
-    for factor, index in _copy_plan(spec):
+    for factor, _ in _copy_plan(spec):
         matrix, _ = factor_form(factor)
         # One matrix-vector product per member, the same as A_f @ z: the
         # matrix product C @ A_f^T rounds the signs of zeros differently.
         size = factor.block_size
         block = (matrix @ coords[..., np.newaxis])[..., 0].reshape(-1, size, size)
         block.setflags(write=False)
-        blocks += [block] * len(index)
+        blocks.append(block)
     return blocks
 
 
@@ -503,15 +502,16 @@ def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT
 def _oracle_residuals(spec: EmbeddingSpec, coords: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Per row of a (B, N) coordinate stack checked by :func:`_ball_coords`,
     ``max|reference - image|`` over the factor blocks: the compiled blocks
-    ``A_f z`` of :func:`_embed_blocks` against the factor constructions,
-    the oracle the compiled map is checked against.  Both are zero off the
-    blocks of the g x g target, so this is the largest deviation over the
-    whole target, with its bits, and no g x g array is built; the padding
-    of :func:`direct_sum_embed` is checked apart, once, on a probe
-    (:func:`_check_padding`).  The points are evaluated a slice at a time."""
+    ``A_f z`` of :func:`_embed_blocks` against the constructions of the
+    distinct factors, the oracle the compiled map is checked against.  Both
+    are zero off the blocks of the g x g target, and copies repeat a block,
+    so this is the largest deviation over the whole target, with its bits,
+    and no g x g array is built; the padding of :func:`direct_sum_embed` is
+    checked apart, once, on a probe (:func:`_check_padding`).  The points
+    are evaluated a slice at a time."""
     residuals = np.empty(len(coords))
     for part in _point_slices(len(coords), _block_entries(spec)):
-        references = _factor_blocks(spec.factors, coords[part], tol)
+        references = _factor_blocks([factor for factor, _ in _copy_plan(spec)], coords[part], tol)
         images = _embed_blocks(spec, coords[part])
         residuals[part] = reduce(
             np.maximum, [np.abs(image - reference).max(axis=(1, 2)) for image, reference in zip(images, references)]
@@ -524,15 +524,18 @@ def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
     nothing else: its image of a probe point, of norm
     ``LINEARIZATION_PROBE`` with every coordinate nonzero (each of its own
     modulus and phase), must be zero off the factor blocks and equal
-    :func:`_embed_blocks` on them, exactly.  The padding does not depend on
-    the point, so one probe checks it for every point.  The image is read in
-    place: no copy and no ``abs`` of the g x g array unless the check fails."""
+    :func:`_embed_blocks` on each copy's range of them, exactly.  The
+    padding does not depend on the point, so one probe checks it for every
+    point.  The image is read in place: no copy and no ``abs`` of the g x g
+    array unless the check fails."""
     k = np.arange(1, spec.source_dim + 1)
     direction = k * np.exp(1j * k)
     probe = BallPoint(direction * (LINEARIZATION_PROBE / np.linalg.norm(direction)))
     image = direct_sum_embed(spec, probe, tol).z
     layout = block_layout(spec)
-    blocks = [block for (block,) in _embed_blocks(spec, probe.coords[np.newaxis, :])]
+    # Each distinct factor's block, once per copy, in layout order.
+    distinct = zip(_copy_plan(spec), _embed_blocks(spec, probe.coords[np.newaxis, :]))
+    blocks = [block for (_, index), (block,) in distinct for _ in index]
     if not image[spec.cost :].any() and all(
         not image[start:stop, :start].any()
         and not image[start:stop, stop:].any()

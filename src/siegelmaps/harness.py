@@ -15,14 +15,17 @@ suite (for isometry, its pair), and evaluate them on slices of a few
 hundred KiB.  Only the isometry suite wraps its rows in ball points, for
 the public :func:`~siegelmaps.retractions.isometry_sandwich`.  The
 retraction, membership, symmetry and isometry suites carry each image as
-its factor blocks ``A_f z`` (:func:`~siegelmaps.embeddings._embed_blocks`),
-never as a zero-padded g x g matrix, and slice by block entries: one
-stacked embed and retract per slice, one wedge kernel call per slice for
-all factors, one eigensolve per block size and slice for the image
-margins, and for :func:`~siegelmaps.retractions.isometry_sandwich` one
-distance kernel pass per block size and slice and one ball distance call
-over all pairs for each ball side.  The linearity suite compares the
-factor constructions with the compiled blocks too, at linearize's check
+one block ``A_f z`` per distinct factor
+(:func:`~siegelmaps.embeddings._embed_blocks`), never as a zero-padded
+g x g matrix: the retraction counts a block once per copy, and a repeat
+would change no other suite's largest residual or smallest margin.  They
+slice by block entries: one stacked embed and retract per slice, one
+wedge kernel call per slice for the distinct factors, one eigensolve per
+block size and slice for the image margins, and for
+:func:`~siegelmaps.retractions.isometry_sandwich` one distance kernel pass
+per block size and slice and one ball distance call over all pairs for
+each ball side.  The linearity suite compares the distinct factors'
+constructions with the compiled blocks too, at linearize's check
 points and its samples in one stack, and checks the padding of the
 one-point :func:`~siegelmaps.embeddings.direct_sum_embed` once, on a
 probe.  A suite that raises a package error becomes a failed result that

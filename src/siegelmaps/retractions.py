@@ -9,13 +9,14 @@ points are averaged with equal weights, which stays inside the ball by
 convexity.  Every step is linear, so the retraction is holomorphic.
 
 The spec's copy plan (:func:`~siegelmaps.embeddings._copy_plan`) groups
-the blocks by distinct factor: each factor's copies are gathered and
-retracted by one stacked product, their norms checked, and all copies
-summed in block order.  The values and the error raised for a block
-outside the ball are those of retracting each copy in turn.
-:func:`retract_direct_sum` retracts one point; the verify suites retract
-their stacks of images with :func:`_retract_blocks`, on the blocks of
-:func:`~siegelmaps.embeddings._embed_blocks`, with the same bits.
+the blocks by distinct factor.  One core, :func:`_retract_copies`,
+retracts each factor's copies by one stacked product, checks their norms
+in one pass and sums all copies in block order, with the values and the
+error of retracting each copy in turn.  :func:`retract_direct_sum` hands
+it the copies it gathers from one point through the plan;
+:func:`_retract_blocks` hands it, for a stack of images, the one block
+per distinct factor of :func:`~siegelmaps.embeddings._embed_blocks`,
+which stands for all of that factor's copies.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .embeddings import (
     factor_form,
 )
 from .errors import IllConditioned, ShapeMismatch, SpecMismatch
-from .linalg import DEFAULT_TOLERANCE, Tolerance
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _stack_label
 
 __all__ = [
     "isometry_sandwich",
@@ -69,33 +70,42 @@ def retract_direct_sum(
         raise SpecMismatch(f"expected a type III point of size {g}, got {y.shape.kind.value} {y.shape.p}")
     if verify:
         _require_interior(y, tol, "direct-sum retraction input")
-    # Its own loop, not a batch of one through _retract_blocks: the stacked
-    # kernel's set-up is a large share of a one-point call.  A view of the
-    # blocks' square when it is the whole point, else a copy of it.
+    # A view of the blocks' square when it is the whole point, else a copy of it.
     cost = spec.cost
     flat = y.z[:cost, :cost].reshape(-1)
-    plan = _copy_plan(spec)
-    coords = _copy_coords(plan, [flat[index] for _, index in plan])
+    return BallPoint(_retract_copies(spec, [flat[index] for _, index in _copy_plan(spec)]))
+
+
+def _retract_copies(spec: EmbeddingSpec, flats) -> np.ndarray:
+    """Source coordinates, (..., N), from the flattened blocks of every
+    copy: one (k, ..., b * b) array per entry of the spec's
+    :func:`~siegelmaps.embeddings._copy_plan`, or (1, ..., b * b) where the
+    k copies are one and the same.  Each copy is retracted, its norm
+    checked, and all copies summed in block order, with the bits of doing
+    so one copy at a time.  A copy that retracts outside the ball raises,
+    naming the first such block in layout order and, in a stack, its first
+    such member."""
+    coords = _copy_coords(_copy_plan(spec), flats)
     # The squared norm of each copy with the bits of np.linalg.norm's, which
     # takes the same dot products; a norm is at least 1 where its square is.
     squares = np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag)
     outside = squares >= 1.0
     if outside.any():
-        copy = int(np.argmax(outside))
-        norm = float(np.sqrt(squares[copy]))
-        raise IllConditioned(f"{spec.factors[copy].kind.value} block retracts to norm {norm:.6f} >= 1")
-    return BallPoint(_sum_from_zero(coords) / len(coords))
+        copy = int(np.argmax(outside.reshape(len(outside), -1).any(axis=1)))
+        member = int(np.argmax(outside[copy].reshape(-1)))
+        norm = float(np.sqrt(squares[copy].reshape(-1)[member]))
+        label = _stack_label(member, outside.shape[1:])
+        raise IllConditioned(f"{label}{spec.factors[copy].kind.value} block retracts to norm {norm:.6f} >= 1")
+    return _sum_from_zero(coords) / len(coords)
 
 
 def _copy_coords(plan, flats) -> np.ndarray:
     """Source coordinates of every copy, one (F, ..., N) array in layout
-    order, from the flattened blocks of each distinct factor's copies, one
-    (k, ..., b * b) array per entry of a spec's
-    :func:`~siegelmaps.embeddings._copy_plan`, or (1, ..., b * b) where the
-    k copies are one and the same: those coordinates are repeated k times.
-    Each distinct factor takes one stacked product, of one matrix-vector
-    product per copy and member, the same as ``P_f @ block``:
-    ``blocks @ P_f^T`` rounds differently for some factors."""
+    order, from the flats that :func:`_retract_copies` takes: the
+    coordinates of a (1, ..., b * b) entry are repeated k times.  Each
+    distinct factor takes one stacked product, of one matrix-vector product
+    per copy and member, the same as ``P_f @ block``: ``blocks @ P_f^T``
+    rounds differently for some factors."""
     coords = []
     for (factor, index), flat in zip(plan, flats):
         copies = (factor_form(factor)[1] @ flat[..., np.newaxis])[..., 0]
@@ -115,32 +125,11 @@ def _sum_from_zero(coords: np.ndarray) -> np.ndarray:
 
 def _retract_blocks(spec: EmbeddingSpec, blocks) -> np.ndarray:
     """Source coordinates, one (B, N) array, from the diagonal blocks of B
-    images given as one (B, b, b) array per factor in ``block_layout``
-    order, such as :func:`~siegelmaps.embeddings._embed_blocks` returns.
-    Each member has the bits of :func:`retract_direct_sum` on a matrix with
-    these diagonal blocks: the copies of each distinct factor are stacked
-    and retracted together, and copies that are one and the same array, as
-    ``_embed_blocks`` returns them, are read in place and retracted once.
-    A block that retracts outside the ball raises, naming its member: the
-    first such member of the first such block in layout order."""
-    plan = _copy_plan(spec)
-    flats = []
-    first = 0
-    for factor, index in plan:
-        group = blocks[first : first + len(index)]
-        shared = all(block is group[0] for block in group)
-        copies = group[0][np.newaxis] if shared else np.stack(group)
-        flats.append(copies.reshape(len(copies), len(copies[0]), factor.block_size**2))
-        first += len(index)
-    coords = _copy_coords(plan, flats)
-    norms = np.sqrt((coords.real**2 + coords.imag**2).sum(axis=-1))
-    outside = norms >= 1.0
-    if outside.any():
-        copy = int(np.argmax(outside.any(axis=1)))
-        i = int(np.argmax(outside[copy]))
-        factor = spec.factors[copy]
-        raise IllConditioned(f"matrix {i}: {factor.kind.value} block retracts to norm {norms[copy, i]:.6f} >= 1")
-    return _sum_from_zero(coords) / len(coords)
+    images given as one (B, b, b) array per distinct factor, as
+    :func:`~siegelmaps.embeddings._embed_blocks` returns them.  Each member
+    has the bits of :func:`retract_direct_sum` on a matrix whose copies of
+    each factor hold that factor's block (:func:`_retract_copies`)."""
+    return _retract_copies(spec, [block.reshape(1, len(block), block.shape[-1] ** 2) for block in blocks])
 
 
 def isometry_sandwich(
@@ -154,13 +143,14 @@ def isometry_sandwich(
     distances after retraction come back as three arrays.  The embedding is
     holomorphic and has a holomorphic left inverse, so the three agree.
 
-    The images are carried as their factor blocks (:func:`_embed_blocks`),
-    never as g x g matrices.  Each slice of pairs holding a few hundred KiB
-    of block entries is embedded, split into its exact diagonal blocks,
-    measured by one pass of the matrix distance kernel per block size, and
-    retracted.  Within a slice the blocks are those
-    :func:`kobayashi_distance` finds on the g x g images, so the target
-    distances have its bits.  The source and the retracted distances take
+    The images are carried as one block per distinct factor
+    (:func:`_embed_blocks`), never as g x g matrices.  Each slice of pairs
+    holding a few hundred KiB of block entries is embedded, split into its
+    exact diagonal blocks, measured by one pass of the matrix distance
+    kernel per block size, and retracted.  Within a slice the blocks are
+    those :func:`kobayashi_distance` finds on the g x g images but for the
+    repeats of a factor's copies, which change no largest distance and no
+    smallest margin, so the target distances have its bits.  The source and the retracted distances take
     one stacked ball distance call each over all pairs."""
     xs, ys = list(x), list(y)
     if not xs or len(xs) != len(ys):

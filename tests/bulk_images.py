@@ -3,8 +3,10 @@ bulk, from the blocks of ``_embed_blocks`` for the rows of a (B, N)
 coordinate array.  The rows must be interior ball points of the spec's
 dimension; they are not checked.
 
-``embedded_images`` places the blocks on zero g x g matrices, for tests
-that feed whole images to ``membership`` or ``kobayashi_distance``.  Each
+``_embed_blocks`` gives one block per distinct factor; ``copy_blocks``
+expands them through the copy plan to one block per copy, and
+``embedded_images`` places those on zero g x g matrices, for tests that
+feed whole images to ``membership`` or ``kobayashi_distance``.  Each
 image has the bits of the one-point ``direct_sum_embed``, which
 ``test_one_point_embed_holds_the_kernel_blocks`` pins on every spec of the
 acceptance sweep, at a fraction of its per-point cost.
@@ -22,14 +24,21 @@ import numpy as np
 
 from siegelmaps import DEFAULT_TOLERANCE
 from siegelmaps.domains import DomainPoint, _diagonal_blocks, _matrix_distances, type_iii_shape
-from siegelmaps.embeddings import _embed_blocks, block_layout
+from siegelmaps.embeddings import _copy_plan, _embed_blocks, block_layout
+
+
+def copy_blocks(spec, coords: np.ndarray) -> list[np.ndarray]:
+    """The blocks of ``_embed_blocks``, one per distinct factor, expanded
+    through the copy plan to one (B, b, b) array per copy in
+    ``block_layout`` order."""
+    blocks = _embed_blocks(spec, coords)
+    return [block for (_, index), block in zip(_copy_plan(spec), blocks) for _ in index]
 
 
 def embedded_images(spec, coords: np.ndarray) -> list[DomainPoint]:
     g = spec.target_g
     images = np.zeros((len(coords), g, g), dtype=np.complex128)
-    blocks = _embed_blocks(spec, coords)
-    for (_, start, stop), block in zip(block_layout(spec), blocks):
+    for (_, start, stop), block in zip(block_layout(spec), copy_blocks(spec, coords)):
         images[:, start:stop, start:stop] = block
     return [DomainPoint(type_iii_shape(g), image) for image in images]
 

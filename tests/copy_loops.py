@@ -2,9 +2,12 @@
 they were before the copies of a factor were applied together: the
 reference that ``test_copy_plan`` holds the package's maps to, bit for
 bit.  Inputs are not checked; the maps are called on points the package
-accepts."""
+accepts.  ``copy_flats`` hands per-copy blocks, which may disagree, to the
+package's stacked retraction core."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -63,3 +66,15 @@ def retract_blocks_per_copy(spec, blocks) -> np.ndarray:
             raise IllConditioned(f"matrix {i}: {factor.kind.value} block retracts to norm {norms[i]:.6f} >= 1")
         total += coords
     return total / len(blocks)
+
+
+def copy_flats(spec, blocks) -> list[np.ndarray]:
+    """One (B, b, b) array per factor copy, in layout order, regrouped as
+    the (k, B, b * b) stacks of each distinct factor's k copies that
+    ``retractions._retract_copies`` takes."""
+    flats, first = [], 0
+    for factor, copies in itertools.groupby(spec.factors):
+        group = np.stack(blocks[first : first + len(list(copies))])
+        flats.append(group.reshape(len(group), len(group[0]), factor.block_size**2))
+        first += len(group)
+    return flats

@@ -3,7 +3,9 @@
 The one-point maps and the suites' stacked kernels are held to the
 per-copy loops they replaced (``copy_loops.py``), bit for bit, on specs
 with many copies of a factor; a point whose copies do not all retract
-into the ball fails with the loops' message.
+into the ball fails with the loops' message.  The stacked kernels carry
+one block per distinct factor; copies that disagree, off the image, are
+handed to the retraction core one stack per copy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from copy_loops import embed_blocks_per_copy, embed_per_copy, retract_blocks_per_copy, retract_per_copy
+from bulk_images import copy_blocks
+from copy_loops import copy_flats, embed_blocks_per_copy, embed_per_copy, retract_blocks_per_copy, retract_per_copy
 from siegelmaps import (
     DomainPoint,
     EmbeddingSpec,
@@ -22,13 +25,14 @@ from siegelmaps import (
     ball_point,
     direct_sum_embed,
     factor_form,
+    isometry_sandwich,
     retract_direct_sum,
     type_iii_shape,
 )
 from siegelmaps import embeddings, retractions
 from siegelmaps.embeddings import _copy_plan, _embed_blocks, block_layout
 from siegelmaps.errors import IllConditioned
-from siegelmaps.retractions import _retract_blocks, _sum_from_zero
+from siegelmaps.retractions import _retract_blocks, _retract_copies, _sum_from_zero
 from siegelmaps.sampling import generator, sample_ball_point, sample_type_iii
 
 CL = FactorKind.CONNECTING_LAMBDA
@@ -77,15 +81,47 @@ def test_stacked_kernels_equal_the_per_copy_loops(spec):
     coords = np.stack([z.coords for z in _points(spec.source_dim)])
     blocks = _embed_blocks(spec, coords)
     reference = embed_blocks_per_copy(spec, coords)
-    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in reference]
-    assert _retract_blocks(spec, blocks).tobytes() == retract_blocks_per_copy(spec, reference).tobytes()
-    # Copies of a factor share one read-only array.
+    # One read-only block per distinct factor, equal to each of its copies.
     assert all(not b.flags.writeable for b in blocks)
-    assert len({id(b) for b in blocks}) == len(set(spec.factors))
+    assert [b.tobytes() for b in copy_blocks(spec, coords)] == [b.tobytes() for b in reference]
+    assert _retract_blocks(spec, blocks).tobytes() == retract_blocks_per_copy(spec, reference).tobytes()
+    # Off the image, the copies of a factor disagree: the core retracts each.
     rng = generator(702, spec.source_dim)
     points = [sample_type_iii(rng, spec.target_g) for _ in range(3)]
     off = [np.stack([p.z[start:stop, start:stop] for p in points]) for _, start, stop in block_layout(spec)]
-    assert _retract_blocks(spec, off).tobytes() == retract_blocks_per_copy(spec, off).tobytes()
+    assert _retract_copies(spec, copy_flats(spec, off)).tobytes() == retract_blocks_per_copy(spec, off).tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+def test_the_verify_path_carries_one_block_per_distinct_factor(spec, monkeypatch):
+    distinct = tuple(dict.fromkeys(spec.factors))
+    coords = np.stack([z.coords for z in _points(spec.source_dim)[:5]])
+    assert len(_embed_blocks(spec, coords)) == len(_copy_plan(spec)) == len(distinct)
+    # The oracle builds references for the distinct factors only.
+    built = []
+    construct = embeddings._factor_blocks
+
+    def counting_factor_blocks(factors, rows, tol):
+        built.append(tuple(factors))
+        return construct(factors, rows, tol)
+
+    monkeypatch.setattr(embeddings, "_factor_blocks", counting_factor_blocks)
+    embeddings.linearize(spec)
+    assert built and all(len(set(factors)) == len(factors) for factors in built)
+    assert built[-1] == distinct
+    # The distance kernel sees one block per distinct factor and pair: the
+    # random points have no zero coordinate, so no block splits.
+    measured = []
+    distances = retractions._matrix_distances
+
+    def counting_distances(groups, count, tol, symmetric, check_inputs=True):
+        measured.append(sum(group.shape[2] for group in groups))
+        return distances(groups, count, tol, symmetric, check_inputs)
+
+    monkeypatch.setattr(retractions, "_matrix_distances", counting_distances)
+    points = _points(spec.source_dim)[:5]
+    isometry_sandwich(spec, points, points[::-1])
+    assert measured == [len(distinct)]
 
 
 class _CountingPseudo:
@@ -104,7 +140,8 @@ class _CountingPseudo:
 def test_copies_that_are_one_array_are_retracted_once(spec, monkeypatch):
     coords = np.stack([z.coords for z in _points(spec.source_dim)])
     blocks = _embed_blocks(spec, coords)
-    expected = retract_blocks_per_copy(spec, embed_blocks_per_copy(spec, coords)).tobytes()
+    reference = embed_blocks_per_copy(spec, coords)
+    expected = retract_blocks_per_copy(spec, reference).tobytes()
     products = []
     monkeypatch.setattr(
         retractions, "factor_form", lambda factor: (factor_form(factor)[0], _CountingPseudo(factor_form(factor)[1], products))
@@ -114,7 +151,7 @@ def test_copies_that_are_one_array_are_retracted_once(spec, monkeypatch):
     assert products == [len(coords)] * len(set(spec.factors))
     # Copies given as separate arrays are each retracted, with the same bits.
     products.clear()
-    assert _retract_blocks(spec, [block.copy() for block in blocks]).tobytes() == expected
+    assert _retract_copies(spec, copy_flats(spec, reference)).tobytes() == expected
     assert sum(products) == len(coords) * len(spec.factors)
 
 
@@ -159,7 +196,7 @@ def test_a_copy_outside_the_ball_is_named_as_by_the_loops(spec):
     # Stacked, as member 1 of three: the same block and the same member.
     clean = direct_sum_embed(spec, sample_ball_point(generator(703, 1), spec.source_dim)).z
     blocks = [np.stack([clean[s:t, s:t], z[s:t, s:t], z[s:t, s:t]]) for _, s, t in layout]
-    stacked = _message(lambda: _retract_blocks(spec, blocks))
+    stacked = _message(lambda: _retract_copies(spec, copy_flats(spec, blocks)))
     assert stacked == _message(lambda: retract_blocks_per_copy(spec, blocks))
     assert stacked == "matrix 1: " + message
 

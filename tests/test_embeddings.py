@@ -778,16 +778,19 @@ def test_oracle_error_within_twice_the_lu_kernel(n, monkeypatch):
 
 def test_one_point_embed_holds_the_kernel_blocks():
     # direct_sum_embed holds the bits of _embed_blocks on its diagonal
-    # blocks and zeros elsewhere, on every spec the acceptance sweep runs.
+    # blocks and zeros elsewhere, on every spec the acceptance sweep runs:
+    # each distinct factor's block on every copy of that factor.
     specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
     for index, spec in enumerate(specs):
         rng = generator(630, index)
         points = [sample_ball_point(rng, spec.source_dim) for _ in range(3)]
         blocks = embeddings._embed_blocks(spec, np.stack([z.coords for z in points]))
+        assert len(blocks) == len(set(spec.factors))
+        by_factor = dict(zip(dict.fromkeys(spec.factors), blocks))
         for i, z in enumerate(points):
             image = direct_sum_embed(spec, z).z.copy()
-            for (_, start, stop), block in zip(block_layout(spec), blocks):
-                assert image[start:stop, start:stop].tobytes() == block[i].tobytes()
+            for factor, start, stop in block_layout(spec):
+                assert image[start:stop, start:stop].tobytes() == by_factor[factor][i].tobytes()
                 image[start:stop, start:stop] = 0.0
             assert not image.any()
 

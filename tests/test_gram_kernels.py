@@ -7,10 +7,12 @@ package's kernels return the same bits; wherever they raise a package
 error other than ``NotHermitian``, the package raises the same class with
 the same message.  A symmetric point with large entries, where the
 rounding of its Gram tripped the old check, is now classified by its
-margin.
+margin, and one whose Gram overflows has margin -inf.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -201,3 +203,39 @@ def test_large_symmetric_points_are_outside_not_rejected_as_non_hermitian(g, sca
         with pytest.raises(MembershipViolation) as raised:
             call()
         assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e200, 1e300])
+@pytest.mark.parametrize("g", [3, 12])
+def test_points_too_large_to_square_have_margin_minus_inf(g, scale):
+    # A symmetric point of norm 1e155 or more has a diagonal entry of Z*Z of
+    # at least 1e310 / g, past the largest double: its Gram is not finite,
+    # and its margin is -inf with no eigensolve and no warning.  At 1e150
+    # the Gram is finite and the margin is that of the symmetrized Gram's
+    # eigensolve, as before.
+    rng = generator(42, g)
+    big, small = _large(rng, g, scale), sample_type_iii(rng, g)
+    assert np.array_equal(big.z, big.z.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = membership(big)
+        assert result.status is MembershipStatus.OUTSIDE and result.reason is None
+        if scale == 1e150:
+            gram = np.eye(g) - big.z.conj().T @ big.z
+            expected = np.linalg.eigvalsh((gram + gram.conj().T) * 0.5)[0]
+            assert np.float64(result.margin).tobytes() == expected.tobytes()
+            assert -np.inf < result.margin < -1e299
+        else:
+            assert result.margin == -np.inf
+        calls = {
+            "Cayley input": lambda: cayley_to_siegel(big),
+            "distance argument": lambda: kobayashi_distance(small, big),
+            "transvection base": lambda: kobayashi_distance(big, small),
+            "direct-sum retraction input": lambda: retract_direct_sum(big, SPECS[g], verify=True),
+        }
+        for what, call in calls.items():
+            with pytest.raises(MembershipViolation) as raised:
+                call()
+            assert str(raised.value) == f"{what} must be an interior point: margin {result.margin:.3e}"
+            if scale > 1e150:
+                assert str(raised.value).endswith("margin -inf")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
+    BallPoint,
     DomainPoint,
     EmbeddingSpec,
     FactorKind,
@@ -24,16 +25,17 @@ from siegelmaps import (
     type_i_shape,
     type_iii_shape,
 )
-from siegelmaps.embeddings import _budget_catalog, block_layout
+from siegelmaps.embeddings import _budget_catalog, _embed_blocks, block_layout
 from siegelmaps.errors import IllConditioned, MembershipViolation, ShapeMismatch, SpecMismatch
 from siegelmaps.linalg import DEFAULT_TOLERANCE
-from siegelmaps.retractions import _retract_blocks
+from siegelmaps.retractions import _retract_blocks, _retract_copies
 from siegelmaps.sampling import (
     generator,
     sample_ball_point,
     sample_type_iii,
 )
 
+from copy_loops import copy_flats
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
 
@@ -312,17 +314,22 @@ G60_SPEC = EmbeddingSpec(
 
 
 def test_one_point_retract_equals_the_kernel_on_its_blocks():
-    # retract_direct_sum has the bits of _retract_blocks on the point's
-    # diagonal blocks, on every spec the acceptance sweep runs.
+    # retract_direct_sum has the bits of the stacked core on the point's
+    # diagonal blocks, on every spec the acceptance sweep runs, and those of
+    # _retract_blocks on the one block per distinct factor of an image.
     specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
     for index, spec in enumerate(specs):
         rng = generator(56, index)
-        images = [direct_sum_embed(spec, sample_ball_point(rng, spec.source_dim)) for _ in range(3)]
-        # Off-image points too, where the factors' blocks disagree.
+        coords = np.stack([sample_ball_point(rng, spec.source_dim).coords for _ in range(3)])
+        images = [direct_sum_embed(spec, BallPoint(row)) for row in coords]
+        # Off-image points too, where the copies of a factor disagree.
         points = images + [sample_type_iii(rng, spec.target_g) for _ in range(2)]
         blocks = [np.stack([pt.z[start:stop, start:stop] for pt in points]) for _, start, stop in block_layout(spec)]
-        for pt, member in zip(points, _retract_blocks(spec, blocks)):
+        for pt, member in zip(points, _retract_copies(spec, copy_flats(spec, blocks))):
             assert retract_direct_sum(pt, spec).coords.tobytes() == member.tobytes()
+        backs = _retract_blocks(spec, _embed_blocks(spec, coords))
+        for image, member in zip(images, backs):
+            assert retract_direct_sum(image, spec).coords.tobytes() == member.tobytes()
 
 
 def test_stacked_retract_names_the_failing_member():
