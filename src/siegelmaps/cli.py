@@ -21,6 +21,8 @@ Exit codes:
 | an image numpy cannot allocate, for every command | 2 |
 | a usage or schema error, non-finite matrix entries, or an output path that cannot be written | 2 |
 
+``enumerate`` streams: its memory does not grow with the spec count, and a failure mid-stream leaves a partial file.
+
 The environment variable ``BSDE_TOL`` overrides the default equality
 tolerance; an explicit ``--tol`` takes precedence.
 """
@@ -32,7 +34,7 @@ import os
 import sys
 
 from .domains import cayley
-from .embeddings import _spec_count, direct_sum_embed, enumerate_specs
+from .embeddings import _spec_tables, _spec_walk, direct_sum_embed
 from .errors import BudgetExceeded, SiegelmapsError
 from .harness import run_verification
 from .linalg import DEFAULT_TOLERANCE, Tolerance
@@ -125,22 +127,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    count, exact = _spec_count(args.source_dim, args.max_g, _ENUMERATE_LIMIT)
+    catalog, tables, count, exact = _spec_tables(args.source_dim, args.max_g, _ENUMERATE_LIMIT)
     if count > _ENUMERATE_LIMIT:
         raise ValueError(
             f"--source-dim {args.source_dim} --max-g {args.max_g} admits {'' if exact else 'at least '}"
             f"{count:,} specs, more than the limit of {_ENUMERATE_LIMIT:,}"
         )
-    specs, minimal_g = enumerate_specs(args.source_dim, args.max_g)
+    specs, minimal_g = _spec_walk(args.source_dim, catalog, tables)
     payload = {
         "schema": 1,
         "source_dim": args.source_dim,
         "max_g": args.max_g,
         "minimal_g": minimal_g,
-        "specs": [spec_to_json(s) for s in specs],
+        "specs": [],
     }
-    _write(args.out, payload)
-    print(f"{len(specs)} specs within budget {args.max_g}; minimal genus {minimal_g}")
+    _output(args.out, lambda: dump_json(args.out, payload, map(spec_to_json, specs)))
+    print(f"{count} specs within budget {args.max_g}; minimal genus {minimal_g}")
     return 0
 
 

@@ -278,8 +278,10 @@ def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Do
     eye = np.eye(g, dtype=np.complex128)
     # On an interior point s_min(Z + iI) >= 1 + lambda_min(Im Z) >= 1, from
     # |<v, (Z + iI) v>| >= Im <v, (Z + iI) v>, and s_max <= ||Z||_F + 1.
-    # Where these bounds clear, the eigensolve's error is below 1/128.
-    hi = np.linalg.norm(pt.z) + 1.0
+    # Where these bounds clear, the eigensolve's error is below 1/128.  An
+    # overflowing norm makes the bound inf, which certifies nothing.
+    with np.errstate(over="ignore"):
+        hi = np.linalg.norm(pt.z) + 1.0
     w = _cayley_solve(pt.z - 1j * eye, pt.z + 1j * eye, hi, 1.0, "Z + iI", tol)
     return DomainPoint(type_iii_shape(g), w)
 

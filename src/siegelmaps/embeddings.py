@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import comb, inf
@@ -621,67 +622,65 @@ def _budget_catalog(source_dim: int, g_max: float) -> tuple[FactorSpec, ...]:
     return tuple(sorted(factors, key=lambda f: (f.kind.value, f.m)))
 
 
-def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
-    """How many specs :func:`enumerate_specs` returns, counted without
-    building them, and whether the count is exact.
-
-    The specs are the nonempty multisets of catalog factors of total block
-    size at most ``g_max``: a coin-change count over the block sizes, kept
-    only at the totals the factors can reach, so its cost grows with their
-    number, not with ``g_max``.  Where the c factors of the least block size
-    b alone make more than ``limit`` specs, C(g_max // b + c, c) - 1 of
-    them, that lower bound is returned instead, so a budget far beyond the
-    limit is refused in constant time."""
-    sizes = [f.block_size for f in _budget_catalog(source_dim, g_max)]
-    if not sizes:
-        return 0, True
-    least = min(sizes)
+def _spec_tables(source_dim: int, g_max: int, limit: float) -> tuple[tuple, list[dict[int, int]], int, bool]:
+    """The budget catalog; ``tables[i][t]``, the multisets of its blocks from
+    position i on with total t, kept only at reachable t, so they grow with
+    those totals, not with ``g_max``; and how many specs they make, with
+    whether that count is exact.  Where the c factors of the least block
+    size b alone make more than ``limit`` specs, C(g_max // b + c, c) - 1,
+    that lower bound is returned with no tables, in constant time.  Block
+    size b extends each residue class mod b from its least total; the count
+    at t adds the next table's at t - b."""
+    catalog = _budget_catalog(source_dim, g_max)
+    sizes = [f.block_size for f in catalog]
+    least = min(sizes, default=1)
     bound = comb(g_max // least + sizes.count(least), sizes.count(least)) - 1
     if bound > limit:
-        return bound, False
-    # ways[t]: the multisets of the factors seen so far with total t, at
-    # every reachable t.  A factor of size b adds the totals t + j b to each
-    # residue class mod b from its least reachable total, and the new count
-    # at t is the old one plus the new one at t - b.
-    ways = {0: 1}
-    for size in sizes:
-        firsts: dict[int, int] = {}
-        for total in sorted(ways):
-            firsts.setdefault(total % size, total)
+        return catalog, [], bound, False
+    tables = [{0: 1}]
+    for size in reversed(sizes):
         extended = {}
-        for first in firsts.values():
+        for first in {total % size: total for total in sorted(tables[0], reverse=True)}.values():
             running = 0
             for total in range(first, g_max + 1, size):
-                running += ways.get(total, 0)
+                running += tables[0].get(total, 0)
                 extended[total] = running
-        ways = extended
-    return sum(ways.values()) - 1, True
+        tables.insert(0, extended)
+    return catalog, tables, sum(tables[0].values()) - 1, True
+
+
+def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
+    """How many specs :func:`enumerate_specs` returns, or the lower bound
+    past ``limit``, and whether the count is exact: see :func:`_spec_tables`."""
+    return _spec_tables(source_dim, g_max, limit)[2:]
+
+
+def _spec_walk(source_dim: int, catalog: tuple, tables: list[dict[int, int]]) -> tuple[Iterator[EmbeddingSpec], int]:
+    """The specs of :func:`enumerate_specs` from the catalog and tables of
+    :func:`_spec_tables`, built as they are iterated, and the minimal genus:
+    from each reachable cost, least first, a depth-first walk over
+    nondecreasing catalog positions, lowest first (lexicographic order),
+    entering position i only if ``tables[i]`` reaches the cost left."""
+    sizes = [f.block_size for f in catalog]
+
+    def walk() -> Iterator[EmbeddingSpec]:
+        stack = [(0, cost, cost, ()) for cost in sorted(tables[0], reverse=True)[:-1]]
+        while stack:
+            start, cost, left, chosen = stack.pop()
+            if not left:
+                yield EmbeddingSpec(source_dim, chosen, cost)
+            for i in reversed(range(start, len(catalog))):
+                if left - sizes[i] in tables[i]:
+                    stack.append((i, cost, left - sizes[i], chosen + (catalog[i],)))
+
+    # An empty catalog has N > 1, where no block is smaller than standard_I's N + 1.
+    return walk(), min(sizes, default=source_dim + 1)
 
 
 def enumerate_specs(source_dim: int, g_max: int) -> tuple[tuple[EmbeddingSpec, ...], int]:
-    """All factor multisets within the genus budget, plus the minimal genus.
-
-    Specs are deduplicated up to factor reordering (multisets are
-    generated directly) and each carries ``target_g`` equal to its exact
-    cost.  ``minimal_g`` is the smallest cost over all nonempty multisets,
-    reported even when the budget admits none.
-    """
-    catalog = _budget_catalog(source_dim, g_max)
-    # An empty catalog means N > 1 (standard_III costs 1 at N = 1), and past
-    # N = 1 no factor costs less than standard_I, whose block is N + 1.
-    minimal_g = min((f.block_size for f in catalog), default=source_dim + 1)
-    specs: list[EmbeddingSpec] = []
-
-    def extend(start: int, chosen: list[FactorSpec], budget: int) -> None:
-        for i in range(start, len(catalog)):
-            f = catalog[i]
-            if f.block_size > budget:
-                continue
-            chosen.append(f)
-            specs.append(EmbeddingSpec(source_dim, tuple(chosen), sum(c.block_size for c in chosen)))
-            extend(i, chosen, budget - f.block_size)
-            chosen.pop()
-
-    extend(0, [], g_max)
-    specs.sort(key=lambda s: (s.cost, tuple((f.kind.value, f.m) for f in s.factors)))
-    return tuple(specs), minimal_g
+    """All factor multisets within the genus budget, by cost and then by
+    factors, each with ``target_g`` its exact cost, and the minimal genus:
+    the least cost of a nonempty multiset, even if the budget admits none.
+    Multisets are generated directly, so no spec repeats up to factor order."""
+    walk, minimal_g = _spec_walk(source_dim, *_spec_tables(source_dim, g_max, inf)[:2])
+    return tuple(walk), minimal_g

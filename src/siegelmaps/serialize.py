@@ -23,6 +23,7 @@ Parse errors raise :class:`SchemaError` naming the offending field.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,20 @@ def load_json(path: str | Path) -> object:
         raise SchemaError(f"{path} nests too deeply to parse") from None
 
 
-def dump_json(path: str | Path, payload: object) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+def dump_json(path: str | Path, payload: object, tail: Iterable = ()) -> None:
+    """Write ``payload`` as JSON with sorted keys, indent 2 and a final newline.
+    The items of ``tail``, the first drawn before the file opens, go as they
+    come into the empty list closing ``payload``: the bytes of the whole."""
+    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    head = encode(payload)
+    items = (encode(item).replace("\n", "\n    ") for item in tail)
+    first = next(items, None)
+    with open(path, "w", encoding="utf-8") as out:
+        if first is not None:
+            out.write(head[: -len("]\n}")] + "\n    " + first)
+            out.writelines(",\n    " + item for item in items)
+            head = "\n  ]\n}"
+        out.write(head + "\n")
 
 
 def _field(obj: dict, name: str, kind, where: str):
@@ -103,22 +115,22 @@ def _matrix_component(obj: dict, name: str, rows: int, cols: int, where: str) ->
     return out
 
 
-def point_from_json(obj: object, where: str = "point") -> DomainPoint:
+def point_from_json(obj: object) -> DomainPoint:
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    kind_name = _field(obj, "kind", str, where)
+        raise SchemaError("point must be a JSON object")
+    kind_name = _field(obj, "kind", str, "point")
     try:
         kind = DomainKind(kind_name)
     except ValueError:
-        raise SchemaError(f"field {where}.kind must be one of I, III, Siegel, got {kind_name!r}") from None
-    p = _field(obj, "p", int, where)
-    q = _field(obj, "q", int, where)
+        raise SchemaError(f"field point.kind must be one of I, III, Siegel, got {kind_name!r}") from None
+    p = _field(obj, "p", int, "point")
+    q = _field(obj, "q", int, "point")
     if p < 1 or q < 1:
-        raise SchemaError(f"fields {where}.p and {where}.q must be positive")
+        raise SchemaError("fields point.p and point.q must be positive")
     if kind is not DomainKind.TYPE_I:
         q = p  # square kinds ignore the column count
-    re = _matrix_component(obj, "re", p, q, where)
-    im = _matrix_component(obj, "im", p, q, where)
+    re = _matrix_component(obj, "re", p, q, "point")
+    im = _matrix_component(obj, "im", p, q, "point")
     return DomainPoint(DomainShape(kind, p, q), re + 1j * im)
 
 
@@ -132,38 +144,38 @@ def point_to_json(pt: DomainPoint) -> dict:
     }
 
 
-def ball_point_from_json(obj: object, where: str = "point") -> BallPoint:
-    pt = point_from_json(obj, where)
+def ball_point_from_json(obj: object) -> BallPoint:
+    pt = point_from_json(obj)
     if pt.shape.kind is not DomainKind.TYPE_I or pt.shape.q != 1:
-        raise SchemaError(f"{where} must be a type I column (q = 1) to act as a ball point")
+        raise SchemaError("point must be a type I column (q = 1) to act as a ball point")
     return BallPoint(pt.z.reshape(-1))
 
 
-def spec_from_json(obj: object, where: str = "spec") -> EmbeddingSpec:
+def spec_from_json(obj: object) -> EmbeddingSpec:
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    source_dim = _field(obj, "source_dim", int, where)
-    target_g = _field(obj, "target_g", int, where)
-    raw_factors = _field(obj, "factors", list, where)
+        raise SchemaError("spec must be a JSON object")
+    source_dim = _field(obj, "source_dim", int, "spec")
+    target_g = _field(obj, "target_g", int, "spec")
+    raw_factors = _field(obj, "factors", list, "spec")
     factors = []
     for i, raw in enumerate(raw_factors):
         if not isinstance(raw, dict):
-            raise SchemaError(f"field {where}.factors[{i}] must be an object")
-        kind_name = _field(raw, "kind", str, f"{where}.factors[{i}]")
+            raise SchemaError(f"field spec.factors[{i}] must be an object")
+        kind_name = _field(raw, "kind", str, f"spec.factors[{i}]")
         try:
             kind = FactorKind(kind_name)
         except ValueError:
             raise SchemaError(
-                f"field {where}.factors[{i}].kind must be one of "
+                f"field spec.factors[{i}].kind must be one of "
                 f"{', '.join(k.value for k in FactorKind)}, got {kind_name!r}"
             ) from None
-        m = _field(raw, "m", int, f"{where}.factors[{i}]")
+        m = _field(raw, "m", int, f"spec.factors[{i}]")
         try:
             factors.append(FactorSpec(kind, source_dim, m))
         except SiegelmapsError as exc:
-            raise SchemaError(f"field {where}.factors[{i}] is invalid: {exc}") from exc
+            raise SchemaError(f"field spec.factors[{i}] is invalid: {exc}") from exc
     if not factors:
-        raise SchemaError(f"field {where}.factors must be nonempty")
+        raise SchemaError("field spec.factors must be nonempty")
     return EmbeddingSpec(source_dim, tuple(factors), target_g)
 
 

@@ -1,12 +1,13 @@
-"""The spec count as ``embeddings._spec_count`` took it over a list of
-every total from 0 to the budget: the reference its count over the
-reachable totals is held to.  Its time and memory grow with the budget."""
+"""References for the spec tables of ``embeddings``: the spec count as
+``_spec_count`` took it over a list of every total from 0 to the budget,
+and the specs as ``enumerate_specs`` listed them by a recursion over the
+catalog followed by a sort.  Their time and memory grow with the budget."""
 
 from __future__ import annotations
 
 from math import comb
 
-from siegelmaps.embeddings import _budget_catalog
+from siegelmaps.embeddings import EmbeddingSpec, _budget_catalog
 
 
 def list_spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
@@ -23,3 +24,22 @@ def list_spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]
         for total in range(size, g_max + 1):
             ways[total] += ways[total - size]
     return sum(ways) - 1, True
+
+
+def sorted_recursion_specs(source_dim: int, g_max: int) -> tuple[EmbeddingSpec, ...]:
+    catalog = _budget_catalog(source_dim, g_max)
+    specs = []
+
+    def extend(start, chosen, budget):
+        for i in range(start, len(catalog)):
+            f = catalog[i]
+            if f.block_size > budget:
+                continue
+            chosen.append(f)
+            specs.append(EmbeddingSpec(source_dim, tuple(chosen), sum(c.block_size for c in chosen)))
+            extend(i, chosen, budget - f.block_size)
+            chosen.pop()
+
+    extend(0, [], g_max)
+    specs.sort(key=lambda s: (s.cost, tuple((f.kind.value, f.m) for f in s.factors)))
+    return tuple(specs)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,16 @@ import pytest
 
 from siegelmaps import cli, harness
 from siegelmaps.cli import main
+from siegelmaps.embeddings import enumerate_specs
 from siegelmaps.errors import BudgetExceeded, IllConditioned
 from siegelmaps.serialize import (
     SchemaError,
     ball_point_from_json,
+    dump_json,
     load_json,
     point_from_json,
     spec_from_json,
+    spec_to_json,
 )
 
 CONNECTING_SPEC = {
@@ -229,6 +233,31 @@ def test_enumerate_one_dimensional_inclusion(tmp_path):
     assert all(s["factors"][0]["m"] == 1 for s in payload["specs"])
 
 
+@pytest.mark.parametrize("n, g_max", [(2, 2), (1, 1), (5, 10), (4, 12), (1, 30), (1000001, 5)])
+def test_enumerate_streams_the_bytes_of_the_whole_payload(tmp_path, capsys, n, g_max):
+    out, whole = tmp_path / "specs.json", tmp_path / "whole.json"
+    assert main(["enumerate", "--source-dim", str(n), "--max-g", str(g_max), "--out", str(out)]) == 0
+    specs, minimal_g = enumerate_specs(n, g_max)
+    payload = {"schema": 1, "source_dim": n, "max_g": g_max, "minimal_g": minimal_g}
+    dump_json(whole, {**payload, "specs": [spec_to_json(s) for s in specs]})
+    assert out.read_bytes() == whole.read_bytes()
+    assert capsys.readouterr().out == f"{len(specs)} specs within budget {g_max}; minimal genus {minimal_g}\n"
+
+
+def test_enumerate_memory_does_not_grow_with_the_spec_count(tmp_path, capsys):
+    # The 13,055 specs of N = 1 at g = 30 are written as they are walked:
+    # the run's traced Python allocations peak under 1 MiB, where a list of
+    # their JSON and one string of the whole file took 192 MiB.
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--source-dim", "1", "--max-g", "30", "--out", str(tmp_path / "specs.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "13055 specs within budget 30; minimal genus 1\n"
+    assert peak < 4 * 2**20
+
+
 def test_cayley_center_round_trip(tmp_path):
     center = {
         "kind": "Siegel",
@@ -368,7 +397,10 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
 
 # Each command's exit code per failure kind, raised by the function it
 # hands its work to, or for "unwritable" by the JSON writer: a full disk,
-# whose error names no file.
+# whose error names no file.  enumerate's work is the spec walk, which the
+# writer draws from as it writes; it draws the first spec before it opens
+# the file, so a failure there leaves none.  Only verify has made its
+# report file by then, empty, to check it can be written.
 EXIT_CODES = {
     "memory": {"embed": 2, "verify": 2, "enumerate": 2, "cayley": 2},
     "value": {"embed": 2, "verify": 2, "enumerate": 2, "cayley": 2},
@@ -384,9 +416,9 @@ FAILURES = {
     "package": IllConditioned("transvected point has norm 1.000000 >= 1"),
     "over_budget": BudgetExceeded("factor costs 3 exceed target genus 2"),
     "unwritable": OSError(errno.ENOSPC, "No space left on device"),
-    "over_limit": AssertionError("enumerate_specs called on a budget over the limit"),
+    "over_limit": AssertionError("spec walk started on a budget over the limit"),
 }
-WORK = {"embed": "direct_sum_embed", "verify": "run_verification", "enumerate": "enumerate_specs", "cayley": "cayley"}
+WORK = {"embed": "direct_sum_embed", "verify": "run_verification", "enumerate": "_spec_walk", "cayley": "cayley"}
 
 
 @pytest.mark.parametrize(
@@ -398,7 +430,15 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, command, kind):
     def failing(*args, **kwargs):
         raise failure
 
-    monkeypatch.setattr(cli, "dump_json" if kind == "unwritable" else WORK[command], failing)
+    def failing_walk(*args):
+        return map(failing, [None]), 1
+
+    if kind == "unwritable":
+        monkeypatch.setattr(cli, "dump_json", failing)
+    else:
+        # The over-limit refusal must come before the walk is even set up.
+        walk = command == "enumerate" and kind != "over_limit"
+        monkeypatch.setattr(cli, WORK[command], failing_walk if walk else failing)
     spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
     point = _write(tmp_path / "pt.json", _ball_json([0.1, 0.2]))
     square = _write(tmp_path / "square.json", {"kind": "III", "p": 1, "q": 1, "re": [[0.1]], "im": [[0.0]]})
@@ -421,6 +461,7 @@ def test_exit_code_table(tmp_path, capsys, monkeypatch, command, kind):
     assert captured.err.splitlines() == [f"error: {message}"]
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert os.path.exists(out) == (command == "verify")
 
 
 def test_unwritable_report_fails_before_any_suite_runs(tmp_path, capsys, monkeypatch):

@@ -139,6 +139,20 @@ def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
         assert image.z.tobytes() == reference.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e208, 1e300])
+def test_cayley_to_bounded_on_a_point_whose_norm_overflows(scale):
+    # ||Z||_F overflows, so the singular-value bound is inf: it certifies
+    # nothing, and the SVD path of solve_right answers, with no warning.
+    z = scale * np.array([[1 + 1.5j, 2 - 1j], [2 - 1j, 1 + 1.5j]])
+    pt = DomainPoint(siegel_shape(2), z)
+    assert membership(pt).status is MembershipStatus.INTERIOR
+    image = cayley_to_bounded(pt)
+    eye = np.eye(2)
+    assert image.z.tobytes() == solve_right(z - 1j * eye, z + 1j * eye).tobytes()
+    assert max_abs(image.z - eye) <= 1e-12
+
+
 def test_cayley_explicit_diagonal_point():
     z = np.diag([1.0 + 1.0j, 1.0j])
     pt = DomainPoint(siegel_shape(2), z)

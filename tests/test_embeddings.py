@@ -49,7 +49,7 @@ from siegelmaps.harness import run_suite
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
 
-from list_count import list_spec_count
+from list_count import list_spec_count, sorted_recursion_specs
 from lu_wedge import lu_wedge_coefficients
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
@@ -626,6 +626,18 @@ def test_spec_count_equals_the_list_count():
     # A budget far beyond the catalog's blocks: the totals reached are the
     # multiples of the one fitting block size, N + 1.
     assert embeddings._spec_count(1000001, 10**7, 10**6) == (219, True)
+
+
+def test_enumeration_equals_the_sorted_recursion():
+    # The walk over the spec tables meets the specs in the order the sorted
+    # recursion put them in, and as many as the list count counts.  Sorted
+    # by cost, a smaller budget's specs are the cheap head of budget 30's.
+    for n in range(1, 7):
+        reference = sorted_recursion_specs(n, 30)
+        for g_max in range(1, 31):
+            specs = enumerate_specs(n, g_max)[0]
+            assert specs == tuple(s for s in reference if s.cost <= g_max), (n, g_max)
+            assert len(specs) == list_spec_count(n, g_max, 10**6)[0], (n, g_max)
 
 
 def test_factor_catalog_is_canonical():
