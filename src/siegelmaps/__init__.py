@@ -3,11 +3,11 @@
 The package constructs the classical holomorphic embeddings of the unit
 ball into the bounded model of the Siegel upper half space (standard,
 connecting, and exterior-power factors and their diagonal direct sums),
-compiles each factor into a fixed matrix and its pseudoinverse, the one
-compiled form that embeds and retracts, and verifies the structural claims
-behind them (left-inverse identity, membership closure, Kobayashi isometry,
-signature bookkeeping, linearity against the factor constructions) by
-seeded property testing.
+compiles each factor from the wedge basis into a fixed matrix and its
+pseudoinverse, the one compiled form that embeds and retracts, and verifies
+the claims behind them (left-inverse identity, membership closure, Kobayashi
+isometry, signature bookkeeping, the compiled forms against the wedge
+constructions they are built apart from) by seeded property testing.
 """
 
 from __future__ import annotations

@@ -16,27 +16,25 @@ diagonal slack padded by zeros.  All embeddings fix the origin, are
 linear in the source coordinates, and carry each interior point to an
 interior point.
 
-Because every block is linear, each factor is compiled once into a fixed
-matrix ``A_f`` together with its left inverse ``P_f = A_f^+``
-(:func:`factor_form`); these are the only compiled form of an embedding,
-and :func:`direct_sum_embed` and the retractions apply only them.  Each
-spec has one copy plan (:func:`_copy_plan`), the one place that knows
-of copies: for each distinct factor, the flat indices of its copies'
-blocks.  :func:`direct_sum_embed` applies each distinct factor once and
-writes all its copies through the plan; the verify suites embed stacks
-of samples with :func:`_embed_blocks`, one block per distinct factor.
-Both have the bits of applying each copy in turn.  The constructions
-below are kept as the oracle: :func:`linearize` and the linearity suite
-evaluate them for the distinct factors at seeded and sampled points, in
-one stack, and compare them with the compiled blocks ``A_f z``.  Both
-are zero off the blocks, so no g x g image is built per point; the
-padding of :func:`direct_sum_embed` is checked once, on a probe point
-with every coordinate nonzero, whose image must be zero off the blocks
-and equal them on them.  The oracle evaluates a stack of points at once:
-a vectorized Laplace recursion for the wedge minors of each degree (see
-:func:`_wedge_coefficients`) and one stacked solve per degree, shared by
-its models; a stacked block has the bits of the same point evaluated
-alone.
+Because every block is linear, each factor is compiled once, from the
+signed index tables of the wedge basis, into a fixed matrix ``A_f`` and
+its left inverse ``P_f = A_f^+`` (:func:`factor_form`): the only compiled
+form of an embedding, which :func:`direct_sum_embed` and the retractions
+apply.  Each spec has one copy plan (:func:`_copy_plan`), the one place
+that knows of copies: for each distinct factor, the flat indices of its
+copies' blocks.  :func:`direct_sum_embed` applies each distinct factor
+once and writes all its copies through the plan; the verify suites embed
+stacks of samples with :func:`_embed_blocks`, one block per distinct
+factor, with the bits of applying each copy in turn.  The constructions
+below are only the oracle the compiled blocks ``A_f z`` are checked
+against: :func:`linearize` and the linearity suite evaluate them for the
+distinct factors at seeded and sampled points, in one stack.  Both are
+zero off the blocks, so no g x g image is built per point; the padding of
+:func:`direct_sum_embed` is checked once, on a probe point with every
+coordinate nonzero.  The oracle evaluates a stack of points at once: a
+vectorized Laplace recursion for the wedge minors of each degree
+(:func:`_wedge_coefficients`) and one stacked solve per degree, shared by
+its models; a stacked block has the bits of the same point alone.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -81,16 +79,12 @@ __all__ = [
     "EmbeddingSpec",
     "FactorKind",
     "FactorSpec",
-    "LINEARIZATION_PROBE",
     "block_layout",
     "direct_sum_embed",
     "enumerate_specs",
     "factor_form",
     "linearize",
 ]
-
-# Probe radius for linearization columns: well inside every domain.
-LINEARIZATION_PROBE = 0.25
 
 # Seeded interior points at which linearize evaluates the oracle.
 _CHECK_POINTS = 50
@@ -380,8 +374,7 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
             if symmetric:
                 x_block = x_block[:, ::-1, :] / _conjugation_units(p, m)[:, np.newaxis]
             x_blocks.append(x_block)
-        # A degree with one model, as in every factor_form call, takes no concatenate.
-        rows = x_blocks[0] if len(x_blocks) == 1 else np.concatenate(x_blocks, axis=1)
+        rows = np.concatenate(x_blocks, axis=1)
         try:
             normalized = solve_right(rows, coefficients[:, r:, :], tol)
         except SingularSystem as exc:
@@ -417,37 +410,49 @@ def _ball_coords(n: int, tol: Tolerance, *sequences) -> list[np.ndarray]:
     ]
 
 
+def _placed_blocks(factor: FactorSpec, wedge: np.ndarray) -> np.ndarray:
+    """A factor's (B, b, b) symmetric blocks from its model's (B, r, s) wedge
+    blocks.  A standard factor moves its degree-1 block by a fixed automorphism
+    of III_g: ``standard_I`` transposes its p x 1 block, which rotates the
+    connected block's indices by one, and ``standard_III`` multiplies it by i."""
+    if factor.kind is FactorKind.STANDARD_I:
+        wedge = wedge.swapaxes(1, 2)
+    elif factor.kind is FactorKind.STANDARD_III:
+        wedge = 1j * wedge
+    return wedge if factor.wedge_model[1] else _connecting_matrix(wedge)
+
+
 def _factor_blocks(factors, coords: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     """The constructions of factors of one source dimension at every row of
     a (B, p) coordinate stack: one (B, b, b) array of symmetric blocks per
-    factor, with one wedge kernel call for all of them.  A standard factor
-    moves its degree-1 block by a fixed automorphism of III_g: the p x 1
-    block of ``standard_I`` is transposed, which rotates the connected
-    block's indices by one, and that of ``standard_III`` is multiplied by i."""
-    blocks = []
-    for factor, wedge in zip(factors, _wedge_blocks(coords, [f.wedge_model for f in factors], tol)):
-        if factor.kind is FactorKind.STANDARD_I:
-            wedge = wedge.swapaxes(1, 2)
-        elif factor.kind is FactorKind.STANDARD_III:
-            wedge = 1j * wedge
-        blocks.append(wedge if factor.wedge_model[1] else _connecting_matrix(wedge))
-    return blocks
+    factor, with one wedge kernel call for all of them."""
+    wedges = _wedge_blocks(coords, [f.wedge_model for f in factors], tol)
+    return [_placed_blocks(factor, wedge) for factor, wedge in zip(factors, wedges)]
 
 
 @lru_cache(maxsize=None)
 def factor_form(factor: FactorSpec) -> tuple[np.ndarray, np.ndarray]:
     """A factor's block as a fixed linear map ``A`` and its left inverse ``P``.
 
-    Column k of ``A`` is the block of the probe ``LINEARIZATION_PROBE * e_k``
-    divided by the probe radius, flattened row major, so ``A @ z`` is the
-    flattened block of z.  ``P`` is the pseudoinverse of ``A``; the columns
-    of ``A`` are orthogonal of equal norm, so ``P`` is well conditioned and
-    ``P @ A`` is the identity.  Both arrays are read-only.
+    Column k of ``A`` is the flattened block of e_k, row major, read off the
+    wedge basis with no evaluation: the linear X Y^{-1} is its derivative at
+    0, the linear part of X, so the wedge block of e_k holds the Laplace sign
+    (-1)^(t+m-1) of each positive R with k at position t, in the column of R
+    minus k (:func:`_laplace_plan`), placed as the factor places its blocks.
+    ``P = A^+``; the columns of ``A`` are orthogonal of equal norm, so ``P``
+    is well conditioned and ``P @ A`` is the identity.  Both are read-only.
     """
-    probes = LINEARIZATION_PROBE * np.eye(factor.p, dtype=np.complex128)
-    (blocks,) = _factor_blocks((factor,), probes, DEFAULT_TOLERANCE)
-    matrix = np.ascontiguousarray(blocks.reshape(factor.p, -1).T)
-    matrix /= LINEARIZATION_PROBE
+    p, (m, symmetric) = factor.p, factor.wedge_model
+    rows, minors, signs = _laplace_plan(p, m)
+    positives = np.arange(len(rows))[:, np.newaxis]
+    wedge = np.zeros((p, len(rows), signature(p, m)[1]), dtype=np.complex128)
+    if symmetric:
+        # The positive rows reversed, divided by their units +-i; zero parts +0.
+        units = _conjugation_units(p, m).imag[::-1, np.newaxis]
+        wedge.imag[rows, positives[::-1], minors] = -signs * units
+    else:
+        wedge.real[rows, positives, minors] = signs
+    matrix = np.ascontiguousarray(_placed_blocks(factor, wedge).reshape(p, -1).T)
     pseudo = np.linalg.pinv(matrix)
     matrix.setflags(write=False)
     pseudo.setflags(write=False)
@@ -522,16 +527,16 @@ def _oracle_residuals(spec: EmbeddingSpec, coords: np.ndarray, tol: Tolerance) -
 
 def _check_padding(spec: EmbeddingSpec, tol: Tolerance) -> None:
     """Check that :func:`direct_sum_embed` places the compiled blocks and
-    nothing else: its image of a probe point, of norm
-    ``LINEARIZATION_PROBE`` with every coordinate nonzero (each of its own
-    modulus and phase), must be zero off the factor blocks and equal
+    nothing else: its image of a probe point, of norm 0.25, well inside the
+    ball, with every coordinate nonzero (each of its own modulus and phase),
+    must be zero off the factor blocks and equal
     :func:`_embed_blocks` on each copy's range of them, exactly.  The
     padding does not depend on the point, so one probe checks it for every
     point.  The image is read in place: no copy and no ``abs`` of the g x g
     array unless the check fails."""
     k = np.arange(1, spec.source_dim + 1)
     direction = k * np.exp(1j * k)
-    probe = BallPoint(direction * (LINEARIZATION_PROBE / np.linalg.norm(direction)))
+    probe = BallPoint(direction * (0.25 / np.linalg.norm(direction)))
     image = direct_sum_embed(spec, probe, tol).z
     layout = block_layout(spec)
     # Each distinct factor's block, once per copy, in layout order.
@@ -647,12 +652,6 @@ def _spec_tables(source_dim: int, g_max: int, limit: float) -> tuple[tuple, list
                 extended[total] = running
         tables.insert(0, extended)
     return catalog, tables, sum(tables[0].values()) - 1, True
-
-
-def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
-    """How many specs :func:`enumerate_specs` returns, or the lower bound
-    past ``limit``, and whether the count is exact: see :func:`_spec_tables`."""
-    return _spec_tables(source_dim, g_max, limit)[2:]
 
 
 def _spec_walk(source_dim: int, catalog: tuple, tables: list[dict[int, int]]) -> tuple[Iterator[EmbeddingSpec], int]:

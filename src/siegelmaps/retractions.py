@@ -1,10 +1,10 @@
 """Holomorphic left inverses of the embeddings.
 
-Every factor of an embedding is the fixed linear map ``A_f`` of
-:func:`~siegelmaps.embeddings.factor_form`, so its retraction is the fixed
-matrix ``P_f = A_f^+``: applied to the factor's flattened diagonal block,
-it projects orthogonally onto the factor's image and recovers the source
-coordinates.  A direct sum is retracted blockwise and the per-copy ball
+Every factor of an embedding is the fixed linear map ``A_f`` that
+:func:`~siegelmaps.embeddings.factor_form` reads off the wedge basis, so its
+retraction is the fixed matrix ``P_f = A_f^+``: applied to the factor's
+flattened diagonal block, it projects orthogonally onto the factor's image
+and recovers the source coordinates.  A direct sum is retracted blockwise and the per-copy ball
 points are averaged with equal weights, which stays inside the ball by
 convexity.  Every step is linear, so the retraction is holomorphic.
 

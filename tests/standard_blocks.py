@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from siegelmaps.embeddings import LINEARIZATION_PROBE, FactorKind, _connecting_matrix
+from siegelmaps.embeddings import FactorKind, _connecting_matrix
+
+# Probe radius of standard_form: well inside every domain.
+PROBE = 0.25
 
 
 def standard_blocks(factor, coords: np.ndarray) -> np.ndarray:
@@ -22,9 +25,9 @@ def standard_blocks(factor, coords: np.ndarray) -> np.ndarray:
 
 
 def standard_form(factor) -> tuple[np.ndarray, np.ndarray]:
-    """``factor_form``'s ``(A, P)`` built from :func:`standard_blocks`, by
-    the same probes and steps."""
-    probes = LINEARIZATION_PROBE * np.eye(factor.p, dtype=np.complex128)
+    """``factor_form``'s ``(A, P)`` built from :func:`standard_blocks` at
+    the probes, by the steps of ``probe_forms.probe_form``."""
+    probes = PROBE * np.eye(factor.p, dtype=np.complex128)
     matrix = np.ascontiguousarray(standard_blocks(factor, probes).reshape(factor.p, -1).T)
-    matrix /= LINEARIZATION_PROBE
+    matrix /= PROBE
     return matrix, np.linalg.pinv(matrix)

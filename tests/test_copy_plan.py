@@ -10,13 +10,12 @@ handed to the retraction core one stack per copy.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
 from bulk_images import copy_blocks
 from copy_loops import copy_flats, embed_blocks_per_copy, embed_per_copy, retract_blocks_per_copy, retract_per_copy
+from probe_forms import clear_package_caches
 from siegelmaps import (
     DomainPoint,
     EmbeddingSpec,
@@ -201,20 +200,12 @@ def test_a_copy_outside_the_ball_is_named_as_by_the_loops(spec):
     assert stacked == "matrix 1: " + message
 
 
-def _clear_package_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name == "siegelmaps" or name.startswith("siegelmaps."):
-            for obj in vars(module).values():
-                if getattr(obj, "__module__", None) == name and hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-
-
 def test_clearing_the_package_caches_rebuilds_the_plan():
     spec = SPECS["N3-mixed"]
     z = _points(3)[0]
     first = direct_sum_embed(spec, z).z.tobytes()
     assert _copy_plan.cache_info().currsize >= 1
-    _clear_package_caches()
+    clear_package_caches()
     assert _copy_plan.cache_info().currsize == 0
     assert embeddings._copy_offsets.cache_info().currsize == 0
     assert direct_sum_embed(spec, z).z.tobytes() == first

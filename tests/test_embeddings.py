@@ -5,10 +5,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pickle
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import combinations
 from math import comb, inf
 from pathlib import Path
@@ -29,11 +31,12 @@ from siegelmaps import (
     kobayashi_distance,
     linearize,
     membership,
+    retract_direct_sum,
     singular_values,
     type_i_shape,
     type_iii_shape,
 )
-from siegelmaps import embeddings
+from siegelmaps import embeddings, retractions
 from siegelmaps.cli import main
 from siegelmaps.embeddings import _budget_catalog, _copy_plan, _factor_blocks, block_layout, factor_form
 from siegelmaps.errors import (
@@ -48,11 +51,13 @@ from siegelmaps.exterior import conjugation_unit, signature, wedge_basis
 from siegelmaps.harness import run_suite
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
+from siegelmaps.serialize import spec_to_json
 
 from list_count import list_spec_count, sorted_recursion_specs
 from lu_wedge import lu_wedge_coefficients
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
+from probe_forms import clear_package_caches, probe_form
 from standard_blocks import standard_blocks, standard_form
 from whole_image_oracle import whole_image_linearize, whole_image_residuals
 
@@ -597,20 +602,24 @@ def test_enumerate_output_keeps_its_bytes(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _spec_count(source_dim: int, g_max: int, limit: int) -> tuple[int, bool]:
+    return embeddings._spec_tables(source_dim, g_max, limit)[2:]
+
+
 def test_spec_count_equals_the_enumeration():
     for n in range(1, 6):
         for g_max in range(1, 13):
-            assert embeddings._spec_count(n, g_max, 10**6) == (len(enumerate_specs(n, g_max)[0]), True)
+            assert _spec_count(n, g_max, 10**6) == (len(enumerate_specs(n, g_max)[0]), True)
     # N = 1 has block sizes 2, 1, 2, 1: a coin-change count.
-    assert embeddings._spec_count(1, 40, 10**6) == (37190, True)
-    assert embeddings._spec_count(1, 100, 10**6) == (1194725, True)
-    assert embeddings._spec_count(1, 2100, 10**12) == (203938064225, True)
+    assert _spec_count(1, 40, 10**6) == (37190, True)
+    assert _spec_count(1, 100, 10**6) == (1194725, True)
+    assert _spec_count(1, 2100, 10**12) == (203938064225, True)
     # Past the limit the cheapest factors alone decide: the two of size 1
     # make C(g + 2, 2) - 1 specs.
-    assert embeddings._spec_count(1, 2100, 10**6) == (2208150, False)
-    assert embeddings._spec_count(1, 10**18, 10**6) == ((10**18 + 2) * (10**18 + 1) // 2 - 1, False)
+    assert _spec_count(1, 2100, 10**6) == (2208150, False)
+    assert _spec_count(1, 10**18, 10**6) == ((10**18 + 2) * (10**18 + 1) // 2 - 1, False)
     with pytest.raises(DimensionMismatch, match="source dimension and budget must be positive"):
-        embeddings._spec_count(2, 0, 10**6)
+        _spec_count(2, 0, 10**6)
 
 
 def test_spec_count_equals_the_list_count():
@@ -619,13 +628,13 @@ def test_spec_count_equals_the_list_count():
     exact = 0
     for n in range(1, 14):
         for g_max in range(1, 61):
-            count = embeddings._spec_count(n, g_max, 10**6)
+            count = _spec_count(n, g_max, 10**6)
             assert count == list_spec_count(n, g_max, 10**6), (n, g_max)
             exact += count[1] and count[0] <= 10**6
     assert exact > 600
     # A budget far beyond the catalog's blocks: the totals reached are the
     # multiples of the one fitting block size, N + 1.
-    assert embeddings._spec_count(1000001, 10**7, 10**6) == (219, True)
+    assert _spec_count(1000001, 10**7, 10**6) == (219, True)
 
 
 def test_enumeration_equals_the_sorted_recursion():
@@ -705,7 +714,7 @@ def test_enumeration_past_the_budget_computes_a_handful_of_binomials(n, monkeypa
         return sized(factor, budget)
 
     monkeypatch.setattr(embeddings, "_block_size_within", recording)
-    assert embeddings._spec_count(n, 5, 10**6) == (0, True)
+    assert _spec_count(n, 5, 10**6) == (0, True)
     assert enumerate_specs(n, 5) == ((), n + 1)
     assert len(budgets) <= 6
     assert all(budget == 5 for budget in budgets)
@@ -750,20 +759,91 @@ def test_laplace_kernel_calls_no_lapack_determinant(monkeypatch):
     linearize(G60_SPEC)
 
 
-def test_factor_forms_are_bit_identical_to_lu_built_forms(monkeypatch):
-    # The probes' minors are exact in both kernels, so the compiled forms,
-    # which every embedding applies, do not move.
-    catalog = [factor for n in range(1, 10) for factor in _budget_catalog(n, inf)]
-    embeddings.factor_form.cache_clear()
-    laplace = [embeddings.factor_form(factor) for factor in catalog]
-    embeddings.factor_form.cache_clear()
+# All 58 admissible factors with N <= 9.
+ALL_FACTORS = [factor for n in range(1, 10) for factor in _budget_catalog(n, inf)]
+
+
+def test_factor_forms_match_the_probe_built_forms(monkeypatch):
+    # The forms are read off the wedge basis; the construction evaluated at
+    # the probes, by the Laplace kernel and by LU determinants, gives the
+    # same values.  The bits differ only in lambda_III(5, 3) and (9, 5), on
+    # -i entries whose zero real part the construction's solve signs -0.
+    assert len(ALL_FACTORS) == 58
+    laplace = [probe_form(factor) for factor in ALL_FACTORS]
     monkeypatch.setattr(embeddings, "_wedge_coefficients", lu_wedge_coefficients)
-    try:
-        for factor, forms in zip(catalog, laplace):
-            lu_forms = embeddings.factor_form(factor)
-            assert [a.tobytes() for a in forms] == [a.tobytes() for a in lu_forms], factor
-    finally:
-        embeddings.factor_form.cache_clear()
+    lu = [probe_form(factor) for factor in ALL_FACTORS]
+    signed_zeros = set()
+    for factor, *references in zip(ALL_FACTORS, laplace, lu):
+        matrix, pseudo = factor_form(factor)
+        for reference, reference_pseudo in references:
+            assert np.array_equal(matrix, reference), factor
+            assert pseudo.tobytes() == reference_pseudo.tobytes(), factor
+            differ = (matrix.view(np.uint64) != reference.view(np.uint64)).reshape(*matrix.shape, 2)
+            if differ.any():
+                signed_zeros.add((factor.kind, factor.p, factor.m))
+                assert not differ[..., 1].any()
+                entries = matrix[differ[..., 0]]
+                assert (entries == -1j).all() and not np.signbit(entries.real).any()
+    assert signed_zeros == {(FactorKind.LAMBDA_III, 5, 3), (FactorKind.LAMBDA_III, 9, 5)}
+
+
+def _tripotent_rank(factor) -> int:
+    if factor.kind is FactorKind.CONNECTING_LAMBDA:
+        return 2 * comb(factor.p - 1, factor.m - 1)
+    if factor.kind is FactorKind.LAMBDA_III:
+        return comb(factor.p - 1, factor.m - 1)
+    return 2 if factor.kind is FactorKind.STANDARD_I else 1
+
+
+@pytest.mark.parametrize("factor", ALL_FACTORS, ids=lambda f: f"{f.kind.value}-{f.p}-{f.m}")
+def test_factor_forms_are_signed_partial_monomial_maps(factor):
+    # Every entry is 0, +-1 or +-i; an image entry holds at most one source
+    # coordinate, and each coordinate fills exactly c entries, c the
+    # tripotent rank, so A* A = c I exactly.
+    matrix, _ = factor_form(factor)
+    assert set(matrix.reshape(-1).tolist()) <= {0, 1, -1, 1j, -1j}
+    nonzero = matrix != 0
+    assert (nonzero.sum(axis=1) <= 1).all()
+    c = _tripotent_rank(factor)
+    assert (nonzero.sum(axis=0) == c).all()
+    assert np.array_equal(matrix.conj().T @ matrix, c * np.eye(factor.p))
+
+
+def test_the_production_path_never_calls_the_oracle(monkeypatch):
+    # The compiled forms, the one-point embedding and the retraction run
+    # with the wedge kernel gone, on every spec of the acceptance sweep.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the wedge oracle was called")
+
+    monkeypatch.setattr(embeddings, "_wedge_coefficients", refuse)
+    clear_package_caches()
+    specs = [spec for n in range(1, 5) for spec in enumerate_specs(n, 12)[0]] + [G60_SPEC]
+    for index, spec in enumerate(specs):
+        for factor in spec.factors:
+            factor_form(factor)
+        z = sample_ball_point(generator(640, index), spec.source_dim)
+        image = direct_sum_embed(spec, z)
+        assert np.abs(retract_direct_sum(image, spec).coords - z.coords).max() <= 1e-12
+    with pytest.raises(AssertionError, match="oracle"):
+        linearize(G60_SPEC)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_verify_writes_the_report_bytes_of_the_probe_built_forms(seed, tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_json(G60_SPEC)), encoding="utf-8")
+
+    def report(name: str) -> bytes:
+        path = tmp_path / f"{name}.json"
+        assert main(["verify", "--spec", str(spec), "--seed", str(seed), "--report", str(path)]) == 0
+        return path.read_bytes()
+
+    clear_package_caches()
+    table = report("table")
+    probed = lru_cache(maxsize=None)(probe_form)
+    monkeypatch.setattr(embeddings, "factor_form", probed)
+    monkeypatch.setattr(retractions, "factor_form", probed)
+    assert report("probe") == table
 
 
 def _oracle_error(spec, points, kernel, monkeypatch) -> float:

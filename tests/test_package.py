@@ -15,7 +15,10 @@ import siegelmaps
 # tests/ as transvection.py and samplers.py, and max_abs in tests/norms.py;
 # the whole catalog is embeddings._budget_catalog at an infinite budget.
 # The wedge-basis index tables are built once, by exterior._basis_rows.
+# The compiled forms are read off the wedge basis, so no probe radius is
+# exported; the probe-built reference lives on in tests/probe_forms.py.
 REMOVED = (
+    "LINEARIZATION_PROBE",
     "RankDeficient",
     "SandwichRecord",
     "Transvection",
