@@ -39,17 +39,7 @@ from .embeddings import (
     factor_form,
     linearize,
 )
-from .exterior import (
-    WedgeBasis,
-    balanced_symmetric,
-    complement,
-    conjugation_unit,
-    induced_form,
-    multi_indices,
-    perm_sign,
-    signature,
-    wedge_basis,
-)
+from .exterior import balanced_symmetric, signature
 from .harness import run_suite, run_verification
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -79,27 +69,21 @@ __all__ = [
     "Report",
     "SuiteResult",
     "Tolerance",
-    "WedgeBasis",
     "as_complex_matrix",
     "balanced_symmetric",
     "ball_point",
     "cayley",
     "cayley_to_bounded",
     "cayley_to_siegel",
-    "complement",
-    "conjugation_unit",
     "direct_sum_embed",
     "enumerate_specs",
     "errors",
     "factor_form",
     "hermitian_eigenvalues",
-    "induced_form",
     "isometry_sandwich",
     "kobayashi_distance",
     "linearize",
     "membership",
-    "multi_indices",
-    "perm_sign",
     "retract_direct_sum",
     "run_suite",
     "run_verification",
@@ -109,5 +93,4 @@ __all__ = [
     "solve_right",
     "type_i_shape",
     "type_iii_shape",
-    "wedge_basis",
 ]

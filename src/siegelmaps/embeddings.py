@@ -71,7 +71,7 @@ from .errors import (
     SingularSystem,
     SpecMismatch,
 )
-from .exterior import _basis_rows, balanced_symmetric, conjugation_unit, signature, wedge_basis
+from .exterior import _basis_rows, _subset_units, _subsets, balanced_symmetric, signature
 from .linalg import DEFAULT_TOLERANCE, Tolerance, solve_right
 from .sampling import generator, sample_ball_coords
 
@@ -286,8 +286,9 @@ def _conjugation_units(p: int, m: int) -> np.ndarray:
     divide the positive rows reversed in the balanced symmetric model.
     Reversed, because complementing the m-subsets of the 2m = p + 1 rows
     reverses their lexicographic order: the complement of negative i is
-    positive r - 1 - i."""
-    return np.array([conjugation_unit(M, p) for M in wedge_basis(p, m).negatives], dtype=np.complex128)
+    positive r - 1 - i.  The negatives are the lexicographic m-subsets
+    that hold the last row, p."""
+    return _subset_units(p, m)[_subsets(p, m)[:, -1] == p]
 
 
 @lru_cache(maxsize=None)

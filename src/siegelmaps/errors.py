@@ -41,10 +41,6 @@ class IllConditioned(SiegelmapsError):
     """Computation rejected because conditioning bounds are exceeded."""
 
 
-class NotAPermutation(SiegelmapsError):
-    """Sequence is not a permutation of 1..n."""
-
-
 class DegreeOutOfRange(SiegelmapsError):
     """Exterior-power degree outside the valid range 1..p."""
 

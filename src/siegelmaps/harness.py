@@ -58,7 +58,7 @@ from .embeddings import (
     _wedge_blocks,
 )
 from .errors import NonlinearityDetected, SiegelmapsError
-from .exterior import _basis_rows, _conjugation_unit, induced_form, signature, wedge_basis
+from .exterior import _basis_rows, _subset_units, signature
 from .linalg import singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
 from .retractions import _retract_blocks, isometry_sandwich
@@ -161,9 +161,9 @@ def _suite_signature(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     mismatches = []
     for p in range(1, _SIGNATURE_TABLE_MAX_P + 1):
         for m in range(1, p + 1):
-            units = np.eye(wedge_basis(p, m).size)
-            plus = int(np.count_nonzero(induced_form(p, m, units, units).real > 0))
-            minus = len(units) - plus
+            # The induced pairing is +1 exactly on the members without row p.
+            positives, negatives, _ = _basis_rows(p, m)
+            plus, minus = len(positives), len(negatives)
             checked += 1
             if (plus, minus) != signature(p, m):
                 mismatches.append((p, m, plus, minus))
@@ -294,15 +294,14 @@ def _conjugation_notes(spec: EmbeddingSpec) -> dict:
     notes = {}
     degrees = sorted({(f.p, f.m) for f in spec.factors if f.kind is not FactorKind.STANDARD_III})
     for p, m in degrees:
-        units, squares = set(), set()
-        # a(M) and a(M^c) once per index of the basis, which is valid by
-        # construction; the square is conj(a(M)) * a(M^c).
-        for M in wedge_basis(p, m).ordered:
-            comp = tuple(i for i in range(1, p + 2) if i not in M)
-            unit = _conjugation_unit(M, comp, p)
-            units.add(_format_unit(unit))
-            squares.add(_format_unit(np.conj(unit) * _conjugation_unit(comp, M, p)))
-        notes[f"p={p},m={m}"] = {"units": sorted(units), "squared": sorted(squares)}
+        units = _subset_units(p, m)
+        # The complements of the lexicographic m-subsets are the
+        # (p+1-m)-subsets in reverse order; the square is conj(a(M)) * a(M^c).
+        squares = np.conj(units) * _subset_units(p, p + 1 - m)[::-1]
+        notes[f"p={p},m={m}"] = {
+            key: sorted({_format_unit(value) for value in set(values.tolist())})
+            for key, values in (("units", units), ("squared", squares))
+        }
     return notes
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from siegelmaps.errors import DimensionMismatch
-from siegelmaps.exterior import WedgeBasis, multi_indices, signature, wedge_basis
+from siegelmaps.exterior import signature
+
+from wedge_reference import WedgeBasis, multi_indices, wedge_basis
 
 
 def wedge_coefficients(columns: np.ndarray, basis: WedgeBasis) -> np.ndarray:

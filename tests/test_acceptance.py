@@ -25,14 +25,12 @@ from siegelmaps import (
     cayley_to_siegel,
     direct_sum_embed,
     enumerate_specs,
-    induced_form,
     kobayashi_distance,
     linearize,
     membership,
     retract_direct_sum,
     signature,
     singular_values,
-    wedge_basis,
 )
 from siegelmaps.cli import main
 from siegelmaps.domains import _ball_distances
@@ -50,6 +48,7 @@ from bulk_images import embedded_images, target_distances
 from norms import max_abs
 from oracle_blocks import wedge_block
 from samplers import sample_siegel
+from wedge_reference import induced_form, wedge_basis
 
 SEED = 20260810
 SWEEP_BUDGET = 12

@@ -47,7 +47,7 @@ from siegelmaps.errors import (
     NonlinearityDetected,
     SpecMismatch,
 )
-from siegelmaps.exterior import conjugation_unit, signature, wedge_basis
+from siegelmaps.exterior import signature
 from siegelmaps.harness import run_suite
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
@@ -58,6 +58,7 @@ from lu_wedge import lu_wedge_coefficients
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
 from probe_forms import clear_package_caches, probe_form
+from wedge_reference import conjugation_unit, wedge_basis
 from standard_blocks import standard_blocks, standard_form
 from whole_image_oracle import whole_image_linearize, whole_image_residuals
 
@@ -807,6 +808,37 @@ def test_factor_forms_are_signed_partial_monomial_maps(factor):
     c = _tripotent_rank(factor)
     assert (nonzero.sum(axis=0) == c).all()
     assert np.array_equal(matrix.conj().T @ matrix, c * np.eye(factor.p))
+
+
+def _triple_residual(matrix: np.ndarray, b: int) -> float:
+    """Largest entry of E_i E_j* E_k + E_k E_j* E_i - d_jk E_i - d_ij E_k
+    over all (i, j, k), for the blocks E_i of a form's columns."""
+    blocks = matrix.T.reshape(-1, b, b)
+    worst = 0.0
+    for j, block in enumerate(blocks):
+        left = blocks @ block.conj().T
+        # products[i, k] = E_i E_j* E_k
+        products = left[:, np.newaxis] @ blocks[np.newaxis, :]
+        residual = products + products.swapaxes(0, 1)
+        residual[:, j] -= blocks
+        residual[j, :] -= blocks
+        worst = max(worst, float(np.abs(residual).max()))
+    return worst
+
+
+def test_factor_images_are_sub_triples():
+    # The basis blocks E_i of each form satisfy the triple identity
+    # E_i E_j* E_k + E_k E_j* E_i = d_jk E_i + d_ij E_k exactly, so the image
+    # of each factor is a sub-triple of the Jordan triple of symmetric
+    # matrices, {x y z} = (x y* z + z y* x) / 2, and hence totally geodesic
+    # in III_g (Loos, Bounded Symmetric Domains and Jordan Pairs, 1977).  A
+    # form scaled by 1 + 1e-6 misses it by about 4e-6.
+    factors = [factor for factor in ALL_FACTORS if factor.p <= 8]
+    assert len(factors) == 47
+    for factor in factors:
+        matrix, _ = factor_form(factor)
+        assert _triple_residual(matrix, factor.block_size) == 0.0, factor
+        assert _triple_residual(matrix * (1 + 1e-6), factor.block_size) > 1e-6, factor
 
 
 def test_the_production_path_never_calls_the_oracle(monkeypatch):

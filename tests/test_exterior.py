@@ -1,4 +1,6 @@
-"""Wedge combinatorics: signs, bases, induced pairing, signatures."""
+"""Wedge combinatorics: the index arrays of the wedge basis and its
+conjugation units, held to the per-multi-index reference; and the
+reference's signs, bases, induced pairing and signatures."""
 
 from __future__ import annotations
 
@@ -8,20 +10,22 @@ from math import comb
 import numpy as np
 import pytest
 
-from siegelmaps import (
-    balanced_symmetric,
+from siegelmaps import EmbeddingSpec, FactorKind, FactorSpec, balanced_symmetric, signature
+from siegelmaps.embeddings import _conjugation_units
+from siegelmaps.errors import DegreeOutOfRange, DimensionMismatch
+from siegelmaps.exterior import _basis_rows, _subset_units, _subsets
+from siegelmaps.harness import _conjugation_notes
+
+from lu_wedge import induced_form_decomposable, wedge_coefficients
+from wedge_reference import (
+    NotAPermutation,
     complement,
     conjugation_unit,
     induced_form,
     multi_indices,
     perm_sign,
-    signature,
     wedge_basis,
 )
-from siegelmaps.errors import DegreeOutOfRange, DimensionMismatch, NotAPermutation
-from siegelmaps.exterior import _basis_rows
-
-from lu_wedge import induced_form_decomposable, wedge_coefficients
 
 
 def _brute_force_sign(seq) -> int:
@@ -83,33 +87,44 @@ def test_conjugation_unit_examples():
 
 
 def test_conjugation_units_are_imaginary_units():
-    for p in range(1, 7):
+    for p in range(1, 10):
         for m in range(1, p + 1):
-            for M in wedge_basis(p, m).ordered:
-                a = conjugation_unit(M, p)
-                assert abs(abs(a) - 1.0) < 1e-12
-                assert a in (1j, -1j)
+            units = _subset_units(p, m)
+            assert units.shape == (comb(p + 1, m),)
+            assert np.all((units == 1j) | (units == -1j))
 
 
 def test_conjugation_twice_constant_sign_per_degree():
-    # applying the conjugation twice scales e_M by a constant unit; the
+    # applying the conjugation twice scales e_M by conj(a(M)) * a(M^c); the
     # value is recorded (it is -(-1)^(m(p+1-m)), derived by expanding the
-    # two permutation signs) and is +1 exactly in the balanced cases
-    for p in range(1, 7):
+    # two permutation signs) and is +1 exactly in the balanced cases.  The
+    # complements of the lexicographic m-subsets are the (p+1-m)-subsets
+    # in reverse order.
+    for p in range(1, 10):
         for m in range(1, p + 1):
-            basis = wedge_basis(p, m)
-            # e_M picks up conj(a(M)) * a(M^c) under the conjugation applied twice
-            units = {
-                complex(np.conj(conjugation_unit(M, p)) * conjugation_unit(complement(M, p), p))
-                for M in basis.ordered
-            }
-            assert len(units) == 1
-            unit = units.pop()
-            assert abs(abs(unit) - 1.0) < 1e-12
+            squares = np.conj(_subset_units(p, m)) * _subset_units(p, p + 1 - m)[::-1]
             expected = -((-1.0) ** (m * (p + 1 - m)))
-            assert unit == expected
+            assert np.all(squares == expected)
             if balanced_symmetric(p, m):
-                assert unit == 1.0
+                assert expected == 1.0
+    # The report notes the same square: lambda_III(5, 3) is balanced.
+    notes = _conjugation_notes(EmbeddingSpec(5, (FactorSpec(FactorKind.LAMBDA_III, 5, 3),), 10))
+    assert notes == {"p=5,m=3": {"units": ["-i", "i"], "squared": ["1"]}}
+
+
+def test_conjugation_units_have_the_bytes_of_the_reference():
+    # The units of every m-subset and of the negatives, built as index
+    # arrays, against the units built one multi-index at a time.
+    for p in range(1, 10):
+        for m in range(1, p + 1):
+            negatives = wedge_basis(p, m).negatives
+            pairs = [
+                (_subset_units(p, m), np.array([conjugation_unit(M, p) for M in multi_indices(p + 1, m)])),
+                (_conjugation_units(p, m), np.array([conjugation_unit(M, p) for M in negatives], dtype=np.complex128)),
+            ]
+            for got, expected in pairs:
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
 
 def test_complement_partitions_index_range():
@@ -139,7 +154,7 @@ def test_wedge_basis_order_is_lexicographic():
 def test_basis_rows_equal_the_tables_each_module_built():
     # The tables the embeddings' oracle, the equivariance suite and the LU
     # reference each derived from the basis before they read one table,
-    # written out as they were built.
+    # written out as they were built, with the same bytes.
     for p in range(1, 10):
         for m in range(1, p + 1):
             basis = wedge_basis(p, m)
@@ -156,7 +171,7 @@ def test_basis_rows_equal_the_tables_each_module_built():
             pairs = ((positives, phase_positives), (negatives, phase_negatives), (negatives, sub_idx), (table_order, order))
             for got, expected in pairs:
                 assert got.dtype == expected.dtype and got.shape == expected.shape
-                assert np.array_equal(got, expected)
+                assert got.tobytes() == expected.tobytes()
             last = np.full((len(negatives), 1), p, dtype=np.intp)
             assert np.array_equal(np.concatenate([positives, np.concatenate([negatives, last], axis=1)]), row_selector)
 
@@ -164,20 +179,25 @@ def test_basis_rows_equal_the_tables_each_module_built():
 @pytest.mark.parametrize("p", range(1, 22, 2))
 def test_complement_reverses_the_balanced_basis(p):
     # The symmetric model's reindex: with 2m = p + 1, the complement of
-    # negative i is positive r - 1 - i.  Counted per pair of index rows, on a
-    # basis built past the cache: p = 21 has 352,716 negatives.
+    # negative i is positive r - 1 - i.  Counted per pair of index rows, on
+    # tables kept out of the cache: p = 21 has 352,716 negatives.
     m = (p + 1) // 2
-    basis = wedge_basis.__wrapped__(p, m)
-    r = len(basis.positives)
-    assert len(basis.negatives) == r
-    counts = np.zeros((r, p + 2), dtype=np.intp)
+    try:
+        positives, negatives, _ = _basis_rows.__wrapped__(p, m)
+    finally:
+        _subsets.cache_clear()
+    r = len(positives)
+    assert len(negatives) == r
+    counts = np.zeros((r, p + 1), dtype=np.intp)
     rows = np.arange(r)[:, np.newaxis]
-    # No index repeats within a row, so each += adds one per member.
-    counts[rows, np.array(basis.negatives)] += 1
-    counts[rows, np.array(basis.positives[::-1])] += 1
-    assert (counts[:, 1:] == 1).all()
+    # No row repeats within a member, so each += adds one per row; the
+    # negatives' tables drop their last row, p.
+    counts[rows, negatives] += 1
+    counts[rows, positives[::-1]] += 1
+    assert (counts[:, :p] == 1).all() and (counts[:, p] == 0).all()
     if p <= 9:
-        assert [complement(M, p) for M in basis.negatives] == list(basis.positives[::-1])
+        complements = [complement((*M, p + 1), p) for M in (negatives + 1).tolist()]
+        assert complements == [tuple(M) for M in (positives[::-1] + 1).tolist()]
 
 
 def test_induced_form_diagonal_values():

@@ -27,6 +27,7 @@ from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point
 
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
+from wedge_reference import complement, conjugation_unit, wedge_basis
 
 N2_SPEC = EmbeddingSpec(
     2,
@@ -62,7 +63,7 @@ def _rng(config: HarnessConfig, name: str):
 def _reference_induced_phases(p, m, symmetric, theta):
     """Row and column phases of the wedge block under z -> theta * z, one
     Python product per basis multi-index."""
-    basis = exterior.wedge_basis(p, m)
+    basis = wedge_basis(p, m)
 
     def content_product(indices) -> complex:
         out = 1.0 + 0.0j
@@ -283,13 +284,13 @@ def test_verification_builds_ball_points_only_for_isometry_and_the_padding_probe
 
 def test_signature_suite_counts_each_degree_with_one_call(monkeypatch):
     calls = []
-    counted = exterior.induced_form
+    counted = exterior._basis_rows
 
-    def counting(p, m, x, y):
+    def counting(p, m):
         calls.append((p, m))
-        return counted(p, m, x, y)
+        return counted(p, m)
 
-    monkeypatch.setattr(harness, "induced_form", counting)
+    monkeypatch.setattr(harness, "_basis_rows", counting)
     result = harness.run_suite("signature", N2_SPEC, HarnessConfig(samples=1))
     assert result.passed and result.samples == 21
     assert calls == [(p, m) for p in range(1, 7) for m in range(1, p + 1)]
@@ -345,14 +346,14 @@ def test_sample_near_the_sphere_is_named_by_its_index_in_the_suite(name, seed):
     )
 
 
-def test_conjugation_notes_equal_the_public_units():
-    unit, complement = exterior.conjugation_unit, exterior.complement
+def test_conjugation_notes_equal_the_reference_units():
+    unit = conjugation_unit
     for p in range(1, 10):
         factors = tuple(FactorSpec(FactorKind.CONNECTING_LAMBDA, p, m) for m in range(1, p + 1))
         spec = EmbeddingSpec(p, factors, sum(f.block_size for f in factors))
         notes = harness._conjugation_notes(spec)
         for m in range(1, p + 1):
-            basis = exterior.wedge_basis(p, m).ordered
+            basis = wedge_basis(p, m).ordered
             units = {harness._format_unit(unit(M, p)) for M in basis}
             # e_M picks up conj(a(M)) * a(M^c) under the conjugation applied twice.
             squares = {harness._format_unit(np.conj(unit(M, p)) * unit(complement(M, p), p)) for M in basis}

@@ -14,15 +14,24 @@ import siegelmaps
 # The transvection oracle and the type I and Siegel samplers live on in
 # tests/ as transvection.py and samplers.py, and max_abs in tests/norms.py;
 # the whole catalog is embeddings._budget_catalog at an infinite budget.
-# The wedge-basis index tables are built once, by exterior._basis_rows.
+# The wedge-basis index tables and the conjugation units are built once,
+# as index arrays, by exterior._basis_rows and exterior._subset_units; the
+# per-multi-index construction (the multi-indices, permutation signs,
+# complements, units, basis and induced pairing) lives on in
+# tests/wedge_reference.py.
 # The compiled forms are read off the wedge basis, so no probe radius is
 # exported; the probe-built reference lives on in tests/probe_forms.py.
 REMOVED = (
     "LINEARIZATION_PROBE",
+    "MultiIndex",
+    "NotAPermutation",
     "RankDeficient",
     "SandwichRecord",
     "Transvection",
+    "WedgeBasis",
     "_axis_pattern",
+    "_check_multi_index",
+    "_conjugation_unit",
     "_inverse_sqrt_from",
     "_phase_tables",
     "_require_margin",
@@ -31,20 +40,26 @@ REMOVED = (
     "_wedge_plan",
     "ball_distance",
     "ball_infinitesimal_metric",
+    "complement",
     "conjugation_twice_unit",
+    "conjugation_unit",
     "connecting_embed",
     "embed_in_type_i",
     "exterior_power_embed",
     "factor_block",
     "factor_catalog",
     "hermitian_eigensystem",
+    "induced_form",
     "inverse_sqrt_hpd",
     "max_abs",
+    "multi_indices",
     "orthonormal_column_basis",
+    "perm_sign",
     "retract_axis_averaging",
     "sample_siegel",
     "sample_type_i",
     "transvection_to_origin",
+    "wedge_basis",
 )
 
 # Aliases removed from the package's classes: DomainShape.rows and .cols
