@@ -45,7 +45,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     as_complex_matrix,
-    hermitian_eigenvalues,
     singular_values,
     solve_right,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_specs",
     "errors",
     "factor_form",
-    "hermitian_eigenvalues",
     "isometry_sandwich",
     "kobayashi_distance",
     "linearize",

@@ -17,9 +17,19 @@ I - XX* and I - X*X on the matrix ball, over the exact diagonal blocks of
 square points, grouped by size.  Type III points are measured as points
 of the ambient type I ball; Siegel points are measured through the Cayley
 transform.  The distance kernels run on stacks of pairs, one LAPACK call
-per step for all of them.  Interior margins come from values-only
-eigensolves of I - Z*Z, or of Im Z for Siegel points: matrices this module
-forms itself, symmetrized but not checked for being Hermitian.
+per step for all of them.
+
+The positivity matrices, I - Z*Z or Im Z for Siegel points, are formed
+here, symmetrized but not checked for being Hermitian.  Where an input
+only has to be interior (the Cayley transforms, the checked retraction,
+the distance kernels), one Cholesky factorization of the matrix H shifted
+by 2b, b = 128 psd_margin + (n + 16) n^3 eps c with c the larger of 1 and
+the largest diagonal entry of H (1 for I - Z*Z), proves that the
+eigensolve would find the point interior with a margin above b
+(:func:`_interior_certificate`); b then stands for the margin.  The
+values-only eigensolve runs for the margin that :func:`membership`
+returns, and for every input the factorization does not certify, with
+the same checks and messages.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .linalg import (
     _solve_conditioned,
     _solve_unchecked,
     _spectral_slack,
+    _symmetrized,
     _symmetrized_eigenvalues,
     as_complex_matrix,
     singular_values,
@@ -196,8 +207,8 @@ def _gram_margins(gram: np.ndarray) -> np.ndarray:
     The Gram is formed here, Hermitian in exact arithmetic, so it goes to
     the eigensolve symmetrized but unchecked (:func:`_symmetrized_eigenvalues`).
     Its rounding grows with |Z|^2: an absolute ``eq_tol`` check on it would
-    raise ``NotHermitian`` for a symmetric point with entries near 1e6,
-    where the margin should say Outside.  Every entry and partial sum of
+    reject a symmetric point with entries near 1e6, where the margin should
+    say Outside.  Every entry and partial sum of
     Z*Z is at most s_max(Z)^2 in modulus, so a Gram with an entry that is
     not finite has 1 - s_max^2 rounded to -inf: its margin is -inf, with no
     eigensolve."""
@@ -229,6 +240,18 @@ def _asymmetry(pt: DomainPoint, tol: Tolerance) -> str | None:
     return None
 
 
+def _positivity(pt: DomainPoint) -> np.ndarray:
+    """The matrix whose smallest eigenvalue is the margin of a point: the
+    Gram I - Z*Z of the bounded kinds (:func:`_contraction_grams`), or
+    (Z - Z*)/2i, whose Hermitian part is Im Z, of a Siegel point.  Both are
+    Hermitian in exact arithmetic and go unchecked to the symmetrized
+    eigensolve (see :func:`_gram_margins`)."""
+    z = pt.z
+    if pt.shape.kind is DomainKind.SIEGEL:
+        return (z - z.conj().T) / 2j
+    return _contraction_grams(z)
+
+
 def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> MembershipResult:
     """Classify a point as Interior / Boundary / Outside with its margin.
 
@@ -237,14 +260,11 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     Square kinds additionally require symmetry up to ``eq_tol``; an
     asymmetric point is Outside with the defect named in ``reason``.
     """
-    z = pt.z
     reason = _asymmetry(pt, tol)
     if pt.shape.kind is DomainKind.SIEGEL:
-        # Formed here and Hermitian, unchecked like the Gram of the bounded
-        # kinds (see _gram_margins).
-        margin = float(_symmetrized_eigenvalues((z - z.conj().T) / 2j)[0])
+        margin = float(_symmetrized_eigenvalues(_positivity(pt))[0])
     else:
-        margin = float(_gram_margins(_contraction_grams(z)))
+        margin = float(_gram_margins(_positivity(pt)))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
     if margin > tol.psd_margin:
@@ -254,12 +274,90 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     return MembershipResult(MembershipStatus.BOUNDARY, margin)
 
 
-def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> MembershipResult:
+def _interior_certificate(matrices: np.ndarray, order: int, tol: Tolerance) -> tuple[np.ndarray, float] | None:
+    """The matrices H = (M + M*)/2 that the margin eigensolve sees
+    (:func:`_symmetrized_eigenvalues`), of a matrix M or of each member of
+    a stack, shifted to H - 2bI, and the margin bound b; None where an
+    entry of M is not finite or the order is too large for the bound.  A
+    member whose Cholesky factorization of H - 2bI completes is certified:
+    the eigensolve of H would return a smallest eigenvalue above b, and b
+    is more than 128 times ``psd_margin``.
+
+    With m = psd_margin, n the given order, at least that of H, s = n^3 eps
+    (:func:`~siegelmaps.linalg._spectral_slack`) and c the larger of 1 and
+    the largest diagonal entry of H over the stack,
+
+        b = 128 m + (n + 16) s c,
+
+    given (n + 16) s <= 1.  c is at most 1 for a Gram I - Z*Z and scales b
+    with Im Z for a Siegel point.  Rounding argument for a member whose
+    factorization completes, with u = eps/2 and t = 2b:
+
+    * The shift.  Only the diagonal of H - tI rounds, each entry by at most
+      u |H_ii - t| <= u (c + t).
+    * The factorization.  A Cholesky factorization that completes gives
+      R*R = H - tI + E + F, E the rounding of the shift and
+      |F| <= g |R*| |R| with g <= 4 (n + 2) u, complex arithmetic included
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+      2002, Thm 10.3 and sec. 3.6).  A diagonal entry d_i of R*R is at most
+      c + g d_i, so d_i <= 2c, |F_ij| <= g sqrt(d_i d_j) <= 2gc and
+      ||F||_2 <= 2ngc <= 4 n (n + 2) eps c.  R*R is positive semidefinite,
+      so lambda_min(H) >= t (1 - u) - u c - 4 n (n + 2) eps c.
+    * The eigensolve.  H is then positive definite, ||H||_2 <= trace H <= nc,
+      and the computed eigenvalues lie within s ||H||_2 <= n^4 eps c of the
+      exact ones.
+    * In all.  Both the exact and the computed smallest eigenvalue are at
+      least t (1 - u) - (n^4 + 4 n^2 + 8 n + 1/2) eps c
+      >= 2b (1 - u) - (n + 16) s c + 3.5 eps c, as 16 n^3 >= 4 n^2 + 8 n + 4.
+      That is b + 128 m - 2ub + 3.5 eps c, above b: where (n + 16) s <= 1,
+      2ub and the rounding of b itself, a few u of it, are at most
+      3 eps (128 m + c), below 128 m + 3.5 eps c.
+    * Downstream.  b bounds the margin as the eigensolve's margin does, and
+      b - s >= 128 m.  So a contraction Z with margin bound b has
+      ||Z|| <= sqrt(1 - b + s) <= 1 - 64 m, and a product of two has norm
+      at most 1 - 64 m: the bounds 1 -/+ ||X|| ||Y|| and 1 -/+ ||W|| clear
+      the condition tests of :func:`_matrix_distances` and
+      :func:`cayley_to_siegel` (``1 + r <= (1 - r) / (16 m)``, see
+      :func:`~siegelmaps.linalg._certified`) with a factor near 2 to spare,
+      wherever the order lets them clear anything.
+
+    So a certified member passes the eigensolve's interior test, and a
+    margin of b adds no SVD where the eigensolve's margin would add none.
+    A member whose factorization fails, or any member of a stack factored
+    in one call that fails, takes the eigensolve instead.
+    """
+    factor = (order + 16) * _spectral_slack(order)
+    if factor > 1.0 or not np.isfinite(matrices).all():
+        return None
+    hermitian = _symmetrized(matrices)
+    diagonal = np.arange(hermitian.shape[-1])
+    scale = max(1.0, float(hermitian[..., diagonal, diagonal].real.max()))
+    bound = 128.0 * tol.psd_margin + factor * scale
+    hermitian[..., diagonal, diagonal] -= 2.0 * bound
+    return hermitian, bound
+
+
+def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> float:
+    """A lower bound on the margin of an interior point: the bound of
+    :func:`_interior_certificate` where its Cholesky factorization
+    completes, else the margin of :func:`membership`.  A point that is not
+    interior raises ``MembershipViolation`` naming ``what``, with the
+    message of that eigensolve path."""
+    if _asymmetry(pt, tol) is None:
+        certificate = _interior_certificate(_positivity(pt), pt.shape.p, tol)
+        if certificate is not None:
+            shifted, bound = certificate
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                return bound
     result = membership(pt, tol)
     if not result:
         detail = result.reason or f"margin {result.margin:.3e}"
         raise MembershipViolation(f"{what} must be an interior point: {detail}")
-    return result
+    return result.margin
 
 
 def _interior_detail(margin: float) -> str:
@@ -290,11 +388,12 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
     """Bounded model to Siegel upper half space: Z = i(I - W)^-1 (I + W)."""
     if pt.shape.kind is not DomainKind.TYPE_III:
         raise ShapeMismatch(f"expected a type III point, got kind {pt.shape.kind.value}")
-    margin = _require_interior(pt, tol, "Cayley input").margin
+    margin = _require_interior(pt, tol, "Cayley input")
     g = pt.shape.p
     eye = np.eye(g, dtype=np.complex128)
-    # ||W||^2 <= 1 - margin, up to the eigensolve's error, so the singular
-    # values of I - W lie within ||W|| of 1.
+    # ||W||^2 <= 1 - margin, up to the eigensolve's error (for a certified
+    # bound, see _interior_certificate), so the singular values of I - W
+    # lie within ||W|| of 1.
     norm = np.sqrt(1.0 - margin + _spectral_slack(g))
     # (I + W)(I - W)^-1 commutes, so left/right placement agree.
     z = 1j * _cayley_solve(eye + pt.z, eye - pt.z, 1.0 + norm, 1.0 - norm, "I - W", tol)
@@ -400,6 +499,22 @@ def _block_margins(grams, count: int) -> np.ndarray:
     return reduce(np.minimum, [_gram_margins(gram).min(axis=-1) for gram in grams])
 
 
+def _base_factors(xb: np.ndarray, gram: np.ndarray, shifted=()) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors C and D, C C* = I - XX* and D D* = I - X*X, of a
+    stack of p x q base blocks X, given the Gram of the smaller side as
+    :func:`_contraction_grams` forms it: one call for square blocks, one per
+    side otherwise.  The matrices of ``shifted``, of the Gram's size, join
+    the Gram's call and their factors are dropped; a failure of any member
+    raises ``LinAlgError``."""
+    p, q = xb.shape[-2:]
+    adjoint = xb.conj().swapaxes(-1, -2)
+    if p == q:
+        return np.linalg.cholesky(np.asarray([np.eye(p) - xb @ adjoint, gram, *shifted]))[:2]
+    if p > q:
+        return np.linalg.cholesky(np.eye(p) - xb @ adjoint), np.linalg.cholesky(np.asarray([gram, *shifted]))[0]
+    return np.linalg.cholesky(np.asarray([gram, *shifted]))[0], np.linalg.cholesky(np.eye(q) - adjoint @ xb)
+
+
 def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
     """Kobayashi distances between ``count`` pairs of matrix-ball points
     given by their diagonal blocks: per group one ``(2, count, n, p, q)``
@@ -422,10 +537,16 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
     ``symmetric``), x before y, and y for interiority, as
     :func:`membership` does; x is always checked against ``psd_margin``,
     and I - X*Y like :func:`solve_right` does, on the extreme singular
-    values over all blocks of a pair.  The margins come from the Grams
-    I - Z*Z of both sides, formed once and unchecked, as in
-    :func:`_gram_margins`; x's Gram is also the one Cholesky factor
-    D is taken of (C's where the blocks are wider than tall).  Where the
+    values over all blocks of a pair.  The Grams I - Z*Z of both sides are
+    formed once; x's Gram is also the one Cholesky factor D is taken of
+    (C's where the blocks are wider than tall).  Their shifts by
+    :func:`_interior_certificate` join the Cholesky call of their size, so
+    that where it completes every block of both sides is certified
+    interior, with a margin bound that clears the condition test of every
+    pair the eigensolve's margins would clear.  Where it fails, the margins
+    come from the eigensolve of the Grams, unchecked, as in
+    :func:`_gram_margins`, and the checks, decisions and messages are those
+    of that eigensolve path.  Where the
     blocks have more than one size, 1 joins the extreme singular values:
     it is the singular value that the zero padding of the smaller blocks
     added when every block was padded to the largest, kept so that no
@@ -445,34 +566,42 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
                     lambda i: f"distance argument must be an interior point: {_asymmetry_detail(defect[i])}",
                 )
     grams = [_contraction_grams(group) for group in groups]
-    margins = _block_margins(grams, count)
-    (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
-    if check_inputs:
-        _raise_first(y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]))
-    _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]))
-    differences, denominators, factors = [], [], []
-    order = largest_q = 0
-    for (xb, yb), gram in zip(groups, grams):
-        p, q = xb.shape[-2:]
-        order, largest_q = max(order, p, q), max(largest_q, q)
-        adjoint = xb.conj().swapaxes(-1, -2)
-        if p >= q:
-            sides = (np.eye(p) - xb @ adjoint, gram[0])
-        else:
-            sides = (gram[0], np.eye(q) - adjoint @ xb)
+    order = max(max(group.shape[-2:]) for group in groups)
+    largest_q = max(group.shape[-1] for group in groups)
+    certificates = [_interior_certificate(gram, order, tol) for gram in grams]
+    factors = None
+    if all(certificate is not None for certificate in certificates):
         try:
-            if p == q:
-                factors.append(np.linalg.cholesky(np.asarray(sides)))
-            else:
-                factors.append([np.linalg.cholesky(side) for side in sides])
+            # A Gram that passes may still have an I - XX* too large to form.
+            with np.errstate(over="ignore", invalid="ignore"):
+                factors = [
+                    _base_factors(group[0], gram[0], shifted)
+                    for group, gram, (shifted, _) in zip(groups, grams, certificates)
+                ]
+        except np.linalg.LinAlgError:
+            pass
+    if factors is not None:
+        # Every block of both sides is certified interior.
+        margins = np.full((2, count), min(bound for _, bound in certificates))
+    else:
+        margins = _block_margins(grams, count)
+        (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
+        if check_inputs:
+            _raise_first(y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]))
+        _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]))
+        try:
+            factors = [_base_factors(group[0], gram[0]) for group, gram in zip(groups, grams)]
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
+    differences, denominators = [], []
+    for xb, yb in groups:
         differences.append(yb - xb)
-        denominators.append(np.eye(q) - adjoint @ yb)
+        denominators.append(np.eye(xb.shape[-1]) - xb.conj().swapaxes(-1, -2) @ yb)
     # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the eigensolve's
-    # error, and the same for Y, so the singular values of each block of
-    # I - X*Y lie within ||X_b|| ||Y_b|| of 1.  The largest block order
-    # bounds the rounding of every group.
+    # error (for certified bounds, see _interior_certificate), and the same
+    # for Y, so the singular values of each block of I - X*Y lie within
+    # ||X_b|| ||Y_b|| of 1.  The largest block order bounds the rounding of
+    # every group.
     x_norm, y_norm = np.sqrt(1.0 - margins + _spectral_slack(order))
     reach = x_norm * y_norm
     unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)

@@ -9,10 +9,6 @@ class SiegelmapsError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(SiegelmapsError):
-    """Matrix fails the Hermitian symmetry check."""
-
-
 class NoConvergence(SiegelmapsError):
     """An iterative decomposition failed to converge."""
 

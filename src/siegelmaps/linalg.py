@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
-    NotHermitian,
     SingularSystem,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "Tolerance",
     "as_complex_matrix",
-    "hermitian_eigenvalues",
     "singular_values",
     "solve_right",
 ]
@@ -103,41 +101,11 @@ def _require_square(m: np.ndarray, what: str) -> None:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
 
 
-def _require_hermitian(m: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """m as a complex square matrix or stack, after checking ``m == m*`` up
-    to ``eq_tol`` member by member."""
-    m = np.asarray(m, dtype=np.complex128)
-    _require_square(m, "hermitian matrix")
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    over = defect > tol.eq_tol
-    if over.any():
-        flat = int(np.argmax(over.reshape(-1)))
-        label = _stack_label(flat, m.shape[:-2])
-        raise NotHermitian(
-            f"{label}matrix deviates from Hermitian by {defect.reshape(-1)[flat]:.3e} > {tol.eq_tol:.3e}"
-        )
-    return m
-
-
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """(m + m*)/2 of a square matrix or stack."""
     sym = m + m.conj().swapaxes(-1, -2)
     sym *= 0.5
     return sym
-
-
-def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix, or of each member
-    of a ``(..., n, n)`` stack.
-
-    This is the entry point for matrices a caller passes in: the input is
-    checked against ``m == m*`` up to ``eq_tol`` and then symmetrized as
-    (m + m*)/2 before the values-only eigensolve, so representation noise
-    in near-Hermitian products does not leak into the spectrum.  Matrices
-    the package forms Hermitian itself skip the check
-    (:func:`_symmetrized_eigenvalues`).
-    """
-    return _symmetrized_eigenvalues(_require_hermitian(m, tol))
 
 
 def _symmetrized_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -147,11 +115,10 @@ def _symmetrized_eigenvalues(m: np.ndarray) -> np.ndarray:
     For matrices Hermitian in exact arithmetic that the package forms
     itself, such as the Gram I - Z*Z of a point or the imaginary part
     (Z - Z*)/2i of a Siegel point.  The rounding of a formed product grows
-    with its entries, |Z|^2 for a Gram, so the absolute ``eq_tol`` check of
-    :func:`hermitian_eigenvalues` would reject a point with large entries
-    instead of letting its margin classify it.  The symmetrization alone
-    gives the eigensolve a Hermitian input; on a matrix that passes the
-    check, the values have the bits of :func:`hermitian_eigenvalues`."""
+    with its entries, |Z|^2 for a Gram, so an absolute ``eq_tol`` check
+    would reject a point with large entries instead of letting its margin
+    classify it.  The symmetrization alone gives the eigensolve a Hermitian
+    input."""
     try:
         return np.linalg.eigvalsh(_symmetrized(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -25,8 +25,9 @@ from siegelmaps.linalg import (
     _residuals,
     _solve_unchecked,
     _spectral_slack,
-    hermitian_eigenvalues,
 )
+
+from hermitian_check import hermitian_eigenvalues
 
 
 def _contraction_margins(z: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -19,6 +19,7 @@ import pytest
 
 import checked_grams as ref
 from bulk_images import embedded_images
+from hermitian_check import hermitian_eigenvalues
 from siegelmaps import (
     DEFAULT_TOLERANCE,
     DomainPoint,
@@ -29,7 +30,6 @@ from siegelmaps import (
     ball_point,
     cayley_to_bounded,
     cayley_to_siegel,
-    hermitian_eigenvalues,
     isometry_sandwich,
     kobayashi_distance,
     membership,

@@ -381,7 +381,9 @@ def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(mon
     # factor blocks, and embeds one probe through direct_sum_embed to check
     # its padding.  The isometry suite's 8 pairs fit one slice, measured by
     # one pass of the distance kernel per block size (one block of 10, two
-    # of 15, one of 20), with one Cholesky call each.
+    # of 15, one of 20), with one Cholesky call each: the base blocks'
+    # I - XX* and I - X*X, and both sides' Grams shifted by the interior
+    # certificate, which proves every block interior with no eigensolve.
     embeds, choleskys = [], []
     counted_embed, counted_cholesky = embeddings.direct_sum_embed, np.linalg.cholesky
 
@@ -399,7 +401,7 @@ def test_property_suites_carry_factor_blocks_and_measure_one_group_at_a_time(mon
     for name in ("retraction", "membership", "isometry", "symmetry"):
         assert harness.run_suite(name, G60_SPEC, config).passed
     assert embeds == []
-    assert choleskys == [(2, 8, n, s, s) for n, s in ((1, 10), (2, 15), (1, 20))]
+    assert choleskys == [(4, 8, n, s, s) for n, s in ((1, 10), (2, 15), (1, 20))]
     assert harness.run_verification(G60_SPEC, config).passed
     assert len(embeds) == 1 and isinstance(embeds[0], BallPoint)
     # Nothing in those four suites grows with g: at g = 2**40 they pass.

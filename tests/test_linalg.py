@@ -9,17 +9,16 @@ from siegelmaps import (
     DEFAULT_TOLERANCE,
     Tolerance,
     as_complex_matrix,
-    hermitian_eigenvalues,
     singular_values,
     solve_right,
 )
 from siegelmaps.errors import (
     DimensionMismatch,
-    NotHermitian,
     SingularSystem,
 )
 from siegelmaps.linalg import _symmetrized_eigenvalues
 
+from hermitian_check import NotHermitian, hermitian_eigenvalues
 from norms import max_abs
 from transvection import hermitian_eigensystem
 

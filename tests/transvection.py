@@ -27,7 +27,9 @@ import numpy as np
 
 from siegelmaps.domains import BallPoint, DomainKind, DomainPoint, DomainShape, _interior_detail
 from siegelmaps.errors import IllConditioned, MembershipViolation, NoConvergence, ShapeMismatch, SingularSystem
-from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _require_hermitian, _symmetrized, solve_right
+from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _symmetrized, solve_right
+
+from hermitian_check import _require_hermitian
 
 
 def hermitian_eigensystem(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
