@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from siegelmaps import (
+    BallPoint,
     DEFAULT_TOLERANCE,
     DomainPoint,
     EmbeddingSpec,
@@ -48,9 +49,10 @@ def _spec(g: int) -> EmbeddingSpec:
     return EmbeddingSpec(1, (FactorSpec(FactorKind.CONNECTING_LAMBDA, 1, 1),), g)
 
 
-def _shift_of(matrix: np.ndarray) -> float:
-    """The shift 2b of the certificate for a Hermitian matrix."""
-    return 2.0 * domains._interior_certificate(matrix, matrix.shape[-1], TOL)[1]
+def _shift_of(matrix: np.ndarray, order: int | None = None) -> float:
+    """The shift 2b of the certificate for a Hermitian matrix, at its own
+    order or at the larger order a distance kernel passes."""
+    return 2.0 * domains._interior_certificate(matrix, order or matrix.shape[-1], TOL)[1]
 
 
 def _unitary(rng, n: int) -> np.ndarray:
@@ -110,7 +112,7 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
     if isinstance(result, DomainPoint):
         return result.z.tobytes()
-    if hasattr(result, "coords"):
+    if isinstance(result, BallPoint):
         return result.coords.tobytes()
     return np.asarray(result, dtype=np.float64).tobytes()
 
@@ -184,7 +186,7 @@ def test_rectangular_type_i_pairs_match_the_eigensolve_path(p, q, monkeypatch, e
     fixed = _unitary(rng, p)[:, :n] @ np.diag(0.5 * rng.random(n)) @ _unitary(rng, q)[:n].conj()
     other = DomainPoint(type_i_shape(p, q), fixed)
     calls = []
-    for margin in _margins(_shift_of(np.eye(n))).values():
+    for margin in _margins(_shift_of(np.eye(n), max(p, q))).values():
         s = 0.9 * rng.random(n)
         s[-1] = np.sqrt(1.0 - margin)
         z = DomainPoint(type_i_shape(p, q), _unitary(rng, p)[:, :n] @ np.diag(s) @ _unitary(rng, q)[:n].conj())
