@@ -19,13 +19,15 @@ of the ambient type I ball; Siegel points are measured through the Cayley
 transform.  The distance kernels run on stacks of pairs, one LAPACK call
 per step for all of them.
 
-The positivity matrices, I - Z*Z or Im Z for Siegel points, are formed
-here, symmetrized but not checked for being Hermitian.  Where an input
-only has to be interior (the Cayley transforms, the checked retraction,
-the distance kernels), one Cholesky factorization of the matrix H shifted
-by 2b, b = 128 psd_margin + (n + 16) n^3 eps c with c the larger of 1 and
-the largest diagonal entry of H (1 for I - Z*Z), proves that the
-eigensolve would find the point interior with a margin above b
+The positivity matrices, I - Z*Z or Im Z for Siegel points, take one
+path for every kind: formed here, symmetrized from halves, so that no
+finite entry overflows, and not checked for being Hermitian.  Where an
+input only has to be interior (the Cayley transforms, the checked
+retraction, the distance kernels, each Siegel side of a distance once),
+one Cholesky factorization of the matrix H shifted by 2b,
+b = 128 psd_margin + (n + 16) n^3 eps c with c the larger of 1 and the
+largest diagonal entry of H (1 for I - Z*Z), proves that the eigensolve
+would find the point interior with a margin above b
 (:func:`_interior_certificate`); b then stands for the margin.  The
 values-only eigensolve runs for the margin that :func:`membership`
 returns, and for every input the factorization does not certify, with
@@ -200,18 +202,18 @@ def _contraction_grams(z: np.ndarray) -> np.ndarray:
 
 
 def _gram_margins(gram: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of a Gram I - Z*Z that :func:`_contraction_grams`
-    forms, or of each member of a ``(..., n, n)`` stack of them: the
-    contraction margin of Z, on the smaller square side.
+    """Smallest eigenvalue of a matrix that :func:`_positivity` forms, or of
+    each member of a ``(..., n, n)`` stack of them: the margin of a point,
+    for a Gram I - Z*Z the contraction margin of Z on the smaller side.
 
-    The Gram is formed here, Hermitian in exact arithmetic, so it goes to
-    the eigensolve symmetrized but unchecked (:func:`_symmetrized_eigenvalues`).
-    Its rounding grows with |Z|^2: an absolute ``eq_tol`` check on it would
-    reject a symmetric point with entries near 1e6, where the margin should
-    say Outside.  Every entry and partial sum of
-    Z*Z is at most s_max(Z)^2 in modulus, so a Gram with an entry that is
-    not finite has 1 - s_max^2 rounded to -inf: its margin is -inf, with no
-    eigensolve."""
+    The matrix is formed here, Hermitian in exact arithmetic, so it goes to
+    the eigensolve symmetrized from halves but unchecked
+    (:func:`_symmetrized_eigenvalues`).  A Gram's rounding grows with
+    |Z|^2: an absolute ``eq_tol`` check would reject a symmetric point with
+    entries near 1e6, where the margin should say Outside.  Every entry and
+    partial sum of Z*Z is at most s_max(Z)^2 in modulus, so a Gram with an
+    entry that is not finite, s_max past about 1.34e154, has 1 - s_max^2
+    rounded to -inf: its margin is -inf, with no eigensolve."""
     finite = np.isfinite(gram)
     if finite.all():
         return _symmetrized_eigenvalues(gram)[..., 0]
@@ -243,13 +245,13 @@ def _asymmetry(pt: DomainPoint, tol: Tolerance) -> str | None:
 def _positivity(pt: DomainPoint) -> np.ndarray:
     """The matrix whose smallest eigenvalue is the margin of a point: the
     Gram I - Z*Z of the bounded kinds (:func:`_contraction_grams`), or
-    (Z - Z*)/2i, whose Hermitian part is Im Z, of a Siegel point.  Both are
-    Hermitian in exact arithmetic and go unchecked to the symmetrized
-    eigensolve (see :func:`_gram_margins`)."""
-    z = pt.z
+    (Z - Z*)/2i, whose Hermitian part is Im Z, of a Siegel point, formed
+    from Z/2 so that it is finite.  Both are Hermitian in exact arithmetic
+    and go unchecked to the eigensolve of :func:`_gram_margins`."""
     if pt.shape.kind is DomainKind.SIEGEL:
-        return (z - z.conj().T) / 2j
-    return _contraction_grams(z)
+        half = pt.z * 0.5
+        return (half - half.conj().T) / 1j
+    return _contraction_grams(pt.z)
 
 
 def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> MembershipResult:
@@ -261,10 +263,7 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     asymmetric point is Outside with the defect named in ``reason``.
     """
     reason = _asymmetry(pt, tol)
-    if pt.shape.kind is DomainKind.SIEGEL:
-        margin = float(_symmetrized_eigenvalues(_positivity(pt))[0])
-    else:
-        margin = float(_gram_margins(_positivity(pt)))
+    margin = float(_gram_margins(_positivity(pt)))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
     if margin > tol.psd_margin:
@@ -372,6 +371,11 @@ def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Do
     if pt.shape.kind is not DomainKind.SIEGEL:
         raise ShapeMismatch(f"expected a Siegel point, got kind {pt.shape.kind.value}")
     _require_interior(pt, tol, "Cayley input")
+    return _bounded_image(pt, tol)
+
+
+def _bounded_image(pt: DomainPoint, tol: Tolerance) -> DomainPoint:
+    """The solve of :func:`cayley_to_bounded`, at a point proven interior."""
     g = pt.shape.p
     eye = np.eye(g, dtype=np.complex128)
     # On an interior point s_min(Z + iI) >= 1 + lambda_min(Im Z) >= 1, from
@@ -422,12 +426,17 @@ def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) 
     raise ValueError(f"unknown Cayley direction {direction!r}")
 
 
-def _raise_first(bad: np.ndarray, error: type[Exception], message) -> None:
-    """Raise ``error(message(i))`` for the first pair i where ``bad`` holds;
-    in a stack of several pairs the message names the pair."""
+def _pair_names(count: int) -> list[str]:
+    """Message prefixes naming the ``count`` pairs of a call, none for one."""
+    return [""] if count == 1 else [f"pair {i}: " for i in range(count)]
+
+
+def _raise_first(bad: np.ndarray, error: type[Exception], message, names=None) -> None:
+    """Raise ``error(names[i] + message(i))`` for the first pair i where
+    ``bad`` holds, ``names`` by default the :func:`_pair_names` of all."""
     if bad.any():
         i = int(np.argmax(bad))
-        raise error(("" if len(bad) == 1 else f"pair {i}: ") + message(i))
+        raise error((names or _pair_names(len(bad)))[i] + message(i))
 
 
 def _block_ranges(piece: np.ndarray) -> list[tuple[int, int]]:
@@ -515,11 +524,11 @@ def _base_factors(xb: np.ndarray, gram: np.ndarray, shifted=()) -> tuple[np.ndar
     return np.linalg.cholesky(np.asarray([gram, *shifted]))[0], np.linalg.cholesky(np.eye(q) - adjoint @ xb)
 
 
-def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
-    """Kobayashi distances between ``count`` pairs of matrix-ball points
-    given by their diagonal blocks: per group one ``(2, count, n, p, q)``
-    block stack, x side first, as :func:`_diagonal_blocks` returns for
-    square points; a rectangular point is one p x q block.
+def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
+    """Kobayashi distances between B pairs of matrix-ball points, given by
+    their diagonal blocks: per group one ``(2, B, n, p, q)`` block stack, x
+    side first, as :func:`_diagonal_blocks` returns; a rectangular point is
+    one p x q block.  ``pairs`` is B, or the pairs' names in a larger call.
 
     tanh d(X, Y) = s_max(C^-1 (Y - X)(I - X*Y)^-1 D) with the Cholesky
     factors C C* = I - X X* and D D* = I - X*X.  They differ from the
@@ -546,25 +555,20 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
     pair the eigensolve's margins would clear.  Where it fails, the margins
     come from the eigensolve of the Grams, unchecked, as in
     :func:`_gram_margins`, and the checks, decisions and messages are those
-    of that eigensolve path.  Where the
-    blocks have more than one size, 1 joins the extreme singular values:
-    it is the singular value that the zero padding of the smaller blocks
-    added when every block was padded to the largest, kept so that no
+    of that eigensolve path.  Where the blocks have more than one size, 1
+    joins the extreme singular values, as the zero padding of the smaller
+    blocks did when every block was padded to the largest, so that no
     decision moves.  A failing check names the first failing pair.
     """
+    count, names = (pairs, None) if isinstance(pairs, int) else (len(pairs), pairs)
     if not groups:
         # Every member of both stacks is zero.
         return np.zeros(count)
     if check_inputs and symmetric:
         defects = reduce(np.maximum, [_asymmetries(group).max(axis=-1) for group in groups])
-        asymmetric = defects > tol.eq_tol
-        if asymmetric.any():
-            for bad, defect in zip(asymmetric, defects):
-                _raise_first(
-                    bad,
-                    MembershipViolation,
-                    lambda i: f"distance argument must be an interior point: {_asymmetry_detail(defect[i])}",
-                )
+        what = "distance argument must be an interior point: "
+        for bad, defect in zip(defects > tol.eq_tol, defects):
+            _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
     grams = [_contraction_grams(group) for group in groups]
     order = max(max(group.shape[-2:]) for group in groups)
     largest_q = max(group.shape[-1] for group in groups)
@@ -587,8 +591,10 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
         margins = _block_margins(grams, count)
         (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
         if check_inputs:
-            _raise_first(y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]))
-        _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]))
+            _raise_first(
+                y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]), names
+            )
+        _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]), names)
         try:
             factors = [_base_factors(group[0], gram[0]) for group, gram in zip(groups, grams)]
         except np.linalg.LinAlgError as exc:
@@ -614,22 +620,16 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
             smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
         bad = np.zeros(count, dtype=bool)
         bad[unsettled] = _ill_conditioned(largest, smallest, tol)
-        _raise_first(
-            bad,
-            IllConditioned,
-            lambda i: f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}",
-        )
+        too_large = f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}"
+        _raise_first(bad, IllConditioned, lambda i: too_large, names)
     try:
         middles = [_solve_unchecked(a, b) for a, b in zip(differences, denominators)]
     except SingularSystem as exc:
         raise IllConditioned(f"{near_singular}{exc}") from exc
     checks = [_residuals(*args, tol) for args in zip(middles, differences, denominators)]
     residual, bound = (reduce(np.maximum, [r.max(axis=1) for r in values]) for values in zip(*checks))
-    _raise_first(
-        residual > bound,
-        IllConditioned,
-        lambda i: f"{near_singular}solution residual {residual[i]:.3e} exceeds tolerance",
-    )
+    too_large = near_singular + "solution residual {:.3e} exceeds tolerance"
+    _raise_first(residual > bound, IllConditioned, lambda i: too_large.format(residual[i]), names)
     top = reduce(
         np.maximum,
         [
@@ -637,7 +637,7 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
             for middle, (left, right) in zip(middles, factors)
         ]
     )
-    _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1")
+    _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1", names)
     return np.arctanh(top)
 
 
@@ -716,13 +716,11 @@ def kobayashi_distance(
     else:
         siegel = shape.kind is DomainKind.SIEGEL
         if siegel:
-            # Checked pair by pair in the Siegel model, measured in the bounded one.
-            for a, b in zip(xs, ys):
-                reason = _asymmetry(a, tol)
-                if reason is not None:
-                    raise MembershipViolation(f"distance argument must be an interior point: {reason}")
-                _require_interior(b, tol, "distance argument")
-            xs, ys = [cayley_to_bounded(a, tol) for a in xs], [cayley_to_bounded(b, tol) for b in ys]
+            # Each side proven interior once in the Siegel model, measured in the bounded one.
+            for name, a, b in zip(_pair_names(len(xs)), xs, ys):
+                for point in (a, b):
+                    _require_interior(point, tol, name + "distance argument")
+            xs, ys = [_bounded_image(a, tol) for a in xs], [_bounded_image(b, tol) for b in ys]
         # Both sides in one (2, B, p, q) stack, x first.
         z = np.asarray([a.z for a in xs] + [b.z for b in ys]).reshape(2, len(xs), shape.p, shape.q)
         groups = _diagonal_blocks([z]) if shape.p == shape.q else [z[:, :, np.newaxis]]

@@ -102,10 +102,10 @@ def _require_square(m: np.ndarray, what: str) -> None:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m*)/2 of a square matrix or stack."""
-    sym = m + m.conj().swapaxes(-1, -2)
-    sym *= 0.5
-    return sym
+    """(m + m*)/2 of a square matrix or stack, as half + half* with
+    half = m/2 so that it is finite wherever m is."""
+    half = m * 0.5
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def _symmetrized_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .domains import (
     _ball_distances,
     _diagonal_blocks,
     _matrix_distances,
+    _pair_names,
     _require_interior,
     kobayashi_distance,
 )
@@ -158,9 +159,10 @@ def isometry_sandwich(
     cx, cy = _ball_coords(spec.source_dim, tol, xs, ys)
     target = np.empty(len(cx))
     rx, ry = np.empty_like(cx), np.empty_like(cy)
+    names = _pair_names(len(cx))
     # Each pair holds the blocks of two images.
     for part in _point_slices(len(cx), 2 * _block_entries(spec)):
         bx, by = _embed_blocks(spec, cx[part]), _embed_blocks(spec, cy[part])
-        target[part] = _matrix_distances(_diagonal_blocks(zip(bx, by)), len(bx[0]), tol, symmetric=True)
+        target[part] = _matrix_distances(_diagonal_blocks(zip(bx, by)), names[part], tol, symmetric=True)
         rx[part], ry[part] = _retract_blocks(spec, bx), _retract_blocks(spec, by)
     return kobayashi_distance(xs, ys, tol), target, _ball_distances(rx, ry, tol)

@@ -34,6 +34,7 @@ from siegelmaps import (
     kobayashi_distance,
     membership,
     retract_direct_sum,
+    siegel_shape,
     type_i_shape,
     type_iii_shape,
 )
@@ -239,3 +240,46 @@ def test_points_too_large_to_square_have_margin_minus_inf(g, scale):
             assert str(raised.value) == f"{what} must be an interior point: margin {result.margin:.3e}"
             if scale > 1e150:
                 assert str(raised.value).endswith("margin -inf")
+
+
+def _overflow_band():
+    """Type III points whose Gram I - Z*Z is finite while the sum of the
+    Gram and its adjoint would not be: s_max(Z) between about 1e154 and
+    1.34e154."""
+    points = [_large(generator(42, 3), 3, scale) for scale in (1.2e154, 1.3e154)]
+    return points + [DomainPoint(type_iii_shape(2), np.diag([1.2e154, 0.1]))]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_points_in_the_overflow_band_are_outside_with_finite_margins(index):
+    # The positivity matrix is symmetrized from halves, so its eigensolve
+    # sees finite entries: no NaN margin, no NoConvergence, no warning.
+    big = _overflow_band()[index]
+    g = big.shape.p
+    small = sample_type_iii(generator(42, g), g)
+    spec = EmbeddingSpec(1, (FactorSpec(CL, 1, 1),), 2) if g == 2 else SPECS[g]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = membership(big)
+        assert result.status is MembershipStatus.OUTSIDE and result.reason is None
+        assert np.isfinite(result.margin) and result.margin <= -1e308
+        calls = {
+            "Cayley input": lambda: cayley_to_siegel(big),
+            "distance argument": lambda: kobayashi_distance(small, big),
+            "transvection base": lambda: kobayashi_distance(big, small),
+            "direct-sum retraction input": lambda: retract_direct_sum(big, spec, verify=True),
+        }
+        for what, call in calls.items():
+            with pytest.raises(MembershipViolation) as raised:
+                call()
+            assert str(raised.value) == f"{what} must be an interior point: margin {result.margin:.3e}"
+
+
+def test_siegel_points_with_huge_imaginary_parts_keep_their_margin():
+    # (Z - Z*)/2i is formed from Z/2, so an imaginary part of 1e308 does
+    # not overflow on its way to the eigensolve.
+    point = DomainPoint(siegel_shape(2), np.diag([1e308j, 1j]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = membership(point)
+    assert result.status is MembershipStatus.INTERIOR and result.margin == 1.0

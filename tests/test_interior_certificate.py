@@ -37,7 +37,7 @@ from siegelmaps import (
     type_iii_shape,
 )
 from siegelmaps import domains
-from siegelmaps.errors import SiegelmapsError
+from siegelmaps.errors import MembershipViolation, SiegelmapsError
 from siegelmaps.sampling import generator, sample_type_iii
 from test_block_groups import G60_SPEC
 
@@ -284,3 +284,61 @@ def test_an_ambient_op_makes_one_eigensolve_and_the_isometry_suite_none(eigensol
     # eigensolve per block size: one block of 10, two of 15, one of 20.
     assert harness.run_suite("membership", G60_SPEC, config).passed
     assert eigensolves == [(8, 1, 10, 10), (8, 2, 15, 15), (8, 1, 20, 20)]
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The shapes of the Cholesky calls made so far."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+def test_a_siegel_pair_proves_each_point_interior_once(factorizations):
+    # One certificate per Siegel point, then the kernel's one call for the
+    # base factors and the shifted Grams of the Cayley images.
+    rng = generator(77, 0)
+    for g in (2, 12):
+        x, y = cayley_to_siegel(sample_type_iii(rng, g)), cayley_to_siegel(sample_type_iii(rng, g))
+        factorizations.clear()
+        kobayashi_distance(x, y)
+        assert factorizations == [(g, g), (g, g), (4, 1, 1, g, g)]
+
+
+def _siegel_defects(rng, g: int) -> dict[str, DomainPoint]:
+    """A Siegel point that is not symmetric and one whose imaginary part
+    is not positive definite."""
+    asymmetric = cayley_to_siegel(sample_type_iii(rng, g)).z.copy()
+    asymmetric[-1, 0] += 1e-7
+    outside = cayley_to_siegel(sample_type_iii(rng, g)).z - 2j * np.eye(g)
+    return {
+        "asymmetric": DomainPoint(siegel_shape(g), asymmetric),
+        "outside": DomainPoint(siegel_shape(g), outside),
+    }
+
+
+@pytest.mark.parametrize("defect", ["asymmetric", "outside"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_siegel_distance_arguments_are_named_by_pair(defect, side):
+    # Either side of a pair, alone or as pair 1 of a stack of two, fails as
+    # a distance argument, named the way the bounded kernel names pairs.
+    rng = generator(78, 0)
+    g = 6
+    bad = _siegel_defects(rng, g)[defect]
+    result = membership(bad)
+    assert not result
+    detail = result.reason or f"margin {result.margin:.3e}"
+    good = [cayley_to_siegel(sample_type_iii(rng, g)) for _ in range(3)]
+    pair = [good[0], good[1]]
+    pair[side] = bad
+    stack = [[good[2], pair[0]], [good[0], pair[1]]]
+    for call, prefix in ((lambda: kobayashi_distance(*pair), ""), (lambda: kobayashi_distance(*stack), "pair 1: ")):
+        with pytest.raises(MembershipViolation) as raised:
+            call()
+        assert str(raised.value) == f"{prefix}distance argument must be an interior point: {detail}"

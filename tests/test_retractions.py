@@ -38,6 +38,7 @@ from siegelmaps.sampling import (
 from copy_loops import copy_flats
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
+from test_block_groups import G60_SPEC
 
 
 def _single(factor: FactorSpec) -> EmbeddingSpec:
@@ -294,6 +295,24 @@ def test_isometry_sandwich_on_sequences_equals_its_pairs():
         isometry_sandwich(spec, xs, ys[:-1])
     with pytest.raises(ShapeMismatch):
         isometry_sandwich(spec, [], [])
+
+
+@pytest.mark.parametrize("count, bad", [(20, 11), (17, 16)])
+def test_isometry_sandwich_names_the_pair_of_the_call(count, bad):
+    # The g = 60 spec measures 8 pairs per slice: pair 11 is the fourth of
+    # its slice, and pair 16 of 17 is alone in its slice.  The error names
+    # the pair by its index in the call, as kobayashi_distance does.
+    r = 1.0 - 3e-10
+    xs, ys = [ball_point(0.1 * np.ones(5))] * count, [ball_point(-0.1 * np.ones(5))] * count
+    xs[bad], ys[bad] = ball_point(r * np.eye(5)[0]), ball_point(-r * np.eye(5)[0])
+    expected = f"pair {bad}: transvected point has norm 1.000000 >= 1"
+    with pytest.raises(IllConditioned) as raised:
+        isometry_sandwich(G60_SPEC, xs, ys)
+    assert str(raised.value) == expected
+    images = [[direct_sum_embed(G60_SPEC, z) for z in side] for side in (xs, ys)]
+    with pytest.raises(IllConditioned) as raised:
+        kobayashi_distance(*images)
+    assert str(raised.value) == expected
 
 
 def test_block_layout_covers_budget_prefix():
