@@ -34,7 +34,14 @@ zero off the blocks, so no g x g image is built per point; the padding of
 coordinate nonzero.  The oracle evaluates a stack of points at once: a
 vectorized Laplace recursion for the wedge minors of each degree
 (:func:`_wedge_coefficients`) and one stacked solve per degree, shared by
-its models; a stacked block has the bits of the same point alone.
+its models; a stacked block has the bits of the same point alone.  The
+negative block Y of that solve is I - dG(z z*) on the (m-1)-th exterior
+power of C^p, with singular values 1 and 1 - |z|^2, so its condition is
+known before the solve: bounds 1 + d and 1 - |z|^2 - d on the computed
+block, d proven from the rounding of the recursion and of |z|^2
+(:func:`_negative_block_bounds`), certify the condition test, and the
+solve takes only the X rows.  Stacks the bounds do not clear take
+:func:`~siegelmaps.linalg.solve_right`, with the same bits and messages.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -72,7 +79,15 @@ from .errors import (
     SpecMismatch,
 )
 from .exterior import _basis_rows, _subset_units, _subsets, balanced_symmetric, signature
-from .linalg import DEFAULT_TOLERANCE, Tolerance, solve_right
+from .linalg import (
+    _EPS,
+    DEFAULT_TOLERANCE,
+    Tolerance,
+    _certified,
+    _residual_checked,
+    _solve_unchecked,
+    solve_right,
+)
 from .sampling import generator, sample_ball_coords
 
 __all__ = [
@@ -264,6 +279,13 @@ def _copy_offsets(size: int, count: int, cost: int) -> np.ndarray:
     return ((starts + entries[:, np.newaxis]) * cost + starts + entries).reshape(count, size * size)
 
 
+def _squared_norms(coords: np.ndarray) -> np.ndarray:
+    """|z|^2 along the last axis of a coordinate stack, from the dot
+    products of the real and of the imaginary parts: the bits of the square
+    of ``np.linalg.norm``, which takes the same dot products."""
+    return np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag)
+
+
 def _require_interior_ball(norm: float, tol: Tolerance, what: str) -> None:
     if norm >= 1.0 - tol.psd_margin:
         raise MembershipViolation(f"{what} has norm {norm:.6f}, too close to the sphere")
@@ -353,6 +375,54 @@ def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
     return coeffs
 
 
+def _negative_block_bounds(coords: np.ndarray, m: int, s: int) -> tuple[float, np.ndarray]:
+    """Bounds hi and lo, the second per row of a (B, p) coordinate stack, on
+    the singular values of the computed s x s negative block Y' of degree m
+    (:func:`_wedge_coefficients`): sigma_max(Y') <= hi = 1 + d and, where
+    the computed lo = 1 - |z|^2 - d is positive, sigma_min(Y') >= lo, with
+
+        d = (s m^2 2^(m-2) (1 + sqrt m) + 2 (p + 1)) eps.
+
+    In exact arithmetic Y = I - dG(z z*), with dG the derivation that
+    z z* induces on the (m-1)-th exterior power of C^p: b_I ^ v takes the
+    term e_I ^ e_{p+1} from v and, from b_i and v, -conj(z_i) z_j times the
+    wedge with e_j in the place of e_i.  z z* has eigenvalues |z|^2 and 0,
+    so Y is Hermitian with singular values 1 and 1 - |z|^2 (Y = [1] for
+    m = 1).  Rounding argument, with u = eps/2:
+
+    * The minors.  Level k of the Laplace recursion forms each k x k minor
+      of the first k columns as a signed sum of k products c_t M'_t of an
+      entry of column k and a computed (k-1) x (k-1) minor; level 1 is the
+      first column itself, exact.  Every entry has modulus at most 1 (0, 1,
+      z_j or conj(z_j), and |z| < 1 where lo > 0, see below).  Over the k
+      rows of a minor, the entries of a column b_i sum in modulus to at
+      most 1 + |z_i| <= 2 and those of v to at most 1 + sqrt(m) |z|.  So A_k,
+      the recursion run on moduli, is at most 2^(k-1) for k < m and
+      A_m <= 2^(m-2) (1 + sqrt m).  A complex product rounds by at most
+      sqrt(2) g_2 of its modulus, a sum of k terms by sqrt(2) g_(k-1) of
+      their moduli, and the signs are exact (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., 2002, Lemma 3.5 and
+      sec. 4.2), so by induction on k, |M'_k - M_k| <= e_k A_k with
+      e_k <= e_(k-1) + sqrt(2) (k + 1) u (1 + O(k u)): e_m <= 0.36 (m^2 +
+      3m) eps, at most m^2 eps.  Each entry of Y' is within
+      m^2 2^(m-2) (1 + sqrt m) eps of Y's, and ||Y' - Y||_2 <= ||Y' - Y||_F
+      is at most s times that.
+    * Weyl's inequality.  Each singular value of Y' is within ||Y' - Y||_2
+      of Y's, so in [1 - |z|^2, 1] widened by that much.
+    * The norm.  |z|^2 is summed from 2p squares, with a relative error at
+      most g_2p; lo's two subtractions round by about 2u.  Both lie within
+      the 2 (p + 1) eps of d, so lo bounds sigma_min(Y') from below.  If
+      |z| >= 1, the computed |z|^2 is at least 1 - g_2p and lo < 0, which
+      bounds nothing and clears nothing.
+
+    The bounds bound the computed block itself, so
+    :func:`~siegelmaps.linalg._certified` at order s can clear it."""
+    p = coords.shape[1]
+    squares = _squared_norms(coords)
+    slack = (s * m**2 * 2.0 ** (m - 2) * (1.0 + np.sqrt(m)) + 2.0 * (p + 1)) * _EPS
+    return 1.0 + slack, 1.0 - squares - slack
+
+
 def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray]:
     """Normalized wedge blocks X Y^{-1} at every row of a (B, p) coordinate
     stack, one (B, r, s) array per ``(m, symmetric)`` model.  The models of
@@ -360,14 +430,24 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
     one kernel call and one stacked solve, with the X rows of its two
     models stacked when the models ask for both.  A symmetric model's X
     rows are the positive rows reversed, divided by the units
-    (:func:`_conjugation_units`).  Each block has the bits of the same point
-    and model evaluated alone: LAPACK solves each right-hand column by the
-    same steps.  The caller validates the degrees and the points."""
+    (:func:`_conjugation_units`).
+
+    Y's singular values are 1 and 1 - |z|^2, known before any solve
+    (:func:`_negative_block_bounds`).  Where those bounds clear every
+    member of the stack (:func:`~siegelmaps.linalg._certified`), the X rows
+    are solved alone and residual-checked, with no condition certificate;
+    otherwise, below 1 - |z|^2 of about 2e-9 or above s = 38, they go
+    through :func:`solve_right`, whose condition test a cleared stack
+    provably passes: the same decisions and messages either way.  Each
+    block has the bits of the same point and model evaluated alone, by
+    either path: LAPACK solves each right-hand column by the same steps,
+    also beside ``solve_right``'s identity block.  The caller validates the
+    degrees and the points."""
     p = coords.shape[1]
     solved: dict[tuple[int, bool], np.ndarray] = {}
     for m in dict.fromkeys(m for m, _ in models):
         coefficients = _wedge_coefficients(coords, m)
-        r, _ = signature(p, m)
+        r, s = signature(p, m)
         kinds = [symmetric for symmetric in (False, True) if (m, symmetric) in models]
         x_blocks = []
         for symmetric in kinds:
@@ -376,8 +456,12 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
                 x_block = x_block[:, ::-1, :] / _conjugation_units(p, m)[:, np.newaxis]
             x_blocks.append(x_block)
         rows = np.concatenate(x_blocks, axis=1)
+        negative = coefficients[:, r:, :]
         try:
-            normalized = solve_right(rows, coefficients[:, r:, :], tol)
+            if _certified(*_negative_block_bounds(coords, m, s), s, tol).all():
+                normalized = _residual_checked(_solve_unchecked(rows, negative), rows, negative, tol)
+            else:
+                normalized = solve_right(rows, negative, tol)
         except SingularSystem as exc:
             raise NormalizationSingular(f"negative block not invertible: {exc}") from exc
         for i, symmetric in enumerate(kinds):
@@ -386,12 +470,17 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
 
 
 def _interior_rows(coords: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """A (B, N) coordinate stack, its rows checked in turn as
-    :func:`_ball_coords` checks a ball point, naming row i: by the row's own
-    norm, as :class:`BallPoint` measures it (a norm along an axis of the
-    stack can round differently)."""
-    for i, row in enumerate(coords):
-        _require_interior_ball(float(np.linalg.norm(row)), tol, f"embedding input {i}")
+    """A (B, N) coordinate stack, its rows checked as :func:`_ball_coords`
+    checks a ball point, naming the first row i on or outside the sphere:
+    by each row's norm with the bits of :class:`BallPoint`'s
+    ``np.linalg.norm`` (:func:`_squared_norms`; ``np.linalg.norm`` along an
+    axis of the stack can round differently).  A row whose norm is NaN
+    passes, as in that check."""
+    norms = np.sqrt(_squared_norms(coords))
+    outside = norms >= 1.0 - tol.psd_margin
+    if outside.any():
+        i = int(np.argmax(outside))
+        _require_interior_ball(float(norms[i]), tol, f"embedding input {i}")
     return coords
 
 

@@ -9,10 +9,12 @@ A condition test rejects a matrix whose condition number, the ratio of
 its extreme singular values from an SVD, exceeds 1/psd_margin.  Most
 matrices the package tests are far from that limit, so each test is
 certified first: bounds sigma_max <= hi and sigma_min >= lo that the
-caller already holds, such as ||B||_F ||B^-1||_F from an LU solve or
+caller already holds, such as ||B||_F ||B^-1||_F from an LU solve,
 1 -/+ ||X|| ||Y|| for I - X*Y with contractions X and Y (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 6
-and 7), clear a matrix when hi <= lo / (16 psd_margin).  A cleared matrix
+and 7), or 1 + d and 1 - |z|^2 - d for the negative block of the wedge
+oracle, whose singular values are 1 and 1 - |z|^2, clear a matrix when
+hi <= lo / (16 psd_margin).  A cleared matrix
 provably passes the SVD test, with LAPACK's error bounds on the computed
 singular values and a factor above 12 to spare (see ``_certified``); the
 SVD runs only for the matrices the bounds cannot clear, with the same

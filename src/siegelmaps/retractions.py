@@ -41,6 +41,7 @@ from .embeddings import (
     _copy_plan,
     _embed_blocks,
     _point_slices,
+    _squared_norms,
     factor_form,
 )
 from .errors import IllConditioned, ShapeMismatch, SpecMismatch
@@ -87,9 +88,8 @@ def _retract_copies(spec: EmbeddingSpec, flats) -> np.ndarray:
     naming the first such block in layout order and, in a stack, its first
     such member."""
     coords = _copy_coords(_copy_plan(spec), flats)
-    # The squared norm of each copy with the bits of np.linalg.norm's, which
-    # takes the same dot products; a norm is at least 1 where its square is.
-    squares = np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag)
+    # A norm is at least 1 where its square is.
+    squares = _squared_norms(coords)
     outside = squares >= 1.0
     if outside.any():
         copy = int(np.argmax(outside.reshape(len(outside), -1).any(axis=1)))

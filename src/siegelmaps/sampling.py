@@ -41,9 +41,12 @@ def sample_ball_coords(rng: np.random.Generator, n: int, count: int, radius_cap:
     (0, radius_cap)."""
     coords = np.empty((count, n), dtype=np.complex128)
     for row in coords:
-        direction = _complex_normal(rng, n)
-        direction /= np.linalg.norm(direction)
-        row[:] = direction * (radius_cap * rng.random())
+        # One draw of 2n normals, the real parts then the imaginary ones:
+        # the stream and the bits of drawing the two halves in turn.
+        normals = rng.standard_normal(2 * n)
+        row.real, row.imag = normals[:n], normals[n:]
+        row /= np.linalg.norm(row)
+        row *= radius_cap * rng.random()
     return coords
 
 

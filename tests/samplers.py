@@ -29,3 +29,15 @@ def sample_siegel(rng: np.random.Generator, g: int) -> DomainPoint:
     root = rng.standard_normal((g, g))
     imag = root @ root.T / g + 0.1 * np.eye(g)
     return DomainPoint(siegel_shape(g), real + 1j * imag)
+
+
+def sample_ball_coords_in_parts(rng: np.random.Generator, n: int, count: int, radius_cap: float = 0.95) -> np.ndarray:
+    """:func:`siegelmaps.sampling.sample_ball_coords` as it was written
+    before its rows were drawn with one normal call each: per row, a
+    complex normal from two draws of n, normalized, times a radius."""
+    coords = np.empty((count, n), dtype=np.complex128)
+    for row in coords:
+        direction = _complex_normal(rng, n)
+        direction /= np.linalg.norm(direction)
+        row[:] = direction * (radius_cap * rng.random())
+    return coords

@@ -477,23 +477,30 @@ def test_stacked_oracle_equals_per_point_factor_block(n):
 def test_models_of_a_degree_share_one_solve(n, monkeypatch):
     # lambda_III and connecting_lambda of degree (n + 1) / 2 share their
     # negative block Y: one solve for both, each block with the bits of its
-    # model solved alone.
+    # model solved alone.  The solve is the one the oracle makes: of the X
+    # rows alone where the closed-form bounds clear the stack (n = 5), else
+    # solve_right's (n = 9, where Y has order 126).
     solves = []
-    counted = embeddings.solve_right
 
-    def counting(a, b, tol):
-        solves.append(a.shape)
-        return counted(a, b, tol)
+    def counting(name):
+        solve = getattr(embeddings, name)
+
+        def counted(a, b, *tol):
+            solves.append((name, a.shape))
+            return solve(a, b, *tol)
+
+        return counted
 
     m = (n + 1) // 2
     models = [(m, True), (m, False), (m, True)]
     rng = generator(46, n)
     coords = np.stack([sample_ball_point(rng, n).coords for _ in range(4)])
     alone = [embeddings._wedge_blocks(coords, [model], DEFAULT_TOLERANCE)[0] for model in models]
-    monkeypatch.setattr(embeddings, "solve_right", counting)
+    for name in ("solve_right", "_solve_unchecked"):
+        monkeypatch.setattr(embeddings, name, counting(name))
     shared = embeddings._wedge_blocks(coords, models, DEFAULT_TOLERANCE)
     r = comb(n, m)
-    assert solves == [(4, 2 * r, comb(n, m - 1))]
+    assert solves == [("_solve_unchecked" if n == 5 else "solve_right", (4, 2 * r, comb(n, m - 1)))]
     assert [block.tobytes() for block in shared] == [block.tobytes() for block in alone]
 
 
@@ -927,6 +934,50 @@ def test_stacked_embed_names_the_failing_member():
         embeddings._ball_coords(2, DEFAULT_TOLERANCE, [inside, inside, ball_point([1.0 - 1e-12, 0.0])])
     with pytest.raises(SpecMismatch, match="embedding input 1: spec expects ball dimension 2, got 3"):
         embeddings._ball_coords(2, DEFAULT_TOLERANCE, [inside, ball_point([0.1, 0.0, 0.0])])
+
+
+def _interior_rows_by_row(coords, tol):
+    """``embeddings._interior_rows`` as it was written before its norms
+    were taken as one stack: a loop of ``np.linalg.norm`` over the rows."""
+    for i, row in enumerate(coords):
+        embeddings._require_interior_ball(float(np.linalg.norm(row)), tol, f"embedding input {i}")
+    return coords
+
+
+def _interior_outcome(check, coords, tol):
+    try:
+        check(coords, tol)
+    except MembershipViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_stacked_row_check_keeps_the_per_row_norms_and_messages():
+    # Rows of dimension 1 to 17 at radii up to 0.999999, and rows scaled to
+    # within a few ulps of 1 - psd_margin, where the bits of the norm decide:
+    # the stacked check passes and fails where the per-row loop does, with
+    # its message, naming the first row at or past the margin.  A row whose
+    # norm is NaN passes both.
+    tol = DEFAULT_TOLERANCE
+    threshold = 1.0 - tol.psd_margin
+    rng = generator(255, 0)
+    scales = [np.nextafter(threshold, k * np.inf) for k in (-1, 1)] + [threshold]
+    outcomes = set()
+    for n in (1, 2, 5, 9, 17):
+        coords = sample_ball_coords(rng, n, 40, 0.999999)
+        assert _interior_outcome(embeddings._interior_rows, coords, tol) is None
+        for i in (0, 7, 39):
+            for scale in scales:
+                near = coords.copy()
+                near[i] *= scale / np.linalg.norm(near[i])
+                near[-1] *= 1.5
+                outcome = _interior_outcome(embeddings._interior_rows, near, tol)
+                assert outcome == _interior_outcome(_interior_rows_by_row, near, tol)
+                outcomes.add(outcome is not None and f"input {i} " in outcome)
+    assert outcomes == {True, False}
+    with_nan = sample_ball_coords(rng, 3, 4)
+    with_nan[1, 2] = np.nan
+    assert embeddings._interior_rows(with_nan, tol) is with_nan
 
 
 @pytest.mark.parametrize(

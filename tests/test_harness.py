@@ -27,6 +27,7 @@ from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point
 
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
+from samplers import sample_ball_coords_in_parts
 from wedge_reference import complement, conjugation_unit, wedge_basis
 
 N2_SPEC = EmbeddingSpec(
@@ -448,3 +449,13 @@ def test_padding_probe_fires_far_beyond_the_cost(monkeypatch, where):
     result = harness.run_suite("linearity", spec, HarnessConfig(samples=2, seed=0))
     assert not result.passed and result.max_residual is None
     assert result.detail.startswith("embedding deviates from its factor blocks by ")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_ball_samples_keep_the_bits_of_drawing_each_part_in_turn(n):
+    # One normal draw of 2n per row gives the stream, and the bytes, of
+    # drawing the real and the imaginary parts in turn.
+    for seed in range(40):
+        for cap in (0.95, 0.999999):
+            drawn = sample_ball_coords(generator(seed, n), n, 30, cap)
+            assert drawn.tobytes() == sample_ball_coords_in_parts(generator(seed, n), n, 30, cap).tobytes()
