@@ -1,4 +1,5 @@
-"""Seeded samplers of type I and Siegel points, which only tests draw.
+"""Seeded samplers of type I and Siegel points, which only tests draw, and
+the earlier form of the package's ball sampler, which tests compare with.
 
 They draw from the stream of a :func:`siegelmaps.sampling.generator`
 exactly as the package's samplers do, so a test that draws the same

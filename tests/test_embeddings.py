@@ -953,11 +953,11 @@ def _interior_outcome(check, coords, tol):
 
 
 def test_stacked_row_check_keeps_the_per_row_norms_and_messages():
-    # Rows of dimension 1 to 17 at radii up to 0.999999, and rows scaled to
-    # within a few ulps of 1 - psd_margin, where the bits of the norm decide:
-    # the stacked check passes and fails where the per-row loop does, with
-    # its message, naming the first row at or past the margin.  A row whose
-    # norm is NaN passes both.
+    # Rows of dimension 1 to 17 at radii up to 0.999999, one row scaled to
+    # within an ulp of 1 - psd_margin, where the bits of the norm decide,
+    # and the last row scaled by 1.5: the stacked check passes and fails
+    # where the per-row loop does, with its message, naming the first row
+    # at or past the margin.  A row whose norm is NaN passes both.
     tol = DEFAULT_TOLERANCE
     threshold = 1.0 - tol.psd_margin
     rng = generator(255, 0)
