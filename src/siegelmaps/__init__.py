@@ -46,7 +46,6 @@ from .linalg import (
     Tolerance,
     as_complex_matrix,
     singular_values,
-    solve_right,
 )
 from .report import HarnessConfig, Report, SuiteResult
 from .retractions import isometry_sandwich, retract_direct_sum
@@ -88,7 +87,6 @@ __all__ = [
     "siegel_shape",
     "signature",
     "singular_values",
-    "solve_right",
     "type_i_shape",
     "type_iii_shape",
 ]

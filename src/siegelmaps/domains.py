@@ -56,7 +56,6 @@ from .linalg import (
     Tolerance,
     _certified,
     _ill_conditioned,
-    _residual_checked,
     _residuals,
     _solve_conditioned,
     _solve_unchecked,
@@ -64,7 +63,6 @@ from .linalg import (
     _symmetrized,
     _symmetrized_eigenvalues,
     as_complex_matrix,
-    singular_values,
 )
 
 __all__ = [
@@ -408,13 +406,14 @@ def _cayley_solve(a: np.ndarray, denom: np.ndarray, hi: float, lo: float, name: 
     """a @ denom^-1 for a Cayley transform, given bounds s_max <= hi and
     s_min >= lo on the denominator's singular values.  Where they do not
     clear it (see :func:`_certified`), one SVD of the denominator serves
-    both the singularity test and the condition test of solve_right."""
-    if _certified(hi, lo, denom.shape[-1], tol):
-        return _residual_checked(_solve_unchecked(a, denom), a, denom, tol)
-    sv = singular_values(denom)
-    if sv[-1] <= tol.psd_margin * sv[0]:
-        raise SingularCayley(f"{name} is numerically singular")
-    return _solve_conditioned(a, denom, sv, tol)
+    both the singularity test, first, and the condition test of
+    :func:`_solve_conditioned`."""
+
+    def singular(sv: np.ndarray) -> None:
+        if (sv[..., -1] <= tol.psd_margin * sv[..., 0]).any():
+            raise SingularCayley(f"{name} is numerically singular")
+
+    return _solve_conditioned(a, denom, _certified(hi, lo, denom.shape[-1], tol), tol, singular)
 
 
 def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -545,7 +544,8 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
     With ``check_inputs``, both sides are checked for symmetry (when
     ``symmetric``), x before y, and y for interiority, as
     :func:`membership` does; x is always checked against ``psd_margin``,
-    and I - X*Y like :func:`solve_right` does, on the extreme singular
+    and I - X*Y with the condition test of
+    :func:`~siegelmaps.linalg._solve_conditioned`, on the extreme singular
     values over all blocks of a pair.  The Grams I - Z*Z of both sides are
     formed once; x's Gram is also the one Cholesky factor D is taken of
     (C's where the blocks are wider than tall).  Their shifts by

@@ -39,9 +39,9 @@ negative block Y of that solve is I - dG(z z*) on the (m-1)-th exterior
 power of C^p, with singular values 1 and 1 - |z|^2, so its condition is
 known before the solve: bounds 1 + d and 1 - |z|^2 - d on the computed
 block, d proven from the rounding of the recursion and of |z|^2
-(:func:`_negative_block_bounds`), certify the condition test, and the
-solve takes only the X rows.  Stacks the bounds do not clear take
-:func:`~siegelmaps.linalg.solve_right`, with the same bits and messages.
+(:func:`_negative_block_bounds`), prove the condition test at every order,
+and the solve takes only the X rows.  Rows the bounds do not clear take
+one SVD for the test, with the same bits and messages.
 
 Exterior-power construction, in coordinates: the source point z spans the
 negative line through ``v = sum_i e_i z_i + e_{p+1}``; the positive
@@ -83,10 +83,7 @@ from .linalg import (
     _EPS,
     DEFAULT_TOLERANCE,
     Tolerance,
-    _certified,
-    _residual_checked,
-    _solve_unchecked,
-    solve_right,
+    _solve_conditioned,
 )
 from .sampling import generator, sample_ball_coords
 
@@ -415,8 +412,8 @@ def _negative_block_bounds(coords: np.ndarray, m: int, s: int) -> tuple[float, n
       |z| >= 1, the computed |z|^2 is at least 1 - g_2p and lo < 0, which
       bounds nothing and clears nothing.
 
-    The bounds bound the computed block itself, so
-    :func:`~siegelmaps.linalg._certified` at order s can clear it."""
+    The bounds bound the computed block itself, so they can clear its
+    condition test (:func:`_wedge_blocks`)."""
     p = coords.shape[1]
     squares = _squared_norms(coords)
     slack = (s * m**2 * 2.0 ** (m - 2) * (1.0 + np.sqrt(m)) + 2.0 * (p + 1)) * _EPS
@@ -433,16 +430,17 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
     (:func:`_conjugation_units`).
 
     Y's singular values are 1 and 1 - |z|^2, known before any solve
-    (:func:`_negative_block_bounds`).  Where those bounds clear every
-    member of the stack (:func:`~siegelmaps.linalg._certified`), the X rows
-    are solved alone and residual-checked, with no condition certificate;
-    otherwise, below 1 - |z|^2 of about 2e-9 or above s = 38, they go
-    through :func:`solve_right`, whose condition test a cleared stack
-    provably passes: the same decisions and messages either way.  Each
-    block has the bits of the same point and model evaluated alone, by
-    either path: LAPACK solves each right-hand column by the same steps,
-    also beside ``solve_right``'s identity block.  The caller validates the
-    degrees and the points."""
+    (:func:`_negative_block_bounds`), and a row is cleared where
+    lo > psd_margin * hi.  Then sigma_min(Y') >= lo > m hi >= m sigma_max(Y')
+    for the computed block Y', m = psd_margin, so it provably passes the
+    exact condition test (hi's 2 (p + 1) eps, which only lo needs, covers
+    the rounding of m hi).  The rows not cleared, at the ball check's edge
+    for (p, m) = (9, 7) and (9, 8) and more often from p = 10 up, take one
+    SVD of their Y.  The X rows are solved alone and residual-checked
+    (:func:`~siegelmaps.linalg._solve_conditioned`); each block has the
+    bits of the same point and model evaluated alone.  The caller
+    validates the degrees and the points.
+    """
     p = coords.shape[1]
     solved: dict[tuple[int, bool], np.ndarray] = {}
     for m in dict.fromkeys(m for m, _ in models):
@@ -457,11 +455,9 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
             x_blocks.append(x_block)
         rows = np.concatenate(x_blocks, axis=1)
         negative = coefficients[:, r:, :]
+        hi, lo = _negative_block_bounds(coords, m, s)
         try:
-            if _certified(*_negative_block_bounds(coords, m, s), s, tol).all():
-                normalized = _residual_checked(_solve_unchecked(rows, negative), rows, negative, tol)
-            else:
-                normalized = solve_right(rows, negative, tol)
+            normalized = _solve_conditioned(rows, negative, lo > tol.psd_margin * hi, tol)
         except SingularSystem as exc:
             raise NormalizationSingular(f"negative block not invertible: {exc}") from exc
         for i, symmetric in enumerate(kinds):

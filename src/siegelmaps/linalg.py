@@ -6,19 +6,20 @@ bounds residuals of equality assertions and ``Tolerance.psd_margin`` is the
 minimum-eigenvalue bound below which positivity is not trusted.
 
 A condition test rejects a matrix whose condition number, the ratio of
-its extreme singular values from an SVD, exceeds 1/psd_margin.  Most
-matrices the package tests are far from that limit, so each test is
-certified first: bounds sigma_max <= hi and sigma_min >= lo that the
-caller already holds, such as ||B||_F ||B^-1||_F from an LU solve,
-1 -/+ ||X|| ||Y|| for I - X*Y with contractions X and Y (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 6
-and 7), or 1 + d and 1 - |z|^2 - d for the negative block of the wedge
-oracle, whose singular values are 1 and 1 - |z|^2, clear a matrix when
-hi <= lo / (16 psd_margin).  A cleared matrix
+its extreme singular values from an SVD, exceeds 1/psd_margin.
+``_solve_conditioned``, the one solve with that test and a residual check,
+serves the wedge oracle and the Cayley transforms.  Most matrices the
+package tests are far from that limit, so the SVD runs only for those
+that bounds sigma_max <= hi and sigma_min >= lo, which the caller already
+holds, cannot clear.  The distance kernels and the Cayley transforms hold
+bounds such as 1 -/+ ||X|| ||Y|| for I - X*Y with contractions X and Y
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+ch. 6 and 7), and clear a matrix when hi <= lo / (16 psd_margin): it then
 provably passes the SVD test, with LAPACK's error bounds on the computed
-singular values and a factor above 12 to spare (see ``_certified``); the
-SVD runs only for the matrices the bounds cannot clear, with the same
-decisions and messages.
+singular values and a factor above 12 to spare (see ``_certified``), with
+the same decisions and messages.  The wedge oracle's negative block has
+singular values 1 and 1 - |z|^2 in closed form, and its bounds prove the
+exact test at any order, with no SVD to emulate.
 
 All operations are pure functions of their inputs and deterministic: the
 same input bits produce the same output bits.
@@ -26,6 +27,7 @@ same input bits produce the same output bits.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,6 @@ __all__ = [
     "Tolerance",
     "as_complex_matrix",
     "singular_values",
-    "solve_right",
 ]
 
 
@@ -96,11 +97,6 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
         raise DimensionMismatch("matrix entries must be finite")
     m.setflags(write=False)
     return m
-
-
-def _require_square(m: np.ndarray, what: str) -> None:
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -173,11 +169,13 @@ def _certified(hi, lo, order: int, tol: Tolerance) -> np.ndarray:
     values of order-n matrices prove that an SVD condition test passes:
     ``hi * psd_margin <= lo / 16``, elementwise over members.
 
-    The tests this stands in for take the computed extreme singular values
-    s'_max, s'_min of a matrix, or of a group of matrices tested together,
-    and reject when ``s'_min <= 0 or s'_max / s'_min > 1/psd_margin``
-    (:func:`solve_right`) or when ``s'_min <= psd_margin * s'_max`` (the
-    Cayley transforms).  Rounding argument for a cleared member, with
+    It serves the distance kernels and the Cayley transforms.  The tests
+    this stands in for take the computed extreme singular values s'_max,
+    s'_min of a matrix, or of a group of matrices tested together, and
+    reject when ``s'_min <= 0 or s'_max / s'_min > 1/psd_margin`` (the
+    condition test of :func:`_solve_conditioned` and of the distance
+    kernels) or when ``s'_min <= psd_margin * s'_max`` (the Cayley
+    transforms).  Rounding argument for a cleared member, with
     m = psd_margin and c = 1/16:
 
     * The bounds.  Callers form hi and lo from a few norms, products and
@@ -201,87 +199,42 @@ def _certified(hi, lo, order: int, tol: Tolerance) -> np.ndarray:
     return np.asarray(hi * tol.psd_margin <= _CERTIFIED_SHARE * lo)
 
 
-# Frobenius norms below this may have lost the squares of small entries to
-# underflow, so they bound nothing.
-_NORM_FLOOR = 2.0**-450
-
-
-def solve_right(
-    a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
+def _solve_conditioned(
+    a: np.ndarray,
+    b: np.ndarray,
+    cleared: np.ndarray,
+    tol: Tolerance,
+    screen: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Solve X @ b = a for X, with b square and well conditioned.
+    """X with X @ b = a, for a system or for matching stacks ``(..., n, k)``
+    and ``(..., k, k)``, after the condition test and the residual check,
+    either of which names the first failing member of a stack.
 
-    Rejects systems whose condition number exceeds 1/psd_margin and
-    verifies the residual ``max|X b - a| <= eq_tol * max|a|`` before
-    returning.  ``a`` and ``b`` may be stacks ``(..., n, k)`` and
-    ``(..., k, k)`` with equal leading shapes; each member is checked on
-    its own, and an error names the first failing member.
-
-    One LU solve gives X and an approximate inverse Z of b^T together.
-    Where the residual r = ||b^T Z - I||_F is at most 1/2,
-    sigma_min(b) >= (1 - r) / ||Z||_F >= 1 / (2 ||Z||_F) holds whatever the
-    accuracy of Z, and sigma_max(b) <= ||b||_F; on a member these bounds
-    clear, the rounding of r is below 1/500.  They clear most members of
-    the condition test without an SVD (see :func:`_certified`); the SVD
-    decides the others, and the whole stack when the LU meets an exactly
-    singular member.
+    The condition test rejects a member of ``b`` that is singular or whose
+    condition number exceeds 1/psd_margin.  ``cleared``, a boolean array of
+    the stack's shape, holds where the caller's bounds already prove that a
+    member passes (see :func:`_certified`); only the other members take an
+    SVD, one for all of them, and ``screen``, when given, sees their
+    singular values first and may raise its own error.  Each member has the
+    bits of its system solved alone: LAPACK solves each member and
+    right-hand column by the same steps.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    _require_square(b, "right-hand factor")
-    if a.shape[:-2] != b.shape[:-2] or a.ndim != b.ndim or a.shape[-1] != b.shape[-2]:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    n, k = a.shape[-2], b.shape[-1]
-    eye = np.eye(k, dtype=np.complex128)
-    transposed = b.swapaxes(-1, -2)
-    rhs = np.zeros(b.shape[:-1] + (n + k,), dtype=np.complex128)
-    rhs[..., :n] = a.swapaxes(-1, -2)
-    rhs[..., n:] = eye
-    try:
-        # X has the bits of the solve for a alone: LAPACK solves each
-        # right-hand column by the same steps.
-        both = np.linalg.solve(transposed, rhs)
-    except np.linalg.LinAlgError:
-        return _solve_conditioned(a, b, _singular_values(b), tol)
-    # X in the layout of the solve for a alone, so that the residual's
-    # product takes the same path.
-    x, inverse = np.ascontiguousarray(both[..., :n]).swapaxes(-1, -2), both[..., n:]
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        defect = transposed @ inverse
-        defect -= eye
-        # Frobenius norms, from the squares of the real and imaginary parts.
-        parts = np.stack([b, inverse, defect]).view(np.float64)
-        norm, inverse_norm, defect_norm = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
-        unsettled = ~(
-            _certified(norm, 0.5 / inverse_norm, k, tol)
-            & (defect_norm <= 0.5)
-            & (np.minimum(norm, inverse_norm) >= _NORM_FLOOR)
-        )
-    bad = np.zeros(b.shape[:-2], dtype=bool)
+    unsettled = ~cleared
     if unsettled.any():
         sv = _singular_values(b[unsettled])
+        if screen is not None:
+            screen(sv)
+        bad = np.zeros(unsettled.shape, dtype=bool)
         bad[unsettled] = _ill_conditioned(sv[..., 0], sv[..., -1], tol)
-    _raise_ill_conditioned(bad, tol)
-    return _residual_checked(x, a, b, tol)
-
-
-def _solve_conditioned(a: np.ndarray, b: np.ndarray, sv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The SVD condition test and the checked solve of :func:`solve_right`,
-    given the singular values ``sv`` of ``b``."""
-    _raise_ill_conditioned(_ill_conditioned(sv[..., 0], sv[..., -1], tol), tol)
+        if bad.any():
+            label = _stack_label(int(np.argmax(bad.reshape(-1))), bad.shape)
+            raise SingularSystem(f"{label}condition number exceeds {1.0 / tol.psd_margin:.3e}")
     return _residual_checked(_solve_unchecked(a, b), a, b, tol)
 
 
-def _raise_ill_conditioned(bad: np.ndarray, tol: Tolerance) -> None:
-    """Raise the condition error of :func:`solve_right` for the first member
-    of a stack where ``bad`` holds."""
-    if bad.any():
-        label = _stack_label(int(np.argmax(bad.reshape(-1))), bad.shape)
-        raise SingularSystem(f"{label}condition number exceeds {1.0 / tol.psd_margin:.3e}")
-
-
 def _residual_checked(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """X, after the residual check of :func:`solve_right`."""
+    """X, after the residual check ``max|X b - a| <= eq_tol * max(1, max|a|)``
+    of each member, naming the first member that fails it."""
     residual, bound = _residuals(x, a, b, tol)
     over = residual > bound
     if over.any():
@@ -293,7 +246,8 @@ def _residual_checked(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Toleranc
 
 def _ill_conditioned(largest: np.ndarray, smallest: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Where a matrix with these extreme singular values has a condition
-    number above 1/psd_margin (or is singular): the test of :func:`solve_right`."""
+    number above 1/psd_margin (or is singular): the condition test of
+    :func:`_solve_conditioned`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return (smallest <= 0.0) | (largest / smallest > 1.0 / tol.psd_margin)
 
@@ -307,7 +261,8 @@ def _solve_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _residuals(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Per member, ``max|X b - a|`` and the bound :func:`solve_right` holds it to."""
+    """Per member, ``max|X b - a|`` and the bound :func:`_residual_checked`
+    holds it to."""
     residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
     bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
     return residual, bound

@@ -130,8 +130,9 @@ def _matrix_distances(groups, count: int, tol: Tolerance, symmetric: bool, check
 
     With ``check_inputs``, x is checked for symmetry (when ``symmetric``)
     and y for interiority, as :func:`membership` does; x is always checked
-    against ``psd_margin``, and I - X*Y like :func:`solve_right` does, on
-    the extreme singular values over all blocks of a pair.  Where the
+    against ``psd_margin``, and I - X*Y with the condition test of
+    ``linalg._solve_conditioned``, on the extreme singular values over all
+    blocks of a pair.  Where the
     blocks have more than one size, 1 joins those extremes: it is the
     singular value that the zero padding of the smaller blocks added when
     every block was padded to the largest, kept so that no decision moves.

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from siegelmaps.errors import SiegelmapsError
-from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _require_square, _stack_label, _symmetrized_eigenvalues
+from siegelmaps.errors import DimensionMismatch, SiegelmapsError
+from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _stack_label, _symmetrized_eigenvalues
 
 
 class NotHermitian(SiegelmapsError):
@@ -24,7 +24,8 @@ def _require_hermitian(m: np.ndarray, tol: Tolerance) -> np.ndarray:
     """m as a complex square matrix or stack, after checking ``m == m*`` up
     to ``eq_tol`` member by member."""
     m = np.asarray(m, dtype=np.complex128)
-    _require_square(m, "hermitian matrix")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"hermitian matrix must be square, got shape {m.shape}")
     defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     over = defect > tol.eq_tol
     if over.any():

@@ -1,11 +1,13 @@
-"""The SVD-only condition test, the reference the package's certified
-condition tests are checked against.
+"""The SVD-only condition test, the reference the package's conditioned
+solves are checked against.
 
-``svd_solve_right`` is :func:`siegelmaps.linalg.solve_right` as it was
-before the certified test: it takes the singular values of every member of
-``b``, rejects members whose condition number exceeds 1/psd_margin, solves
-the whole stack and checks each member's residual, naming the first
-failing member.
+``svd_solve_right`` solves X @ b = a with no bounds: it takes the singular
+values of every member of ``b``, rejects members whose condition number
+exceeds 1/psd_margin, solves the whole stack and checks each member's
+residual, naming the first failing member.  The package's
+``linalg._solve_conditioned`` takes the SVD only of the members its
+caller's bounds do not clear; the wedge oracle, the Cayley transforms and
+the transvection reference must give this function's bits and messages.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Where the bounds clear a matrix, no SVD runs; everywhere the results have
 the bits of the SVD-only path, and the accept/reject decisions and the
-messages are the same.  ``solve_right`` is compared with its SVD-only form
-in ``svd_solve.py``; the distance and Cayley kernels with themselves,
-their certificate switched off.
+messages are the same.  The distance and Cayley kernels are compared with
+themselves, their certificate switched off.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ from siegelmaps import (
     cayley_to_siegel,
     kobayashi_distance,
     siegel_shape,
-    solve_right,
     type_i_shape,
     type_iii_shape,
 )
 from siegelmaps import domains
-from siegelmaps.errors import SiegelmapsError, SingularSystem
-from svd_solve import svd_solve_right
+from siegelmaps.errors import SiegelmapsError
 
 
 @pytest.fixture
@@ -68,72 +65,6 @@ def _random_complex(rng, shape):
 
 def _unitary(rng, k):
     return np.linalg.qr(_random_complex(rng, (k, k)))[0]
-
-
-def _with_condition(rng, k, kappa, scale):
-    """A k x k matrix with singular values from scale down to scale / kappa."""
-    return (_unitary(rng, k) * (scale * np.geomspace(1.0, 1.0 / kappa, k))) @ _unitary(rng, k)
-
-
-def test_solve_right_matches_the_svd_test_across_conditioning():
-    rng = np.random.default_rng(71)
-    outcomes = set()
-    for trial in range(120):
-        k, count = int(rng.integers(1, 11)), int(rng.integers(1, 6))
-        b = np.stack(
-            [
-                _with_condition(rng, k, 10.0 ** rng.uniform(0.0, 12.0), 10.0 ** rng.choice([-200, -3, 0, 3, 200]))
-                for _ in range(count)
-            ]
-        )
-        if trial % 6 == 0:
-            # Exactly singular: LU meets a zero pivot.
-            b[rng.integers(count), rng.integers(k)] = 0.0
-        a = _random_complex(rng, (count, int(rng.integers(1, 11)), k))
-        for args in ((a, b), (a[0], b[0]), (a.reshape(1, *a.shape), b.reshape(1, *b.shape))):
-            got = _outcome(solve_right, *args)
-            assert got == _outcome(svd_solve_right, *args)
-            outcomes.add(got[1].split(": ")[-1].split(" ")[0] if isinstance(got, tuple) else "solved")
-    # Solutions, condition rejections and residual rejections all occur.
-    assert outcomes == {"solved", "condition", "solution"}
-
-
-def test_solve_right_takes_an_svd_only_of_members_the_bounds_do_not_clear(svd_calls):
-    rng = np.random.default_rng(72)
-    b = np.stack([_with_condition(rng, 6, kappa, 1.0) for kappa in (1.0, 1e3, 1e6, 1e12, 1e2)])
-    a = _random_complex(rng, (5, 4, 6))
-    solve_right(a[[0, 1, 2, 4]], b[[0, 1, 2, 4]])
-    # An exact inverse leaves a zero residual.
-    solve_right(a, np.broadcast_to(np.diag([1.0, 2.0, 0.5, 4.0, 1.0, 8.0]), b.shape))
-    assert svd_calls == []
-    with pytest.raises(SiegelmapsError, match="matrix 3: condition number"):
-        solve_right(a, b)
-    assert svd_calls == [(1, 6, 6)]
-    svd_calls.clear()
-    b[1, 2] = 0.0
-    with pytest.raises(SiegelmapsError, match="matrix 1: condition number"):
-        solve_right(a, b)
-    # LU met an exactly singular member: the whole stack takes the SVD test.
-    assert svd_calls == [(5, 6, 6)]
-
-
-def test_an_inaccurate_inverse_clears_nothing(monkeypatch):
-    # The lower bound on s_min rests on the residual of the computed
-    # inverse, not on its accuracy: an inverse shrunk by 1e6 would put the
-    # bound on the condition number of a 1e12-conditioned matrix near 1e7.
-    rng = np.random.default_rng(76)
-    b = _with_condition(rng, 4, 1e12, 1.0)[np.newaxis]
-    a = _random_complex(rng, (1, 3, 4))
-    solve = np.linalg.solve
-
-    def shrunk(m, rhs):
-        out = solve(m, rhs)
-        out[..., 3:] *= 1e-6
-        return out
-
-    monkeypatch.setattr(np.linalg, "solve", shrunk)
-    with pytest.raises(SingularSystem, match="matrix 0: condition number"):
-        solve_right(a, b)
 
 
 def _contraction(rng, p, q, margin, symmetric):

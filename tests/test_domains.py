@@ -30,11 +30,11 @@ from siegelmaps.errors import (
     ShapeMismatch,
     SingularCayley,
 )
-from siegelmaps.linalg import solve_right
 from siegelmaps.sampling import generator, sample_ball_point, sample_type_iii
 
 from norms import max_abs
 from samplers import sample_siegel, sample_type_i
+from svd_solve import svd_solve_right
 from transvection import as_type_i, transvection_to_origin
 
 ARCTANH_HALF = 0.5493061443340549
@@ -109,7 +109,8 @@ def test_cayley_round_trip_seeded():
 def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
     # Interior samples are cleared by the certified condition test and make
     # no SVD call.  Near-singular denominators are not: their one SVD serves
-    # both the SingularCayley test and the condition test of solve_right.
+    # both the SingularCayley test and the condition test.  Either way the
+    # image has the bits of the SVD-only solve.
     rng = generator(13, 0)
     points = [sample_type_iii(rng, g) for g in (1, 3, 6)] + [sample_siegel(rng, g) for g in (1, 3, 6)]
     r = np.sqrt(1.0 - 1e-9)
@@ -121,9 +122,9 @@ def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
     for pt in points + near_singular:
         eye = np.eye(pt.shape.p)
         if pt.shape.kind is DomainKind.SIEGEL:
-            expected.append(solve_right(pt.z - 1j * eye, pt.z + 1j * eye))
+            expected.append(svd_solve_right(pt.z - 1j * eye, pt.z + 1j * eye))
         else:
-            expected.append(1j * solve_right(eye + pt.z, eye - pt.z))
+            expected.append(1j * svd_solve_right(eye + pt.z, eye - pt.z))
     calls = []
     svd = np.linalg.svd
 
@@ -143,13 +144,14 @@ def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
 @pytest.mark.parametrize("scale", [1e154, 1e208, 1e300])
 def test_cayley_to_bounded_on_a_point_whose_norm_overflows(scale):
     # ||Z||_F overflows, so the singular-value bound is inf: it certifies
-    # nothing, and the SVD path of solve_right answers, with no warning.
+    # nothing, and the SVD path answers with the bits of the SVD-only solve,
+    # with no warning.
     z = scale * np.array([[1 + 1.5j, 2 - 1j], [2 - 1j, 1 + 1.5j]])
     pt = DomainPoint(siegel_shape(2), z)
     assert membership(pt).status is MembershipStatus.INTERIOR
     image = cayley_to_bounded(pt)
     eye = np.eye(2)
-    assert image.z.tobytes() == solve_right(z - 1j * eye, z + 1j * eye).tobytes()
+    assert image.z.tobytes() == svd_solve_right(z - 1j * eye, z + 1j * eye).tobytes()
     assert max_abs(image.z - eye) <= 1e-12
 
 

@@ -60,6 +60,7 @@ from oracle_blocks import factor_block, wedge_block
 from probe_forms import clear_package_caches, probe_form
 from wedge_reference import conjugation_unit, wedge_basis
 from standard_blocks import standard_blocks, standard_form
+from test_wedge_certificate import _no_bounds
 from whole_image_oracle import whole_image_linearize, whole_image_residuals
 
 # The paper's N = 5 lambda_III case plus the connecting wedge blocks, g = 60.
@@ -476,32 +477,30 @@ def test_stacked_oracle_equals_per_point_factor_block(n):
 @pytest.mark.parametrize("n", [5, 9])
 def test_models_of_a_degree_share_one_solve(n, monkeypatch):
     # lambda_III and connecting_lambda of degree (n + 1) / 2 share their
-    # negative block Y: one solve for both, each block with the bits of its
-    # model solved alone.  The solve is the one the oracle makes: of the X
-    # rows alone where the closed-form bounds clear the stack (n = 5), else
-    # solve_right's (n = 9, where Y has order 126).
+    # negative block Y: one solve of the X rows for both, each block with
+    # the bits of its model solved alone.  The closed-form bounds clear every
+    # row, also at n = 9, where Y has order 126; with the bounds made NaN,
+    # the rows take the SVD fallback and keep their bits.
     solves = []
+    solve = embeddings._solve_conditioned
 
-    def counting(name):
-        solve = getattr(embeddings, name)
-
-        def counted(a, b, *tol):
-            solves.append((name, a.shape))
-            return solve(a, b, *tol)
-
-        return counted
+    def counted(a, b, cleared, tol):
+        solves.append((a.shape, bool(np.all(cleared))))
+        return solve(a, b, cleared, tol)
 
     m = (n + 1) // 2
     models = [(m, True), (m, False), (m, True)]
     rng = generator(46, n)
     coords = np.stack([sample_ball_point(rng, n).coords for _ in range(4)])
     alone = [embeddings._wedge_blocks(coords, [model], DEFAULT_TOLERANCE)[0] for model in models]
-    for name in ("solve_right", "_solve_unchecked"):
-        monkeypatch.setattr(embeddings, name, counting(name))
+    monkeypatch.setattr(embeddings, "_solve_conditioned", counted)
     shared = embeddings._wedge_blocks(coords, models, DEFAULT_TOLERANCE)
-    r = comb(n, m)
-    assert solves == [("_solve_unchecked" if n == 5 else "solve_right", (4, 2 * r, comb(n, m - 1)))]
+    monkeypatch.setattr(embeddings, "_negative_block_bounds", _no_bounds)
+    fallback = embeddings._wedge_blocks(coords, models, DEFAULT_TOLERANCE)
+    shape = (4, 2 * comb(n, m), comb(n, m - 1))
+    assert solves == [(shape, True), (shape, False)]
     assert [block.tobytes() for block in shared] == [block.tobytes() for block in alone]
+    assert [block.tobytes() for block in fallback] == [block.tobytes() for block in alone]
 
 
 def test_enumerate_specs_empty_below_minimum():

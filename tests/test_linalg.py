@@ -10,13 +10,12 @@ from siegelmaps import (
     Tolerance,
     as_complex_matrix,
     singular_values,
-    solve_right,
 )
 from siegelmaps.errors import (
     DimensionMismatch,
     SingularSystem,
 )
-from siegelmaps.linalg import _symmetrized_eigenvalues
+from siegelmaps.linalg import _solve_conditioned, _symmetrized_eigenvalues
 
 from hermitian_check import NotHermitian, hermitian_eigenvalues
 from norms import max_abs
@@ -169,16 +168,23 @@ def test_singular_values_unitary_invariance():
         assert np.allclose(singular_values(u @ m @ v), singular_values(m), atol=EQ)
 
 
+def _solve(a, b, cleared=False):
+    """The right solve X @ b = a with its condition test and residual check,
+    the members ``cleared`` marks taken as proven to pass the test."""
+    b = np.asarray(b, dtype=complex)
+    return _solve_conditioned(np.asarray(a, dtype=complex), b, np.broadcast_to(cleared, b.shape[:-2]), DEFAULT_TOLERANCE)
+
+
 def test_solve_right_identity():
     rng = np.random.default_rng(104)
     a = _random_complex(rng, (2, 3))
-    assert np.allclose(solve_right(a, np.eye(3, dtype=complex)), a)
+    assert np.allclose(_solve(a, np.eye(3, dtype=complex)), a)
 
 
 def test_solve_right_scaled():
     rng = np.random.default_rng(105)
     b = _random_complex(rng, (3, 3)) + 3.0 * np.eye(3)
-    x = solve_right(2.0 * b, b)
+    x = _solve(2.0 * b, b)
     assert np.allclose(x, 2.0 * np.eye(3), atol=EQ)
 
 
@@ -188,36 +194,52 @@ def test_solve_right_residual_on_seeded_systems():
         n = int(rng.integers(1, 6))
         b = _random_complex(rng, (n, n)) + 2.0 * n * np.eye(n)
         a = _random_complex(rng, (int(rng.integers(1, 5)), n))
-        x = solve_right(a, b)
+        x = _solve(a, b)
         assert max_abs(x @ b - a) <= EQ * max(1.0, max_abs(a))
+    # A cleared system still has its residual checked.
+    with pytest.raises(SingularSystem, match="solution residual"):
+        _solve(np.array([[1.0, 0.0], [0.3, 0.7]]), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), True)
 
 
 def test_solve_right_rejects_singular():
-    with pytest.raises(SingularSystem):
-        solve_right(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+    with pytest.raises(SingularSystem, match="^condition number"):
+        _solve(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
 
 
 def test_solve_right_stack_equals_members():
     rng = np.random.default_rng(110)
     b = _random_complex(rng, (5, 3, 3)) + 6.0 * np.eye(3)
     a = _random_complex(rng, (5, 2, 3))
-    x = solve_right(a, b)
+    x = _solve(a, b)
     assert x.shape == (5, 2, 3)
     for i in range(5):
-        assert np.array_equal(x[i], solve_right(a[i], b[i]))
-    # A stack of one has the bits of the 2-d call.
-    assert np.array_equal(solve_right(a[:1], b[:1])[0], solve_right(a[0], b[0]))
+        assert np.array_equal(x[i], _solve(a[i], b[i]))
+    # A stack of one has the bits of the 2-d call, and which members are
+    # cleared moves no bit.
+    assert np.array_equal(_solve(a[:1], b[:1])[0], _solve(a[0], b[0]))
+    assert np.array_equal(_solve(a, b, np.arange(5) % 2 == 0), x)
 
 
-def test_solve_right_stack_names_its_singular_member():
+def test_solve_right_stack_names_its_singular_member(monkeypatch):
     b = np.stack([np.eye(2, dtype=complex)] * 4)
     b[2] = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(SingularSystem, match="matrix 2: condition number"):
-        solve_right(np.ones((4, 1, 2), dtype=complex), b)
+        _solve(np.ones((4, 1, 2), dtype=complex), b)
     with pytest.raises(SingularSystem, match=r"matrix \(1, 0\): condition number"):
-        solve_right(np.ones((2, 2, 1, 2), dtype=complex), b.reshape(2, 2, 2, 2))
-    with pytest.raises(DimensionMismatch):
-        solve_right(np.ones((3, 1, 2), dtype=complex), b)
+        _solve(np.ones((2, 2, 1, 2), dtype=complex), b.reshape(2, 2, 2, 2))
+    # Only the members not cleared take the SVD, and the error still names
+    # the member by its index in the stack.
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    with pytest.raises(SingularSystem, match="matrix 2: condition number"):
+        _solve(np.ones((4, 1, 2), dtype=complex), b, np.array([True, False, False, True]))
+    assert shapes == [(2, 2, 2)]
 
 
 def test_determinism_bitwise():

@@ -27,9 +27,10 @@ import numpy as np
 
 from siegelmaps.domains import BallPoint, DomainKind, DomainPoint, DomainShape, _interior_detail
 from siegelmaps.errors import IllConditioned, MembershipViolation, NoConvergence, ShapeMismatch, SingularSystem
-from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _symmetrized, solve_right
+from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance, _symmetrized
 
 from hermitian_check import _require_hermitian
+from svd_solve import svd_solve_right
 
 
 def hermitian_eigensystem(m: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +73,7 @@ class Transvection:
             raise ShapeMismatch(f"transvection on {self.shape} applied to {pt.shape}")
         eye = np.eye(self.shape.q, dtype=np.complex128)
         try:
-            middle = solve_right(pt.z - self.base, eye - self.base.conj().T @ pt.z, self.tol)
+            middle = svd_solve_right(pt.z - self.base, eye - self.base.conj().T @ pt.z, self.tol)
         except SingularSystem as exc:
             raise IllConditioned(f"transvection denominator near singular: {exc}") from exc
         return DomainPoint(self.shape, self.left @ middle @ self.right)
