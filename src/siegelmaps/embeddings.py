@@ -35,6 +35,10 @@ coordinate nonzero.  The oracle evaluates a stack of points at once: a
 vectorized Laplace recursion for the wedge minors of each degree
 (:func:`_wedge_coefficients`) and one stacked solve per degree, shared by
 its models; a stacked block has the bits of the same point alone.  The
+two are sized apart: the recursion runs in cache-sized blocks of points
+(``_RECURSION_ENTRIES``), while the solves and compares take whole slices
+of up to ``_STACK_ENTRIES`` block entries, so the 58 points of the g = 60
+linearity suite take one solve per degree.  The
 negative block Y of that solve is I - dG(z z*) on the (m-1)-th exterior
 power of C^p, with singular values 1 and 1 - |z|^2, so its condition is
 known before the solve: bounds 1 + d and 1 - |z|^2 - d on the computed
@@ -84,6 +88,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _solve_conditioned,
+    _squared_norms,
 )
 from .sampling import generator, sample_ball_coords
 
@@ -101,14 +106,24 @@ __all__ = [
 # Seeded interior points at which linearize evaluates the oracle.
 _CHECK_POINTS = 50
 
-# Entries (256 KiB of complex128) of the largest arrays the oracle builds
-# for a stack of points: the products of the Laplace recursion's widest
-# step, and the factor blocks of the constructions and of the compiled map
-# that it compares.  No g x g image is built per point: the padding is
-# checked once, on a probe.  Longer stacks are taken a slice of points at a
-# time, so these arrays do not grow with the number of points while the
-# per-call cost is still shared by many of them.
-_STACK_ENTRIES = 1 << 14
+# Two budgets, in complex128 entries, for two kinds of array (cache
+# blocking: Goto & van de Geijn, ACM TOMS 34(3), 2008).  _wedge_coefficients
+# runs blocks of points whose widest Laplace step holds about
+# _RECURSION_ENTRIES (128 KiB), so the gathered products stay in cache.  The
+# stacks the oracle and the suites carry through the solves, embeds,
+# eigensolves and compares are taken whole up to _STACK_ENTRIES entries of
+# factor blocks (1 MiB), so each call is shared by many points while memory
+# does not grow with their number; the isometry suite's distance kernel
+# holds about six arrays of a slice's size (5.9 MiB on the g = 60 spec).
+# There, at 950 block entries and a widest step of 600 per point, the
+# linearity suite's 58 points take one slice, one solve per degree and
+# recursion blocks of 13 points, in 3.64 ms (best of 150 interleaved runs,
+# one BLAS thread, Python 3.11.7, numpy 2.4.6, a 2-core Xeon): one budget
+# of 2^14 for both took 4.05 ms and one of 2^16 5.24 ms, and recursion
+# budgets of 2^12 and 2^14 were 4-12% slower than 2^13.  No g x g image is
+# built per point: the padding is checked once, on a probe.
+_RECURSION_ENTRIES = 1 << 13
+_STACK_ENTRIES = 1 << 16
 
 
 class FactorKind(str, enum.Enum):
@@ -276,13 +291,6 @@ def _copy_offsets(size: int, count: int, cost: int) -> np.ndarray:
     return ((starts + entries[:, np.newaxis]) * cost + starts + entries).reshape(count, size * size)
 
 
-def _squared_norms(coords: np.ndarray) -> np.ndarray:
-    """|z|^2 along the last axis of a coordinate stack, from the dot
-    products of the real and of the imaginary parts: the bits of the square
-    of ``np.linalg.norm``, which takes the same dot products."""
-    return np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag)
-
-
 def _require_interior_ball(norm: float, tol: Tolerance, what: str) -> None:
     if norm >= 1.0 - tol.psd_margin:
         raise MembershipViolation(f"{what} has norm {norm:.6f}, too close to the sphere")
@@ -326,17 +334,27 @@ def _laplace_plan(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, minors, signs
 
 
-def _point_slices(count: int, entries_per_point: int) -> list[slice]:
+@lru_cache(maxsize=None)
+def _signed_rows(n: int, k: int) -> np.ndarray:
+    """The rows of :func:`_laplace_plan`, each moved by n where its cofactor
+    sign is negative: indices into a column followed by its negation, so a
+    gather through them carries the signs."""
+    rows, _, signs = _laplace_plan(n, k)
+    return rows + n * (signs < 0)
+
+
+def _point_slices(count: int, entries_per_point: int, budget: int | None = None) -> list[slice]:
     """Consecutive slices of a stack of ``count`` points, each holding at
-    most ``_STACK_ENTRIES`` entries at ``entries_per_point``, and at least
-    one point."""
-    step = max(1, _STACK_ENTRIES // entries_per_point)
+    most ``budget`` entries (``_STACK_ENTRIES`` if None) at
+    ``entries_per_point``, and at least one point."""
+    step = max(1, (_STACK_ENTRIES if budget is None else budget) // entries_per_point)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _block_entries(spec: EmbeddingSpec) -> int:
-    """Entries of a spec's factor blocks at one point."""
-    return sum(f.block_size**2 for f in spec.factors)
+    """Entries of a spec's factor blocks at one point, as the stacks hold
+    them: one block per distinct factor (:func:`_copy_plan`)."""
+    return sum(factor.block_size**2 for factor, _ in _copy_plan(spec))
 
 
 def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
@@ -348,7 +366,10 @@ def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
     m x m minors of that (p+1) x m column stack, built by the Laplace
     recursion: the k x k minors of the first k columns, for every k-subset
     of rows, are the expansion along column k of the (k-1) x (k-1) minors
-    of the first k - 1 columns."""
+    of the first k - 1 columns.  The cofactor signs are gathered with the
+    column entries (:func:`_signed_rows`): a negation is exact, so each
+    product has the bits of the product times its sign.  The points go in
+    blocks of about ``_RECURSION_ENTRIES`` entries of the widest step."""
     count, p = coords.shape
     _, sub_idx, order = _basis_rows(p, m)
     # Entries, per point, of the products of the recursion's widest step.
@@ -358,15 +379,16 @@ def _wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
     plus[:, :, :p] = np.eye(p)
     plus[:, :, p] = np.conj(coords)
     v = np.concatenate([coords, np.ones((count, 1), dtype=np.complex128)], axis=1)[:, np.newaxis, :]
+    # Each vector followed by its negation, for the signed rows.
+    plus, v = (np.concatenate([vectors, -vectors], axis=-1) for vectors in (plus, v))
     coeffs = np.empty((count, len(order), len(sub_idx)), dtype=np.complex128)
-    for part in _point_slices(count, largest):
-        # Column k of every stack as a (b, s, p + 1) or, for v, (b, 1, p + 1) array.
+    for part in _point_slices(count, largest, _RECURSION_ENTRIES):
+        # Column k of every stack as a (b, s, 2 (p + 1)) or, for v, (b, 1, 2 (p + 1)) array.
         columns = [plus[part][:, sub_idx[:, k], :] for k in range(m - 1)] + [v[part]]
-        minors = columns[0]
+        minors = columns[0][..., : p + 1]
         for k, column in enumerate(columns[1:], 2):
-            rows, lower, signs = _laplace_plan(p + 1, k)
-            terms = column[..., rows] * minors[..., lower]
-            terms *= signs
+            _, lower, _ = _laplace_plan(p + 1, k)
+            terms = column[..., _signed_rows(p + 1, k)] * minors[..., lower]
             minors = terms.sum(axis=-1)
         coeffs[part] = minors[..., order].swapaxes(1, 2)
     return coeffs
@@ -469,9 +491,9 @@ def _interior_rows(coords: np.ndarray, tol: Tolerance) -> np.ndarray:
     """A (B, N) coordinate stack, its rows checked as :func:`_ball_coords`
     checks a ball point, naming the first row i on or outside the sphere:
     by each row's norm with the bits of :class:`BallPoint`'s
-    ``np.linalg.norm`` (:func:`_squared_norms`; ``np.linalg.norm`` along an
-    axis of the stack can round differently).  A row whose norm is NaN
-    passes, as in that check."""
+    ``np.linalg.norm`` (:func:`~siegelmaps.linalg._squared_norms`;
+    ``np.linalg.norm`` along an axis of the stack can round differently).
+    A row whose norm is NaN passes, as in that check."""
     norms = np.sqrt(_squared_norms(coords))
     outside = norms >= 1.0 - tol.psd_margin
     if outside.any():

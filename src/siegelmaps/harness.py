@@ -11,9 +11,10 @@ suite the earliest minimum margin).  The six sampled suites draw all
 their samples first, in stream order, as (samples, N) coordinate rows
 (:func:`~siegelmaps.sampling.sample_ball_coords`), check each row once,
 so that a sample on or outside the sphere is named by its index in the
-suite (for isometry, its pair), and evaluate them on slices of a few
-hundred KiB.  Only the isometry suite wraps its rows in ball points, for
-the public :func:`~siegelmaps.retractions.isometry_sandwich`.  The
+suite (for isometry, its pair), and evaluate them on slices of up to
+1 MiB of factor blocks (``embeddings._STACK_ENTRIES``).  Only the isometry
+suite wraps its rows in ball points, for the public
+:func:`~siegelmaps.retractions.isometry_sandwich`.  The
 retraction, membership, symmetry and isometry suites carry each image as
 one block ``A_f z`` per distinct factor
 (:func:`~siegelmaps.embeddings._embed_blocks`), never as a zero-padded

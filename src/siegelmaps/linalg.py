@@ -139,6 +139,13 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"SVD failed: {exc}") from exc
 
 
+def _squared_norms(coords: np.ndarray) -> np.ndarray:
+    """|z|^2 along the last axis of a coordinate stack, from the dot
+    products of the real and of the imaginary parts: the bits of the square
+    of ``np.linalg.norm``, which takes the same dot products."""
+    return np.vecdot(coords.real, coords.real) + np.vecdot(coords.imag, coords.imag)
+
+
 def _stack_label(flat: int, batch: tuple[int, ...]) -> str:
     """Prefix naming a member of a stack, empty for a single matrix."""
     if not batch:

@@ -7,7 +7,7 @@ files.  Schema version 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .embeddings import EmbeddingSpec
 from .linalg import Tolerance
@@ -65,7 +65,8 @@ class SuiteResult:
     detail: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # The fields as they are: asdict would deep-copy the worst input.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

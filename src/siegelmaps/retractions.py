@@ -41,11 +41,10 @@ from .embeddings import (
     _copy_plan,
     _embed_blocks,
     _point_slices,
-    _squared_norms,
     factor_form,
 )
 from .errors import IllConditioned, ShapeMismatch, SpecMismatch
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _stack_label
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _squared_norms, _stack_label
 
 __all__ = [
     "isometry_sandwich",
@@ -146,7 +145,7 @@ def isometry_sandwich(
 
     The images are carried as one block per distinct factor
     (:func:`_embed_blocks`), never as g x g matrices.  Each slice of pairs
-    holding a few hundred KiB of block entries is embedded, split into its
+    holding up to 1 MiB of block entries is embedded, split into its
     exact diagonal blocks, measured by one pass of the matrix distance
     kernel per block size, and retracted.  Within a slice the blocks are
     those :func:`kobayashi_distance` finds on the g x g images but for the

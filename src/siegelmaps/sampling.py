@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import BallPoint, DomainPoint, type_iii_shape
+from .linalg import _squared_norms
 
 __all__ = [
     "generator",
@@ -38,15 +39,20 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def sample_ball_coords(rng: np.random.Generator, n: int, count: int, radius_cap: float = 0.95) -> np.ndarray:
     """``count`` ball points as the rows of a (count, n) array, drawn one
     after the other: per row a uniform direction, then a radius uniform in
-    (0, radius_cap)."""
-    coords = np.empty((count, n), dtype=np.complex128)
-    for row in coords:
+    (0, radius_cap).  The draws keep stream order; the rows are normalized
+    and scaled after, in one pass."""
+    normals, radii = np.empty((count, 2 * n)), np.empty(count)
+    for i in range(count):
         # One draw of 2n normals, the real parts then the imaginary ones:
         # the stream and the bits of drawing the two halves in turn.
-        normals = rng.standard_normal(2 * n)
-        row.real, row.imag = normals[:n], normals[n:]
-        row /= np.linalg.norm(row)
-        row *= radius_cap * rng.random()
+        normals[i] = rng.standard_normal(2 * n)
+        radii[i] = rng.random()
+    coords = np.empty((count, n), dtype=np.complex128)
+    coords.real, coords.imag = normals[:, :n], normals[:, n:]
+    # All rows at once, with the bits of dividing each by its own
+    # ``np.linalg.norm`` and multiplying it by its radius.
+    coords /= np.sqrt(_squared_norms(coords))[:, np.newaxis]
+    coords *= (radius_cap * radii)[:, np.newaxis]
     return coords
 
 

@@ -64,8 +64,10 @@ def load_json(path: str | Path) -> object:
 def dump_json(path: str | Path, payload: object, tail: Iterable = ()) -> None:
     """Write ``payload`` as JSON with sorted keys, indent 2 and a final newline.
     The items of ``tail``, the first drawn before the file opens, go as they
-    come into the empty list closing ``payload``: the bytes of the whole."""
-    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    come into the empty list closing ``payload``: the bytes of the whole.
+    Every payload is a tree the package builds, so the encoder skips the
+    check for circular references."""
+    encode = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False).encode
     head = encode(payload)
     items = (encode(item).replace("\n", "\n    ") for item in tail)
     first = next(items, None)

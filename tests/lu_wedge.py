@@ -5,16 +5,20 @@ package's wedge constructions are tested against.
 basis by LU determinants; ``lu_wedge_coefficients`` builds the column
 stacks the Laplace-recursion kernel ``embeddings._wedge_coefficients``
 wedges at every point of a coordinate stack and expands each of them, with
-the kernel's signature and output layout.  ``induced_form_decomposable``
-pairs two decomposable wedges as the determinant of their base pairings.
+the kernel's signature and output layout.  ``sign_multiplied_coefficients``
+is the kernel's own recursion as it was written before its cofactor signs
+were gathered with the column entries, one point at a time, each level's
+products multiplied by their signs.  ``induced_form_decomposable`` pairs
+two decomposable wedges as the determinant of their base pairings.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from siegelmaps.embeddings import _laplace_plan
 from siegelmaps.errors import DimensionMismatch
-from siegelmaps.exterior import signature
+from siegelmaps.exterior import _basis_rows, signature
 
 from wedge_reference import WedgeBasis, multi_indices, wedge_basis
 
@@ -57,6 +61,28 @@ def lu_wedge_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
     basis = wedge_basis(coords.shape[1], m)
     stacks = column_stacks(coords, m)
     return np.array([[wedge_coefficients(stack, basis) for stack in point] for point in stacks]).swapaxes(1, 2)
+
+
+def sign_multiplied_coefficients(coords: np.ndarray, m: int) -> np.ndarray:
+    """The kernel's (B, C(p+1, m), s) wedge coordinates by its Laplace
+    recursion, one point at a time, with each level's products multiplied
+    by their cofactor signs."""
+    p = coords.shape[1]
+    _, sub_idx, order = _basis_rows(p, m)
+    points = []
+    for z in coords:
+        plus = np.zeros((p, p + 1), dtype=np.complex128)
+        plus[:, :p] = np.eye(p)
+        plus[:, p] = np.conj(z)
+        columns = [plus[sub_idx[:, k], :] for k in range(m - 1)] + [np.append(z, 1.0)[np.newaxis, :]]
+        minors = columns[0]
+        for k, column in enumerate(columns[1:], 2):
+            rows, lower, signs = _laplace_plan(p + 1, k)
+            terms = column[..., rows] * minors[..., lower]
+            terms *= signs
+            minors = terms.sum(axis=-1)
+        points.append(minors[..., order].T)
+    return np.array(points)
 
 
 def hermitian_pairing(x, y, p: int) -> complex:

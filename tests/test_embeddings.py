@@ -54,7 +54,7 @@ from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point
 from siegelmaps.serialize import spec_to_json
 
 from list_count import list_spec_count, sorted_recursion_specs
-from lu_wedge import lu_wedge_coefficients
+from lu_wedge import lu_wedge_coefficients, sign_multiplied_coefficients
 from norms import max_abs
 from oracle_blocks import factor_block, wedge_block
 from probe_forms import clear_package_caches, probe_form
@@ -501,6 +501,34 @@ def test_models_of_a_degree_share_one_solve(n, monkeypatch):
     assert solves == [(shape, True), (shape, False)]
     assert [block.tobytes() for block in shared] == [block.tobytes() for block in alone]
     assert [block.tobytes() for block in fallback] == [block.tobytes() for block in alone]
+
+
+def _rows_with_zero_parts(p: int) -> np.ndarray:
+    """Two sampled rows after rows with exact-zero and -0.0 parts: all +0,
+    all -0.0, a zero real part, a -0.0 imaginary part, and alternate
+    coordinates -0.0 + 0i."""
+    rows = sample_ball_coords(generator(47, p), p, 7)
+    rows[0] = 0.0
+    rows[1] = complex(-0.0, -0.0)
+    rows[2].real = 0.0
+    rows[3].imag = -0.0
+    rows[4, ::2] = complex(-0.0, 0.0)
+    return rows
+
+
+def test_wedge_coefficients_do_not_depend_on_the_recursion_block(monkeypatch):
+    # One point per block, the default blocks and one block for the whole
+    # stack give the same bits for every (p, m) with p <= 9, on rows with
+    # exact-zero and -0.0 parts too: each point's minors are its own, and
+    # the gathered signs give the bits of multiplying by them.
+    default = embeddings._RECURSION_ENTRIES
+    for p in range(1, 10):
+        rows = _rows_with_zero_parts(p)
+        for m in range(1, p + 1):
+            expected = sign_multiplied_coefficients(rows, m).tobytes()
+            for budget in (1, default, 1 << 62):
+                monkeypatch.setattr(embeddings, "_RECURSION_ENTRIES", budget)
+                assert embeddings._wedge_coefficients(rows, m).tobytes() == expected, (p, m, budget)
 
 
 def test_enumerate_specs_empty_below_minimum():

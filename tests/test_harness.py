@@ -451,11 +451,12 @@ def test_padding_probe_fires_far_beyond_the_cost(monkeypatch, where):
     assert result.detail.startswith("embedding deviates from its factor blocks by ")
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 20])
 def test_ball_samples_keep_the_bits_of_drawing_each_part_in_turn(n):
     # One normal draw of 2n per row gives the stream, and the bytes, of
-    # drawing the real and the imaginary parts in turn.
+    # drawing the real and the imaginary parts in turn; all rows normalized
+    # and scaled in one pass give the bytes of each row alone.
     for seed in range(40):
-        for cap in (0.95, 0.999999):
+        for cap in (0.95, 0.5, 0.999999):
             drawn = sample_ball_coords(generator(seed, n), n, 30, cap)
             assert drawn.tobytes() == sample_ball_coords_in_parts(generator(seed, n), n, 30, cap).tobytes()

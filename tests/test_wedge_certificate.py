@@ -210,9 +210,16 @@ def test_a_sample_at_a_radius_cap_near_one_clears_with_the_fallback_bytes(tmp_pa
     options = ("--samples", "20", "--seed", "4", "--radius-cap", repr(float(np.sqrt(1.0 - 1e-9))))
     cleared = _verify(spec_path, tmp_path / "cleared.json", *options)
     # The row is in symmetry's first slice, of degree 3 only, and in the
-    # slice of linearity's stack after its 50 check points, of degrees 2,
-    # 3 and 4; the equivariance suite draws its own rows.
-    assert near == [(17, True)] * 4
+    # slice of linearity's stack that holds it after the check points, of
+    # degrees 2, 3 and 4; the equivariance suite draws its own rows.
+    entries = embeddings._block_entries(G60_SPEC)
+
+    def slice_holding(count, i):
+        (width,) = [len(range(count)[part]) for part in embeddings._point_slices(count, entries) if i in range(count)[part]]
+        return width
+
+    checks = embeddings._CHECK_POINTS
+    assert near == [(slice_holding(20, 0), True)] + [(slice_holding(checks + 20, checks), True)] * 3
     monkeypatch.setattr(embeddings, "_negative_block_bounds", _no_bounds)
     assert _verify(spec_path, tmp_path / "fallback.json", *options) == cleared
 
