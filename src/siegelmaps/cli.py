@@ -30,7 +30,6 @@ tolerance; an explicit ``--tol`` takes precedence.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -153,10 +152,7 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built once per process: ``parse_args``
-    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="siegelmaps",
         description="Build ball-to-Siegel embeddings, retract them, and verify the claimed identities.",

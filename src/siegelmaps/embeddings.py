@@ -38,11 +38,11 @@ its models; a stacked block has the bits of the same point alone.  The
 two are sized apart: the recursion runs in cache-sized blocks of points
 (``_RECURSION_ENTRIES``), while the solves and compares take whole slices
 of up to ``_STACK_ENTRIES`` block entries, so the 58 points of the g = 60
-linearity suite take one solve per degree.  The
-negative block Y of that solve is I - dG(z z*) on the (m-1)-th exterior
-power of C^p, with singular values 1 and 1 - |z|^2, so its condition is
-known before the solve: bounds 1 + d and 1 - |z|^2 - d on the computed
-block, d proven from the rounding of the recursion and of |z|^2
+linearity suite take one solve per degree.  The negative block Y of that
+solve is I - dG(z z*) on the (m-1)-th exterior power of C^p, with
+singular values 1 and 1 - |z|^2, so its condition is known before the
+solve: bounds 1 + d and 1 - |z|^2 - d on the computed block, d proven
+from the rounding of the recursion and of |z|^2
 (:func:`_negative_block_bounds`), prove the condition test at every order,
 and the solve takes only the X rows.  Rows the bounds do not clear take
 one SVD for the test, with the same bits and messages.
@@ -106,24 +106,29 @@ __all__ = [
 # Seeded interior points at which linearize evaluates the oracle.
 _CHECK_POINTS = 50
 
-# Two budgets, in complex128 entries, for two kinds of array (cache
-# blocking: Goto & van de Geijn, ACM TOMS 34(3), 2008).  _wedge_coefficients
-# runs blocks of points whose widest Laplace step holds about
-# _RECURSION_ENTRIES (128 KiB), so the gathered products stay in cache.  The
-# stacks the oracle and the suites carry through the solves, embeds,
-# eigensolves and compares are taken whole up to _STACK_ENTRIES entries of
-# factor blocks (1 MiB), so each call is shared by many points while memory
-# does not grow with their number; the isometry suite's distance kernel
-# holds about six arrays of a slice's size (5.9 MiB on the g = 60 spec).
-# There, at 950 block entries and a widest step of 600 per point, the
-# linearity suite's 58 points take one slice, one solve per degree and
-# recursion blocks of 13 points, in 3.64 ms (best of 150 interleaved runs,
-# one BLAS thread, Python 3.11.7, numpy 2.4.6, a 2-core Xeon): one budget
-# of 2^14 for both took 4.05 ms and one of 2^16 5.24 ms, and recursion
-# budgets of 2^12 and 2^14 were 4-12% slower than 2^13.  No g x g image is
-# built per point: the padding is checked once, on a probe.
+# Three budgets, in complex128 entries, for three kinds of array (cache
+# blocking: Goto & van de Geijn, ACM TOMS 34(3), 2008), each passed to
+# _point_slices by its caller.  _wedge_coefficients runs blocks of points
+# whose widest Laplace step holds about _RECURSION_ENTRIES (128 KiB), so the
+# gathered products stay in cache.  The stacks the oracle and the harness
+# suites carry through the solves, embeds, eigensolves and compares are
+# taken whole up to _STACK_ENTRIES entries of factor blocks (1 MiB), so
+# each call is shared by many points while memory does not grow with their
+# number.  On the g = 60 spec, at 950 block entries and a widest step of 600
+# per point, the linearity suite's 58 points take one slice, one solve per
+# degree and recursion blocks of 13 points, in 3.64 ms (best of 150
+# interleaved runs, one BLAS thread, Python 3.11.7, numpy 2.4.6, a 2-core
+# Xeon): one budget of 2^14 for both took 4.05 ms and one of 2^16 5.24 ms,
+# and recursion budgets of 2^12 and 2^14 were 4-12% slower than 2^13.
+# isometry_sandwich's slices keep _DISTANCE_ENTRIES (256 KiB): its distance
+# kernel holds about six arrays of a slice's size and gains nothing from
+# longer stacks.  On that spec at 200 samples the isometry suite took
+# 70.8 ms at 2^14 and 72.0 ms at 2^16 (best of 30 interleaved runs), its
+# traced peak 2.1 against 8.2 MiB.  No g x g image is built per point: the
+# padding is checked once, on a probe.
 _RECURSION_ENTRIES = 1 << 13
 _STACK_ENTRIES = 1 << 16
+_DISTANCE_ENTRIES = 1 << 14
 
 
 class FactorKind(str, enum.Enum):
@@ -343,11 +348,11 @@ def _signed_rows(n: int, k: int) -> np.ndarray:
     return rows + n * (signs < 0)
 
 
-def _point_slices(count: int, entries_per_point: int, budget: int | None = None) -> list[slice]:
+def _point_slices(count: int, entries_per_point: int, budget: int) -> list[slice]:
     """Consecutive slices of a stack of ``count`` points, each holding at
-    most ``budget`` entries (``_STACK_ENTRIES`` if None) at
-    ``entries_per_point``, and at least one point."""
-    step = max(1, (_STACK_ENTRIES if budget is None else budget) // entries_per_point)
+    most ``budget`` entries at ``entries_per_point``, and at least one
+    point."""
+    step = max(1, budget // entries_per_point)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -624,7 +629,7 @@ def _oracle_residuals(spec: EmbeddingSpec, coords: np.ndarray, tol: Tolerance) -
     checked apart, once, on a probe (:func:`_check_padding`).  The points
     are evaluated a slice at a time."""
     residuals = np.empty(len(coords))
-    for part in _point_slices(len(coords), _block_entries(spec)):
+    for part in _point_slices(len(coords), _block_entries(spec), _STACK_ENTRIES):
         references = _factor_blocks([factor for factor, _ in _copy_plan(spec)], coords[part], tol)
         images = _embed_blocks(spec, coords[part])
         residuals[part] = reduce(

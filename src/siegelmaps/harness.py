@@ -12,8 +12,9 @@ their samples first, in stream order, as (samples, N) coordinate rows
 (:func:`~siegelmaps.sampling.sample_ball_coords`), check each row once,
 so that a sample on or outside the sphere is named by its index in the
 suite (for isometry, its pair), and evaluate them on slices of up to
-1 MiB of factor blocks (``embeddings._STACK_ENTRIES``).  Only the isometry
-suite wraps its rows in ball points, for the public
+1 MiB of factor blocks (``embeddings._STACK_ENTRIES``; 256 KiB in
+isometry's distance kernel).  Only the isometry suite wraps its rows in
+ball points, for the public
 :func:`~siegelmaps.retractions.isometry_sandwich`.  The
 retraction, membership, symmetry and isometry suites carry each image as
 one block ``A_f z`` per distinct factor
@@ -49,6 +50,7 @@ from .domains import (
     type_i_shape,
 )
 from .embeddings import (
+    _STACK_ENTRIES,
     EmbeddingSpec,
     FactorKind,
     _block_entries,
@@ -63,7 +65,7 @@ from .exterior import _basis_rows, _subset_units, signature
 from .linalg import singular_values
 from .report import SUITE_NAMES, HarnessConfig, Report, SuiteResult
 from .retractions import _retract_blocks, isometry_sandwich
-from .sampling import generator, sample_ball_coords, sample_phases
+from .sampling import _ball_draws, _scaled_rows, generator, sample_ball_coords, sample_phases
 from .serialize import point_to_json
 
 __all__ = ["run_suite", "run_verification"]
@@ -108,7 +110,7 @@ def _suite_retraction(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     tol = config.tol
     coords = _interior_rows(_draw("retraction", spec, config), tol)
     residuals = np.empty(config.samples)
-    for part in _point_slices(config.samples, _block_entries(spec)):
+    for part in _point_slices(config.samples, _block_entries(spec), _STACK_ENTRIES):
         back = _retract_blocks(spec, _embed_blocks(spec, coords[part]))
         residuals[part] = np.abs(back - coords[part]).max(axis=1)
     return _earliest_max("retraction", residuals, coords, 10.0 * tol.eq_tol)
@@ -118,7 +120,7 @@ def _suite_membership(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult
     tol = config.tol
     coords = _interior_rows(_draw("membership", spec, config), tol)
     margins, inside = [], []
-    for part in _point_slices(config.samples, _block_entries(spec)):
+    for part in _point_slices(config.samples, _block_entries(spec), _STACK_ENTRIES):
         blocks = _embed_blocks(spec, coords[part])
         # The test of membership() on the images' exact diagonal blocks, one
         # eigensolve per block size for the slice.
@@ -183,7 +185,7 @@ def _suite_symmetry(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResult:
     models = sorted({f.wedge_model for f in spec.factors if f.kind is FactorKind.LAMBDA_III})
     coords = _interior_rows(_draw("symmetry", spec, config), tol)
     residuals = np.empty(config.samples)
-    for part in _point_slices(config.samples, _block_entries(spec)):
+    for part in _point_slices(config.samples, _block_entries(spec), _STACK_ENTRIES):
         # The images' entries off their factor blocks are zero, so the
         # largest |Z - Z^t| over the blocks is that over the whole image.
         blocks = _embed_blocks(spec, coords[part])
@@ -246,15 +248,18 @@ def _suite_equivariance(spec: EmbeddingSpec, config: HarnessConfig) -> SuiteResu
     models = sorted({f.wedge_model for f in spec.factors if f.kind in wedge_kinds})
     if not models:
         return SuiteResult("equivariance", True, 0, 0.0, detail="no wedge factors in spec")
-    # Each sample's phases are drawn right after its row.
-    n, cap = spec.source_dim, config.radius_cap
-    draws = [(sample_ball_coords(rng, n, 1, cap)[0], sample_phases(rng, n)) for _ in range(config.samples)]
-    base_coords = _interior_rows(np.array([row for row, _ in draws]), tol)
+    n = spec.source_dim
+    normals, radii = np.empty((config.samples, 2 * n)), np.empty(config.samples)
+    phases = np.empty((config.samples, n), dtype=np.complex128)
+    for i in range(config.samples):
+        # Each sample's phases are drawn right after its row.
+        normals[i], radii[i] = _ball_draws(rng, n)
+        phases[i] = sample_phases(rng, n)
+    base_coords = _interior_rows(_scaled_rows(normals, radii, config.radius_cap), tol)
     # Row by row, with the bits of a one-point product.
-    moved_coords = _interior_rows(np.array([t * row for row, t in draws]), tol)
-    phases = np.array([t for _, t in draws])
+    moved_coords = _interior_rows(np.array([t * row for row, t in zip(base_coords, phases)]), tol)
     residuals = np.zeros(config.samples)
-    for part in _point_slices(config.samples, 2 * _block_entries(spec)):
+    for part in _point_slices(config.samples, 2 * _block_entries(spec), _STACK_ENTRIES):
         # Base and rotated points of the slice in one stack.
         stack = np.concatenate([base_coords[part], moved_coords[part]])
         count = len(stack) // 2

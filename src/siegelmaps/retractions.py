@@ -35,6 +35,7 @@ from .domains import (
     kobayashi_distance,
 )
 from .embeddings import (
+    _DISTANCE_ENTRIES,
     EmbeddingSpec,
     _ball_coords,
     _block_entries,
@@ -145,7 +146,7 @@ def isometry_sandwich(
 
     The images are carried as one block per distinct factor
     (:func:`_embed_blocks`), never as g x g matrices.  Each slice of pairs
-    holding up to 1 MiB of block entries is embedded, split into its
+    holding up to 256 KiB of block entries is embedded, split into its
     exact diagonal blocks, measured by one pass of the matrix distance
     kernel per block size, and retracted.  Within a slice the blocks are
     those :func:`kobayashi_distance` finds on the g x g images but for the
@@ -160,7 +161,7 @@ def isometry_sandwich(
     rx, ry = np.empty_like(cx), np.empty_like(cy)
     names = _pair_names(len(cx))
     # Each pair holds the blocks of two images.
-    for part in _point_slices(len(cx), 2 * _block_entries(spec)):
+    for part in _point_slices(len(cx), 2 * _block_entries(spec), _DISTANCE_ENTRIES):
         bx, by = _embed_blocks(spec, cx[part]), _embed_blocks(spec, cy[part])
         target[part] = _matrix_distances(_diagonal_blocks(zip(bx, by)), names[part], tol, symmetric=True)
         rx[part], ry[part] = _retract_blocks(spec, bx), _retract_blocks(spec, by)

@@ -7,7 +7,10 @@ sphere by normalizing standard complex Gaussians; radii are scaled to at
 most ``radius_cap`` to keep conditioning bounded away from the boundary.
 Ball samples have one draw routine, :func:`sample_ball_coords`: the
 harness suites and ``linearize``'s check points draw (count, n)
-coordinate rows, and :func:`sample_ball_point` is one row of it.
+coordinate rows, and :func:`sample_ball_point` is one row of it.  Its two
+steps, each row's draws (:func:`_ball_draws`) and the normalization of the
+whole stack (:func:`_scaled_rows`), are apart so that the equivariance
+suite can draw each row's phases right after it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,26 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _ball_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
+    """One ball row's draws, in stream order: 2n normals, the real parts then
+    the imaginary ones (the stream and the bits of drawing the two halves in
+    turn), then a uniform for its radius."""
+    return rng.standard_normal(2 * n), rng.random()
+
+
+def _scaled_rows(normals: np.ndarray, radii: np.ndarray, radius_cap: float) -> np.ndarray:
+    """The (count, n) ball rows of :func:`_ball_draws`' (count, 2n) normals
+    and count uniforms: all rows at once, with the bits of dividing each by
+    its own ``np.linalg.norm`` and multiplying it by ``radius_cap`` times its
+    uniform."""
+    n = normals.shape[1] // 2
+    coords = np.empty((len(normals), n), dtype=np.complex128)
+    coords.real, coords.imag = normals[:, :n], normals[:, n:]
+    coords /= np.sqrt(_squared_norms(coords))[:, np.newaxis]
+    coords *= (radius_cap * radii)[:, np.newaxis]
+    return coords
+
+
 def sample_ball_coords(rng: np.random.Generator, n: int, count: int, radius_cap: float = 0.95) -> np.ndarray:
     """``count`` ball points as the rows of a (count, n) array, drawn one
     after the other: per row a uniform direction, then a radius uniform in
@@ -43,17 +66,8 @@ def sample_ball_coords(rng: np.random.Generator, n: int, count: int, radius_cap:
     and scaled after, in one pass."""
     normals, radii = np.empty((count, 2 * n)), np.empty(count)
     for i in range(count):
-        # One draw of 2n normals, the real parts then the imaginary ones:
-        # the stream and the bits of drawing the two halves in turn.
-        normals[i] = rng.standard_normal(2 * n)
-        radii[i] = rng.random()
-    coords = np.empty((count, n), dtype=np.complex128)
-    coords.real, coords.imag = normals[:, :n], normals[:, n:]
-    # All rows at once, with the bits of dividing each by its own
-    # ``np.linalg.norm`` and multiplying it by its radius.
-    coords /= np.sqrt(_squared_norms(coords))[:, np.newaxis]
-    coords *= (radius_cap * radii)[:, np.newaxis]
-    return coords
+        normals[i], radii[i] = _ball_draws(rng, n)
+    return _scaled_rows(normals, radii, radius_cap)
 
 
 def sample_ball_point(rng: np.random.Generator, n: int, radius_cap: float = 0.95) -> BallPoint:

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
-import io
 import json
 import os
 import re
@@ -551,40 +549,3 @@ def test_module_entry_point_runs_enumerate(tmp_path):
     assert refused.returncode == 2 and refused.stdout == ""
     assert refused.stderr == "error: --source-dim 1 --max-g 100 admits 1,194,725 specs, more than the limit of 1,000,000\n"
     assert not out.exists()
-
-
-def test_consecutive_commands_in_one_process_match_separate_processes(tmp_path):
-    # The parser is built once per process: calls after the first, and a
-    # call after a usage error, print, exit and write what a fresh process
-    # does.
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    spec = _write(tmp_path / "spec.json", CONNECTING_SPEC)
-    point = _write(tmp_path / "pt.json", _ball_json([0.3, 0.4]))
-    commands = [
-        ["verify", "--spec", spec, "--samples", "4", "--suites", "linearity", "--report", "{out}"],
-        ["verify", "--spec", spec, "--samples", "4", "--report", "{out}"],
-        ["embed", "--spec", spec, "--point", point, "--out", "{out}"],
-        ["verify", "--spec", spec, "--samples", "four", "--report", "{out}"],
-    ]
-
-    def outcome(out, code, stdout, stderr):
-        return code, stdout, stderr, out.read_bytes() if out.exists() else None
-
-    separate = []
-    for i, command in enumerate(commands):
-        out = tmp_path / f"separate_{i}.json"
-        argv = [sys.executable, "-m", "siegelmaps", *(arg.format(out=out) for arg in command)]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        separate.append(outcome(out, done.returncode, done.stdout, done.stderr))
-    together = []
-    for i, command in enumerate(commands + commands[:1]):
-        out = tmp_path / f"together_{i}.json"
-        with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as stderr:
-            try:
-                code = main([arg.format(out=out) for arg in command])
-            except SystemExit as exc:
-                code = exc.code
-        together.append(outcome(out, code, stdout.getvalue(), stderr.getvalue()))
-    assert together == separate + separate[:1]
-    assert [code for code, *_ in separate] == [0, 0, 0, 2]
-    assert "invalid int value: 'four'" in separate[3][2]

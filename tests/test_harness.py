@@ -217,13 +217,14 @@ _LOOPS = {
 @pytest.mark.parametrize("suite", sorted(_LOOPS))
 @pytest.mark.parametrize(
     "spec, seed, samples",
-    [(N2_SPEC, 3, 20), (N2_SPEC, 11, 1), (G60_SPEC, 0, 8), (G60_SPEC, 5, 40)]
+    [(N2_SPEC, 3, 20), (N2_SPEC, 11, 1), (G60_SPEC, 0, 8), (G60_SPEC, 5, 40), (G60_SPEC, 6, 150)]
     + [(N1_PADDED_SPEC, 2, 12), (N1_PADDED_SPEC, 9, 1)],
-    ids=["N2-s20", "N2-s1", "g60-s8", "g60-s40"] + ["N1-padded-s12", "N1-padded-s1"],
+    ids=["N2-s20", "N2-s1", "g60-s8", "g60-s40", "g60-s150"] + ["N1-padded-s12", "N1-padded-s1"],
 )
 def test_stacked_suite_equals_per_sample_loop(suite, spec, seed, samples):
-    # At g = 60, 40 samples span several slices of the stacked evaluation
-    # (8 samples do too for the membership and isometry suites).
+    # At g = 60, 40 samples span two slices of the linearity and
+    # equivariance stacks and five of isometry's, and 150 span several
+    # slices of every suite's stacks.
     config = HarnessConfig(seed=seed, samples=samples)
     stacked = harness.run_suite(suite, spec, config)
     loop = _LOOPS[suite](spec, config)
@@ -327,10 +328,11 @@ def test_sample_near_the_sphere_fails_naming_the_embedding_input(spec):
 @pytest.mark.parametrize("seed", [1, 5])
 @pytest.mark.parametrize("name", ["retraction", "membership", "isometry", "symmetry", "linearity", "equivariance"])
 def test_sample_near_the_sphere_is_named_by_its_index_in_the_suite(name, seed):
-    # At 60 samples the g = 60 suites evaluate several slices; the first
-    # failing draw must be named by its index in the suite's stream (for
-    # isometry, its pair), not in its slice.  At seed 5 the isometry suite's
-    # first failing pair, 22, lies beyond its first slice of 8 pairs.
+    # At 60 samples the g = 60 linearity, equivariance and isometry suites
+    # evaluate several slices; the first failing draw must be named by its
+    # index in the suite's stream (for isometry, its pair), not in its
+    # slice.  At seed 5 the isometry suite's first failing pair, 22, lies
+    # beyond its first slice of 8 pairs.
     config = HarnessConfig(seed=seed, samples=60, radius_cap=0.99, tol=Tolerance(eq_tol=0.5, psd_margin=0.05))
     rng = generator(config.seed, harness._STREAMS[name])
     for index in range(config.samples):

@@ -215,7 +215,8 @@ def test_a_sample_at_a_radius_cap_near_one_clears_with_the_fallback_bytes(tmp_pa
     entries = embeddings._block_entries(G60_SPEC)
 
     def slice_holding(count, i):
-        (width,) = [len(range(count)[part]) for part in embeddings._point_slices(count, entries) if i in range(count)[part]]
+        slices = embeddings._point_slices(count, entries, embeddings._STACK_ENTRIES)
+        (width,) = [len(range(count)[part]) for part in slices if i in range(count)[part]]
         return width
 
     checks = embeddings._CHECK_POINTS

@@ -17,7 +17,14 @@ import numpy as np
 
 from siegelmaps import embeddings
 from siegelmaps.domains import BallPoint
-from siegelmaps.embeddings import _ball_coords, _block_entries, _factor_blocks, _point_slices, block_layout
+from siegelmaps.embeddings import (
+    _STACK_ENTRIES,
+    _ball_coords,
+    _block_entries,
+    _factor_blocks,
+    _point_slices,
+    block_layout,
+)
 from siegelmaps.errors import NonlinearityDetected
 from siegelmaps.linalg import DEFAULT_TOLERANCE, Tolerance
 from siegelmaps.sampling import generator
@@ -28,9 +35,9 @@ def whole_image_residuals(spec, points, tol: Tolerance = DEFAULT_TOLERANCE) -> n
     (coords,) = _ball_coords(spec.source_dim, tol, points)
     layout = block_layout(spec)
     residuals = np.empty(len(points))
-    for part in _point_slices(len(points), _block_entries(spec)):
+    for part in _point_slices(len(points), _block_entries(spec), _STACK_ENTRIES):
         blocks = _factor_blocks(spec.factors, coords[part], tol)
-        for sub in _point_slices(len(blocks[0]), g * g):
+        for sub in _point_slices(len(blocks[0]), g * g, _STACK_ENTRIES):
             # |image - reference| has the bits of |reference - image|.
             difference = np.array([embeddings.direct_sum_embed(spec, z, tol).z for z in points[part][sub]])
             for (_, start, stop), block in zip(layout, blocks):
