@@ -55,8 +55,9 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _certified,
-    _ill_conditioned,
-    _residuals,
+    _require_conditioned,
+    _residual,
+    _residual_bound,
     _solve_conditioned,
     _solve_unchecked,
     _spectral_slack,
@@ -185,18 +186,17 @@ class MembershipResult:
         return self.status is MembershipStatus.INTERIOR
 
 
-def _contraction_grams(z: np.ndarray) -> np.ndarray:
+def _contraction_grams(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The Gram I - Z*Z of a matrix or of each member of a ``(..., p, q)``
     stack, or I - ZZ* where Z is wider than tall: the smaller square side.
-    Entries too large to square make entries that are not finite, without
-    a warning (see :func:`_gram_margins`)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if z.shape[-2] >= z.shape[-1]:
-            gram = z.conj().swapaxes(-1, -2) @ z
-        else:
-            gram = z @ z.conj().swapaxes(-1, -2)
-        np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
-    return gram
+    Entries too large to square make entries that are not finite (see
+    :func:`_gram_margins`); callers that take such points ignore the
+    overflow.  The Grams are written to ``out`` when given."""
+    if z.shape[-2] >= z.shape[-1]:
+        gram = np.matmul(z.conj().swapaxes(-1, -2), z, out=out)
+    else:
+        gram = np.matmul(z, z.conj().swapaxes(-1, -2), out=out)
+    return np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
 
 
 def _gram_margins(gram: np.ndarray) -> np.ndarray:
@@ -221,9 +221,10 @@ def _gram_margins(gram: np.ndarray) -> np.ndarray:
     return margins
 
 
-def _asymmetries(z: np.ndarray) -> np.ndarray:
-    """max|Z - Z^t| of a square matrix or of each member of a stack."""
-    return np.abs(z - z.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+def _asymmetries(z: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """max|Z - Z^t| of a square matrix or of each member of a stack, over
+    ``axis``, which may also span the blocks of a member."""
+    return np.abs(z - z.swapaxes(-1, -2)).max(axis=axis, initial=0.0)
 
 
 def _asymmetry_detail(defect: float) -> str:
@@ -261,7 +262,9 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     asymmetric point is Outside with the defect named in ``reason``.
     """
     reason = _asymmetry(pt, tol)
-    margin = float(_gram_margins(_positivity(pt)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        positivity = _positivity(pt)
+    margin = float(_gram_margins(positivity))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
     if margin > tol.psd_margin:
@@ -271,7 +274,9 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     return MembershipResult(MembershipStatus.BOUNDARY, margin)
 
 
-def _interior_certificate(matrices: np.ndarray, order: int, tol: Tolerance) -> tuple[np.ndarray, float] | None:
+def _interior_certificate(
+    matrices: np.ndarray, order: int, tol: Tolerance, out: np.ndarray | None = None
+) -> tuple[np.ndarray, float] | None:
     """The matrices H = (M + M*)/2 that the margin eigensolve sees
     (:func:`_symmetrized_eigenvalues`), of a matrix M or of each member of
     a stack, shifted to H - 2bI, and the margin bound b; None where an
@@ -320,17 +325,21 @@ def _interior_certificate(matrices: np.ndarray, order: int, tol: Tolerance) -> t
 
     So a certified member passes the eigensolve's interior test, and a
     margin of b adds no SVD where the eigensolve's margin would add none.
-    A member whose factorization fails, or any member of a stack factored
-    in one call that fails, takes the eigensolve instead.
+    A member whose factorization fails takes the eigensolve instead.
+
+    The shifted matrices are written to ``out``, a contiguous array, when
+    given.
     """
     factor = (order + 16) * _spectral_slack(order)
     if factor > 1.0 or not np.isfinite(matrices).all():
         return None
-    hermitian = _symmetrized(matrices)
-    diagonal = np.arange(hermitian.shape[-1])
-    scale = max(1.0, float(hermitian[..., diagonal, diagonal].real.max()))
+    hermitian = _symmetrized(matrices, out)
+    n = hermitian.shape[-1]
+    # A strided view of the diagonals: the matrices are contiguous.
+    diagonal = hermitian.reshape(*hermitian.shape[:-2], n * n)[..., :: n + 1]
+    scale = max(1.0, float(diagonal.real.max()))
     bound = 128.0 * tol.psd_margin + factor * scale
-    hermitian[..., diagonal, diagonal] -= 2.0 * bound
+    diagonal -= 2.0 * bound
     return hermitian, bound
 
 
@@ -341,15 +350,17 @@ def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> float:
     interior raises ``MembershipViolation`` naming ``what``, with the
     message of that eigensolve path."""
     if _asymmetry(pt, tol) is None:
-        certificate = _interior_certificate(_positivity(pt), pt.shape.p, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            positivity = _positivity(pt)
+            # Shifted in place: the matrix is formed for this test alone.
+            certificate = _interior_certificate(positivity, pt.shape.p, tol, positivity)
         if certificate is not None:
-            shifted, bound = certificate
             try:
-                np.linalg.cholesky(shifted)
+                np.linalg.cholesky(certificate[0])
             except np.linalg.LinAlgError:
                 pass
             else:
-                return bound
+                return certificate[1]
     result = membership(pt, tol)
     if not result:
         detail = result.reason or f"margin {result.margin:.3e}"
@@ -375,14 +386,14 @@ def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Do
 def _bounded_image(pt: DomainPoint, tol: Tolerance) -> DomainPoint:
     """The solve of :func:`cayley_to_bounded`, at a point proven interior."""
     g = pt.shape.p
-    eye = np.eye(g, dtype=np.complex128)
+    i_eye = 1j * np.eye(g, dtype=np.complex128)
     # On an interior point s_min(Z + iI) >= 1 + lambda_min(Im Z) >= 1, from
     # |<v, (Z + iI) v>| >= Im <v, (Z + iI) v>, and s_max <= ||Z||_F + 1.
     # Where these bounds clear, the eigensolve's error is below 1/128.  An
     # overflowing norm makes the bound inf, which certifies nothing.
     with np.errstate(over="ignore"):
         hi = np.linalg.norm(pt.z) + 1.0
-    w = _cayley_solve(pt.z - 1j * eye, pt.z + 1j * eye, hi, 1.0, "Z + iI", tol)
+    w = _cayley_solve(pt.z - i_eye, pt.z + i_eye, hi, 1.0, "Z + iI", tol)
     return DomainPoint(type_iii_shape(g), w)
 
 
@@ -398,7 +409,10 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
     # lie within ||W|| of 1.
     norm = np.sqrt(1.0 - margin + _spectral_slack(g))
     # (I + W)(I - W)^-1 commutes, so left/right placement agree.
-    z = 1j * _cayley_solve(eye + pt.z, eye - pt.z, 1.0 + norm, 1.0 - norm, "I - W", tol)
+    w = _cayley_solve(eye + pt.z, eye - pt.z, 1.0 + norm, 1.0 - norm, "I - W", tol)
+    # Written once in the read-only C order that DomainPoint keeps as it is.
+    z = np.multiply(1j, w, out=np.empty((g, g), dtype=np.complex128))
+    z.setflags(write=False)
     return DomainPoint(siegel_shape(g), z)
 
 
@@ -425,6 +439,10 @@ def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) 
     raise ValueError(f"unknown Cayley direction {direction!r}")
 
 
+# The axes of a pair's blocks and their entries in a group's stacks.
+_PAIR_AXES = (-3, -2, -1)
+
+
 def _pair_names(count: int) -> list[str]:
     """Message prefixes naming the ``count`` pairs of a call, none for one."""
     return [""] if count == 1 else [f"pair {i}: " for i in range(count)]
@@ -433,7 +451,7 @@ def _pair_names(count: int) -> list[str]:
 def _raise_first(bad: np.ndarray, error: type[Exception], message, names=None) -> None:
     """Raise ``error(names[i] + message(i))`` for the first pair i where
     ``bad`` holds, ``names`` by default the :func:`_pair_names` of all."""
-    if bad.any():
+    if np.count_nonzero(bad):
         i = int(np.argmax(bad))
         raise error((names or _pair_names(len(bad)))[i] + message(i))
 
@@ -444,7 +462,7 @@ def _block_ranges(piece: np.ndarray) -> list[tuple[int, int]]:
     out.  ``piece`` is a (..., k, k) stack of such matrices.  A nonzero
     corner entry [0, k - 1] makes one range without a scan."""
     k = piece.shape[-1]
-    if (piece[..., 0, -1] != 0).any():
+    if np.count_nonzero(piece[..., 0, -1]):
         return [(0, k)]
     nonzero = (piece != 0).reshape(-1, k, k).any(axis=0)
     nonzero |= nonzero.T
@@ -507,20 +525,81 @@ def _block_margins(grams, count: int) -> np.ndarray:
     return reduce(np.minimum, [_gram_margins(gram).min(axis=-1) for gram in grams])
 
 
-def _base_factors(xb: np.ndarray, gram: np.ndarray, shifted=()) -> tuple[np.ndarray, np.ndarray]:
+def _base_factors(xb: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors C and D, C C* = I - XX* and D D* = I - X*X, of a
     stack of p x q base blocks X, given the Gram of the smaller side as
     :func:`_contraction_grams` forms it: one call for square blocks, one per
-    side otherwise.  The matrices of ``shifted``, of the Gram's size, join
-    the Gram's call and their factors are dropped; a failure of any member
-    raises ``LinAlgError``."""
+    side otherwise.  A failure of any member raises ``LinAlgError``."""
     p, q = xb.shape[-2:]
     adjoint = xb.conj().swapaxes(-1, -2)
     if p == q:
-        return np.linalg.cholesky(np.asarray([np.eye(p) - xb @ adjoint, gram, *shifted]))[:2]
+        return tuple(np.linalg.cholesky(np.asarray([np.eye(p) - xb @ adjoint, gram])))
     if p > q:
-        return np.linalg.cholesky(np.eye(p) - xb @ adjoint), np.linalg.cholesky(np.asarray([gram, *shifted]))[0]
-    return np.linalg.cholesky(np.asarray([gram, *shifted]))[0], np.linalg.cholesky(np.eye(q) - adjoint @ xb)
+        return np.linalg.cholesky(np.eye(p) - xb @ adjoint), np.linalg.cholesky(gram)
+    return np.linalg.cholesky(gram), np.linalg.cholesky(np.eye(q) - adjoint @ xb)
+
+
+def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cholesky factors of a ``(k, B, ...)`` stack, its B pairs along axis
+    1, and None where every member completes.  Otherwise the calls are
+    split in halves along the pairs until each failing call holds one pair:
+    the factors of the pairs whose members all complete, and the mask of
+    the pairs that fail, whose factors are left unset.  Each member has the
+    bits of its factorization alone."""
+    try:
+        return np.linalg.cholesky(stack), None
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.empty_like(stack)
+    failed = np.zeros(stack.shape[1], dtype=bool)
+    spans = [(0, stack.shape[1])]
+    while spans:
+        start, stop = spans.pop()
+        if stop - start == 1:
+            failed[start] = True
+            continue
+        middle = (start + stop) // 2
+        for part in (slice(start, middle), slice(middle, stop)):
+            try:
+                factors[:, part] = np.linalg.cholesky(stack[:, part])
+            except np.linalg.LinAlgError:
+                spans.append((part.start, part.stop))
+    return factors, failed
+
+
+def _group_factors(group: np.ndarray, order: int, tol: Tolerance):
+    """The steps of :func:`_matrix_distances` that certify one
+    ``(2, B, n, p, q)`` group.  Returns x's adjoint, both sides' Grams,
+    the base factors [C, D] of x as :func:`_base_factors` has them, the
+    mask of the pairs whose certificate fails (None for none) and the
+    margin bound; the factors, mask and bound are None where the Grams
+    have no certificate.
+
+    The Grams, their shifts and, for square blocks, I - XX* are formed in
+    one stack, so that the Cholesky call that certifies both sides also
+    gives the base factors."""
+    p, q = group.shape[-2:]
+    square = p == q
+    # Rows: I - XX* for square blocks, x's Gram, both shifted Grams, y's Gram.
+    rows = np.empty((4 + square, *group.shape[1:-2], min(p, q), min(p, q)), dtype=np.complex128)
+    gram = _contraction_grams(group, rows[square::3])
+    adjoint = group[0].conj().swapaxes(-1, -2)
+    certificate = _interior_certificate(gram, order, tol, rows[1 + square : 3 + square])
+    if certificate is None:
+        return adjoint, gram, None, None, None
+    if square:
+        np.subtract(np.eye(p, dtype=np.complex128), np.matmul(group[0], adjoint, out=rows[0]), out=rows[0])
+        factors, failed = _factored(rows[:4])
+        return adjoint, gram, [factors[0], factors[1]], failed, certificate[1]
+    if p > q:
+        other, failed = _factored((np.eye(p) - group[0] @ adjoint)[np.newaxis])
+        factors, more = _factored(rows[:3])
+        pair = [other[0], factors[0]]
+    else:
+        factors, failed = _factored(rows[:3])
+        other, more = _factored((np.eye(q) - adjoint @ group[0])[np.newaxis])
+        pair = [factors[0], other[0]]
+    return adjoint, gram, pair, _either(failed, more), certificate[1]
 
 
 def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
@@ -545,100 +624,119 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
     ``symmetric``), x before y, and y for interiority, as
     :func:`membership` does; x is always checked against ``psd_margin``,
     and I - X*Y with the condition test of
-    :func:`~siegelmaps.linalg._solve_conditioned`, on the extreme singular
-    values over all blocks of a pair.  The Grams I - Z*Z of both sides are
-    formed once; x's Gram is also the one Cholesky factor D is taken of
-    (C's where the blocks are wider than tall).  Their shifts by
-    :func:`_interior_certificate` join the Cholesky call of their size, so
-    that where it completes every block of both sides is certified
-    interior, with a margin bound that clears the condition test of every
-    pair the eigensolve's margins would clear.  Where it fails, the margins
-    come from the eigensolve of the Grams, unchecked, as in
-    :func:`_gram_margins`, and the checks, decisions and messages are those
-    of that eigensolve path.  Where the blocks have more than one size, 1
-    joins the extreme singular values, as the zero padding of the smaller
-    blocks did when every block was padded to the largest, so that no
-    decision moves.  A failing check names the first failing pair.
+    :func:`~siegelmaps.linalg._require_conditioned`, on the extreme
+    singular values over all blocks of a pair.  The Grams I - Z*Z of both
+    sides are formed once, into one stack per group with I - XX* and the
+    Grams' shifts by :func:`_interior_certificate`; x's Gram is also the
+    one Cholesky factor D is taken of (C's where the blocks are wider than
+    tall).  One Cholesky call factors the stack: where it completes every
+    block of both sides is certified interior, with a margin bound that
+    clears the condition test of every pair the eigensolve's margins would
+    clear.  Where a member fails, the call is split until the pairs that
+    fail are found (:func:`_factored`); only their margins come from the
+    eigensolve of their Grams, unchecked, as in :func:`_gram_margins`, and
+    only their factors from a second, unshifted call.  A certified pair
+    passes every check those margins and factors face, so the checks,
+    decisions and messages are those of the eigensolve path.  Where the
+    blocks have more than one size, 1 joins the extreme singular values,
+    as the zero padding of the smaller blocks did when every block was
+    padded to the largest, so that no decision moves.  A failing check
+    names the first failing pair.
     """
     count, names = (pairs, None) if isinstance(pairs, int) else (len(pairs), pairs)
     if not groups:
         # Every member of both stacks is zero.
         return np.zeros(count)
-    if check_inputs and symmetric:
-        defects = reduce(np.maximum, [_asymmetries(group).max(axis=-1) for group in groups])
-        what = "distance argument must be an interior point: "
-        for bad, defect in zip(defects > tol.eq_tol, defects):
-            _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
-    grams = [_contraction_grams(group) for group in groups]
-    order = max(max(group.shape[-2:]) for group in groups)
-    largest_q = max(group.shape[-1] for group in groups)
-    certificates = [_interior_certificate(gram, order, tol) for gram in grams]
-    factors = None
-    if all(certificate is not None for certificate in certificates):
-        try:
-            # A Gram that passes may still have an I - XX* too large to form.
-            with np.errstate(over="ignore", invalid="ignore"):
-                factors = [
-                    _base_factors(group[0], gram[0], shifted)
-                    for group, gram, (shifted, _) in zip(groups, grams, certificates)
-                ]
-        except np.linalg.LinAlgError:
-            pass
-    if factors is not None:
-        # Every block of both sides is certified interior.
-        margins = np.full((2, count), min(bound for _, bound in certificates))
-    else:
-        margins = _block_margins(grams, count)
-        (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
-        if check_inputs:
-            _raise_first(
-                y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]), names
+    # One scope for the kernel: the Grams of points too large to square
+    # overflow without a warning, and their margins are -inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if check_inputs and symmetric:
+            defects = reduce(np.maximum, [_asymmetries(group, _PAIR_AXES) for group in groups])
+            over = defects > tol.eq_tol
+            if np.count_nonzero(over):
+                what = "distance argument must be an interior point: "
+                for bad, defect in zip(over, defects):
+                    _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
+        order = max(max(group.shape[-2:]) for group in groups)
+        adjoints, grams, factors, fails, bounds = zip(*[_group_factors(group, order, tol) for group in groups])
+        factors = list(factors)
+        failed = np.ones(count, dtype=bool) if None in bounds else reduce(_either, fails)
+        if failed is None:
+            margins = min(bounds)
+        else:
+            index = np.flatnonzero(failed)
+            # A call without a certificate has no bound, and no certified pair.
+            margins = np.full((2, count), min(bounds) if len(index) < count else np.nan)
+            margins[:, index] = _fallback(groups, grams, factors, index, names, tol, check_inputs)
+        differences = [yb - xb for xb, yb in groups]
+        denominators = [np.eye(adjoint.shape[-2]) - adjoint @ yb for adjoint, (_, yb) in zip(adjoints, groups)]
+        # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the
+        # eigensolve's error (for certified bounds, see
+        # _interior_certificate), and the same for Y, so the singular values
+        # of each block of I - X*Y lie within ||X_b|| ||Y_b|| of 1.  The
+        # largest block order bounds the rounding of every group.
+        norms = np.sqrt(1.0 - margins + _spectral_slack(order))
+        reach = norms * norms if failed is None else norms[0] * norms[1]
+        largest_q = max(group.shape[-1] for group in groups)
+        unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)
+        near_singular = "transvection denominator near singular: "
+        if np.count_nonzero(unsettled):
+            pair_names = names or _pair_names(count)
+            _require_conditioned(
+                denominators,
+                np.broadcast_to(unsettled, count),
+                tol,
+                lambda i, _: pair_names[i] + near_singular,
+                IllConditioned,
+                joined=(1.0, 1.0) if len(groups) > 1 else (0.0, np.inf),
             )
-        _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]), names)
         try:
-            factors = [_base_factors(group[0], gram[0]) for group, gram in zip(groups, grams)]
-        except np.linalg.LinAlgError as exc:
-            raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
-    differences, denominators = [], []
-    for xb, yb in groups:
-        differences.append(yb - xb)
-        denominators.append(np.eye(xb.shape[-1]) - xb.conj().swapaxes(-1, -2) @ yb)
-    # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the eigensolve's
-    # error (for certified bounds, see _interior_certificate), and the same
-    # for Y, so the singular values of each block of I - X*Y lie within
-    # ||X_b|| ||Y_b|| of 1.  The largest block order bounds the rounding of
-    # every group.
-    x_norm, y_norm = np.sqrt(1.0 - margins + _spectral_slack(order))
-    reach = x_norm * y_norm
-    unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)
-    near_singular = "transvection denominator near singular: "
-    if unsettled.any():
-        largest, smallest = (1.0, 1.0) if len(groups) > 1 else (0.0, np.inf)
-        for denominator in denominators:
-            sv = np.linalg.svd(denominator[unsettled], compute_uv=False)
-            largest = np.maximum(largest, sv[..., 0].max(axis=1))
-            smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
-        bad = np.zeros(count, dtype=bool)
-        bad[unsettled] = _ill_conditioned(largest, smallest, tol)
-        too_large = f"{near_singular}condition number exceeds {1.0 / tol.psd_margin:.3e}"
-        _raise_first(bad, IllConditioned, lambda i: too_large, names)
+            middles = [_solve_unchecked(a, b) for a, b in zip(differences, denominators)]
+        except SingularSystem as exc:
+            raise IllConditioned(f"{near_singular}{exc}") from exc
+        # The bound is at least eq_tol, so it is formed only where that is passed.
+        residual = reduce(np.maximum, [_residual(*args, _PAIR_AXES) for args in zip(middles, differences, denominators)])
+        if np.count_nonzero(residual > tol.eq_tol):
+            bound = reduce(np.maximum, [_residual_bound(a, tol, _PAIR_AXES) for a in differences])
+            too_large = near_singular + "solution residual {:.3e} exceeds tolerance"
+            _raise_first(residual > bound, IllConditioned, lambda i: too_large.format(residual[i]), names)
+        top = reduce(
+            np.maximum,
+            [
+                np.linalg.svd(np.linalg.solve(left, middle @ right), compute_uv=False)[..., 0].max(axis=-1)
+                for middle, (left, right) in zip(middles, factors)
+            ],
+        )
+        _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1", names)
+        return np.arctanh(top)
+
+
+def _either(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """The union of two masks, None standing for the empty one."""
+    return a if b is None else b if a is None else a | b
+
+
+def _fallback(groups, grams, factors, index, names, tol: Tolerance, check_inputs: bool) -> np.ndarray:
+    """The margins, (2, F), of the F pairs at ``index`` that
+    :func:`_matrix_distances` could not certify, from the eigensolve of
+    their Grams, checked (y first, with ``check_inputs``); their base
+    factors, unshifted, are written into ``factors``."""
+    names = [(names or _pair_names(len(grams[0][0])))[i] for i in index]
+    margins = _block_margins([gram[:, index] for gram in grams], len(index))
+    (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
+    if check_inputs:
+        _raise_first(y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]), names)
+    _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]), names)
     try:
-        middles = [_solve_unchecked(a, b) for a, b in zip(differences, denominators)]
-    except SingularSystem as exc:
-        raise IllConditioned(f"{near_singular}{exc}") from exc
-    checks = [_residuals(*args, tol) for args in zip(middles, differences, denominators)]
-    residual, bound = (reduce(np.maximum, [r.max(axis=1) for r in values]) for values in zip(*checks))
-    too_large = near_singular + "solution residual {:.3e} exceeds tolerance"
-    _raise_first(residual > bound, IllConditioned, lambda i: too_large.format(residual[i]), names)
-    top = reduce(
-        np.maximum,
-        [
-            np.linalg.svd(np.linalg.solve(left, middle @ right), compute_uv=False)[..., 0].max(axis=1)
-            for middle, (left, right) in zip(middles, factors)
-        ]
-    )
-    _raise_first(top >= 1.0, IllConditioned, lambda i: f"transvected point has norm {top[i]:.6f} >= 1", names)
-    return np.arctanh(top)
+        base = [_base_factors(group[0][index], gram[0][index]) for group, gram in zip(groups, grams)]
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
+    for j, pair in enumerate(base):
+        if factors[j] is None:
+            factors[j] = pair
+        else:
+            factors[j][0][index], factors[j][1][index] = pair
+    return margins
 
 
 def _ball_distances(x: np.ndarray, y: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -99,11 +99,12 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
     return m
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
+def _symmetrized(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(m + m*)/2 of a square matrix or stack, as half + half* with
-    half = m/2 so that it is finite wherever m is."""
+    half = m/2 so that it is finite wherever m is; written to ``out`` when
+    given."""
     half = m * 0.5
-    return half + half.conj().swapaxes(-1, -2)
+    return np.add(half, half.conj().swapaxes(-1, -2), out=out)
 
 
 def _symmetrized_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -217,44 +218,73 @@ def _solve_conditioned(
     and ``(..., k, k)``, after the condition test and the residual check,
     either of which names the first failing member of a stack.
 
-    The condition test rejects a member of ``b`` that is singular or whose
-    condition number exceeds 1/psd_margin.  ``cleared``, a boolean array of
-    the stack's shape, holds where the caller's bounds already prove that a
-    member passes (see :func:`_certified`); only the other members take an
-    SVD, one for all of them, and ``screen``, when given, sees their
-    singular values first and may raise its own error.  Each member has the
-    bits of its system solved alone: LAPACK solves each member and
-    right-hand column by the same steps.
+    ``cleared``, a boolean array of the stack's shape, holds where the
+    caller's bounds already prove that a member passes the condition test
+    (see :func:`_certified`); only the other members take
+    :func:`_require_conditioned`.  Each member has the bits of its system
+    solved alone: LAPACK solves each member and right-hand column by the
+    same steps.
     """
     unsettled = ~cleared
-    if unsettled.any():
-        sv = _singular_values(b[unsettled])
+    if np.count_nonzero(unsettled):
+        _require_conditioned([b], unsettled, tol, screen=screen)
+    return _residual_checked(_solve_unchecked(a, b), a, b, tol)
+
+
+def _require_conditioned(
+    stacks,
+    unsettled: np.ndarray,
+    tol: Tolerance,
+    label: Callable[[int, tuple[int, ...]], str] = _stack_label,
+    error: type[Exception] = SingularSystem,
+    screen: Callable[[np.ndarray], None] | None = None,
+    joined: tuple[float, float] = (0.0, np.inf),
+) -> None:
+    """The condition test of the members at ``unsettled``, a boolean array
+    of the stacks' member shape: it rejects a member that is singular or
+    whose condition number exceeds 1/psd_margin.
+
+    Each ``(*members, ..., k, k)`` stack takes one SVD of the members
+    tested, which ``screen``, when given, sees first and may raise its own
+    error.  A member's extreme singular values are joined over all its
+    matrices in all stacks, and with ``joined``: (1, 1) stands for the zero
+    padding of blocks of several sizes to one order.  The first failing
+    member, in flat order, raises ``error`` with the prefix
+    ``label(flat index, member shape)``, by default ``matrix i: ``.
+    """
+    largest, smallest = joined
+    for stack in stacks:
+        sv = _singular_values(stack[unsettled])
         if screen is not None:
             screen(sv)
-        bad = np.zeros(unsettled.shape, dtype=bool)
-        bad[unsettled] = _ill_conditioned(sv[..., 0], sv[..., -1], tol)
-        if bad.any():
-            label = _stack_label(int(np.argmax(bad.reshape(-1))), bad.shape)
-            raise SingularSystem(f"{label}condition number exceeds {1.0 / tol.psd_margin:.3e}")
-    return _residual_checked(_solve_unchecked(a, b), a, b, tol)
+        sv = sv.reshape(len(sv), -1, sv.shape[-1])
+        largest = np.maximum(largest, sv[..., 0].max(axis=1))
+        smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
+    bad = np.zeros(unsettled.shape, dtype=bool)
+    bad[unsettled] = _ill_conditioned(largest, smallest, tol)
+    if np.count_nonzero(bad):
+        flat = int(np.argmax(bad.reshape(-1)))
+        raise error(f"{label(flat, bad.shape)}condition number exceeds {1.0 / tol.psd_margin:.3e}")
 
 
 def _residual_checked(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> np.ndarray:
     """X, after the residual check ``max|X b - a| <= eq_tol * max(1, max|a|)``
     of each member, naming the first member that fails it."""
-    residual, bound = _residuals(x, a, b, tol)
-    over = residual > bound
-    if over.any():
-        flat = int(np.argmax(over.reshape(-1)))
-        label = _stack_label(flat, b.shape[:-2])
-        raise SingularSystem(f"{label}solution residual {residual.reshape(-1)[flat]:.3e} exceeds tolerance")
+    residual = _residual(x, a, b)
+    # The bound is at least eq_tol, so it is formed only where that is passed.
+    if np.count_nonzero(residual > tol.eq_tol):
+        over = residual > _residual_bound(a, tol)
+        if np.count_nonzero(over):
+            flat = int(np.argmax(over.reshape(-1)))
+            label = _stack_label(flat, b.shape[:-2])
+            raise SingularSystem(f"{label}solution residual {residual.reshape(-1)[flat]:.3e} exceeds tolerance")
     return x
 
 
 def _ill_conditioned(largest: np.ndarray, smallest: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Where a matrix with these extreme singular values has a condition
     number above 1/psd_margin (or is singular): the condition test of
-    :func:`_solve_conditioned`."""
+    :func:`_require_conditioned`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return (smallest <= 0.0) | (largest / smallest > 1.0 / tol.psd_margin)
 
@@ -267,9 +297,13 @@ def _solve_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"solve failed: {exc}") from exc
 
 
-def _residuals(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Per member, ``max|X b - a|`` and the bound :func:`_residual_checked`
-    holds it to."""
-    residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
-    bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
-    return residual, bound
+def _residual(x: np.ndarray, a: np.ndarray, b: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Per member, ``max|X b - a|`` over ``axis``, which may also span the
+    blocks of a member."""
+    return np.abs(x @ b - a).max(axis=axis, initial=0.0)
+
+
+def _residual_bound(a: np.ndarray, tol: Tolerance, axis=(-2, -1)) -> np.ndarray:
+    """Per member, ``eq_tol * max(1, max|a|)`` over ``axis``: the bound
+    :func:`_residual_checked` holds :func:`_residual` to."""
+    return tol.eq_tol * np.maximum(np.abs(a).max(axis=axis, initial=0.0), 1.0)

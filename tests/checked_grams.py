@@ -22,12 +22,18 @@ from siegelmaps.linalg import (
     Tolerance,
     _certified,
     _ill_conditioned,
-    _residuals,
     _solve_unchecked,
     _spectral_slack,
 )
 
 from hermitian_check import hermitian_eigenvalues
+
+
+def _residuals(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Per member, ``max|X b - a|`` and its bound ``eq_tol * max(1, max|a|)``."""
+    residual = np.abs(x @ b - a).max(axis=(-2, -1), initial=0.0)
+    bound = tol.eq_tol * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    return residual, bound
 
 
 def _contraction_margins(z: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from checked_grams import _contraction_margins
+from checked_grams import _contraction_margins, _residuals
 from siegelmaps.domains import _asymmetries, _asymmetry_detail, _interior_detail, _raise_first
 from siegelmaps.errors import IllConditioned, MembershipViolation, SingularSystem
 from siegelmaps.linalg import (
@@ -24,7 +24,6 @@ from siegelmaps.linalg import (
     Tolerance,
     _certified,
     _ill_conditioned,
-    _residuals,
     _solve_unchecked,
     _spectral_slack,
 )
