@@ -54,6 +54,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
+    _all_finite,
     _certified,
     _require_conditioned,
     _residual,
@@ -152,7 +153,7 @@ class BallPoint:
         c = np.array(self.coords, dtype=np.complex128).reshape(-1)
         if c.size < 1:
             raise DimensionMismatch("ball point needs at least one coordinate")
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not _all_finite(c):
             raise DimensionMismatch("ball coordinates must be finite")
         norm = float(np.linalg.norm(c))
         if norm >= 1.0:
@@ -213,7 +214,7 @@ def _gram_margins(gram: np.ndarray) -> np.ndarray:
     entry that is not finite, s_max past about 1.34e154, has 1 - s_max^2
     rounded to -inf: its margin is -inf, with no eigensolve."""
     finite = np.isfinite(gram)
-    if finite.all():
+    if np.count_nonzero(finite) == finite.size:
         return _symmetrized_eigenvalues(gram)[..., 0]
     finite = finite.all(axis=(-2, -1))
     margins = np.full(finite.shape, -np.inf)
@@ -331,7 +332,7 @@ def _interior_certificate(
     given.
     """
     factor = (order + 16) * _spectral_slack(order)
-    if factor > 1.0 or not np.isfinite(matrices).all():
+    if factor > 1.0 or not _all_finite(matrices):
         return None
     hermitian = _symmetrized(matrices, out)
     n = hermitian.shape[-1]
@@ -569,11 +570,11 @@ def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _group_factors(group: np.ndarray, order: int, tol: Tolerance):
     """The steps of :func:`_matrix_distances` that certify one
-    ``(2, B, n, p, q)`` group.  Returns x's adjoint, both sides' Grams,
-    the base factors [C, D] of x as :func:`_base_factors` has them, the
-    mask of the pairs whose certificate fails (None for none) and the
-    margin bound; the factors, mask and bound are None where the Grams
-    have no certificate.
+    ``(2, B, n, p, q)`` group.  Returns both sides' Grams, the
+    denominators I - X*Y, the base factors [C, D] of x as
+    :func:`_base_factors` has them, the mask of the pairs whose certificate
+    fails (None for none) and the margin bound; the factors, mask and
+    bound are None where the Grams have no certificate.
 
     The Grams, their shifts and, for square blocks, I - XX* are formed in
     one stack, so that the Cholesky call that certifies both sides also
@@ -583,23 +584,26 @@ def _group_factors(group: np.ndarray, order: int, tol: Tolerance):
     # Rows: I - XX* for square blocks, x's Gram, both shifted Grams, y's Gram.
     rows = np.empty((4 + square, *group.shape[1:-2], min(p, q), min(p, q)), dtype=np.complex128)
     gram = _contraction_grams(group, rows[square::3])
-    adjoint = group[0].conj().swapaxes(-1, -2)
+    xb, yb = group
+    adjoint = xb.conj().swapaxes(-1, -2)
+    eye = np.eye(q, dtype=np.complex128)
+    denominator = eye - adjoint @ yb
     certificate = _interior_certificate(gram, order, tol, rows[1 + square : 3 + square])
     if certificate is None:
-        return adjoint, gram, None, None, None
+        return gram, denominator, None, None, None
     if square:
-        np.subtract(np.eye(p, dtype=np.complex128), np.matmul(group[0], adjoint, out=rows[0]), out=rows[0])
+        np.subtract(eye, np.matmul(xb, adjoint, out=rows[0]), out=rows[0])
         factors, failed = _factored(rows[:4])
-        return adjoint, gram, [factors[0], factors[1]], failed, certificate[1]
+        return gram, denominator, [factors[0], factors[1]], failed, certificate[1]
     if p > q:
-        other, failed = _factored((np.eye(p) - group[0] @ adjoint)[np.newaxis])
+        other, failed = _factored((np.eye(p) - xb @ adjoint)[np.newaxis])
         factors, more = _factored(rows[:3])
         pair = [other[0], factors[0]]
     else:
         factors, failed = _factored(rows[:3])
-        other, more = _factored((np.eye(q) - adjoint @ group[0])[np.newaxis])
+        other, more = _factored((eye - adjoint @ xb)[np.newaxis])
         pair = [factors[0], other[0]]
-    return adjoint, gram, pair, _either(failed, more), certificate[1]
+    return gram, denominator, pair, _either(failed, more), certificate[1]
 
 
 def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
@@ -658,7 +662,7 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
                 for bad, defect in zip(over, defects):
                     _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
         order = max(max(group.shape[-2:]) for group in groups)
-        adjoints, grams, factors, fails, bounds = zip(*[_group_factors(group, order, tol) for group in groups])
+        grams, denominators, factors, fails, bounds = zip(*[_group_factors(group, order, tol) for group in groups])
         factors = list(factors)
         failed = np.ones(count, dtype=bool) if None in bounds else reduce(_either, fails)
         if failed is None:
@@ -669,7 +673,6 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
             margins = np.full((2, count), min(bounds) if len(index) < count else np.nan)
             margins[:, index] = _fallback(groups, grams, factors, index, names, tol, check_inputs)
         differences = [yb - xb for xb, yb in groups]
-        denominators = [np.eye(adjoint.shape[-2]) - adjoint @ yb for adjoint, (_, yb) in zip(adjoints, groups)]
         # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the
         # eigensolve's error (for certified bounds, see
         # _interior_certificate), and the same for Y, so the singular values

@@ -93,10 +93,16 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
         raise DimensionMismatch(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatch(f"expected {cols} columns, got {m.shape[1]}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not _all_finite(m):
         raise DimensionMismatch("matrix entries must be finite")
     m.setflags(write=False)
     return m
+
+
+def _all_finite(m: np.ndarray) -> bool:
+    """Whether every entry of an array, both parts of a complex one, is
+    finite."""
+    return np.count_nonzero(np.isfinite(m)) == m.size
 
 
 def _symmetrized(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,7 +7,10 @@ package's kernels return the same bits; wherever they raise a package
 error other than ``NotHermitian``, the package raises the same class with
 the same message.  A symmetric point with large entries, where the
 rounding of its Gram tripped the old check, is now classified by its
-margin, and one whose Gram overflows has margin -inf.
+margin, and one whose Gram overflows has margin -inf.  On the ambient
+benchmark's pools both Cayley transforms also keep the bits of the
+SVD-only solve (``svd_solve.py``) and the checked retraction those of
+retracting one copy at a time (``copy_loops.py``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 import checked_grams as ref
 from bulk_images import embedded_images
+from copy_loops import retract_per_copy
 from hermitian_check import hermitian_eigenvalues
 from siegelmaps import (
     DEFAULT_TOLERANCE,
@@ -42,6 +46,7 @@ from siegelmaps.domains import _block_margins, _contraction_grams, _diagonal_blo
 from siegelmaps.embeddings import _embed_blocks
 from siegelmaps.errors import MembershipViolation, SiegelmapsError
 from siegelmaps.sampling import generator, sample_ball_coords, sample_type_iii
+from svd_solve import svd_solve_right
 from test_block_groups import CHECKS, G60_SPEC, K, LAYOUTS, N3_SPEC, _pair
 
 TOL = DEFAULT_TOLERANCE
@@ -50,6 +55,15 @@ POOL = 24
 CL = FactorKind.CONNECTING_LAMBDA
 # A spec of exact cost g for the retraction of the large points.
 SPECS = {3: EmbeddingSpec(2, (FactorSpec(CL, 2, 1),), 3), 12: EmbeddingSpec(3, (FactorSpec(CL, 3, 2),) * 2, 12)}
+# One spec of exact cost g per ambient genus, all wedge factors, as the
+# ambient benchmark retracts against.
+AMBIENT_SPECS = {
+    2: EmbeddingSpec(1, (FactorSpec(CL, 1, 1),), 2),
+    6: EmbeddingSpec(2, (FactorSpec(CL, 2, 1), FactorSpec(CL, 2, 2)), 6),
+    12: SPECS[12],
+    20: EmbeddingSpec(4, (FactorSpec(CL, 4, 2), FactorSpec(CL, 4, 3)), 20),
+    35: EmbeddingSpec(5, (FactorSpec(CL, 5, 2), FactorSpec(CL, 5, 3)), 35),
+}
 
 
 def _outcome(fn, *args, **kwargs):
@@ -78,6 +92,9 @@ def _pool(seed, g):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_ambient_pools_have_the_old_bits_in_both_orders(seed):
+    # The distances and margins of the old kernels; both Cayley transforms
+    # with the bits of the SVD-only solve, and the checked retraction with
+    # those of retracting one copy at a time.
     for g in AMBIENT_GENERA:
         pool = _pool(seed, g)
         prev = pool[-1:] + pool[:-1]
@@ -89,8 +106,15 @@ def test_ambient_pools_have_the_old_bits_in_both_orders(seed):
         for xs, ys in ((prev, pool), (pool, prev)):
             got = kobayashi_distance(xs, ys).tobytes()
             assert got == _reference([x.z for x in xs], [y.z for y in ys]).tobytes()
+        eye = np.eye(g)
         for x in pool:
             assert np.float64(membership(x).margin).tobytes() == ref._contraction_margins(x.z, TOL).tobytes()
+            siegel = cayley_to_siegel(x)
+            assert siegel.z.tobytes() == (1j * svd_solve_right(eye + x.z, eye - x.z)).tobytes()
+            back = svd_solve_right(siegel.z - 1j * eye, siegel.z + 1j * eye)
+            assert cayley_to_bounded(siegel).z.tobytes() == back.tobytes()
+            retracted = retract_direct_sum(x, AMBIENT_SPECS[g], verify=True).coords
+            assert retracted.tobytes() == retract_per_copy(x.z, AMBIENT_SPECS[g]).tobytes()
 
 
 def _axis_rows(n, count, k):

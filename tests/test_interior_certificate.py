@@ -40,6 +40,7 @@ from siegelmaps import domains
 from siegelmaps.errors import MembershipViolation, SiegelmapsError
 from siegelmaps.sampling import generator, sample_type_iii
 from test_block_groups import G60_SPEC
+from test_gram_kernels import _reference
 
 TOL = DEFAULT_TOLERANCE
 GENERA = (2, 6, 12, 20, 35)
@@ -261,21 +262,49 @@ def test_points_whose_grams_overflow_match_the_eigensolve_path_without_warnings(
         assert all(outcome[1].endswith("margin -inf") for outcome in certified)
 
 
-def test_an_ambient_op_makes_one_eigensolve_and_the_isometry_suite_none(eigensolves):
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The names of the ``numpy.linalg`` functions called so far."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    return calls
+
+
+def test_an_ambient_op_makes_one_eigensolve_and_the_isometry_suite_none(eigensolves, linalg_calls):
     # An op of the ambient workload: membership, a Cayley round trip, the
     # distance both ways and the checked retraction.  Only membership's
     # margin, which it returns, takes an eigensolve; the three interior
-    # checks and both distances' margins are certified.
+    # checks and both distances' margins are certified.  The op's LAPACK
+    # work is pinned call by call: three interior proofs and two distance
+    # kernels of one Cholesky call each, a solve per Cayley transform and
+    # two per distance, an SVD per distance, and the norms of the Cayley
+    # bound and of the retracted point.  The same point objects, sent
+    # again, cost the same calls: nothing is kept from the first op.
+    lapack = {"eigvalsh": 1, "cholesky": 5, "solve": 6, "svd": 2, "norm": 2}
     rng = generator(76, 0)
-    for g in (12, 35):
+    for g in GENERA:
         prev, x = sample_type_iii(rng, g), sample_type_iii(rng, g)
-        eigensolves.clear()
-        assert membership(x)
-        cayley_to_bounded(cayley_to_siegel(x))
-        kobayashi_distance(prev, x)
-        kobayashi_distance(x, prev)
-        retract_direct_sum(x, _spec(g), verify=True)
-        assert len(eigensolves) == 1
+        for _ in range(2):
+            eigensolves.clear()
+            linalg_calls.clear()
+            assert membership(x)
+            cayley_to_bounded(cayley_to_siegel(x))
+            kobayashi_distance(prev, x)
+            kobayashi_distance(x, prev)
+            retract_direct_sum(x, _spec(g), verify=True)
+            assert len(eigensolves) == 1
+            assert {name: linalg_calls.count(name) for name in set(linalg_calls)} == lapack
     config = HarnessConfig(samples=8, seed=1)
     eigensolves.clear()
     assert harness.run_suite("isometry", G60_SPEC, config).passed
@@ -284,6 +313,27 @@ def test_an_ambient_op_makes_one_eigensolve_and_the_isometry_suite_none(eigensol
     # eigensolve per block size: one block of 10, two of 15, one of 20.
     assert harness.run_suite("membership", G60_SPEC, config).passed
     assert eigensolves == [(8, 1, 10, 10), (8, 2, 15, 15), (8, 1, 20, 20)]
+
+
+@pytest.mark.parametrize("margin", [2e-9, TOL.psd_margin * (1 - 1e-3)])
+def test_only_the_pair_whose_certificate_fails_takes_the_eigensolve(margin, eigensolves):
+    # 50 pairs at g = 12, one x at 1 - s_max^2 = margin, below the shift of
+    # the certificate, so that its member of the stacked Cholesky call
+    # fails.  The other 49 pairs stay certified: the eigensolve sees the
+    # Grams of the failing pair alone, and the distances or the error, on
+    # either side, are those of the eigensolve path of the old kernel.
+    rng = generator(79, 0)
+    g, count, k = 12, 50, 17
+    xs = [sample_type_iii(rng, g) for _ in range(count)]
+    ys = [sample_type_iii(rng, g) for _ in range(count)]
+    xs[k] = _symmetric_point(rng, g, margin)
+    for a, b in ((xs, ys), (ys, xs)):
+        eigensolves.clear()
+        outcome = _outcome(kobayashi_distance, a, b)
+        assert eigensolves == [(2, 1, 1, g, g)]
+        assert outcome == _outcome(_reference, [p.z for p in a], [p.z for p in b])
+        if margin < TOL.psd_margin:
+            assert outcome[1].startswith(f"pair {k}: ")
 
 
 @pytest.fixture
