@@ -568,42 +568,38 @@ def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return factors, failed
 
 
-def _group_factors(group: np.ndarray, order: int, tol: Tolerance):
-    """The steps of :func:`_matrix_distances` that certify one
-    ``(2, B, n, p, q)`` group.  Returns both sides' Grams, the
-    denominators I - X*Y, the base factors [C, D] of x as
-    :func:`_base_factors` has them, the mask of the pairs whose certificate
-    fails (None for none) and the margin bound; the factors, mask and
-    bound are None where the Grams have no certificate.
-
-    The Grams, their shifts and, for square blocks, I - XX* are formed in
-    one stack, so that the Cholesky call that certifies both sides also
-    gives the base factors."""
+def _certificate_rows(group: np.ndarray, order: int, tol: Tolerance):
+    """The stack :func:`_matrix_distances` factors for one
+    ``(2, B, n, p, q)`` group, both sides' Grams, formed in it, and the
+    margin bound of :func:`_interior_certificate` (None without one).  Its
+    rows hold I - XX* for square blocks, x's Gram, both Grams shifted by
+    the certificate, then y's Gram: the rows one Cholesky call takes come
+    first."""
     p, q = group.shape[-2:]
     square = p == q
-    # Rows: I - XX* for square blocks, x's Gram, both shifted Grams, y's Gram.
     rows = np.empty((4 + square, *group.shape[1:-2], min(p, q), min(p, q)), dtype=np.complex128)
     gram = _contraction_grams(group, rows[square::3])
-    xb, yb = group
-    adjoint = xb.conj().swapaxes(-1, -2)
-    eye = np.eye(q, dtype=np.complex128)
-    denominator = eye - adjoint @ yb
     certificate = _interior_certificate(gram, order, tol, rows[1 + square : 3 + square])
-    if certificate is None:
-        return gram, denominator, None, None, None
-    if square:
-        np.subtract(eye, np.matmul(xb, adjoint, out=rows[0]), out=rows[0])
+    return rows, gram, None if certificate is None else certificate[1]
+
+
+def _certified_factors(xb: np.ndarray, adjoint: np.ndarray, rows: np.ndarray):
+    """The base factors [C, D] of a group's x side, as :func:`_base_factors`
+    has them, from the Cholesky call that also takes the shifted Grams of
+    :func:`_certificate_rows`, and the mask of the pairs whose certificate
+    fails (None for none), whose factors are unset."""
+    p, q = xb.shape[-2:]
+    if p == q:
+        np.subtract(np.eye(p, dtype=np.complex128), np.matmul(xb, adjoint, out=rows[0]), out=rows[0])
         factors, failed = _factored(rows[:4])
-        return gram, denominator, [factors[0], factors[1]], failed, certificate[1]
+        return [factors[0], factors[1]], failed
     if p > q:
         other, failed = _factored((np.eye(p) - xb @ adjoint)[np.newaxis])
         factors, more = _factored(rows[:3])
-        pair = [other[0], factors[0]]
-    else:
-        factors, failed = _factored(rows[:3])
-        other, more = _factored((eye - adjoint @ xb)[np.newaxis])
-        pair = [factors[0], other[0]]
-    return gram, denominator, pair, _either(failed, more), certificate[1]
+        return [other[0], factors[0]], _either(failed, more)
+    factors, failed = _factored(rows[:3])
+    other, more = _factored((np.eye(q) - adjoint @ xb)[np.newaxis])
+    return [factors[0], other[0]], _either(failed, more)
 
 
 def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
@@ -662,17 +658,27 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
                 for bad, defect in zip(over, defects):
                     _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
         order = max(max(group.shape[-2:]) for group in groups)
-        grams, denominators, factors, fails, bounds = zip(*[_group_factors(group, order, tol) for group in groups])
-        factors = list(factors)
-        failed = np.ones(count, dtype=bool) if None in bounds else reduce(_either, fails)
+        rows, grams, bounds = zip(*[_certificate_rows(group, order, tol) for group in groups])
+        adjoints = [xb.conj().swapaxes(-1, -2) for xb, _ in groups]
+        factors, failed = [None] * len(groups), None
+        if None in bounds:
+            failed = np.ones(count, dtype=bool)
+        else:
+            for j, (group, adjoint, stack) in enumerate(zip(groups, adjoints, rows)):
+                factors[j], bad = _certified_factors(group[0], adjoint, stack)
+                failed = _either(failed, bad)
         if failed is None:
             margins = min(bounds)
         else:
             index = np.flatnonzero(failed)
             # A call without a certificate has no bound, and no certified pair.
             margins = np.full((2, count), min(bounds) if len(index) < count else np.nan)
+            names = names or _pair_names(count)
             margins[:, index] = _fallback(groups, grams, factors, index, names, tol, check_inputs)
         differences = [yb - xb for xb, yb in groups]
+        denominators = [
+            np.eye(adjoint.shape[-2], dtype=np.complex128) - adjoint @ yb for adjoint, (_, yb) in zip(adjoints, groups)
+        ]
         # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the
         # eigensolve's error (for certified bounds, see
         # _interior_certificate), and the same for Y, so the singular values
@@ -698,7 +704,8 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
         except SingularSystem as exc:
             raise IllConditioned(f"{near_singular}{exc}") from exc
         # The bound is at least eq_tol, so it is formed only where that is passed.
-        residual = reduce(np.maximum, [_residual(*args, _PAIR_AXES) for args in zip(middles, differences, denominators)])
+        checks = zip(middles, differences, denominators)
+        residual = reduce(np.maximum, [_residual(*args, _PAIR_AXES) for args in checks])
         if np.count_nonzero(residual > tol.eq_tol):
             bound = reduce(np.maximum, [_residual_bound(a, tol, _PAIR_AXES) for a in differences])
             too_large = near_singular + "solution residual {:.3e} exceeds tolerance"
@@ -723,8 +730,9 @@ def _fallback(groups, grams, factors, index, names, tol: Tolerance, check_inputs
     """The margins, (2, F), of the F pairs at ``index`` that
     :func:`_matrix_distances` could not certify, from the eigensolve of
     their Grams, checked (y first, with ``check_inputs``); their base
-    factors, unshifted, are written into ``factors``."""
-    names = [(names or _pair_names(len(grams[0][0])))[i] for i in index]
+    factors, unshifted, are written into ``factors``.  ``names`` names
+    every pair of the call."""
+    names = [names[i] for i in index]
     margins = _block_margins([gram[:, index] for gram in grams], len(index))
     (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
     if check_inputs:

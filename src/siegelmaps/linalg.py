@@ -238,25 +238,18 @@ def _solve_conditioned(
 
 
 def _require_conditioned(
-    stacks,
-    unsettled: np.ndarray,
-    tol: Tolerance,
-    label: Callable[[int, tuple[int, ...]], str] = _stack_label,
-    error: type[Exception] = SingularSystem,
-    screen: Callable[[np.ndarray], None] | None = None,
-    joined: tuple[float, float] = (0.0, np.inf),
+    stacks, unsettled, tol: Tolerance, label=_stack_label, error=SingularSystem, screen=None, joined=(0.0, np.inf)
 ) -> None:
     """The condition test of the members at ``unsettled``, a boolean array
     of the stacks' member shape: it rejects a member that is singular or
-    whose condition number exceeds 1/psd_margin.
-
-    Each ``(*members, ..., k, k)`` stack takes one SVD of the members
-    tested, which ``screen``, when given, sees first and may raise its own
-    error.  A member's extreme singular values are joined over all its
-    matrices in all stacks, and with ``joined``: (1, 1) stands for the zero
-    padding of blocks of several sizes to one order.  The first failing
-    member, in flat order, raises ``error`` with the prefix
-    ``label(flat index, member shape)``, by default ``matrix i: ``.
+    whose condition number exceeds 1/psd_margin.  Each
+    ``(*members, ..., k, k)`` stack takes one SVD of the members tested,
+    which ``screen``, when given, sees first and may raise its own error.
+    A member's extreme singular values are joined over its matrices in all
+    stacks and with ``joined``, (1, 1) standing for the zero padding of
+    blocks of several sizes to one order.  The first failing member raises
+    ``error`` prefixed by ``label(flat index, member shape)``, by default
+    ``matrix i: ``.
     """
     largest, smallest = joined
     for stack in stacks:
