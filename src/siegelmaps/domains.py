@@ -690,12 +690,12 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
         unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)
         near_singular = "transvection denominator near singular: "
         if np.count_nonzero(unsettled):
-            pair_names = names or _pair_names(count)
+            names = names or _pair_names(count)
             _require_conditioned(
                 denominators,
                 np.broadcast_to(unsettled, count),
                 tol,
-                lambda i, _: pair_names[i] + near_singular,
+                lambda i, _: names[i] + near_singular,
                 IllConditioned,
                 joined=(1.0, 1.0) if len(groups) > 1 else (0.0, np.inf),
             )

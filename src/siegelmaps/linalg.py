@@ -7,8 +7,9 @@ minimum-eigenvalue bound below which positivity is not trusted.
 
 A condition test rejects a matrix whose condition number, the ratio of
 its extreme singular values from an SVD, exceeds 1/psd_margin.
+``_require_conditioned`` is that test, for the distance kernels and for
 ``_solve_conditioned``, the one solve with that test and a residual check,
-serves the wedge oracle and the Cayley transforms.  Most matrices the
+which serves the wedge oracle and the Cayley transforms.  Most matrices the
 package tests are far from that limit, so the SVD runs only for those
 that bounds sigma_max <= hi and sigma_min >= lo, which the caller already
 holds, cannot clear.  The distance kernels and the Cayley transforms hold
