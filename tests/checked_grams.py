@@ -7,7 +7,8 @@ holds the package's kernels to, bit for bit.
 ``(B, n, s, s)`` stack per side; ``_matrix_distances`` and
 ``_block_margins`` take those tuples.  ``_contraction_margins`` raises
 ``NotHermitian`` where the rounding of a Gram with large entries exceeds
-``eq_tol``.
+``eq_tol``.  ``_residuals`` forms the residual and its bound for every
+member, as the kernels did.
 """
 
 from __future__ import annotations
