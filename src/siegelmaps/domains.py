@@ -187,16 +187,16 @@ class MembershipResult:
         return self.status is MembershipStatus.INTERIOR
 
 
-def _contraction_grams(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _contraction_grams(z: np.ndarray, out: np.ndarray | None = None, adjoint: np.ndarray | None = None) -> np.ndarray:
     """The Gram I - Z*Z of a matrix or of each member of a ``(..., p, q)``
     stack, or I - ZZ* where Z is wider than tall: the smaller square side.
     Entries too large to square make entries that are not finite (see
     :func:`_gram_margins`); callers that take such points ignore the
-    overflow.  The Grams are written to ``out`` when given."""
-    if z.shape[-2] >= z.shape[-1]:
-        gram = np.matmul(z.conj().swapaxes(-1, -2), z, out=out)
-    else:
-        gram = np.matmul(z, z.conj().swapaxes(-1, -2), out=out)
+    overflow.  The Grams are written to ``out`` when given; ``adjoint`` is
+    Z* where the caller already holds it."""
+    if adjoint is None:
+        adjoint = z.conj().swapaxes(-1, -2)
+    gram = np.matmul(adjoint, z, out=out) if z.shape[-2] >= z.shape[-1] else np.matmul(z, adjoint, out=out)
     return np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
 
 
@@ -276,7 +276,7 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
 
 
 def _interior_certificate(
-    matrices: np.ndarray, order: int, tol: Tolerance, out: np.ndarray | None = None
+    matrices: np.ndarray, order: int, tol: Tolerance, out: np.ndarray | None = None, gram: bool = False
 ) -> tuple[np.ndarray, float] | None:
     """The matrices H = (M + M*)/2 that the margin eigensolve sees
     (:func:`_symmetrized_eigenvalues`), of a matrix M or of each member of
@@ -329,7 +329,9 @@ def _interior_certificate(
     A member whose factorization fails takes the eigensolve instead.
 
     The shifted matrices are written to ``out``, a contiguous array, when
-    given.
+    given.  For Grams (``gram``) c is 1 without a look at the diagonal:
+    every diagonal entry of a computed Z*Z is a sum of squares, so that of
+    I - Z*Z, and of H, is at most 1.
     """
     factor = (order + 16) * _spectral_slack(order)
     if factor > 1.0 or not _all_finite(matrices):
@@ -338,7 +340,7 @@ def _interior_certificate(
     n = hermitian.shape[-1]
     # A strided view of the diagonals: the matrices are contiguous.
     diagonal = hermitian.reshape(*hermitian.shape[:-2], n * n)[..., :: n + 1]
-    scale = max(1.0, float(diagonal.real.max()))
+    scale = 1.0 if gram else max(1.0, float(diagonal.real.max()))
     bound = 128.0 * tol.psd_margin + factor * scale
     diagonal -= 2.0 * bound
     return hermitian, bound
@@ -354,7 +356,8 @@ def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             positivity = _positivity(pt)
             # Shifted in place: the matrix is formed for this test alone.
-            certificate = _interior_certificate(positivity, pt.shape.p, tol, positivity)
+            gram = pt.shape.kind is not DomainKind.SIEGEL
+            certificate = _interior_certificate(positivity, pt.shape.p, tol, positivity, gram)
         if certificate is not None:
             try:
                 np.linalg.cholesky(certificate[0])
@@ -570,36 +573,38 @@ def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _certificate_rows(group: np.ndarray, order: int, tol: Tolerance):
     """The stack :func:`_matrix_distances` factors for one
-    ``(2, B, n, p, q)`` group, both sides' Grams, formed in it, and the
-    margin bound of :func:`_interior_certificate` (None without one).  Its
-    rows hold I - XX* for square blocks, x's Gram, both Grams shifted by
-    the certificate, then y's Gram: the rows one Cholesky call takes come
-    first."""
+    ``(2, B, n, p, q)`` group, both sides' Grams, formed in it, the margin
+    bound of :func:`_interior_certificate` (None without one) and x's
+    adjoint X*.  Its rows hold both Grams shifted by the certificate, I - XX*
+    for square blocks, then x's and y's Grams: the rows one Cholesky call
+    takes come first, and both Grams are contiguous."""
     p, q = group.shape[-2:]
     square = p == q
     rows = np.empty((4 + square, *group.shape[1:-2], min(p, q), min(p, q)), dtype=np.complex128)
-    gram = _contraction_grams(group, rows[square::3])
-    certificate = _interior_certificate(gram, order, tol, rows[1 + square : 3 + square])
-    return rows, gram, None if certificate is None else certificate[1]
+    adjoints = group.conj().swapaxes(-1, -2)
+    grams = _contraction_grams(group, rows[2 + square :], adjoints)
+    certificate = _interior_certificate(grams, order, tol, rows[:2], gram=True)
+    return rows, grams, None if certificate is None else certificate[1], adjoints[0]
 
 
-def _certified_factors(xb: np.ndarray, adjoint: np.ndarray, rows: np.ndarray):
+def _certified_factors(xb: np.ndarray, adjoint: np.ndarray, rows: np.ndarray, eye: np.ndarray):
     """The base factors [C, D] of a group's x side, as :func:`_base_factors`
     has them, from the Cholesky call that also takes the shifted Grams of
     :func:`_certificate_rows`, and the mask of the pairs whose certificate
-    fails (None for none), whose factors are unset."""
+    fails (None for none), whose factors are unset.  ``eye`` is the
+    identity of order q."""
     p, q = xb.shape[-2:]
     if p == q:
-        np.subtract(np.eye(p, dtype=np.complex128), np.matmul(xb, adjoint, out=rows[0]), out=rows[0])
+        np.subtract(eye, np.matmul(xb, adjoint, out=rows[2]), out=rows[2])
         factors, failed = _factored(rows[:4])
-        return [factors[0], factors[1]], failed
+        return [factors[2], factors[3]], failed
     if p > q:
         other, failed = _factored((np.eye(p) - xb @ adjoint)[np.newaxis])
         factors, more = _factored(rows[:3])
-        return [other[0], factors[0]], _either(failed, more)
+        return [other[0], factors[2]], _either(failed, more)
     factors, failed = _factored(rows[:3])
-    other, more = _factored((np.eye(q) - adjoint @ xb)[np.newaxis])
-    return [factors[0], other[0]], _either(failed, more)
+    other, more = _factored((eye - adjoint @ xb)[np.newaxis])
+    return [factors[2], other[0]], _either(failed, more)
 
 
 def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
@@ -658,14 +663,14 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
                 for bad, defect in zip(over, defects):
                     _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
         order = max(max(group.shape[-2:]) for group in groups)
-        rows, grams, bounds = zip(*[_certificate_rows(group, order, tol) for group in groups])
-        adjoints = [xb.conj().swapaxes(-1, -2) for xb, _ in groups]
+        rows, grams, bounds, adjoints = zip(*[_certificate_rows(group, order, tol) for group in groups])
+        eyes = [np.eye(group.shape[-1], dtype=np.complex128) for group in groups]
         factors, failed = [None] * len(groups), None
         if None in bounds:
             failed = np.ones(count, dtype=bool)
         else:
-            for j, (group, adjoint, stack) in enumerate(zip(groups, adjoints, rows)):
-                factors[j], bad = _certified_factors(group[0], adjoint, stack)
+            for j, (group, adjoint, stack, eye) in enumerate(zip(groups, adjoints, rows, eyes)):
+                factors[j], bad = _certified_factors(group[0], adjoint, stack, eye)
                 failed = _either(failed, bad)
         if failed is None:
             margins = min(bounds)
@@ -676,9 +681,7 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
             names = names or _pair_names(count)
             margins[:, index] = _fallback(groups, grams, factors, index, names, tol, check_inputs)
         differences = [yb - xb for xb, yb in groups]
-        denominators = [
-            np.eye(adjoint.shape[-2], dtype=np.complex128) - adjoint @ yb for adjoint, (_, yb) in zip(adjoints, groups)
-        ]
+        denominators = [eye - adjoint @ yb for eye, adjoint, (_, yb) in zip(eyes, adjoints, groups)]
         # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the
         # eigensolve's error (for certified bounds, see
         # _interior_certificate), and the same for Y, so the singular values
