@@ -37,9 +37,10 @@ the same checks and messages.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .linalg import (
     Tolerance,
     _all_finite,
     _certified,
+    _frozen,
     _require_conditioned,
     _residual,
     _residual_bound,
@@ -111,14 +113,18 @@ class DomainShape:
             raise DimensionMismatch(f"{self.kind.value} shapes are square, got {self.p}x{self.q}")
 
 
+# Shapes are frozen, so each is built and checked once.
+@lru_cache(maxsize=None, typed=True)
 def type_i_shape(p: int, q: int) -> DomainShape:
     return DomainShape(DomainKind.TYPE_I, p, q)
 
 
+@lru_cache(maxsize=None, typed=True)
 def type_iii_shape(k: int) -> DomainShape:
     return DomainShape(DomainKind.TYPE_III, k, k)
 
 
+@lru_cache(maxsize=None, typed=True)
 def siegel_shape(g: int) -> DomainShape:
     return DomainShape(DomainKind.SIEGEL, g, g)
 
@@ -143,28 +149,43 @@ class DomainPoint:
 
 @dataclass(frozen=True)
 class BallPoint:
-    """Point of the unit ball in C^n, Euclidean norm strictly below one."""
+    """Point of the unit ball in C^n, Euclidean norm strictly below one.
+
+    The coordinates are kept as a read-only complex vector: a read-only,
+    C-contiguous complex128 vector that owns its data is kept as it is, as
+    :func:`~siegelmaps.linalg.as_complex_matrix` keeps a matrix; any other
+    input is copied and flattened."""
 
     coords: np.ndarray
     # Euclidean norm of the coordinates, measured once at construction.
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        c = np.array(self.coords, dtype=np.complex128).reshape(-1)
+        c = self.coords
+        if not (_frozen(c) and c.ndim == 1):
+            c = np.array(c, dtype=np.complex128).reshape(-1)
+            c.setflags(write=False)
+            object.__setattr__(self, "coords", c)
         if c.size < 1:
             raise DimensionMismatch("ball point needs at least one coordinate")
-        if not _all_finite(c):
+        norm = _ball_norm(c)
+        # A finite norm proves every coordinate finite.
+        if not math.isfinite(norm) and not _all_finite(c):
             raise DimensionMismatch("ball coordinates must be finite")
-        norm = float(np.linalg.norm(c))
         if norm >= 1.0:
             raise MembershipViolation(f"ball point has norm {norm:.6f} >= 1")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
         object.__setattr__(self, "norm", norm)
 
     @property
     def n(self) -> int:
         return int(self.coords.size)
+
+
+@np.errstate(over="ignore")
+def _ball_norm(c: np.ndarray) -> float:
+    """The Euclidean norm of ball coordinates, inf without a warning where
+    they are too large to square."""
+    return float(np.linalg.norm(c))
 
 
 def ball_point(coords) -> BallPoint:
@@ -187,6 +208,14 @@ class MembershipResult:
         return self.status is MembershipStatus.INTERIOR
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only complex identity of order n."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
 def _contraction_grams(z: np.ndarray, out: np.ndarray | None = None, adjoint: np.ndarray | None = None) -> np.ndarray:
     """The Gram I - Z*Z of a matrix or of each member of a ``(..., p, q)``
     stack, or I - ZZ* where Z is wider than tall: the smaller square side.
@@ -195,9 +224,9 @@ def _contraction_grams(z: np.ndarray, out: np.ndarray | None = None, adjoint: np
     overflow.  The Grams are written to ``out`` when given; ``adjoint`` is
     Z* where the caller already holds it."""
     if adjoint is None:
-        adjoint = z.conj().swapaxes(-1, -2)
+        adjoint = z.conj().mT
     gram = np.matmul(adjoint, z, out=out) if z.shape[-2] >= z.shape[-1] else np.matmul(z, adjoint, out=out)
-    return np.subtract(np.eye(gram.shape[-1], dtype=np.complex128), gram, out=gram)
+    return np.subtract(_identity(gram.shape[-1]), gram, out=gram)
 
 
 def _gram_margins(gram: np.ndarray) -> np.ndarray:
@@ -225,7 +254,7 @@ def _gram_margins(gram: np.ndarray) -> np.ndarray:
 def _asymmetries(z: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     """max|Z - Z^t| of a square matrix or of each member of a stack, over
     ``axis``, which may also span the blocks of a member."""
-    return np.abs(z - z.swapaxes(-1, -2)).max(axis=axis, initial=0.0)
+    return np.abs(z - z.mT).max(axis=axis, initial=0.0)
 
 
 def _asymmetry_detail(defect: float) -> str:
@@ -233,13 +262,25 @@ def _asymmetry_detail(defect: float) -> str:
 
 
 def _asymmetry(pt: DomainPoint, tol: Tolerance) -> str | None:
-    """Why a point of a square kind fails the symmetry test, or None."""
+    """Why a point of a square kind fails the symmetry test, or None: the
+    defect of :func:`_asymmetries`, inf where Z - Z^t overflows, which
+    :func:`_asymmetry_and_positivity`'s scope leaves without a warning."""
     if pt.shape.kind is DomainKind.TYPE_I:
         return None
-    defect = float(_asymmetries(pt.z))
+    z = pt.z
+    defect = float(np.abs(z - z.T).max())
     if defect > tol.eq_tol:
         return _asymmetry_detail(defect)
     return None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _asymmetry_and_positivity(pt: DomainPoint, tol: Tolerance) -> tuple[str | None, np.ndarray]:
+    """A point's :func:`_asymmetry` and its :func:`_positivity` matrix, in
+    one scope: entries too large to subtract or to square overflow without
+    a warning, into a defect of inf or a Gram that is not finite, whose
+    margin is -inf."""
+    return _asymmetry(pt, tol), _positivity(pt)
 
 
 def _positivity(pt: DomainPoint) -> np.ndarray:
@@ -262,9 +303,7 @@ def membership(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Membershi
     Square kinds additionally require symmetry up to ``eq_tol``; an
     asymmetric point is Outside with the defect named in ``reason``.
     """
-    reason = _asymmetry(pt, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        positivity = _positivity(pt)
+    reason, positivity = _asymmetry_and_positivity(pt, tol)
     margin = float(_gram_margins(positivity))
     if reason is not None:
         return MembershipResult(MembershipStatus.OUTSIDE, margin, reason)
@@ -352,19 +391,17 @@ def _require_interior(pt: DomainPoint, tol: Tolerance, what: str) -> float:
     completes, else the margin of :func:`membership`.  A point that is not
     interior raises ``MembershipViolation`` naming ``what``, with the
     message of that eigensolve path."""
-    if _asymmetry(pt, tol) is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            positivity = _positivity(pt)
-            # Shifted in place: the matrix is formed for this test alone.
-            gram = pt.shape.kind is not DomainKind.SIEGEL
-            certificate = _interior_certificate(positivity, pt.shape.p, tol, positivity, gram)
-        if certificate is not None:
-            try:
-                np.linalg.cholesky(certificate[0])
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return certificate[1]
+    reason, positivity = _asymmetry_and_positivity(pt, tol)
+    # Shifted in place: the matrix is formed for this test alone.
+    gram = pt.shape.kind is not DomainKind.SIEGEL
+    certificate = None if reason else _interior_certificate(positivity, pt.shape.p, tol, positivity, gram)
+    if certificate is not None:
+        try:
+            np.linalg.cholesky(certificate[0])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return certificate[1]
     result = membership(pt, tol)
     if not result:
         detail = result.reason or f"margin {result.margin:.3e}"
@@ -390,7 +427,7 @@ def cayley_to_bounded(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Do
 def _bounded_image(pt: DomainPoint, tol: Tolerance) -> DomainPoint:
     """The solve of :func:`cayley_to_bounded`, at a point proven interior."""
     g = pt.shape.p
-    i_eye = 1j * np.eye(g, dtype=np.complex128)
+    i_eye = 1j * _identity(g)
     # On an interior point s_min(Z + iI) >= 1 + lambda_min(Im Z) >= 1, from
     # |<v, (Z + iI) v>| >= Im <v, (Z + iI) v>, and s_max <= ||Z||_F + 1.
     # Where these bounds clear, the eigensolve's error is below 1/128.  An
@@ -407,7 +444,7 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
         raise ShapeMismatch(f"expected a type III point, got kind {pt.shape.kind.value}")
     margin = _require_interior(pt, tol, "Cayley input")
     g = pt.shape.p
-    eye = np.eye(g, dtype=np.complex128)
+    eye = _identity(g)
     # ||W||^2 <= 1 - margin, up to the eigensolve's error (for a certified
     # bound, see _interior_certificate), so the singular values of I - W
     # lie within ||W|| of 1.
@@ -500,12 +537,16 @@ def _diagonal_blocks(pieces) -> list[np.ndarray]:
     ascending order, holding the n blocks of size s of every side in
     diagonal order.  No block is padded, so a kernel run once per group
     sees only the blocks' own entries, and a piece that forms one block is
-    not copied again.
+    not copied again.  A lone piece that forms one block, as a dense pair
+    does, is its own group, with no grouping by size.
     """
     pieces = [np.asarray(piece) for piece in pieces]
+    ranges = [_block_ranges(piece) for piece in pieces]
+    if len(pieces) == 1 and ranges[0] == [(0, pieces[0].shape[-1])]:
+        return [np.ascontiguousarray(pieces[0])[:, :, np.newaxis]]
     sizes: dict[int, list[tuple[int, int, int]]] = {}
-    for j, piece in enumerate(pieces):
-        for start, stop in _block_ranges(piece):
+    for j, piece_ranges in enumerate(ranges):
+        for start, stop in piece_ranges:
             sizes.setdefault(stop - start, []).append((j, start, stop))
     return [_group_of(pieces, sizes[s]) for s in sorted(sizes)]
 
@@ -664,7 +705,7 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
                     _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
         order = max(max(group.shape[-2:]) for group in groups)
         rows, grams, bounds, adjoints = zip(*[_certificate_rows(group, order, tol) for group in groups])
-        eyes = [np.eye(group.shape[-1], dtype=np.complex128) for group in groups]
+        eyes = [_identity(group.shape[-1]) for group in groups]
         factors, failed = [None] * len(groups), None
         if None in bounds:
             failed = np.ones(count, dtype=bool)

@@ -67,7 +67,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import comb, inf
-from operator import itemgetter
 
 import numpy as np
 
@@ -272,16 +271,17 @@ def _copy_plan(spec: EmbeddingSpec) -> tuple[tuple[FactorSpec, np.ndarray], ...]
     cost x cost square of the image (the whole image unless it is padded).
     Equal factors are adjacent in the canonical order, so a factor's copies
     are consecutive blocks, and the copies in plan order are the blocks in
-    layout order.  No index depends on ``target_g``, so the stacked kernels,
+    layout order: the plan groups the factors as they come, with a running
+    offset.  No index depends on ``target_g``, so the stacked kernels,
     which never build an image, read the plan at any genus."""
-    layout = block_layout(spec)
-    cost = layout[-1][2]
-    plan = []
-    for factor, copies in itertools.groupby(layout, key=itemgetter(0)):
-        starts = [start for _, start, _ in copies]
-        index = starts[0] * (cost + 1) + _copy_offsets(factor.block_size, len(starts), cost)
+    cost = spec.cost
+    plan, start = [], 0
+    for factor, copies in itertools.groupby(spec.factors):
+        count, size = len(tuple(copies)), factor.block_size
+        index = start * (cost + 1) + _copy_offsets(size, count, cost)
         index.setflags(write=False)
         plan.append((factor, index))
+        start += count * size
     return tuple(plan)
 
 
@@ -609,8 +609,9 @@ def direct_sum_embed(spec: EmbeddingSpec, z: BallPoint, tol: Tolerance = DEFAULT
     flat = square.reshape(-1)
     for factor, index in _copy_plan(spec):
         matrix, _ = factor_form(factor)
-        # One product per distinct factor, written into all its copies.
-        flat[index] = matrix @ z.coords
+        # One product per distinct factor, put into all its copies: the
+        # index holds them row after row, and put repeats the product.
+        flat.put(index, matrix @ z.coords)
     if square is not out:
         out[:cost, :cost] = square
     # Frozen, so the point keeps it without a copy.

@@ -78,26 +78,32 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
     array that owns its data is already in that form and is returned
     without a copy; any other input is copied.
     """
-    frozen = (
-        isinstance(data, np.ndarray)
-        and data.dtype == np.complex128
-        and data.flags.c_contiguous
-        and data.flags.owndata
-        and not data.flags.writeable
-    )
-    m = data if frozen else np.array(data, dtype=np.complex128, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatch(f"matrix must be at least 1x1, got {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise DimensionMismatch(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise DimensionMismatch(f"expected {cols} columns, got {m.shape[1]}")
+    if _frozen(data):
+        m = data
+    else:
+        m = np.array(data, dtype=np.complex128, order="C")
+        m.setflags(write=False)
+    shape = m.shape
+    if len(shape) != 2:
+        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={len(shape)}")
+    if shape[0] < 1 or shape[1] < 1:
+        raise DimensionMismatch(f"matrix must be at least 1x1, got {shape}")
+    if rows is not None and shape[0] != rows:
+        raise DimensionMismatch(f"expected {rows} rows, got {shape[0]}")
+    if cols is not None and shape[1] != cols:
+        raise DimensionMismatch(f"expected {cols} columns, got {shape[1]}")
     if not _all_finite(m):
         raise DimensionMismatch("matrix entries must be finite")
-    m.setflags(write=False)
     return m
+
+
+def _frozen(data) -> bool:
+    """Whether ``data`` is a read-only, C-contiguous complex128 array that
+    owns its data: the form a point keeps without a copy."""
+    if not (isinstance(data, np.ndarray) and data.dtype == np.complex128):
+        return False
+    flags = data.flags
+    return flags.c_contiguous and flags.owndata and not flags.writeable
 
 
 def _all_finite(m: np.ndarray) -> bool:
@@ -111,7 +117,7 @@ def _symmetrized(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     half = m/2 so that it is finite wherever m is; written to ``out`` when
     given."""
     half = m * 0.5
-    return np.add(half, half.conj().swapaxes(-1, -2), out=out)
+    return np.add(half, half.conj().mT, out=out)
 
 
 def _symmetrized_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -72,10 +72,13 @@ def retract_direct_sum(
         raise SpecMismatch(f"expected a type III point of size {g}, got {y.shape.kind.value} {y.shape.p}")
     if verify:
         _require_interior(y, tol, "direct-sum retraction input")
-    # A view of the blocks' square when it is the whole point, else a copy of it.
+    # A view of the point when the blocks fill it, else a copy of their square.
     cost = spec.cost
-    flat = y.z[:cost, :cost].reshape(-1)
-    return BallPoint(_retract_copies(spec, [flat[index] for _, index in _copy_plan(spec)]))
+    flat = (y.z if cost == g else y.z[:cost, :cost]).reshape(-1)
+    coords = _retract_copies(spec, [flat[index] for _, index in _copy_plan(spec)])
+    # Frozen, so the point keeps it without a copy.
+    coords.setflags(write=False)
+    return BallPoint(coords)
 
 
 def _retract_copies(spec: EmbeddingSpec, flats) -> np.ndarray:
@@ -87,11 +90,10 @@ def _retract_copies(spec: EmbeddingSpec, flats) -> np.ndarray:
     so one copy at a time.  A copy that retracts outside the ball raises,
     naming the first such block in layout order and, in a stack, its first
     such member."""
-    coords = _copy_coords(_copy_plan(spec), flats)
+    coords, squares = _copy_coords(_copy_plan(spec), flats)
     # A norm is at least 1 where its square is.
-    squares = _squared_norms(coords)
     outside = squares >= 1.0
-    if outside.any():
+    if np.count_nonzero(outside):
         copy = int(np.argmax(outside.reshape(len(outside), -1).any(axis=1)))
         member = int(np.argmax(outside[copy].reshape(-1)))
         norm = float(np.sqrt(squares[copy].reshape(-1)[member]))
@@ -100,20 +102,24 @@ def _retract_copies(spec: EmbeddingSpec, flats) -> np.ndarray:
     return _sum_from_zero(coords) / len(coords)
 
 
-def _copy_coords(plan, flats) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def _copy_coords(plan, flats) -> tuple[np.ndarray, np.ndarray]:
     """Source coordinates of every copy, one (F, ..., N) array in layout
-    order, from the flats that :func:`_retract_copies` takes: the
-    coordinates of a (1, ..., b * b) entry are repeated k times.  Each
-    distinct factor takes one stacked product, of one matrix-vector product
-    per copy and member, the same as ``P_f @ block``: ``blocks @ P_f^T``
-    rounds differently for some factors."""
+    order, and their squared norms (:func:`~siegelmaps.linalg._squared_norms`),
+    from the flats that :func:`_retract_copies` takes: the coordinates of a
+    (1, ..., b * b) entry are repeated k times.  Each distinct factor takes
+    one stacked product, of one matrix-vector product per copy and member,
+    the same as ``P_f @ block``: ``blocks @ P_f^T`` rounds differently for
+    some factors.  Blocks too large to square give norms of inf, or
+    coordinates that are not finite, without a warning."""
     coords = []
     for (factor, index), flat in zip(plan, flats):
         copies = (factor_form(factor)[1] @ flat[..., np.newaxis])[..., 0]
         if len(copies) < len(index):
             copies = np.broadcast_to(copies, (len(index), *copies.shape[1:]))
         coords.append(copies)
-    return coords[0] if len(coords) == 1 else np.concatenate(coords)
+    coords = coords[0] if len(coords) == 1 else np.concatenate(coords)
+    return coords, _squared_norms(coords)
 
 
 def _sum_from_zero(coords: np.ndarray) -> np.ndarray:

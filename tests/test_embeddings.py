@@ -594,8 +594,8 @@ def test_specs_hash_once_at_construction_and_still_key_the_caches(monkeypatch):
         _copy_plan(spec)
         for factor in spec.factors:
             factor_form(factor)
-    # The plan reads the layout through its cache too.
-    assert block_layout.cache_info()[:2] == (2, 1)
+    # The plan groups the factors itself, without the layout.
+    assert block_layout.cache_info()[:2] == (1, 1)
     assert _copy_plan.cache_info()[:2] == (1, 1)
     assert factor_form.cache_info()[:2] == (4, 2)
     copy = pickle.loads(pickle.dumps(first))

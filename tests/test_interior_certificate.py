@@ -28,6 +28,9 @@ from siegelmaps import (
     HarnessConfig,
     cayley_to_bounded,
     cayley_to_siegel,
+    direct_sum_embed,
+    enumerate_specs,
+    factor_form,
     harness,
     kobayashi_distance,
     membership,
@@ -38,7 +41,7 @@ from siegelmaps import (
 )
 from siegelmaps import domains
 from siegelmaps.errors import MembershipViolation, SiegelmapsError
-from siegelmaps.sampling import generator, sample_type_iii
+from siegelmaps.sampling import generator, sample_ball_point, sample_type_iii
 from test_block_groups import G60_SPEC
 from test_gram_kernels import _reference
 
@@ -313,6 +316,26 @@ def test_an_ambient_op_makes_one_eigensolve_and_the_isometry_suite_none(eigensol
     # eigensolve per block size: one block of 10, two of 15, one of 20.
     assert harness.run_suite("membership", G60_SPEC, config).passed
     assert eigensolves == [(8, 1, 10, 10), (8, 2, 15, 15), (8, 1, 20, 20)]
+
+
+def test_a_sweep_op_makes_one_eigensolve_and_one_norm(linalg_calls):
+    # An op of the sweep workload: embed a ball point, classify the image
+    # and retract it unchecked.  Its LAPACK work is membership's eigensolve
+    # and the norm of the retracted BallPoint, at g = 4, 8 and 12; the input
+    # point's norm was measured once, when it was built.  The same objects,
+    # sent again, cost the same calls.
+    specs = [spec for spec in enumerate_specs(3, 12)[0] if spec.target_g in (4, 8, 12)]
+    rng = generator(84, 0)
+    for spec in specs:
+        z = sample_ball_point(rng, spec.source_dim)
+        for factor in spec.factors:
+            factor_form(factor)
+        for _ in range(2):
+            linalg_calls.clear()
+            image = direct_sum_embed(spec, z)
+            assert membership(image)
+            retract_direct_sum(image, spec, verify=False)
+            assert {name: linalg_calls.count(name) for name in set(linalg_calls)} == {"eigvalsh": 1, "norm": 1}
 
 
 @pytest.mark.parametrize("margin", [2e-9, TOL.psd_margin * (1 - 1e-3)])
