@@ -61,7 +61,7 @@ from .linalg import (
     _require_conditioned,
     _residual,
     _residual_bound,
-    _solve_conditioned,
+    _residual_checked,
     _solve_unchecked,
     _spectral_slack,
     _symmetrized,
@@ -459,16 +459,15 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
 
 def _cayley_solve(a: np.ndarray, denom: np.ndarray, hi: float, lo: float, name: str, tol: Tolerance) -> np.ndarray:
     """a @ denom^-1 for a Cayley transform, given bounds s_max <= hi and
-    s_min >= lo on the denominator's singular values.  Where they do not
-    clear it (see :func:`_certified`), one SVD of the denominator serves
-    both the singularity test, first, and the condition test of
-    :func:`_solve_conditioned`."""
-
-    def singular(sv: np.ndarray) -> None:
-        if (sv[..., -1] <= tol.psd_margin * sv[..., 0]).any():
-            raise SingularCayley(f"{name} is numerically singular")
-
-    return _solve_conditioned(a, denom, _certified(hi, lo, denom.shape[-1], tol), tol, singular)
+    s_min >= lo on the denominator's singular values, after the residual
+    check of :func:`~siegelmaps.linalg._residual_checked`.  Where the bounds
+    do not clear the denominator (see :func:`_certified`), one SVD of it
+    takes the condition test, which raises ``SingularCayley`` named by
+    ``name``."""
+    cleared = _certified(hi, lo, denom.shape[-1], tol)
+    if not cleared:
+        _require_conditioned([denom], ~cleared, tol, lambda *_: f"{name}: ", SingularCayley)
+    return _residual_checked(_solve_unchecked(a, denom), a, denom, tol)
 
 
 def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -570,20 +569,6 @@ def _block_margins(grams, count: int) -> np.ndarray:
     return reduce(np.minimum, [_gram_margins(gram).min(axis=-1) for gram in grams])
 
 
-def _base_factors(xb: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors C and D, C C* = I - XX* and D D* = I - X*X, of a
-    stack of p x q base blocks X, given the Gram of the smaller side as
-    :func:`_contraction_grams` forms it: one call for square blocks, one per
-    side otherwise.  A failure of any member raises ``LinAlgError``."""
-    p, q = xb.shape[-2:]
-    adjoint = xb.conj().swapaxes(-1, -2)
-    if p == q:
-        return tuple(np.linalg.cholesky(np.asarray([np.eye(p) - xb @ adjoint, gram])))
-    if p > q:
-        return np.linalg.cholesky(np.eye(p) - xb @ adjoint), np.linalg.cholesky(gram)
-    return np.linalg.cholesky(gram), np.linalg.cholesky(np.eye(q) - adjoint @ xb)
-
-
 def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Cholesky factors of a ``(k, B, ...)`` stack, its B pairs along axis
     1, and None where every member completes.  Otherwise the calls are
@@ -614,38 +599,49 @@ def _factored(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _certificate_rows(group: np.ndarray, order: int, tol: Tolerance):
     """The stack :func:`_matrix_distances` factors for one
-    ``(2, B, n, p, q)`` group, both sides' Grams, formed in it, the margin
-    bound of :func:`_interior_certificate` (None without one) and x's
-    adjoint X*.  Its rows hold both Grams shifted by the certificate, I - XX*
-    for square blocks, then x's and y's Grams: the rows one Cholesky call
-    takes come first, and both Grams are contiguous."""
+    ``(2, B, n, p, q)`` group, the margin bound of
+    :func:`_interior_certificate` (None without one), x's adjoint X* and
+    x's base matrices I - XX* and I - X*X, as ``(k, B, n, s, s)`` pieces in
+    the order of their Cholesky factors C and D.  The stack's rows hold
+    both Grams shifted by the certificate, I - XX* for square blocks, then
+    x's and y's Grams: the rows one Cholesky call takes come first, and both
+    Grams are contiguous.  A base matrix of the stack's order is a piece of
+    it, x's Gram being the smaller side's; the larger side's of rectangular
+    blocks is formed apart."""
     p, q = group.shape[-2:]
     square = p == q
     rows = np.empty((4 + square, *group.shape[1:-2], min(p, q), min(p, q)), dtype=np.complex128)
     adjoints = group.conj().swapaxes(-1, -2)
     grams = _contraction_grams(group, rows[2 + square :], adjoints)
     certificate = _interior_certificate(grams, order, tol, rows[:2], gram=True)
-    return rows, grams, None if certificate is None else certificate[1], adjoints[0]
+    xb, adjoint = group[0], adjoints[0]
+    if square:
+        np.subtract(_identity(p), np.matmul(xb, adjoint, out=rows[2]), out=rows[2])
+        base = [rows[2:4]]
+    elif p > q:
+        base = [(_identity(p) - xb @ adjoint)[np.newaxis], rows[2:3]]
+    else:
+        base = [rows[2:3], (_identity(q) - adjoint @ xb)[np.newaxis]]
+    return rows, None if certificate is None else certificate[1], adjoint, base
 
 
-def _certified_factors(xb: np.ndarray, adjoint: np.ndarray, rows: np.ndarray, eye: np.ndarray):
-    """The base factors [C, D] of a group's x side, as :func:`_base_factors`
-    has them, from the Cholesky call that also takes the shifted Grams of
-    :func:`_certificate_rows`, and the mask of the pairs whose certificate
-    fails (None for none), whose factors are unset.  ``eye`` is the
-    identity of order q."""
-    p, q = xb.shape[-2:]
-    if p == q:
-        np.subtract(eye, np.matmul(xb, adjoint, out=rows[2]), out=rows[2])
-        factors, failed = _factored(rows[:4])
-        return [factors[2], factors[3]], failed
-    if p > q:
-        other, failed = _factored((np.eye(p) - xb @ adjoint)[np.newaxis])
-        factors, more = _factored(rows[:3])
-        return [other[0], factors[2]], _either(failed, more)
-    factors, failed = _factored(rows[:3])
-    other, more = _factored((eye - adjoint @ xb)[np.newaxis])
-    return [factors[2], other[0]], _either(failed, more)
+def _certified_factors(rows: np.ndarray, base: list[np.ndarray]) -> tuple[list, np.ndarray | None]:
+    """The Cholesky factors [C, D] of a group's x side, from the base
+    pieces of :func:`_certificate_rows`, and the mask of the pairs whose
+    certificate fails (None for none), whose factors are unset.  One call
+    takes every row of the stack but y's Gram: both shifted Grams and the
+    piece the stack holds, the one of its order; a piece formed apart takes
+    a call of its own."""
+    factors, failed = _factored(rows[:-1])
+    pair = []
+    for piece in base:
+        if piece.shape[-1] == rows.shape[-1]:
+            pair.extend(factors[2:])
+        else:
+            apart, more = _factored(piece)
+            pair.extend(apart)
+            failed = _either(failed, more)
+    return pair, failed
 
 
 def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inputs: bool = True) -> np.ndarray:
@@ -681,7 +677,8 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
     clear.  Where a member fails, the call is split until the pairs that
     fail are found (:func:`_factored`); only their margins come from the
     eigensolve of their Grams, unchecked, as in :func:`_gram_margins`, and
-    only their factors from a second, unshifted call.  A certified pair
+    only their factors from a second, unshifted call on the base matrices
+    the stack already holds.  A certified pair
     passes every check those margins and factors face, so the checks,
     decisions and messages are those of the eigensolve path.  Where the
     blocks have more than one size, 1 joins the extreme singular values,
@@ -704,14 +701,13 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
                 for bad, defect in zip(over, defects):
                     _raise_first(bad, MembershipViolation, lambda i: what + _asymmetry_detail(defect[i]), names)
         order = max(max(group.shape[-2:]) for group in groups)
-        rows, grams, bounds, adjoints = zip(*[_certificate_rows(group, order, tol) for group in groups])
-        eyes = [_identity(group.shape[-1]) for group in groups]
+        rows, bounds, adjoints, bases = zip(*[_certificate_rows(group, order, tol) for group in groups])
         factors, failed = [None] * len(groups), None
         if None in bounds:
             failed = np.ones(count, dtype=bool)
         else:
-            for j, (group, adjoint, stack, eye) in enumerate(zip(groups, adjoints, rows, eyes)):
-                factors[j], bad = _certified_factors(group[0], adjoint, stack, eye)
+            for j, (stack, base) in enumerate(zip(rows, bases)):
+                factors[j], bad = _certified_factors(stack, base)
                 failed = _either(failed, bad)
         if failed is None:
             margins = min(bounds)
@@ -720,9 +716,9 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
             # A call without a certificate has no bound, and no certified pair.
             margins = np.full((2, count), min(bounds) if len(index) < count else np.nan)
             names = names or _pair_names(count)
-            margins[:, index] = _fallback(groups, grams, factors, index, names, tol, check_inputs)
+            margins[:, index] = _fallback(rows, bases, factors, index, names, tol, check_inputs)
         differences = [yb - xb for xb, yb in groups]
-        denominators = [eye - adjoint @ yb for eye, adjoint, (_, yb) in zip(eyes, adjoints, groups)]
+        denominators = [_identity(yb.shape[-1]) - adjoint @ yb for adjoint, (_, yb) in zip(adjoints, groups)]
         # ||X_b||^2 <= 1 - x_margin for every block X_b, up to the
         # eigensolve's error (for certified bounds, see
         # _interior_certificate), and the same for Y, so the singular values
@@ -770,23 +766,24 @@ def _either(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return a if b is None else b if a is None else a | b
 
 
-def _fallback(groups, grams, factors, index, names, tol: Tolerance, check_inputs: bool) -> np.ndarray:
+def _fallback(rows, bases, factors, index, names, tol: Tolerance, check_inputs: bool) -> np.ndarray:
     """The margins, (2, F), of the F pairs at ``index`` that
     :func:`_matrix_distances` could not certify, from the eigensolve of
-    their Grams, checked (y first, with ``check_inputs``); their base
-    factors, unshifted, are written into ``factors``.  ``names`` names
-    every pair of the call."""
+    their Grams, the last two rows of each stack of
+    :func:`_certificate_rows`, checked (y first, with ``check_inputs``);
+    their base factors, one unshifted call per base piece, are written into
+    ``factors``.  ``names`` names every pair of the call."""
     names = [names[i] for i in index]
-    margins = _block_margins([gram[:, index] for gram in grams], len(index))
+    margins = _block_margins([stack[-2:, index] for stack in rows], len(index))
     (x_margin, y_margin), (x_bad, y_bad) = margins, ~(margins > tol.psd_margin)
     if check_inputs:
         _raise_first(y_bad, MembershipViolation, lambda i: "distance argument " + _interior_detail(y_margin[i]), names)
     _raise_first(x_bad, MembershipViolation, lambda i: "transvection base " + _interior_detail(x_margin[i]), names)
     try:
-        base = [_base_factors(group[0][index], gram[0][index]) for group, gram in zip(groups, grams)]
+        pairs = [[f for piece in base for f in np.linalg.cholesky(piece[:, index])] for base in bases]
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"base point too close to the boundary: {exc}") from exc
-    for j, pair in enumerate(base):
+    for j, pair in enumerate(pairs):
         if factors[j] is None:
             factors[j] = pair
         else:

@@ -7,12 +7,12 @@ minimum-eigenvalue bound below which positivity is not trusted.
 
 A condition test rejects a matrix whose condition number, the ratio of
 its extreme singular values from an SVD, exceeds 1/psd_margin.
-``_require_conditioned`` is that test, for the distance kernels and for
-``_solve_conditioned``, the one solve with that test and a residual check,
-which serves the wedge oracle and the Cayley transforms.  Most matrices the
-package tests are far from that limit, so the SVD runs only for those
-that bounds sigma_max <= hi and sigma_min >= lo, which the caller already
-holds, cannot clear.  The distance kernels and the Cayley transforms hold
+``_require_conditioned`` is that test, for the distance kernels, the
+Cayley transforms and ``_solve_conditioned``, the wedge oracle's solve
+with that test and a residual check.  Most matrices the package tests
+are far from that limit, so the SVD runs only for those that bounds
+sigma_max <= hi and sigma_min >= lo, which the caller already holds,
+cannot clear.  The distance kernels and the Cayley transforms hold
 bounds such as 1 -/+ ||X|| ||Y|| for I - X*Y with contractions X and Y
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
 ch. 6 and 7), and clear a matrix when hi <= lo / (16 psd_margin): it then
@@ -28,7 +28,6 @@ same input bits produce the same output bits.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,14 +189,12 @@ def _certified(hi, lo, order: int, tol: Tolerance) -> np.ndarray:
     values of order-n matrices prove that an SVD condition test passes:
     ``hi * psd_margin <= lo / 16``, elementwise over members.
 
-    It serves the distance kernels and the Cayley transforms.  The tests
-    this stands in for take the computed extreme singular values s'_max,
-    s'_min of a matrix, or of a group of matrices tested together, and
-    reject when ``s'_min <= 0 or s'_max / s'_min > 1/psd_margin`` (the
-    condition test of :func:`_solve_conditioned` and of the distance
-    kernels) or when ``s'_min <= psd_margin * s'_max`` (the Cayley
-    transforms).  Rounding argument for a cleared member, with
-    m = psd_margin and c = 1/16:
+    It serves the distance kernels and the Cayley transforms.  The test
+    this stands in for, :func:`_require_conditioned`, takes the computed
+    extreme singular values s'_max, s'_min of a matrix, or of a group of
+    matrices tested together, and rejects when
+    ``s'_min <= 0 or s'_max / s'_min > 1/psd_margin``.  Rounding argument
+    for a cleared member, with m = psd_margin and c = 1/16:
 
     * The bounds.  Callers form hi and lo from a few norms, products and
       square roots, so they bound the exact extreme singular values to a
@@ -210,7 +207,7 @@ def _certified(hi, lo, order: int, tol: Tolerance) -> np.ndarray:
       s'_max <= s_max (1 + m/8).
     * The test.  The computed ratio s'_max / s'_min, with its own rounding,
       is below 1.01 * 9 / (128 m) < 1 / (12 m), more than 12 times below
-      the rejection threshold 1/m of either test.
+      the rejection threshold 1/m.
 
     So a cleared member passes the SVD test; a member not cleared, and any
     member whose bounds are NaN, must take that test.
@@ -220,13 +217,7 @@ def _certified(hi, lo, order: int, tol: Tolerance) -> np.ndarray:
     return np.asarray(hi * tol.psd_margin <= _CERTIFIED_SHARE * lo)
 
 
-def _solve_conditioned(
-    a: np.ndarray,
-    b: np.ndarray,
-    cleared: np.ndarray,
-    tol: Tolerance,
-    screen: Callable[[np.ndarray], None] | None = None,
-) -> np.ndarray:
+def _solve_conditioned(a: np.ndarray, b: np.ndarray, cleared: np.ndarray, tol: Tolerance) -> np.ndarray:
     """X with X @ b = a, for a system or for matching stacks ``(..., n, k)``
     and ``(..., k, k)``, after the condition test and the residual check,
     either of which names the first failing member of a stack.
@@ -240,18 +231,17 @@ def _solve_conditioned(
     """
     unsettled = ~cleared
     if np.count_nonzero(unsettled):
-        _require_conditioned([b], unsettled, tol, screen=screen)
+        _require_conditioned([b], unsettled, tol)
     return _residual_checked(_solve_unchecked(a, b), a, b, tol)
 
 
 def _require_conditioned(
-    stacks, unsettled, tol: Tolerance, label=_stack_label, error=SingularSystem, screen=None, joined=(0.0, np.inf)
+    stacks, unsettled, tol: Tolerance, label=_stack_label, error=SingularSystem, joined=(0.0, np.inf)
 ) -> None:
     """The condition test of the members at ``unsettled``, a boolean array
     of the stacks' member shape: it rejects a member that is singular or
     whose condition number exceeds 1/psd_margin.  Each
-    ``(*members, ..., k, k)`` stack takes one SVD of the members tested,
-    which ``screen``, when given, sees first and may raise its own error.
+    ``(*members, ..., k, k)`` stack takes one SVD of the members tested.
     A member's extreme singular values are joined over its matrices in all
     stacks and with ``joined``, (1, 1) standing for the zero padding of
     blocks of several sizes to one order.  The first failing member raises
@@ -261,8 +251,6 @@ def _require_conditioned(
     largest, smallest = joined
     for stack in stacks:
         sv = _singular_values(stack[unsettled])
-        if screen is not None:
-            screen(sv)
         sv = sv.reshape(len(sv), -1, sv.shape[-1])
         largest = np.maximum(largest, sv[..., 0].max(axis=1))
         smallest = np.minimum(smallest, sv[..., -1].min(axis=1))

@@ -20,6 +20,7 @@ from siegelmaps import (
     EmbeddingSpec,
     FactorKind,
     FactorSpec,
+    HarnessConfig,
     ball_point,
     cayley_to_bounded,
     cayley_to_siegel,
@@ -29,6 +30,7 @@ from siegelmaps import (
     linearize,
     membership,
     retract_direct_sum,
+    run_verification,
     signature,
     singular_values,
 )
@@ -44,6 +46,7 @@ from siegelmaps.sampling import (
     sample_type_iii,
 )
 
+import cyclic_covers
 from bulk_images import embedded_images, target_distances
 from norms import max_abs
 from oracle_blocks import wedge_block
@@ -318,6 +321,66 @@ def test_criterion_9_determinism(tmp_path):
     assert main(args + ["--report", str(second)]) == 0
     ok = first.read_bytes() == second.read_bytes()
     _report(f"criterion 9 (determinism): {'PASS' if ok else 'FAIL'} byte-identical reports")
+    assert ok
+
+
+# --- Moonen's special families of cyclic covers of P^1 (criterion 10): the
+# --- classes (m; a) satisfying (*) for m <= 12 and N <= 8 branch points,
+# --- each with its genus and its ball as the standard factor that embeds it
+# --- and the ball's dimension, None for (2; 1^6), which is all of A_2.
+MOONEN_FAMILIES = [
+    (2, (1, 1, 1, 1), 1, ("standard_III", 1)),
+    (2, (1, 1, 1, 1, 1, 1), 2, None),
+    (3, (1, 1, 2, 2), 2, ("standard_I", 1)),
+    (3, (1, 1, 1, 1, 2), 3, ("standard_I", 2)),
+    (3, (1, 1, 1, 1, 1, 1), 4, ("standard_I", 3)),
+    (4, (1, 1, 1, 1), 3, ("standard_III", 1)),
+    (4, (1, 2, 2, 3), 2, ("standard_I", 1)),
+    (4, (1, 1, 2, 2, 2), 3, ("standard_I", 2)),
+    (5, (1, 1, 1, 2), 4, ("standard_I", 1)),
+    (5, (1, 1, 1, 1, 1), 6, ("standard_I", 2)),
+    (6, (1, 1, 1, 3), 4, ("standard_III", 1)),
+    (6, (1, 1, 2, 2), 4, ("standard_I", 1)),
+    (6, (1, 3, 4, 4), 3, ("standard_I", 1)),
+    (6, (2, 3, 3, 4), 2, ("standard_I", 1)),
+    (6, (2, 2, 2, 3, 3), 4, ("standard_I", 2)),
+    (7, (1, 1, 1, 4), 6, ("standard_I", 1)),
+    (8, (1, 1, 2, 4), 5, ("standard_I", 1)),
+    (9, (1, 1, 1, 6), 7, ("standard_I", 1)),
+    (10, (1, 2, 2, 5), 6, ("standard_I", 1)),
+    (12, (1, 1, 4, 6), 7, ("standard_I", 1)),
+]
+
+
+def test_criterion_10_moonen_cyclic_covers():
+    # Chevalley-Weil against Riemann-Hurwitz on every class in the range,
+    # then Moonen's twenty families, of which nineteen are balls: each ball's
+    # spec fits in the family's genus, passes verify there, and enumerate's
+    # minimal genus for its source dimension is at most that genus.
+    found, classes = [], 0
+    for m, a in cyclic_covers.classes(12, 8):
+        classes += 1
+        g = cyclic_covers.genus(m, a)
+        assert sum(cyclic_covers.eigenspace_dims(m, a).values()) == g, (m, a)
+        if cyclic_covers.special(m, a):
+            found.append((m, a, g, cyclic_covers.ball(m, a)))
+    assert found == MOONEN_FAMILIES
+    config = HarnessConfig(samples=50, seed=SEED % 2**32)
+    balls = 0
+    for m, a, g, ball in MOONEN_FAMILIES:
+        if ball is None:
+            continue
+        kind, n = ball
+        spec = EmbeddingSpec(n, (FactorSpec(FactorKind(kind), n, 1),), g)
+        assert spec.cost <= g
+        assert run_verification(spec, config).passed, (m, a)
+        assert enumerate_specs(n, g)[1] <= g, (m, a)
+        balls += 1
+    ok = balls == 19
+    _report(
+        f"criterion 10 (Moonen's cyclic covers): {'PASS' if ok else 'FAIL'} "
+        f"{len(found)} special families among {classes} classes, {balls} balls verified"
+    )
     assert ok
 
 

@@ -109,8 +109,8 @@ def test_cayley_round_trip_seeded():
 def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
     # Interior samples are cleared by the certified condition test and make
     # no SVD call.  Near-singular denominators are not: their one SVD serves
-    # both the SingularCayley test and the condition test.  Either way the
-    # image has the bits of the SVD-only solve.
+    # the condition test, which raises SingularCayley where it fails.
+    # Either way the image has the bits of the SVD-only solve.
     rng = generator(13, 0)
     points = [sample_type_iii(rng, g) for g in (1, 3, 6)] + [sample_siegel(rng, g) for g in (1, 3, 6)]
     r = np.sqrt(1.0 - 1e-9)
@@ -481,6 +481,34 @@ def test_distance_on_siegel_points_via_cayley():
 def test_ball_point_rejects_norm_one():
     with pytest.raises(MembershipViolation):
         ball_point([1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e17, 1e308])
+def test_cayley_refuses_an_interior_siegel_point_by_its_condition_number(scale):
+    # diag(scale i, i) is interior, so s_min(Z + iI) >= 1: Z + iI is not
+    # singular, but its condition number, near scale / 2, is above
+    # 1/psd_margin.  The transform and a Siegel distance through it refuse
+    # the point by that test, named as such.
+    pt = DomainPoint(siegel_shape(2), np.diag([scale * 1j, 1j]))
+    center = DomainPoint(siegel_shape(2), 1j * np.eye(2))
+    assert membership(pt)
+    calls = [(cayley_to_bounded, pt), (kobayashi_distance, pt, center), (kobayashi_distance, center, pt)]
+    for fn, *args in calls:
+        with pytest.raises(SingularCayley) as raised:
+            fn(*args)
+        assert str(raised.value) == "Z + iI: condition number exceeds 1.000e+10"
+
+
+def test_cayley_to_siegel_refuses_an_uncertified_interior_point_by_its_condition_number():
+    # Margin 1.5e-10: interior by the eigensolve, below the certificate's
+    # shift.  I - W = diag(1 - r, 1) has condition number near 1.33e10.
+    r = np.sqrt(1.0 - 1.5e-10)
+    pt = DomainPoint(type_iii_shape(2), np.diag([r, 0.0]))
+    assert membership(pt)
+    with pytest.raises(SingularCayley) as raised:
+        cayley_to_siegel(pt)
+    assert str(raised.value) == "I - W: condition number exceeds 1.000e+10"
 
 
 def test_ball_point_norm_is_measured_once(monkeypatch):
