@@ -53,10 +53,10 @@ from .errors import (
     SingularSystem,
 )
 from .linalg import (
+    _EPS,
     DEFAULT_TOLERANCE,
     Tolerance,
     _all_finite,
-    _certified,
     _frozen,
     _require_conditioned,
     _residual,
@@ -356,12 +356,11 @@ def _interior_certificate(
       3 eps (128 m + c), below 128 m + 3.5 eps c.
     * Downstream.  b bounds the margin as the eigensolve's margin does, and
       b - s >= 128 m.  So a contraction Z with margin bound b has
-      ||Z|| <= sqrt(1 - b + s) <= 1 - 64 m, and a product of two has norm
-      at most 1 - 64 m: the bounds 1 -/+ ||X|| ||Y|| and 1 -/+ ||W|| clear
-      the condition tests of :func:`_matrix_distances` and
-      :func:`cayley_to_siegel` (``1 + r <= (1 - r) / (16 m)``, see
-      :func:`~siegelmaps.linalg._certified`) with a factor near 2 to spare,
-      wherever the order lets them clear anything.
+      ||Z|| <= sqrt(1 - b + s) <= 1 - 64 m, and so has a product of two:
+      the bounds of :func:`_formed_bounds` on I - X*Y and I - W,
+      lo >= 64 m - d and hi <= 2 + d, clear their condition tests
+      (:func:`~siegelmaps.linalg._cleared`) 16 times over while d <= 30 m:
+      at every order for I - W, and up to order 2,500 for I - X*Y.
 
     So a certified member passes the eigensolve's interior test, and a
     margin of b adds no SVD where the eigensolve's margin would add none.
@@ -429,12 +428,11 @@ def _bounded_image(pt: DomainPoint, tol: Tolerance) -> DomainPoint:
     g = pt.shape.p
     i_eye = 1j * _identity(g)
     # On an interior point s_min(Z + iI) >= 1 + lambda_min(Im Z) >= 1, from
-    # |<v, (Z + iI) v>| >= Im <v, (Z + iI) v>, and s_max <= ||Z||_F + 1.
-    # Where these bounds clear, the eigensolve's error is below 1/128.  An
-    # overflowing norm makes the bound inf, which certifies nothing.
+    # |<v, (Z + iI) v>| >= Im <v, (Z + iI) v>, and ||Z|| <= ||Z||_F.  An
+    # overflowing norm makes the bounds infinite, which clear nothing.
     with np.errstate(over="ignore"):
-        hi = np.linalg.norm(pt.z) + 1.0
-    w = _cayley_solve(pt.z - i_eye, pt.z + i_eye, hi, 1.0, "Z + iI", tol)
+        norm = np.linalg.norm(pt.z)
+    w = _cayley_solve(pt.z - i_eye, pt.z + i_eye, _formed_bounds(norm, 1.0, g * g), "Z + iI", tol)
     return DomainPoint(type_iii_shape(g), w)
 
 
@@ -450,24 +448,54 @@ def cayley_to_siegel(pt: DomainPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> Dom
     # lie within ||W|| of 1.
     norm = np.sqrt(1.0 - margin + _spectral_slack(g))
     # (I + W)(I - W)^-1 commutes, so left/right placement agree.
-    w = _cayley_solve(eye + pt.z, eye - pt.z, 1.0 + norm, 1.0 - norm, "I - W", tol)
+    w = _cayley_solve(eye + pt.z, eye - pt.z, _formed_bounds(norm, 1.0 - norm, 0), "I - W", tol)
     # Written once in the read-only C order that DomainPoint keeps as it is.
     z = np.multiply(1j, w, out=np.empty((g, g), dtype=np.complex128))
     z.setflags(write=False)
     return DomainPoint(siegel_shape(g), z)
 
 
-def _cayley_solve(a: np.ndarray, denom: np.ndarray, hi: float, lo: float, name: str, tol: Tolerance) -> np.ndarray:
-    """a @ denom^-1 for a Cayley transform, given bounds s_max <= hi and
-    s_min >= lo on the denominator's singular values, after the residual
-    check of :func:`~siegelmaps.linalg._residual_checked`.  Where the bounds
-    do not clear the denominator (see :func:`_certified`), one SVD of it
-    takes the condition test, which raises ``SingularCayley`` named by
-    ``name``."""
-    cleared = _certified(hi, lo, denom.shape[-1], tol)
-    if not cleared:
-        _require_conditioned([denom], ~cleared, tol, lambda *_: f"{name}: ", SingularCayley)
+def _cayley_solve(a: np.ndarray, denom: np.ndarray, bounds, name: str, tol: Tolerance) -> np.ndarray:
+    """a @ denom^-1 for a Cayley transform, after the condition test of the
+    denominator, given ``bounds`` on its singular values as computed
+    (:func:`_formed_bounds`), and the residual check of
+    :func:`~siegelmaps.linalg._residual_checked`.  Where the bounds do not
+    clear it, one SVD decides, and a failure raises ``SingularCayley``
+    named by ``name``."""
+    _require_conditioned([denom], bounds, tol, lambda *_: f"{name}: ", SingularCayley)
     return _residual_checked(_solve_unchecked(a, denom), a, denom, tol)
+
+
+def _formed_bounds(reach, low, terms: int):
+    """Bounds (hi, lo) on the singular values of I - X*Y, I - W or Z + iI
+    as computed, per member, from bounds ||P||_2 <= ``reach`` (for X*Y,
+    ||X|| ||Y|| <= reach) and s_min >= ``low`` on the exact D + P
+    (P = -X*Y, -W or Z; D = I or iI):
+
+        hi = 1 + reach + d,  lo = low - d,  d = (terms + 4) eps (1 + reach),
+
+    ``terms`` at least k (p + 2) for I - X*Y of p x q blocks of rank at most
+    k, 0 for I - W and g^2 for Z + iI of order g.  With u = eps/2:
+
+    * The product.  An entry of the computed X*Y, a sum of p complex
+      products, is within sqrt(2) g_(p+1) of the sum of their moduli
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+      2002, Lemma 3.5 and sec. 3.6), so X*Y is within
+      sqrt(2) g_(p+1) ||X||_F ||Y||_F <= k (p + 2) eps reach in norm.
+    * The norm.  For Z + iI, reach is ||Z||_F summed from 2 g^2 squares,
+      within (g^2 + 2) u of itself of the exact norm.
+    * The diagonal.  Adding D rounds only the diagonal entries, each by at
+      most u of its modulus, below 1 + reach and the product's error.
+    * Weyl's inequality puts each computed singular value in
+      [low, 1 + reach] widened by (terms + 1) eps (1 + reach); the last
+      3 eps (1 + reach) of d cover the rounding of reach, low, hi, lo and
+      psd_margin * hi.
+
+    So lo > psd_margin * hi (:func:`~siegelmaps.linalg._cleared`) proves
+    the computed matrix's condition number below 1/psd_margin.  An infinite
+    reach clears nothing."""
+    slack = (terms + 4) * _EPS * (1.0 + reach)
+    return 1.0 + reach + slack, low - slack
 
 
 def cayley(pt: DomainPoint, direction: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DomainPoint:
@@ -666,9 +694,10 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
     ``symmetric``), x before y, and y for interiority, as
     :func:`membership` does; x is always checked against ``psd_margin``,
     and I - X*Y with the condition test of
-    :func:`~siegelmaps.linalg._require_conditioned`, on the extreme
-    singular values over all blocks of a pair.  The Grams I - Z*Z of both
-    sides are formed once, into one stack per group with I - XX* and the
+    :func:`~siegelmaps.linalg._require_conditioned`: the bounds of
+    :func:`_formed_bounds` decide it where they can, and an SVD on the
+    extreme singular values over all blocks of a pair elsewhere.  The
+    Grams I - Z*Z of both sides are formed once, into one stack per group with I - XX* and the
     Grams' shifts by :func:`_interior_certificate`; x's Gram is also the
     one Cholesky factor D is taken of (C's where the blocks are wider than
     tall).  One Cholesky call factors the stack: where it completes every
@@ -723,22 +752,21 @@ def _matrix_distances(groups, pairs, tol: Tolerance, symmetric: bool, check_inpu
         # eigensolve's error (for certified bounds, see
         # _interior_certificate), and the same for Y, so the singular values
         # of each block of I - X*Y lie within ||X_b|| ||Y_b|| of 1.  The
-        # largest block order bounds the rounding of every group.
+        # largest block order n bounds the rounding of every group: the
+        # eigensolve's, and with n (n + 2) the product's.
         norms = np.sqrt(1.0 - margins + _spectral_slack(order))
         reach = norms * norms if failed is None else norms[0] * norms[1]
-        largest_q = max(group.shape[-1] for group in groups)
-        unsettled = ~_certified(1.0 + reach, 1.0 - reach, largest_q, tol)
+        hi, lo = _formed_bounds(reach, 1.0 - reach, order * (order + 2))
         near_singular = "transvection denominator near singular: "
-        if np.count_nonzero(unsettled):
-            names = names or _pair_names(count)
-            _require_conditioned(
-                denominators,
-                np.broadcast_to(unsettled, count),
-                tol,
-                lambda i, _: names[i] + near_singular,
-                IllConditioned,
-                joined=(1.0, 1.0) if len(groups) > 1 else (0.0, np.inf),
-            )
+        _require_conditioned(
+            denominators,
+            # One lo per pair gives the test its member shape.
+            (hi, np.full(count, lo)),
+            tol,
+            lambda i, _: (names or _pair_names(count))[i] + near_singular,
+            IllConditioned,
+            joined=(1.0, 1.0) if len(groups) > 1 else (0.0, np.inf),
+        )
         try:
             middles = [_solve_unchecked(a, b) for a, b in zip(differences, denominators)]
         except SingularSystem as exc:

@@ -458,12 +458,12 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
 
     Y's singular values are 1 and 1 - |z|^2, known before any solve
     (:func:`_negative_block_bounds`), and a row is cleared where
-    lo > psd_margin * hi.  Then sigma_min(Y') >= lo > m hi >= m sigma_max(Y')
-    for the computed block Y', m = psd_margin, so it provably passes the
-    exact condition test (hi's 2 (p + 1) eps, which only lo needs, covers
-    the rounding of m hi).  The rows not cleared, at the ball check's edge
-    for (p, m) = (9, 7) and (9, 8) and more often from p = 10 up, take one
-    SVD of their Y.  The X rows are solved alone and residual-checked
+    lo > psd_margin * hi (:func:`~siegelmaps.linalg._cleared`).  Then
+    sigma_min(Y') >= lo > m hi >= m sigma_max(Y') for the computed block
+    Y', m = psd_margin, so its condition number is below 1/m (hi's
+    2 (p + 1) eps, which only lo needs, covers the rounding of m hi).  The
+    rows not cleared, at the ball check's edge for (p, m) = (9, 7) and
+    (9, 8) and more often from p = 10 up, take one SVD of their Y.  The X rows are solved alone and residual-checked
     (:func:`~siegelmaps.linalg._solve_conditioned`); each block has the
     bits of the same point and model evaluated alone.  The caller
     validates the degrees and the points.
@@ -482,9 +482,8 @@ def _wedge_blocks(coords: np.ndarray, models, tol: Tolerance) -> list[np.ndarray
             x_blocks.append(x_block)
         rows = np.concatenate(x_blocks, axis=1)
         negative = coefficients[:, r:, :]
-        hi, lo = _negative_block_bounds(coords, m, s)
         try:
-            normalized = _solve_conditioned(rows, negative, lo > tol.psd_margin * hi, tol)
+            normalized = _solve_conditioned(rows, negative, _negative_block_bounds(coords, m, s), tol)
         except SingularSystem as exc:
             raise NormalizationSingular(f"negative block not invertible: {exc}") from exc
         for i, symmetric in enumerate(kinds):

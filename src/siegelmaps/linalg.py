@@ -5,22 +5,19 @@ here, so the tolerance regime is defined in one place: ``Tolerance.eq_tol``
 bounds residuals of equality assertions and ``Tolerance.psd_margin`` is the
 minimum-eigenvalue bound below which positivity is not trusted.
 
-A condition test rejects a matrix whose condition number, the ratio of
-its extreme singular values from an SVD, exceeds 1/psd_margin.
-``_require_conditioned`` is that test, for the distance kernels, the
-Cayley transforms and ``_solve_conditioned``, the wedge oracle's solve
-with that test and a residual check.  Most matrices the package tests
-are far from that limit, so the SVD runs only for those that bounds
-sigma_max <= hi and sigma_min >= lo, which the caller already holds,
-cannot clear.  The distance kernels and the Cayley transforms hold
-bounds such as 1 -/+ ||X|| ||Y|| for I - X*Y with contractions X and Y
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
-ch. 6 and 7), and clear a matrix when hi <= lo / (16 psd_margin): it then
-provably passes the SVD test, with LAPACK's error bounds on the computed
-singular values and a factor above 12 to spare (see ``_certified``), with
-the same decisions and messages.  The wedge oracle's negative block has
-singular values 1 and 1 - |z|^2 in closed form, and its bounds prove the
-exact test at any order, with no SVD to emulate.
+A condition test rejects a matrix whose condition number exceeds
+1/psd_margin, and decides on the matrix as computed.  Where bounds
+sigma_max <= hi and sigma_min >= lo on the computed matrix's singular
+values give lo > psd_margin * hi (``_cleared``), the condition number is
+provably below the limit and no SVD runs; any other member takes an SVD,
+and the test compares the ratio of its computed extreme singular values
+with 1/psd_margin.  ``_require_conditioned`` is that test, for the
+distance kernels, the Cayley transforms and ``_solve_conditioned``, the
+wedge oracle's solve with that test and a residual check.  The callers'
+bounds cover the rounding of forming their matrices: the wedge oracle's
+negative block has singular values 1 and 1 - |z|^2 in closed form, and
+I - X*Y, I - W and Z + iI are bounded from interior margins and norms
+(``domains._formed_bounds``), at any order.
 
 All operations are pure functions of their inputs and deterministic: the
 same input bits produce the same output bits.
@@ -169,85 +166,58 @@ def _stack_label(flat: int, batch: tuple[int, ...]) -> str:
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# A matrix is cleared without an SVD when its bounds put the condition
-# number at most this share of 1/psd_margin (see _certified).
-_CERTIFIED_SHARE = 1.0 / 16.0
-
 
 def _spectral_slack(order: int) -> float:
     """An upper bound on p(n) u at order n, taken as n^3 eps: the factor in
-    LAPACK's error bounds |s' - s| <= p(n) u ||A||_2 on computed singular
-    values and Hermitian eigenvalues, with p(n) a modestly growing
-    function of n (LAPACK Users' Guide, 3rd ed., sections 4.7 and 4.9).
-    As n^3 eps = 2 n^3 u, it also covers the rounding of forming the Gram
-    matrix I - Z*Z of a contraction, at most n^2 u in norm."""
+    LAPACK's error bound |l' - l| <= p(n) u ||A||_2 on computed Hermitian
+    eigenvalues, with p(n) a modestly growing function of n (LAPACK Users'
+    Guide, 3rd ed., section 4.7).  As n^3 eps = 2 n^3 u, it also covers the
+    rounding of forming the Gram matrix I - Z*Z of a contraction, at most
+    n^2 u in norm."""
     return order**3 * _EPS
 
 
-def _certified(hi, lo, order: int, tol: Tolerance) -> np.ndarray:
-    """Where the bounds sigma_max <= hi and sigma_min >= lo on the singular
-    values of order-n matrices prove that an SVD condition test passes:
-    ``hi * psd_margin <= lo / 16``, elementwise over members.
-
-    It serves the distance kernels and the Cayley transforms.  The test
-    this stands in for, :func:`_require_conditioned`, takes the computed
-    extreme singular values s'_max, s'_min of a matrix, or of a group of
-    matrices tested together, and rejects when
-    ``s'_min <= 0 or s'_max / s'_min > 1/psd_margin``.  Rounding argument
-    for a cleared member, with m = psd_margin and c = 1/16:
-
-    * The bounds.  Callers form hi and lo from a few norms, products and
-      square roots, so they bound the exact extreme singular values to a
-      relative error far below 1/8; the true ratio is at most
-      (9/8) c / m = 9 / (128 m).
-    * The SVD.  LAPACK's computed singular values satisfy
-      |s' - s| <= p(n) u s_max.  This helper clears nothing unless
-      p(n) u <= n^3 eps <= m / 8 (:func:`_spectral_slack`).  Then
-      s'_min >= s_min - (m/8) s_max >= s_min (1 - 9/1024) > 0 and
-      s'_max <= s_max (1 + m/8).
-    * The test.  The computed ratio s'_max / s'_min, with its own rounding,
-      is below 1.01 * 9 / (128 m) < 1 / (12 m), more than 12 times below
-      the rejection threshold 1/m.
-
-    So a cleared member passes the SVD test; a member not cleared, and any
-    member whose bounds are NaN, must take that test.
-    """
-    if _spectral_slack(order) > tol.psd_margin / 8.0:
-        return np.zeros(np.broadcast_shapes(np.shape(hi), np.shape(lo)), dtype=bool)
-    return np.asarray(hi * tol.psd_margin <= _CERTIFIED_SHARE * lo)
+def _cleared(hi, lo, tol: Tolerance) -> np.ndarray:
+    """Where bounds sigma_max <= hi and sigma_min >= lo on the singular
+    values of computed matrices prove a condition number below
+    1/psd_margin: ``lo > psd_margin * hi``, elementwise over members.  NaN
+    bounds clear nothing.  The bounds are the callers' to widen by the
+    rounding of forming them and of psd_margin * hi."""
+    return np.asarray(lo > tol.psd_margin * hi)
 
 
-def _solve_conditioned(a: np.ndarray, b: np.ndarray, cleared: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _solve_conditioned(a: np.ndarray, b: np.ndarray, bounds, tol: Tolerance) -> np.ndarray:
     """X with X @ b = a, for a system or for matching stacks ``(..., n, k)``
     and ``(..., k, k)``, after the condition test and the residual check,
     either of which names the first failing member of a stack.
 
-    ``cleared``, a boolean array of the stack's shape, holds where the
-    caller's bounds already prove that a member passes the condition test
-    (see :func:`_certified`); only the other members take
-    :func:`_require_conditioned`.  Each member has the bits of its system
-    solved alone: LAPACK solves each member and right-hand column by the
-    same steps.
+    ``bounds`` (hi, lo) bound the singular values of each member of b, as
+    :func:`_require_conditioned` takes them: only the members they do not
+    clear take an SVD.  Each member has the bits of its system solved
+    alone: LAPACK solves each member and right-hand column by the same
+    steps.
     """
-    unsettled = ~cleared
-    if np.count_nonzero(unsettled):
-        _require_conditioned([b], unsettled, tol)
+    _require_conditioned([b], bounds, tol)
     return _residual_checked(_solve_unchecked(a, b), a, b, tol)
 
 
 def _require_conditioned(
-    stacks, unsettled, tol: Tolerance, label=_stack_label, error=SingularSystem, joined=(0.0, np.inf)
+    stacks, bounds, tol: Tolerance, label=_stack_label, error=SingularSystem, joined=(0.0, np.inf)
 ) -> None:
-    """The condition test of the members at ``unsettled``, a boolean array
-    of the stacks' member shape: it rejects a member that is singular or
-    whose condition number exceeds 1/psd_margin.  Each
-    ``(*members, ..., k, k)`` stack takes one SVD of the members tested.
-    A member's extreme singular values are joined over its matrices in all
-    stacks and with ``joined``, (1, 1) standing for the zero padding of
-    blocks of several sizes to one order.  The first failing member raises
-    ``error`` prefixed by ``label(flat index, member shape)``, by default
-    ``matrix i: ``.
+    """The condition test of the members of ``(*members, ..., k, k)``
+    stacks, given ``bounds`` (hi, lo), which broadcast to the member shape,
+    on the singular values of each member's computed matrices: it rejects
+    a member that is singular or whose condition number exceeds
+    1/psd_margin.  A member the bounds clear (:func:`_cleared`) passes with no SVD; each stack takes
+    one SVD of the other members, whose extreme singular values are joined
+    over their matrices in all stacks and with ``joined``, (1, 1) standing
+    for the zero padding of blocks of several sizes to one order.  The
+    first failing member raises ``error`` prefixed by
+    ``label(flat index, member shape)``, by default ``matrix i: ``.
     """
+    unsettled = ~_cleared(*bounds, tol)
+    if not np.count_nonzero(unsettled):
+        return
     largest, smallest = joined
     for stack in stacks:
         sv = _singular_values(stack[unsettled])

@@ -21,12 +21,12 @@ from siegelmaps.domains import _asymmetries, _asymmetry_detail, _interior_detail
 from siegelmaps.errors import IllConditioned, MembershipViolation, SingularSystem
 from siegelmaps.linalg import (
     Tolerance,
-    _certified,
     _ill_conditioned,
     _solve_unchecked,
     _spectral_slack,
 )
 
+from certified_rule import _certified
 from hermitian_check import hermitian_eigenvalues
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from checked_grams import _contraction_margins, _residuals
+from certified_rule import _certified
 from siegelmaps.domains import _asymmetries, _asymmetry_detail, _interior_detail, _raise_first
 from siegelmaps.errors import IllConditioned, MembershipViolation, SingularSystem
 from siegelmaps.linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    _certified,
     _ill_conditioned,
     _solve_unchecked,
     _spectral_slack,

@@ -107,16 +107,19 @@ def test_cayley_round_trip_seeded():
 
 
 def test_cayley_transforms_make_one_svd_call_with_solve_right_bits(monkeypatch):
-    # Interior samples are cleared by the certified condition test and make
-    # no SVD call.  Near-singular denominators are not: their one SVD serves
-    # the condition test, which raises SingularCayley where it fails.
-    # Either way the image has the bits of the SVD-only solve.
+    # Interior samples are cleared by the bounds of the condition test and
+    # make no SVD call.  Denominators the bounds cannot clear are not: their
+    # one SVD serves the condition test, which raises SingularCayley where it
+    # fails.  Either way the image has the bits of the SVD-only solve.  At
+    # margin 3e-10, I - W = diag(1 - r, 1) has bounds 1 -/+ r, too wide to
+    # clear, and condition number near 6.7e9; (8e9 + i) I has
+    # ||Z||_F near 1.1e10 but Z + iI a condition number of 1.
     rng = generator(13, 0)
     points = [sample_type_iii(rng, g) for g in (1, 3, 6)] + [sample_siegel(rng, g) for g in (1, 3, 6)]
-    r = np.sqrt(1.0 - 1e-9)
+    r = np.sqrt(1.0 - 3e-10)
     near_singular = [
         DomainPoint(type_iii_shape(2), np.diag([r, 0.0])),
-        DomainPoint(siegel_shape(2), np.diag([1e9 + 1j, 1j])),
+        DomainPoint(siegel_shape(2), (8e9 + 1j) * np.eye(2)),
     ]
     expected = []
     for pt in points + near_singular:

@@ -49,6 +49,7 @@ from siegelmaps.errors import (
 )
 from siegelmaps.exterior import signature
 from siegelmaps.harness import run_suite
+from siegelmaps.linalg import _cleared
 from siegelmaps.report import HarnessConfig
 from siegelmaps.sampling import generator, sample_ball_coords, sample_ball_point, sample_phases
 from siegelmaps.serialize import spec_to_json
@@ -484,9 +485,9 @@ def test_models_of_a_degree_share_one_solve(n, monkeypatch):
     solves = []
     solve = embeddings._solve_conditioned
 
-    def counted(a, b, cleared, tol):
-        solves.append((a.shape, bool(np.all(cleared))))
-        return solve(a, b, cleared, tol)
+    def counted(a, b, bounds, tol):
+        solves.append((a.shape, bool(np.all(_cleared(*bounds, tol)))))
+        return solve(a, b, bounds, tol)
 
     m = (n + 1) // 2
     models = [(m, True), (m, False), (m, True)]

@@ -170,9 +170,11 @@ def test_singular_values_unitary_invariance():
 
 def _solve(a, b, cleared=False):
     """The right solve X @ b = a with its condition test and residual check,
-    the members ``cleared`` marks taken as proven to pass the test."""
+    the members ``cleared`` marks given bounds hi = lo = 1 that clear the
+    test, the others bounds that clear nothing."""
     b = np.asarray(b, dtype=complex)
-    return _solve_conditioned(np.asarray(a, dtype=complex), b, np.broadcast_to(cleared, b.shape[:-2]), DEFAULT_TOLERANCE)
+    lo = np.where(np.broadcast_to(cleared, b.shape[:-2]), 1.0, 0.0)
+    return _solve_conditioned(np.asarray(a, dtype=complex), b, (1.0, lo), DEFAULT_TOLERANCE)
 
 
 def test_solve_right_identity():
